@@ -33,10 +33,8 @@ def main() -> None:
 
     try:
         from ccnscale._kernels import _fast
-    except ImportError:
-        raise SystemExit(
-            "compiled backend not built; run: pip install --no-build-isolation -e ."
-        )
+    except ImportError as exc:
+        raise SystemExit(f"compiled backend unavailable: {exc}")
 
     cfg = NetworkConfig(n=args.n, alpha=args.alpha, beta=args.beta, seed=args.seed)
     prob = cfg.problem()

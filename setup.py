@@ -1,42 +1,24 @@
-"""Build script: compiles the optional fast-kernel extension.
+"""Build script: compiles the routing kernel ``trace.c`` to a shared library.
 
-The package is fully functional without the extension (a pure-Python
-backend is selected at import time), so a missing compiler or Cython
-only costs speed, not correctness.
+The library is loaded through ``ctypes`` by ``ccnscale._kernels._fast``; it
+is a plain C library, not a Python extension module, so no Cython and no
+Python headers are involved.  The build is optional: without it the first
+import compiles ``trace.c`` into the user cache, and without a C compiler
+the pure-Python backend is used, which only costs speed.
 """
 
-import os
+from setuptools import Extension, setup
 
-from setuptools import setup
-
-ext_modules = []
-try:
-    import numpy
-    from Cython.Build import cythonize
-    from setuptools.extension import Extension
-
-    if not os.path.exists("src/ccnscale/_kernels/_fast.pyx"):
-        raise ImportError("extension source not present")
-    ext_modules = cythonize(
-        [
-            Extension(
-                "ccnscale._kernels._fast",
-                ["src/ccnscale/_kernels/_fast.pyx"],
-                include_dirs=[numpy.get_include()],
-                define_macros=[("NPY_NO_DEPRECATED_API", "NPY_1_7_API_VERSION")],
-                # -ffp-contract=off: no FMA fusion, so float results stay
-                # bit-identical to the pure-Python backend.
-                extra_compile_args=["-O3", "-ffp-contract=off"],
-            )
-        ],
-        compiler_directives={
-            "language_level": 3,
-            "boundscheck": False,
-            "wraparound": False,
-            "cdivision": True,
-        },
-    )
-except ImportError:
-    ext_modules = []
-
-setup(ext_modules=ext_modules)
+setup(
+    ext_modules=[
+        Extension(
+            "ccnscale._kernels._trace",
+            ["src/ccnscale/_kernels/trace.c"],
+            # Same flags as _fast.CFLAGS.  -ffp-contract=off: no FMA fusion,
+            # so float results stay bit-identical to the pure-Python backend.
+            extra_compile_args=["-O3", "-std=c99", "-ffp-contract=off"],
+            libraries=["m"],
+            optional=True,
+        )
+    ],
+)

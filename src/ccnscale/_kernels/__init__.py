@@ -2,33 +2,40 @@
 
 Two interchangeable implementations of the hot inner loops exist:
 
-* ``ccnscale._kernels._fast`` — Cython extension, built at install time
-  when a C compiler is available;
-* ``ccnscale._kernels._ref``  — pure Python, always available.
+* ``ccnscale._kernels._fast`` — ``trace.c``, a hand-written C99 kernel
+  loaded through ``ctypes``; it is built by ``setup.py`` or, failing that,
+  compiled into the user cache on first import (see ``_fast``);
+* ``ccnscale._kernels._ref``  — pure Python, always available, and the
+  reference that ``trace.c`` is a port of.
 
 Both perform identical floating-point arithmetic and return identical
-results.  The compiled backend is preferred when importable.  Set the
-environment variable ``CCNSCALE_BACKEND`` to ``python`` or ``compiled``
-to force one (forcing ``compiled`` raises if the extension is missing).
+results.  The compiled backend is preferred when it loads; otherwise the
+dispatcher falls back to ``_ref`` and records why in :data:`BACKEND_REASON`
+(``""`` while the compiled backend is active).  Set the environment
+variable ``CCNSCALE_BACKEND`` to ``python`` or ``compiled`` to force one
+(forcing ``compiled`` raises ImportError with the reason if it cannot load).
 """
 
 from __future__ import annotations
 
 import os
 
-from . import _ref
-
 _forced = os.environ.get("CCNSCALE_BACKEND", "").strip().lower()
 
+BACKEND_REASON: str = ""
 if _forced == "python":
-    _impl = _ref
-elif _forced == "compiled":
-    from . import _fast as _impl  # type: ignore[no-redef]
-elif _forced == "":
+    from . import _ref as _impl
+
+    BACKEND_REASON = "forced by CCNSCALE_BACKEND=python"
+elif _forced in ("", "compiled"):
     try:
         from . import _fast as _impl  # type: ignore[no-redef]
-    except ImportError:
-        _impl = _ref
+    except ImportError as exc:
+        if _forced == "compiled":
+            raise ImportError(f"CCNSCALE_BACKEND=compiled: {exc}") from exc
+        from . import _ref as _impl  # type: ignore[no-redef]
+
+        BACKEND_REASON = str(exc)
 else:
     raise RuntimeError(
         f"CCNSCALE_BACKEND={_forced!r}: expected 'python' or 'compiled'"

@@ -1,9 +1,10 @@
-"""Pure-Python kernel backend.
+"""Pure-Python kernel backend, and the reference for the compiled one.
 
-Mirrors ``_fast.pyx`` operation for operation: both backends perform the
-same IEEE-754 double arithmetic in the same order, so results (cell
-lists, nearest indices, hop counts, per-cell loads) are bit-identical
-whichever backend is active.  Keep the two files in lockstep.
+``trace.c`` (loaded by ``_fast``) ports this file operation for operation:
+both backends perform the same IEEE-754 double arithmetic in the same
+order, so results (cell lists, nearest indices, hop counts, per-cell loads)
+are bit-identical whichever backend is active.  Keep the two files in
+lockstep.
 """
 
 from __future__ import annotations

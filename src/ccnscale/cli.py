@@ -14,7 +14,8 @@ config; simulation columns depend only on config plus seeds, so reruns
 produce byte-identical files.
 
 Exit codes: 0 success, 2 malformed config, 3 infeasible instance
-(``alloc`` on an infeasible point, or a sweep where every row failed).
+(``alloc`` on an infeasible point, or a sweep where every row failed),
+4 solver error (a solution failed its KKT optimality certificate).
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from . import __version__, sim
+from . import __version__, _kernels, sim
 from .alloc import optimized_delay, round_to_integers, solve
 from .config import Mode, NetworkConfig
 from .errors import ConfigError, InfeasibleError, UnsupportedRegimeError
@@ -804,9 +805,16 @@ def _self_checks() -> list[tuple[str, bool, str]]:
         )
     )
 
+    name = "kernel backends bit-identical"
+    active = f"backend={_kernels.BACKEND_NAME}"
     try:
-        from ._kernels import _fast, _ref  # noqa: F401
-
+        from ._kernels import _fast, _ref
+    except ImportError as exc:
+        detail = f"{active}; compiled backend unavailable, skipped: {exc}"
+        checks.append((name, True, detail))
+    else:
+        if _kernels.BACKEND_REASON:
+            active += f": {_kernels.BACKEND_REASON}"
         inst = sim.build_instance(cfg, allocation, seed=3)
         req = sim.draw_requests(inst, cfg.popularity(), seed=4)
         args = (
@@ -824,11 +832,7 @@ def _self_checks() -> list[tuple[str, bool, str]]:
         fast_out = _fast.trace_batch(*args)
         ref_out = _ref.trace_batch(*args)
         same = all(np.array_equal(a, b) for a, b in zip(fast_out, ref_out))
-        checks.append(("kernel backends bit-identical", bool(same), ""))
-    except ImportError:
-        checks.append(
-            ("kernel backends bit-identical", True, "compiled backend not built; skipped")
-        )
+        checks.append((name, bool(same), active))
 
     return checks
 
@@ -946,6 +950,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except InfeasibleError as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return 3
+    except ArithmeticError as exc:
+        print(f"solver error: {exc}", file=sys.stderr)
+        return 4
     except BrokenPipeError:
         # reader closed the pipe (e.g. `... | head`); silence the
         # interpreter's flush-on-exit complaint and exit like SIGPIPE

@@ -437,6 +437,22 @@ class TestCommandLine:
         assert proc.returncode == 3
         assert "infeasible" in proc.stderr
 
+    @pytest.mark.parametrize("command", ["alloc", "sweep"])
+    def test_failed_kkt_certificate_exit_code_4(
+        self, tmp_path, monkeypatch, capsys, command
+    ):
+        def failing_solve(prob):
+            raise ArithmeticError("optimality certificate failed: KKT residual 1e-3")
+
+        monkeypatch.setattr(cli, "solve", failing_solve)
+        conf = _write(
+            tmp_path, "kkt.conf", "mode = adhoc\nn = 300\nalpha = 0.8\nbeta = 0.9\n"
+        )
+        extra = ["--out", str(tmp_path / "o")] if command == "sweep" else []
+        assert cli.main([command, conf, *extra]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("solver error: optimality certificate failed")
+
     def test_alloc_prints_allocation_table(self, tmp_path):
         conf = _write(
             tmp_path,

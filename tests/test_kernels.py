@@ -9,21 +9,42 @@ which backend the host machine ends up with.
 from __future__ import annotations
 
 import os
+import shlex
+import shutil
 import subprocess
 import sys
+import sysconfig
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from ccnscale import sim
+from ccnscale import _kernels, sim
 from ccnscale._kernels import _ref
 from ccnscale.config import Mode, NetworkConfig
 from ccnscale.geometry import CellGrid
 from ccnscale.sched import build_schedule
 
-_fast = pytest.importorskip(
-    "ccnscale._kernels._fast",
-    reason="compiled kernel extension not built",
+
+def _compiler_on_path() -> bool:
+    cc = shlex.split(os.environ.get("CC", "")) or ["cc"]
+    return shutil.which(cc[0]) is not None
+
+
+# Without a C compiler the compiled backend may be unavailable, and the
+# tests that need it skip.  With one, a failure to load it is a test failure,
+# never a silent skip of the parity suite.
+try:
+    from ccnscale._kernels import _fast
+except ImportError as exc:
+    if _compiler_on_path():
+        raise ImportError(
+            f"a C compiler is on PATH, yet the compiled kernel failed: {exc}"
+        ) from exc
+    _fast = None
+
+needs_fast = pytest.mark.skipif(
+    _fast is None, reason="no C compiler to build the compiled kernel"
 )
 
 
@@ -37,6 +58,7 @@ def _random_positions(rng: np.random.Generator, n: int):
 # ---------------------------------------------------------------------------
 
 
+@needs_fast
 class TestSegmentCellsParity:
     @pytest.mark.parametrize("g", [1, 2, 3, 8, 16, 64])
     def test_random_segments(self, g):
@@ -86,6 +108,7 @@ def _bucketize(xs, ys, holders, g):
     return holders[order], cells[order]
 
 
+@needs_fast
 class TestNearestParity:
     @pytest.mark.parametrize("g", [1, 2, 8, 32])
     def test_linear_random(self, g):
@@ -117,13 +140,14 @@ class TestNearestParity:
         got_r = _ref.nearest_linear(0.5, 0.5, [0.1], [0.2], [], -1)
         assert got_f == got_r == (-1, float("inf"), False)
 
-    def test_linear_tie_breaks_to_lowest_index(self):
+    @pytest.mark.parametrize("order", [[1, 0], [0, 1]])
+    def test_linear_tie_breaks_to_lowest_index(self, order):
         # Two holders mirror-placed around the query: identical distance.
         xs = np.array([0.25, 0.75, 0.5])
         ys = np.array([0.5, 0.5, 0.5])
-        cand = np.array([1, 0], dtype=np.int64)
+        cand = np.array(order, dtype=np.int64)
         got_f = _fast.nearest_linear(0.5, 0.5, xs, ys, cand, -1)
-        got_r = _ref.nearest_linear(0.5, 0.5, list(xs), list(ys), [1, 0], -1)
+        got_r = _ref.nearest_linear(0.5, 0.5, list(xs), list(ys), order, -1)
         assert got_f == got_r
         assert got_f[0] == 0
 
@@ -195,6 +219,7 @@ def _assert_trace_equal(inst, req):
     np.testing.assert_array_equal(sf, sr)
 
 
+@needs_fast
 class TestTraceBatchParity:
     @pytest.mark.parametrize("seed", range(6))
     def test_random_instances_small_grids(self, seed):
@@ -274,6 +299,55 @@ class TestTraceBatchParity:
         np.testing.assert_array_equal(sf, sr)
         assert set(np.unique(sf)) <= {0}  # every request reached a station
 
+    def test_nodes_win_distance_ties_against_base_stations(self):
+        # Node 0 at the centre of a 8x8 grid has its holder (node 1) two
+        # cells to the left and a base station two cells to the right, at
+        # exactly the same distance; node 1 holds only its own request and
+        # goes to the station.  The node must win the tie, which charges
+        # cell (4, 3) twice instead of cell (4, 5).
+        args = dict(
+            xs=np.array([0.5, 0.25]),
+            ys=np.array([0.5, 0.5]),
+            g=8,
+            req=np.array([0, 0]),
+            h_idx=np.array([1]),
+            h_start=np.array([0, 1]),
+            hc_idx=np.array([1]),
+            hc_cell=np.array([4 * 8 + 2]),
+            bs_x=np.array([0.75]),
+            bs_y=np.array([0.5]),
+        )
+        for backend in (_fast, _ref):
+            hops, loads, status = backend.trace_batch(**args)
+            assert list(hops) == [2, 4]
+            assert loads[4 * 8 + 3] == 2 and loads[4 * 8 + 5] == 1
+            assert list(status) == [0, 0]
+
+    @pytest.mark.parametrize(
+        "xs,g,hops",
+        [
+            # The holder sits on a lattice line across the wrap: the walk
+            # overshoots by one cell and the target-cell safety net steps back.
+            ([0.0, 6 / 7], 7, [3, 1]),
+            # The holder is exactly half a torus away: the displacement is +0.5.
+            ([0.75, 0.25], 8, [4, 4]),
+        ],
+    )
+    def test_lattice_boundary_rules(self, xs, g, hops):
+        # Nodes 0 and 1 each request the content that only the other holds.
+        xs = np.array(xs)
+        cells = (g // 2) * g + np.minimum((xs * g).astype(np.int64), g - 1)
+        args = (
+            xs, np.full(2, 0.5), g, np.array([0, 1]), np.array([1, 0]),
+            np.array([0, 1, 2]), np.array([1, 0]), cells[[1, 0]],
+            np.array([]), np.array([]),
+        )
+        got = _fast.trace_batch(*args)
+        want = _ref.trace_batch(*args)
+        for a, b in zip(got, want):
+            np.testing.assert_array_equal(a, b)
+        assert list(want[0]) == hops
+
     def test_measurement_identity_holds_on_compiled_backend(self):
         cfg = NetworkConfig(n=1500, alpha=1.2, beta=0.9, seed=23)
         from ccnscale.alloc import round_to_integers, solve
@@ -285,6 +359,63 @@ class TestTraceBatchParity:
         hops, loads, status = _fast.trace_batch(*_trace_args(inst, req))
         assert int(hops.sum()) == int(loads.sum())
         assert set(np.unique(status)) <= {0, 1, 2}
+
+
+def _tiny_trace_args(**override):
+    """Two nodes on a 2x2 grid; the one content is held by node 1."""
+    args = dict(
+        xs=np.array([0.1, 0.6]),
+        ys=np.array([0.2, 0.7]),
+        g=2,
+        req=np.array([0, 0]),
+        h_idx=np.array([1]),
+        h_start=np.array([0, 1]),
+        hc_idx=np.array([1]),
+        hc_cell=np.array([3]),
+        bs_x=np.array([]),
+        bs_y=np.array([]),
+    )
+    args.update(override)
+    return args
+
+
+@needs_fast
+class TestCompiledInputChecks:
+    """The C kernel trusts its inputs, so the binding rejects any that would
+    make it read or write out of bounds."""
+
+    def test_tiny_instance_matches_reference(self):
+        got = _fast.trace_batch(**_tiny_trace_args())
+        want = _ref.trace_batch(**_tiny_trace_args())
+        for a, b in zip(got, want):
+            np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize(
+        "override",
+        [
+            {"req": np.array([0, 1])},
+            {"req": np.array([0])},
+            {"h_idx": np.array([2])},
+            {"hc_idx": np.array([-1])},
+            {"h_start": np.array([0, 2])},
+            {"xs": np.array([-0.1, 0.6])},
+            {"ys": np.array([float("nan"), 0.7])},
+            {"bs_x": np.array([0.5]), "bs_y": np.array([])},
+            {"g": 0},
+        ],
+    )
+    def test_trace_batch_rejects(self, override):
+        with pytest.raises(ValueError):
+            _fast.trace_batch(**_tiny_trace_args(**override))
+
+    def test_scalar_entry_points_reject(self):
+        xs = np.array([0.1, 0.6])
+        with pytest.raises(ValueError):
+            _fast.segment_cells(0.5, 0.5, 0.7, 0.0, 4)
+        with pytest.raises(ValueError):
+            _fast.nearest_linear(0.5, 0.5, xs, xs, [0, 2], -1)
+        with pytest.raises(ValueError):
+            _fast.nearest_ring(0.5, 0.5, xs, xs, [0, 1], [0, 3], 0, 3, 2, -1)
 
 
 # ---------------------------------------------------------------------------
@@ -308,11 +439,13 @@ class TestBackendSelection:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "python"
 
+    @needs_fast
     def test_force_compiled(self):
         proc = _run_with_backend("compiled")
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "compiled"
 
+    @needs_fast
     def test_default_prefers_compiled(self):
         proc = _run_with_backend("")
         assert proc.returncode == 0, proc.stderr
@@ -324,7 +457,87 @@ class TestBackendSelection:
         assert "CCNSCALE_BACKEND" in proc.stderr
 
     def test_module_level_exports_match_backend(self):
-        from ccnscale import _kernels
-
         assert _kernels.BACKEND_NAME in {"python", "compiled"}
         assert _kernels.RING_MIN_HOLDERS == 64
+        # A reason is recorded exactly when the compiled backend is not active.
+        assert (_kernels.BACKEND_REASON == "") == (_kernels.BACKEND_NAME == "compiled")
+
+
+# ---------------------------------------------------------------------------
+# loading and building the compiled kernel
+# ---------------------------------------------------------------------------
+
+_REPORT = (
+    "from ccnscale import _kernels; "
+    "print(_kernels.BACKEND_NAME); print(_kernels.BACKEND_REASON)"
+)
+_KERNEL_DIR = Path(_kernels.__file__).parent
+
+
+def _python(code: str, cache, **env) -> subprocess.Popen:
+    """Start ``python -c code`` with an own kernel build cache."""
+    full = {**os.environ, "XDG_CACHE_HOME": str(cache), "CCNSCALE_BACKEND": "", **env}
+    return subprocess.Popen(
+        [sys.executable, "-c", code],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+        env=full,
+    )
+
+
+def _finish(proc: subprocess.Popen) -> tuple[int, str, str]:
+    out, err = proc.communicate(timeout=300)
+    return proc.returncode, out, err
+
+
+@pytest.fixture
+def cache(tmp_path):
+    prebuilt = _KERNEL_DIR / ("_trace" + sysconfig.get_config_var("EXT_SUFFIX"))
+    if prebuilt.exists():
+        pytest.skip(f"{prebuilt.name} next to the module takes precedence over the cache")
+    return tmp_path / "cache"
+
+
+class TestLoader:
+    def test_missing_compiler_falls_back_with_reason(self, cache):
+        code, out, err = _finish(_python(_REPORT, cache, CC="/nonexistent"))
+        assert code == 0, err
+        name, reason = out.splitlines()
+        assert name == "python"
+        assert "/nonexistent" in reason
+
+    def test_missing_compiler_fails_forced_compiled(self, cache):
+        code, out, err = _finish(
+            _python(_REPORT, cache, CC="/nonexistent", CCNSCALE_BACKEND="compiled")
+        )
+        assert code != 0
+        assert "CCNSCALE_BACKEND=compiled" in err
+        assert "/nonexistent" in err
+
+    @needs_fast
+    def test_concurrent_first_imports_share_one_build(self, cache):
+        def sources():
+            return sorted(p.name for p in _KERNEL_DIR.iterdir() if p.is_file())
+
+        before = sources()
+        procs = [_python(_REPORT, cache) for _ in range(2)]
+        results = [_finish(p) for p in procs]
+        for code, out, err in results:
+            assert code == 0, err
+            assert out.splitlines()[0] == "compiled", out
+        built = [p.name for p in cache.rglob("*") if p.is_file()]
+        assert built == ["trace.so"]  # no temporary file left behind
+        assert sources() == before  # nothing written next to the sources
+
+    @needs_fast
+    def test_cache_hit_starts_no_process(self, cache):
+        assert _finish(_python(_REPORT, cache))[0] == 0
+        forbid = (
+            "import subprocess\n"
+            "def _no(*a, **k): raise AssertionError('process started')\n"
+            "subprocess.Popen = subprocess.run = _no\n"
+        )
+        code, out, err = _finish(_python(forbid + _REPORT, cache))
+        assert code == 0, err
+        assert out.splitlines()[0] == "compiled", out
