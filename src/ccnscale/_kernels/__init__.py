@@ -3,8 +3,8 @@
 Two interchangeable implementations of the hot inner loops exist:
 
 * ``ccnscale._kernels._fast`` — ``trace.c``, a hand-written C99 kernel
-  loaded through ``ctypes``; it is built by ``setup.py`` or, failing that,
-  compiled into the user cache on first import (see ``_fast``);
+  loaded through ``ctypes`` and compiled into the user cache on first
+  import (see ``_fast``);
 * ``ccnscale._kernels._ref``  — pure Python, always available, and the
   reference that ``trace.c`` is a port of.
 

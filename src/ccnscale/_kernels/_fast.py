@@ -7,19 +7,18 @@ arguments to contiguous int64/float64 arrays, check lengths, index ranges
 and coordinates so that the C code never reads or writes out of bounds,
 and allocate the outputs.
 
-The shared library is found, or built, at import time:
+The shared library lives at ``${XDG_CACHE_HOME:-~/.cache}/ccnscale/<key>/
+trace.so``, where ``key`` is the sha256 of the source, the compile command
+and the platform tag (OS and machine), so an edit of ``trace.c`` always
+gets a fresh build.  A cache hit starts no process.  On a miss the first
+import compiles it there with ``$CC`` (default ``cc``) and :data:`CFLAGS`,
+through a temporary file moved into place with ``os.replace``, so
+concurrent first imports are safe.
 
-1. ``_trace<extension suffix>`` next to this file, as built by ``setup.py``;
-2. otherwise ``${XDG_CACHE_HOME:-~/.cache}/ccnscale/<key>/trace.so``, where
-   ``key`` is the sha256 of the source, the compile command and the
-   platform tag (OS and machine).  A cache hit starts no process;
-3. otherwise it is compiled into that path with ``$CC`` (default ``cc``)
-   and :data:`CFLAGS`, through a temporary file moved into place with
-   ``os.replace``, so concurrent first imports are safe.
-
-Nothing is ever written next to the sources.  Any failure raises
-:class:`ImportError` with the reason, and the dispatcher in
-``ccnscale._kernels`` falls back to the pure-Python backend.
+Nothing is ever written next to the sources.  Any failure, including a
+library that lacks one of the kernel's symbols, raises :class:`ImportError`
+with the reason, and the dispatcher in ``ccnscale._kernels`` falls back to
+the pure-Python backend.
 """
 
 from __future__ import annotations
@@ -38,15 +37,13 @@ from numpy.ctypeslib import ndpointer
 BACKEND_NAME = "compiled"
 
 # -ffp-contract=off: no FMA fusion, so float results stay bit-identical to
-# the pure-Python backend.  Never add -ffast-math.  setup.py uses the same
-# flags.
+# the pure-Python backend.  Never add -ffast-math.
 CFLAGS = ("-O3", "-std=c99", "-ffp-contract=off", "-fPIC", "-shared")
 
 _HERE = Path(__file__).resolve().parent
 SOURCE = _HERE / "trace.c"
 # The platform tag in the suffix names the OS and the machine.
 _PLATFORM_SUFFIX = EXTENSION_SUFFIXES[0]
-PREBUILT = _HERE / ("_trace" + _PLATFORM_SUFFIX)
 
 
 def _cache_path(cc: list[str], source: bytes) -> Path:
@@ -90,47 +87,50 @@ def _build(cc: list[str], out: Path) -> None:
             os.unlink(tmp)
 
 
-def _load() -> ctypes.CDLL:
-    if PREBUILT.exists():
-        path = PREBUILT
-    else:
-        try:
-            cc = shlex.split(os.environ.get("CC", "")) or ["cc"]
-            source = SOURCE.read_bytes()
-        except (ValueError, OSError) as exc:
-            raise ImportError(f"cannot build the compiled kernel: {exc}") from None
-        path = _cache_path(cc, source)
-        if not path.exists():
-            _build(cc, path)
+_F64 = ndpointer(np.float64, ndim=1, flags="C_CONTIGUOUS")
+_I64 = ndpointer(np.int64, ndim=1, flags="C_CONTIGUOUS")
+
+
+def _bind(lib: ctypes.CDLL) -> int:
+    """Declare the kernel's signatures; return ``ccn_ring_min_holders``."""
+    lib.ccn_segment_cells.argtypes = [c_double] * 4 + [c_int64, _I64, c_int64]
+    lib.ccn_segment_cells.restype = c_int64
+    lib.ccn_nearest_linear.argtypes = [
+        c_double, c_double, _F64, _F64, _I64, c_int64, c_int64,
+        POINTER(c_double), POINTER(c_int),
+    ]
+    lib.ccn_nearest_linear.restype = c_int64
+    lib.ccn_nearest_ring.argtypes = [
+        c_double, c_double, _F64, _F64, _I64, _I64, c_int64, c_int64, c_int64,
+        c_int64, POINTER(c_double), POINTER(c_int),
+    ]
+    lib.ccn_nearest_ring.restype = c_int64
+    lib.ccn_trace_batch.argtypes = [
+        c_int64, _F64, _F64, c_int64, _I64, _I64, _I64, _I64, _I64, c_int64,
+        _F64, _F64, _I64, _I64, _I64,
+    ]
+    lib.ccn_trace_batch.restype = c_int
+    return c_int64.in_dll(lib, "ccn_ring_min_holders").value
+
+
+def _load() -> tuple[ctypes.CDLL, int]:
     try:
-        return ctypes.CDLL(str(path))
-    except OSError as exc:
+        cc = shlex.split(os.environ.get("CC", "")) or ["cc"]
+        source = SOURCE.read_bytes()
+    except (ValueError, OSError) as exc:
+        raise ImportError(f"cannot build the compiled kernel: {exc}") from None
+    path = _cache_path(cc, source)
+    if not path.exists():
+        _build(cc, path)
+    try:
+        lib = ctypes.CDLL(str(path))
+        return lib, _bind(lib)
+    except (OSError, AttributeError, ValueError) as exc:
+        # AttributeError/ValueError: a library without a kernel symbol.
         raise ImportError(f"cannot load {path}: {exc}") from None
 
 
-_lib = _load()
-
-_F64 = ndpointer(np.float64, ndim=1, flags="C_CONTIGUOUS")
-_I64 = ndpointer(np.int64, ndim=1, flags="C_CONTIGUOUS")
-_lib.ccn_segment_cells.argtypes = [c_double] * 4 + [c_int64, _I64, c_int64]
-_lib.ccn_segment_cells.restype = c_int64
-_lib.ccn_nearest_linear.argtypes = [
-    c_double, c_double, _F64, _F64, _I64, c_int64, c_int64,
-    POINTER(c_double), POINTER(c_int),
-]
-_lib.ccn_nearest_linear.restype = c_int64
-_lib.ccn_nearest_ring.argtypes = [
-    c_double, c_double, _F64, _F64, _I64, _I64, c_int64, c_int64, c_int64,
-    c_int64, POINTER(c_double), POINTER(c_int),
-]
-_lib.ccn_nearest_ring.restype = c_int64
-_lib.ccn_trace_batch.argtypes = [
-    c_int64, _F64, _F64, c_int64, _I64, _I64, _I64, _I64, _I64, c_int64,
-    _F64, _F64, _I64, _I64, _I64,
-]
-_lib.ccn_trace_batch.restype = c_int
-
-RING_MIN_HOLDERS: int = c_int64.in_dll(_lib, "ccn_ring_min_holders").value
+_lib, RING_MIN_HOLDERS = _load()
 
 
 def _f64(values) -> np.ndarray:

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InfeasibleError, UnsupportedRegimeError
+from .errors import InfeasibleError, SolverError, UnsupportedRegimeError
 from .popularity import PopularityModel
 
 __all__ = [
@@ -163,7 +163,7 @@ def solve(prob: AllocationProblem) -> Allocation:
 
     Raises :class:`InfeasibleError` when f = 0 and M*lower exceeds the
     budget (not enough memory for one copy of everything), and
-    :class:`ArithmeticError` if the KKT certificate check fails.
+    :class:`~ccnscale.errors.SolverError` if the KKT certificate check fails.
     """
     p = prob.pop.p
     m_count = prob.pop.m_count
@@ -292,7 +292,7 @@ def kkt_residual(alloc: Allocation, prob: AllocationProblem) -> float:
 def _verify_kkt(alloc: Allocation, prob: AllocationProblem) -> None:
     res = kkt_residual(alloc, prob)
     if res > _KKT_TOL:
-        raise ArithmeticError(
+        raise SolverError(
             f"optimality certificate failed: KKT residual {res:.3e} > {_KKT_TOL:g}"
         )
 

@@ -36,7 +36,12 @@ import numpy as np
 from . import __version__, _kernels, sim
 from .alloc import optimized_delay, round_to_integers, solve
 from .config import Mode, NetworkConfig
-from .errors import ConfigError, InfeasibleError, UnsupportedRegimeError
+from .errors import (
+    ConfigError,
+    InfeasibleError,
+    SolverError,
+    UnsupportedRegimeError,
+)
 from .scaling import (
     ScalingRegime,
     m1_m2_orders,
@@ -950,7 +955,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except InfeasibleError as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return 3
-    except ArithmeticError as exc:
+    except SolverError as exc:
         print(f"solver error: {exc}", file=sys.stderr)
         return 4
     except BrokenPipeError:

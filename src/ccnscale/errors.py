@@ -17,6 +17,10 @@ class NoHolderError(CcnScaleError):
     """A request has no eligible holder and no base station to route to."""
 
 
+class SolverError(CcnScaleError, ArithmeticError):
+    """A solution failed its KKT optimality certificate."""
+
+
 class ConfigError(CcnScaleError):
     """A sweep configuration file is malformed; carries a line number."""
 

@@ -8,7 +8,7 @@ import pytest
 
 from ccnscale import alloc
 from ccnscale.alloc import AllocationProblem, solve
-from ccnscale.errors import InfeasibleError, UnsupportedRegimeError
+from ccnscale.errors import InfeasibleError, SolverError, UnsupportedRegimeError
 from ccnscale.popularity import from_weights, zipf
 
 from oracles import objective as oracle_objective
@@ -134,6 +134,13 @@ class TestKkt:
             if res.degenerate:
                 continue
             assert alloc.kkt_residual(res, prob) <= 1e-8
+
+    def test_failed_certificate_raises_solver_error(self, monkeypatch):
+        monkeypatch.setattr(alloc, "_KKT_TOL", -1.0)
+        prob = AllocationProblem(pop=zipf(12, 1.2), n=40, K=1.0, a=1 / 25)
+        with pytest.raises(SolverError, match="optimality certificate failed"):
+            solve(prob)
+        assert issubclass(SolverError, ArithmeticError)
 
     def test_interior_gradient_equals_multiplier(self):
         prob = AllocationProblem(pop=zipf(12, 1.2), n=40, K=1.0, a=1 / 25)

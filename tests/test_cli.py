@@ -20,6 +20,7 @@ from ccnscale.cli import (
     run_sweep,
     slope_regression,
 )
+from ccnscale.errors import SolverError
 
 
 def _write(tmp_path, name, text):
@@ -442,7 +443,7 @@ class TestCommandLine:
         self, tmp_path, monkeypatch, capsys, command
     ):
         def failing_solve(prob):
-            raise ArithmeticError("optimality certificate failed: KKT residual 1e-3")
+            raise SolverError("optimality certificate failed: KKT residual 1e-3")
 
         monkeypatch.setattr(cli, "solve", failing_solve)
         conf = _write(
@@ -452,6 +453,19 @@ class TestCommandLine:
         assert cli.main([command, conf, *extra]) == 4
         err = capsys.readouterr().err
         assert err.startswith("solver error: optimality certificate failed")
+
+    def test_other_arithmetic_error_is_not_a_solver_error(
+        self, tmp_path, monkeypatch
+    ):
+        def broken_solve(prob):
+            raise ZeroDivisionError("float division by zero")
+
+        monkeypatch.setattr(cli, "solve", broken_solve)
+        conf = _write(
+            tmp_path, "zde.conf", "mode = adhoc\nn = 300\nalpha = 0.8\nbeta = 0.9\n"
+        )
+        with pytest.raises(ZeroDivisionError):
+            cli.main(["alloc", conf])
 
     def test_alloc_prints_allocation_table(self, tmp_path):
         conf = _write(

@@ -13,7 +13,6 @@ import shlex
 import shutil
 import subprocess
 import sys
-import sysconfig
 from pathlib import Path
 
 import numpy as np
@@ -493,9 +492,6 @@ def _finish(proc: subprocess.Popen) -> tuple[int, str, str]:
 
 @pytest.fixture
 def cache(tmp_path):
-    prebuilt = _KERNEL_DIR / ("_trace" + sysconfig.get_config_var("EXT_SUFFIX"))
-    if prebuilt.exists():
-        pytest.skip(f"{prebuilt.name} next to the module takes precedence over the cache")
     return tmp_path / "cache"
 
 
@@ -541,3 +537,43 @@ class TestLoader:
         code, out, err = _finish(_python(forbid + _REPORT, cache))
         assert code == 0, err
         assert out.splitlines()[0] == "compiled", out
+
+    @needs_fast
+    @pytest.mark.parametrize(
+        "stale, missing",
+        [
+            # an old build that lacks a function
+            ("long long ccn_segment_cells(void) { return 0; }\n", "ccn_nearest_linear"),
+            # every function, but not the exported constant
+            (
+                "".join(
+                    f"long long ccn_{name}(void) {{ return 0; }}\n"
+                    for name in (
+                        "segment_cells", "nearest_linear", "nearest_ring", "trace_batch"
+                    )
+                ),
+                "ccn_ring_min_holders",
+            ),
+        ],
+        ids=["missing-function", "missing-constant"],
+    )
+    def test_library_without_kernel_symbol_falls_back(
+        self, cache, tmp_path, stale, missing
+    ):
+        assert _finish(_python(_REPORT, cache))[0] == 0
+        (built,) = cache.rglob("trace.so")
+        src = tmp_path / "stale.c"
+        src.write_text(stale)
+        cc = shlex.split(os.environ.get("CC", "")) or ["cc"]
+        subprocess.run(
+            [*cc, "-shared", "-fPIC", "-o", str(built), str(src)],
+            check=True, capture_output=True,
+        )
+        code, out, err = _finish(_python(_REPORT, cache))
+        assert code == 0, err
+        name, reason = out.splitlines()
+        assert name == "python"
+        assert str(built) in reason and missing in reason
+        code, out, err = _finish(_python(_REPORT, cache, CCNSCALE_BACKEND="compiled"))
+        assert code != 0
+        assert "ImportError" in err and missing in err
