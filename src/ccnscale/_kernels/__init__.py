@@ -9,11 +9,14 @@ Two interchangeable implementations of the hot inner loops exist:
   reference that ``trace.c`` is a port of.
 
 Both perform identical floating-point arithmetic and return identical
-results.  The compiled backend is preferred when it loads; otherwise the
-dispatcher falls back to ``_ref`` and records why in :data:`BACKEND_REASON`
-(``""`` while the compiled backend is active).  Set the environment
-variable ``CCNSCALE_BACKEND`` to ``python`` or ``compiled`` to force one
-(forcing ``compiled`` raises ImportError with the reason if it cannot load).
+results.  The routing rules live only there: ``trace_one`` routes one
+request and ``trace_batch`` runs it for every node.  This module exports
+both, with ``segment_cells`` and ``nearest_linear``.  The compiled backend
+is preferred when it loads; otherwise the dispatcher falls back to
+``_ref`` and records why in :data:`BACKEND_REASON` (``""`` while the
+compiled backend is active).  Set the environment variable
+``CCNSCALE_BACKEND`` to ``python`` or ``compiled`` to force one (forcing
+``compiled`` raises ImportError with the reason if it cannot load).
 """
 
 from __future__ import annotations
@@ -45,7 +48,7 @@ BACKEND_NAME: str = _impl.BACKEND_NAME
 RING_MIN_HOLDERS: int = _impl.RING_MIN_HOLDERS
 segment_cells = _impl.segment_cells
 nearest_linear = _impl.nearest_linear
-nearest_ring = _impl.nearest_ring
+trace_one = _impl.trace_one
 trace_batch = _impl.trace_batch
 
 

@@ -110,6 +110,11 @@ def _bind(lib: ctypes.CDLL) -> int:
         _F64, _F64, _I64, _I64, _I64,
     ]
     lib.ccn_trace_batch.restype = c_int
+    lib.ccn_trace_one.argtypes = [
+        c_int64, _F64, _F64, c_int64, c_int64, c_int64, _I64, _I64, _I64, _I64,
+        c_int64, _F64, _F64, _I64, c_int64, POINTER(c_int64),
+    ]
+    lib.ccn_trace_one.restype = c_int64
     return c_int64.in_dll(lib, "ccn_ring_min_holders").value
 
 
@@ -165,13 +170,18 @@ def _same_length(*arrays: np.ndarray) -> None:
         raise ValueError(f"array lengths differ: {[len(a) for a in arrays]}")
 
 
+def _path_buffer(g: int) -> np.ndarray:
+    """Room for any geodesic walk: at most g + 3 cells, plus the safety net."""
+    return np.empty(2 * g + 16, dtype=np.int64)
+
+
 def segment_cells(x0: float, y0: float, dx: float, dy: float, g: int) -> list[int]:
     """Cells crossed by the segment from (x0,y0) along (dx,dy); see ``_ref``."""
     g = _grid(g)
     _coords((x0, y0), "start")
     if not (abs(dx) <= 0.5 and abs(dy) <= 0.5):
         raise ValueError("segment_cells requires |dx| <= 0.5 and |dy| <= 0.5")
-    buf = np.empty(2 * g + 16, dtype=np.int64)
+    buf = _path_buffer(g)
     count = _lib.ccn_segment_cells(x0, y0, dx, dy, g, buf, len(buf))
     if count < 0:
         raise RuntimeError("segment_cells: path overflowed its buffer")
@@ -210,11 +220,8 @@ def nearest_ring(px, py, xs, ys, hc_idx, hc_cell, lo, hi, g, exclude):
     return best, d2.value, bool(saw.value)
 
 
-def trace_batch(xs, ys, g, req, h_idx, h_start, hc_idx, hc_cell, bs_x, bs_y):
-    """Trace one request per node; returns (hops, loads, status).
-
-    See ``_ref.trace_batch`` for the routing rules and status codes.
-    """
+def _trace_inputs(xs, ys, g, h_idx, h_start, hc_idx, hc_cell, bs_x, bs_y):
+    """Checked contiguous inputs shared by ``trace_batch`` and ``trace_one``."""
     g = _grid(g)
     xs, ys = _coords(xs, "xs"), _coords(ys, "ys")
     bs_x, bs_y = _coords(bs_x, "bs_x"), _coords(bs_y, "bs_y")
@@ -228,8 +235,38 @@ def trace_batch(xs, ys, g, req, h_idx, h_start, hc_idx, hc_cell, bs_x, bs_y):
     h_start = _indices(h_start, len(h_idx) + 1, "h_start")
     if len(h_start) == 0:
         raise ValueError("h_start must hold at least one offset")
+    return xs, ys, g, h_idx, h_start, hc_idx, hc_cell, bs_x, bs_y
+
+
+def trace_one(xs, ys, g, requester, m, h_idx, h_start, hc_idx, hc_cell, bs_x, bs_y):
+    """Route one request; returns (status, cells).  See ``_ref.trace_one``."""
+    xs, ys, g, h_idx, h_start, hc_idx, hc_cell, bs_x, bs_y = _trace_inputs(
+        xs, ys, g, h_idx, h_start, hc_idx, hc_cell, bs_x, bs_y
+    )
+    requester = int(_indices([requester], len(xs), "requester")[0])
+    m = int(_indices([m], len(h_start) - 1, "m")[0])
+    buf = _path_buffer(g)
+    status = c_int64()
+    count = _lib.ccn_trace_one(
+        len(xs), xs, ys, g, requester, m, h_idx, h_start, hc_idx, hc_cell,
+        len(bs_x), bs_x, bs_y, buf, len(buf), byref(status),
+    )
+    if count < 0:
+        raise RuntimeError("trace_one: path overflowed its buffer")
+    return status.value, buf[:count].tolist()
+
+
+def trace_batch(xs, ys, g, req, h_idx, h_start, hc_idx, hc_cell, bs_x, bs_y):
+    """Trace one request per node; returns (hops, loads, status).
+
+    See ``_ref.trace_batch`` for the routing rules and status codes.
+    """
+    xs, ys, g, h_idx, h_start, hc_idx, hc_cell, bs_x, bs_y = _trace_inputs(
+        xs, ys, g, h_idx, h_start, hc_idx, hc_cell, bs_x, bs_y
+    )
     req = _indices(req, len(h_start) - 1, "req")
     _same_length(xs, req)
+    n = len(xs)
     hops = np.zeros(n, dtype=np.int64)
     loads = np.zeros(g * g, dtype=np.int64)
     status = np.zeros(n, dtype=np.int64)

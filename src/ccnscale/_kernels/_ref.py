@@ -185,31 +185,68 @@ def _ring_offsets(r: int):
     return out
 
 
-def trace_batch(xs, ys, g, req, h_idx, h_start, hc_idx, hc_cell, bs_x, bs_y):
-    """Trace one request per node; returns (hops, loads, status).
+def trace_one(xs, ys, g, requester, m, h_idx, h_start, hc_idx, hc_cell, bs_x, bs_y):
+    """Route node ``requester``'s request for content ``m``; returns (status, cells).
 
-    For node ``i`` requesting content ``req[i]``: find the nearest holder
-    (ring or linear search) excluding ``i`` itself, let base stations
-    compete as extra candidates (never excluded; nodes win distance ties),
-    then walk the grid cells along the geodesic to the winner, charging
-    every transmitting cell (all but the final cell; a degenerate
-    single-cell path charges its own cell once).  Hop count is the cell
-    count minus one, floored at one.
+    Find the nearest holder (ring or linear search) excluding the
+    requester itself, let base stations compete as extra candidates (never
+    excluded; nodes win distance ties), then walk the grid cells along the
+    geodesic to the winner.  ``cells`` holds the flat ids of the walk in
+    traversal order, ending on the winner's cell; a request that no other
+    cache can serve gets just the requester's own cell.
 
     status: 0 ok, 1 served locally (requester is the sole holder),
     2 routing failure (no holder, no base station).
     """
     n = len(xs)
-    xs_l = [float(v) for v in xs]
-    ys_l = [float(v) for v in ys]
-    req_l = [int(v) for v in req]
-    h_idx_l = [int(v) for v in h_idx]
-    h_start_l = [int(v) for v in h_start]
-    hc_idx_l = [int(v) for v in hc_idx]
-    hc_cell_l = [int(v) for v in hc_cell]
-    bs_x_l = [float(v) for v in bs_x]
-    bs_y_l = [float(v) for v in bs_y]
-    nbs = len(bs_x_l)
+    lo, hi = h_start[m], h_start[m + 1]
+    px, py = xs[requester], ys[requester]
+    if hi - lo > RING_MIN_HOLDERS:
+        best_i, best_d2, saw_self = nearest_ring(
+            px, py, xs, ys, hc_idx, hc_cell, lo, hi, g, requester
+        )
+    else:
+        best_i, best_d2, saw_self = nearest_linear(
+            px, py, xs, ys, h_idx[lo:hi], requester
+        )
+    for b in range(len(bs_x)):
+        d2 = _dist2(px, py, bs_x[b], bs_y[b])
+        idx = n + b
+        if d2 < best_d2 or (d2 == best_d2 and idx < best_i):
+            best_d2 = d2
+            best_i = idx
+
+    if best_i < 0:
+        own = _cell_index(py, g) * g + _cell_index(px, g)
+        return (1 if saw_self else 2), [own]
+
+    hx = xs[best_i] if best_i < n else bs_x[best_i - n]
+    hy = ys[best_i] if best_i < n else bs_y[best_i - n]
+    dx = _wrap_delta(px, hx)
+    dy = _wrap_delta(py, hy)
+    cells = segment_cells(px, py, dx, dy, g)
+    target = _cell_index(hy, g) * g + _cell_index(hx, g)
+    if cells[-1] != target:
+        # float-boundary safety net: land on the holder's cell
+        cells.append(target)
+    return 0, cells
+
+
+def trace_batch(xs, ys, g, req, h_idx, h_start, hc_idx, hc_cell, bs_x, bs_y):
+    """Trace one request per node; returns (hops, loads, status).
+
+    Node ``i`` requests content ``req[i]``, routed by :func:`trace_one`.
+    Every transmitting cell of its walk is charged (all but the last cell;
+    a single-cell walk charges it once); hops are cells minus one, at least 1.
+    """
+    n = len(xs)
+    xs, ys, bs_x, bs_y = (
+        np.asarray(a, dtype=np.float64).tolist() for a in (xs, ys, bs_x, bs_y)
+    )
+    req, h_idx, h_start, hc_idx, hc_cell = (
+        np.asarray(a, dtype=np.int64).tolist()
+        for a in (req, h_idx, h_start, hc_idx, hc_cell)
+    )
 
     hops = np.zeros(n, dtype=np.int64)
     loads = np.zeros(g * g, dtype=np.int64)
@@ -217,54 +254,16 @@ def trace_batch(xs, ys, g, req, h_idx, h_start, hc_idx, hc_cell, bs_x, bs_y):
     status = np.zeros(n, dtype=np.int64)
 
     for i in range(n):
-        m = req_l[i]
-        lo = h_start_l[m]
-        hi = h_start_l[m + 1]
-        px = xs_l[i]
-        py = ys_l[i]
-        if hi - lo > RING_MIN_HOLDERS:
-            best_i, best_d2, saw_self = nearest_ring(
-                px, py, xs_l, ys_l, hc_idx_l, hc_cell_l, lo, hi, g, i
-            )
-        else:
-            best_i, best_d2, saw_self = nearest_linear(
-                px, py, xs_l, ys_l, h_idx_l[lo:hi], i
-            )
-        for b in range(nbs):
-            d2 = _dist2(px, py, bs_x_l[b], bs_y_l[b])
-            idx = n + b
-            if d2 < best_d2 or (d2 == best_d2 and idx < best_i):
-                best_d2 = d2
-                best_i = idx
-
-        if best_i < 0:
-            own = _cell_index(py, g) * g + _cell_index(px, g)
-            loads_l[own] += 1
-            hops[i] = 1
-            status[i] = 1 if saw_self else 2
-            continue
-
-        if best_i < n:
-            hx = xs_l[best_i]
-            hy = ys_l[best_i]
-        else:
-            hx = bs_x_l[best_i - n]
-            hy = bs_y_l[best_i - n]
-        dx = _wrap_delta(px, hx)
-        dy = _wrap_delta(py, hy)
-        cells = segment_cells(px, py, dx, dy, g)
-        target = _cell_index(hy, g) * g + _cell_index(hx, g)
-        if cells[-1] != target:
-            # float-boundary safety net: land on the holder's cell
-            cells.append(target)
-        ncells = len(cells)
-        if ncells == 1:
+        status[i], cells = trace_one(
+            xs, ys, g, i, req[i], h_idx, h_start, hc_idx, hc_cell, bs_x, bs_y
+        )
+        if len(cells) == 1:
             loads_l[cells[0]] += 1
             hops[i] = 1
         else:
-            for j in range(ncells - 1):
-                loads_l[cells[j]] += 1
-            hops[i] = ncells - 1
+            for cid in cells[:-1]:
+                loads_l[cid] += 1
+            hops[i] = len(cells) - 1
 
     loads[:] = loads_l
     return hops, loads, status

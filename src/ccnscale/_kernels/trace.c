@@ -194,6 +194,60 @@ i64 ccn_nearest_ring(double px, double py, const double *xs, const double *ys,
     return best_i;
 }
 
+/* Routes one request (see _ref.trace_one): writes its walk's cell ids to
+ * buf and a nonzero status to *status (callers zero it, so a routed request
+ * touches no page of it); returns the cell count, or -1 when the walk would
+ * overflow cap cells.  Inlined into ccn_trace_batch's loop. */
+static inline i64 trace_one(i64 n, const double *xs, const double *ys,
+                             i64 g, i64 requester, i64 m, const i64 *h_idx,
+                             const i64 *h_start, const i64 *hc_idx,
+                             const i64 *hc_cell, i64 nbs, const double *bs_x,
+                             const double *bs_y, i64 *buf, i64 cap,
+                             i64 *status)
+{
+    i64 lo = h_start[m], hi = h_start[m + 1];
+    i64 best_i, ncells, target;
+    double px = xs[requester], py = ys[requester], best_d2, hx, hy;
+    int saw_self;
+    if (hi - lo > ccn_ring_min_holders)
+        best_i = ccn_nearest_ring(px, py, xs, ys, hc_idx, hc_cell, lo, hi, g,
+                                  requester, &best_d2, &saw_self);
+    else
+        best_i = ccn_nearest_linear(px, py, xs, ys, h_idx + lo, hi - lo,
+                                    requester, &best_d2, &saw_self);
+    /* Base stations rank after every node, so nodes win distance ties. */
+    for (i64 b = 0; b < nbs; b++)
+        consider(dist2(px, py, bs_x[b], bs_y[b]), n + b, &best_i, &best_d2);
+
+    if (best_i < 0) {
+        buf[0] = cell_index(py, g) * g + cell_index(px, g);
+        *status = saw_self ? 1 : 2;
+        return 1;
+    }
+    hx = best_i < n ? xs[best_i] : bs_x[best_i - n];
+    hy = best_i < n ? ys[best_i] : bs_y[best_i - n];
+    /* Keep one slot free for the safety net below. */
+    ncells = ccn_segment_cells(px, py, wrap_delta(px, hx), wrap_delta(py, hy),
+                               g, buf, cap - 1);
+    if (ncells < 0) return -1;
+    target = cell_index(hy, g) * g + cell_index(hx, g);
+    if (buf[ncells - 1] != target) {
+        /* float-boundary safety net: land on the holder's cell */
+        buf[ncells++] = target;
+    }
+    return ncells;
+}
+
+i64 ccn_trace_one(i64 n, const double *xs, const double *ys, i64 g,
+                  i64 requester, i64 m, const i64 *h_idx, const i64 *h_start,
+                  const i64 *hc_idx, const i64 *hc_cell, i64 nbs,
+                  const double *bs_x, const double *bs_y, i64 *buf, i64 cap,
+                  i64 *status)
+{
+    return trace_one(n, xs, ys, g, requester, m, h_idx, h_start, hc_idx,
+                     hc_cell, nbs, bs_x, bs_y, buf, cap, status);
+}
+
 /* Traces one request per node into hops, loads and status (all zeroed by
  * the caller); see _ref.trace_batch for the rules.  Returns 0, -1 when the
  * path buffer cannot be allocated, or -2 when a path overflows it. */
@@ -210,38 +264,12 @@ int ccn_trace_batch(i64 n, const double *xs, const double *ys, i64 g,
     i64 *buf = malloc((size_t)cap * sizeof *buf);
     if (buf == NULL) return -1;
     for (i64 i = 0; i < n; i++) {
-        i64 lo = h_start[req[i]], hi = h_start[req[i] + 1];
-        i64 best_i, ncells, target;
-        double px = xs[i], py = ys[i], best_d2, hx, hy;
-        int saw_self;
-        if (hi - lo > ccn_ring_min_holders)
-            best_i = ccn_nearest_ring(px, py, xs, ys, hc_idx, hc_cell, lo, hi,
-                                      g, i, &best_d2, &saw_self);
-        else
-            best_i = ccn_nearest_linear(px, py, xs, ys, h_idx + lo, hi - lo,
-                                        i, &best_d2, &saw_self);
-        /* Base stations rank after every node, so nodes win distance ties. */
-        for (i64 b = 0; b < nbs; b++)
-            consider(dist2(px, py, bs_x[b], bs_y[b]), n + b, &best_i, &best_d2);
-
-        if (best_i < 0) {
-            loads[cell_index(py, g) * g + cell_index(px, g)] += 1;
-            hops[i] = 1;
-            status[i] = saw_self ? 1 : 2;
-            continue;
-        }
-        hx = best_i < n ? xs[best_i] : bs_x[best_i - n];
-        hy = best_i < n ? ys[best_i] : bs_y[best_i - n];
-        ncells = ccn_segment_cells(px, py, wrap_delta(px, hx),
-                                   wrap_delta(py, hy), g, buf, cap - 1);
+        i64 ncells = trace_one(n, xs, ys, g, i, req[i], h_idx, h_start,
+                               hc_idx, hc_cell, nbs, bs_x, bs_y, buf, cap,
+                               &status[i]);
         if (ncells < 0) {
             rc = -2;
             break;
-        }
-        target = cell_index(hy, g) * g + cell_index(hx, g);
-        if (buf[ncells - 1] != target) {
-            /* float-boundary safety net: land on the holder's cell */
-            buf[ncells++] = target;
         }
         if (ncells == 1) {
             loads[buf[0]] += 1;

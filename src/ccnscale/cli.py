@@ -815,27 +815,14 @@ def _self_checks() -> list[tuple[str, bool, str]]:
     try:
         from ._kernels import _fast, _ref
     except ImportError as exc:
-        detail = f"{active}; compiled backend unavailable, skipped: {exc}"
-        checks.append((name, True, detail))
+        # a kernel that does not build is a failure, not a skipped check
+        checks.append((name, False, f"{active}; compiled backend unavailable: {exc}"))
     else:
         if _kernels.BACKEND_REASON:
             active += f": {_kernels.BACKEND_REASON}"
         inst = sim.build_instance(cfg, allocation, seed=3)
-        req = sim.draw_requests(inst, cfg.popularity(), seed=4)
-        args = (
-            inst._xs,
-            inst._ys,
-            inst.grid.side,
-            req,
-            inst._h_idx,
-            inst._h_start,
-            inst._hc_idx,
-            inst._hc_cell,
-            inst.base_stations[:, 0],
-            inst.base_stations[:, 1],
-        )
-        fast_out = _fast.trace_batch(*args)
-        ref_out = _ref.trace_batch(*args)
+        args = sim._trace_args(inst, sim.draw_requests(inst, cfg.popularity(), seed=4))
+        fast_out, ref_out = _fast.trace_batch(*args), _ref.trace_batch(*args)
         same = all(np.array_equal(a, b) for a, b in zip(fast_out, ref_out))
         checks.append((name, bool(same), active))
 

@@ -38,10 +38,6 @@ __all__ = [
 # of the individual factors.
 _LGAMMA_SWITCH = 100_000
 
-# Holder sets larger than this are bucketed by cell for ring search;
-# smaller ones are scanned linearly (identical results either way).
-_RING_MIN = _kernels.RING_MIN_HOLDERS
-
 
 class TorusPoint(NamedTuple):
     """A point of the unit torus; coordinates wrapped into [0, 1)."""
@@ -203,34 +199,20 @@ def cells_on_segment(seg: Segment, grid: CellGrid) -> list[tuple[int, int]]:
 def nearest_holder(
     p: "TorusPoint | tuple[float, float]",
     holders: Sequence[tuple[float, float]],
-    grid: CellGrid | None = None,
 ) -> tuple[int, float]:
     """Index and geodesic distance of the holder nearest to ``p``.
 
-    Distance ties resolve to the lowest index.  Large holder sets are
-    bucketed into grid cells and searched by expanding rings; small sets
-    are scanned linearly — both give identical results.  The requester
-    itself must not appear among ``holders``.  Raises
-    :class:`NoHolderError` when the set is empty.
+    Distance ties resolve to the lowest index.  The requester itself must
+    not appear among ``holders``.  Raises :class:`NoHolderError` when the
+    set is empty.
     """
     xs = [float(h[0]) for h in holders]
     ys = [float(h[1]) for h in holders]
-    count = len(xs)
-    if count == 0:
+    if not xs:
         raise NoHolderError("no eligible holder for this request")
-    px, py = float(p[0]), float(p[1])
-    if grid is not None and count > _RING_MIN:
-        g = grid.side
-        tagged = sorted(
-            (grid.cell_id((xs[i], ys[i])), i) for i in range(count)
-        )
-        hc_cell = [t[0] for t in tagged]
-        hc_idx = [t[1] for t in tagged]
-        idx, d2, _ = _kernels.nearest_ring(
-            px, py, xs, ys, hc_idx, hc_cell, 0, count, g, -1
-        )
-    else:
-        idx, d2, _ = _kernels.nearest_linear(px, py, xs, ys, range(count), -1)
+    idx, d2, _ = _kernels.nearest_linear(
+        float(p[0]), float(p[1]), xs, ys, range(len(xs)), -1
+    )
     return idx, sqrt(d2)
 
 

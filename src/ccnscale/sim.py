@@ -8,7 +8,9 @@ and measures per-cell line loads, hop counts, and the realized
 throughput and delay of the slotted fluid model.
 
 Routing and load accounting run in a kernel backend (compiled when
-available, pure Python otherwise; bit-identical results).  Every hop
+available, pure Python otherwise; bit-identical results), which holds
+the only copy of the routing rules: ``measure`` calls its
+``trace_batch`` and ``trace_request`` its ``trace_one``.  Every hop
 is charged to its transmitting cell, so the total cell load equals the
 total hop count exactly on every trial — the bookkeeping identity the
 tests pin.
@@ -36,7 +38,7 @@ import numpy as np
 from . import _kernels
 from .config import NetworkConfig
 from .errors import NoHolderError
-from .geometry import CellGrid, torus_delta
+from .geometry import CellGrid
 from .popularity import PopularityModel
 from .sched import TdmSchedule, build_schedule
 
@@ -217,10 +219,19 @@ def draw_requests(
     return rng.choice(pop.m_count, size=inst.n, p=pop.p).astype(np.int64)
 
 
+def _trace_args(inst: NetworkInstance, *request) -> tuple:
+    """Kernel arguments; ``request`` is ``req`` or ``requester, m``."""
+    return (
+        inst._xs, inst._ys, inst.grid.side, *request,
+        inst._h_idx, inst._h_start, inst._hc_idx, inst._hc_cell,
+        inst.base_stations[:, 0], inst.base_stations[:, 1],
+    )
+
+
 def trace_request(
     inst: NetworkInstance, requester: int, m: int
 ) -> tuple[int, list[tuple[int, int]]]:
-    """Route one request: nearest holder, then the geodesic cell walk.
+    """Route one request through the kernel, by the rules of ``measure``.
 
     Returns (hop count, cells as (row, col) in traversal order).  The
     requester's own cache never serves as target; base stations are
@@ -233,53 +244,11 @@ def trace_request(
         raise ValueError(f"requester index {requester} outside [0, {n})")
     if not 0 <= m < inst.m_count:
         raise ValueError(f"content index {m} outside [0, {inst.m_count})")
+    status, cells = _kernels.trace_one(*_trace_args(inst, requester, m))
+    if status == 2:
+        raise NoHolderError(f"content {m}: no holder and no base station")
     g = inst.grid.side
-    px = float(inst._xs[requester])
-    py = float(inst._ys[requester])
-    lo = int(inst._h_start[m])
-    hi = int(inst._h_start[m + 1])
-    if hi - lo > _kernels.RING_MIN_HOLDERS:
-        best_i, best_d2, saw_self = _kernels.nearest_ring(
-            px, py, inst._xs, inst._ys, inst._hc_idx, inst._hc_cell,
-            lo, hi, g, requester,
-        )
-    else:
-        best_i, best_d2, saw_self = _kernels.nearest_linear(
-            px, py, inst._xs, inst._ys, inst._h_idx[lo:hi], requester
-        )
-    nbs = inst.base_stations.shape[0]
-    if nbs:
-        bi, bd2, _ = _kernels.nearest_linear(
-            px, py, inst.base_stations[:, 0], inst.base_stations[:, 1],
-            range(nbs), -1,
-        )
-        # base stations rank behind all nodes, so ties go to the node
-        if bd2 < best_d2:
-            best_i, best_d2 = n + bi, bd2
-
-    own = (int(inst._node_cell[requester]) // g, int(inst._node_cell[requester]) % g)
-    if best_i < 0:
-        if saw_self:
-            return 1, [own]
-        raise NoHolderError(
-            f"content {m}: no holder and no base station"
-        )
-
-    if best_i < n:
-        hx, hy = float(inst._xs[best_i]), float(inst._ys[best_i])
-    else:
-        hx = float(inst.base_stations[best_i - n, 0])
-        hy = float(inst.base_stations[best_i - n, 1])
-    cells = _kernels.segment_cells(
-        px, py, torus_delta(px, hx), torus_delta(py, hy), g
-    )
-    target_col = min(int(hx * g), g - 1)
-    target_row = min(int(hy * g), g - 1)
-    target = target_row * g + target_col
-    if cells[-1] != target:
-        cells.append(target)
-    hops = max(1, len(cells) - 1)
-    return hops, [(cid // g, cid % g) for cid in cells]
+    return max(1, len(cells) - 1), [(cid // g, cid % g) for cid in cells]
 
 
 def measure(
@@ -309,12 +278,7 @@ def measure(
             f"concentration factor must be positive, got {concentration_factor}"
         )
 
-    g = inst.grid.side
-    hops, loads, _status = _kernels.trace_batch(
-        inst._xs, inst._ys, g, requests,
-        inst._h_idx, inst._h_start, inst._hc_idx, inst._hc_cell,
-        inst.base_stations[:, 0], inst.base_stations[:, 1],
-    )
+    hops, loads, _status = _kernels.trace_batch(*_trace_args(inst, requests))
     hops_total = int(hops.sum())
     n = inst.n
     mean_hops = hops_total / n

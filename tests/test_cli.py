@@ -486,6 +486,18 @@ class TestCommandLine:
         assert "FAIL" not in proc.stdout
         assert "checks passed" in proc.stdout
 
+    def test_check_fails_when_the_kernel_does_not_build(self, tmp_path):
+        env = dict(
+            os.environ, CC="false", XDG_CACHE_HOME=str(tmp_path), CCNSCALE_BACKEND=""
+        )
+        proc = subprocess.run(
+            [sys.executable, "-m", "ccnscale.cli", "check"],
+            capture_output=True, text=True, env=env,
+        )
+        assert proc.returncode != 0, proc.stdout
+        (line,) = [ln for ln in proc.stdout.splitlines() if "kernel backends" in ln]
+        assert line.startswith("FAIL") and "false" in line
+
 
 class TestCsvRendering:
     def test_float_cells_roundtrip_exactly(self, tmp_path):

@@ -226,24 +226,12 @@ class TestNearestHolder:
         holders = [tuple(v) for v in rng.random((1000, 2))]
         xs = [h[0] for h in holders]
         ys = [h[1] for h in holders]
-        grid = geo.CellGrid(16)
         for _ in range(200):
             p = tuple(rng.random(2))
             want_i, want_d = nearest_by_scan(p[0], p[1], xs, ys)
-            for use_grid in (None, grid):
-                got_i, got_d = geo.nearest_holder(p, holders, use_grid)
-                assert got_i == want_i
-                assert got_d == pytest.approx(want_d, abs=1e-12)
-
-    def test_small_sets_skip_ring_search(self):
-        rng = np.random.default_rng(8)
-        holders = [tuple(v) for v in rng.random((20, 2))]
-        grid = geo.CellGrid(10)
-        for _ in range(50):
-            p = tuple(rng.random(2))
-            want = nearest_by_scan(p[0], p[1], [h[0] for h in holders], [h[1] for h in holders])
-            got = geo.nearest_holder(p, holders, grid)
-            assert got[0] == want[0]
+            got_i, got_d = geo.nearest_holder(p, holders)
+            assert got_i == want_i
+            assert got_d == pytest.approx(want_d, abs=1e-12)
 
 
 class TestExpectedNearestDistance:

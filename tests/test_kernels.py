@@ -195,27 +195,22 @@ class TestNearestParity:
 # ---------------------------------------------------------------------------
 
 
-def _trace_args(inst, req):
-    return (
-        inst._xs,
-        inst._ys,
-        inst.grid.side,
-        req,
-        inst._h_idx,
-        inst._h_start,
-        inst._hc_idx,
-        inst._hc_cell,
-        inst.base_stations[:, 0],
-        inst.base_stations[:, 1],
-    )
-
-
 def _assert_trace_equal(inst, req):
-    hf, lf, sf = _fast.trace_batch(*_trace_args(inst, req))
-    hr, lr, sr = _ref.trace_batch(*_trace_args(inst, req))
+    hf, lf, sf = _fast.trace_batch(*sim._trace_args(inst, req))
+    hr, lr, sr = _ref.trace_batch(*sim._trace_args(inst, req))
     np.testing.assert_array_equal(hf, hr)
     np.testing.assert_array_equal(lf, lr)
     np.testing.assert_array_equal(sf, sr)
+
+
+def _assert_trace_one_agrees(req, **args):
+    """Both backends route each request of ``req`` alike through
+    ``trace_one``, with the hop counts of ``trace_batch``."""
+    hops = _ref.trace_batch(req=req, **args)[0]
+    for i, m in enumerate(req):
+        got = _fast.trace_one(requester=i, m=m, **args)
+        assert got == _ref.trace_one(requester=i, m=m, **args)
+        assert max(1, len(got[1]) - 1) == hops[i]
 
 
 @needs_fast
@@ -291,8 +286,8 @@ class TestTraceBatchParity:
         allocation = np.zeros(cfg.M, dtype=np.int64)  # BS-only service
         inst = sim.build_instance(cfg, allocation, seed=6)
         req = sim.draw_requests(inst, cfg.popularity(), seed=7)
-        hf, lf, sf = _fast.trace_batch(*_trace_args(inst, req))
-        hr, lr, sr = _ref.trace_batch(*_trace_args(inst, req))
+        hf, lf, sf = _fast.trace_batch(*sim._trace_args(inst, req))
+        hr, lr, sr = _ref.trace_batch(*sim._trace_args(inst, req))
         np.testing.assert_array_equal(hf, hr)
         np.testing.assert_array_equal(lf, lr)
         np.testing.assert_array_equal(sf, sr)
@@ -321,6 +316,7 @@ class TestTraceBatchParity:
             assert list(hops) == [2, 4]
             assert loads[4 * 8 + 3] == 2 and loads[4 * 8 + 5] == 1
             assert list(status) == [0, 0]
+        _assert_trace_one_agrees(**args)
 
     @pytest.mark.parametrize(
         "xs,g,hops",
@@ -336,16 +332,18 @@ class TestTraceBatchParity:
         # Nodes 0 and 1 each request the content that only the other holds.
         xs = np.array(xs)
         cells = (g // 2) * g + np.minimum((xs * g).astype(np.int64), g - 1)
-        args = (
-            xs, np.full(2, 0.5), g, np.array([0, 1]), np.array([1, 0]),
-            np.array([0, 1, 2]), np.array([1, 0]), cells[[1, 0]],
-            np.array([]), np.array([]),
+        args = dict(
+            xs=xs, ys=np.full(2, 0.5), g=g, req=np.array([0, 1]),
+            h_idx=np.array([1, 0]), h_start=np.array([0, 1, 2]),
+            hc_idx=np.array([1, 0]), hc_cell=cells[[1, 0]],
+            bs_x=np.array([]), bs_y=np.array([]),
         )
-        got = _fast.trace_batch(*args)
-        want = _ref.trace_batch(*args)
+        got = _fast.trace_batch(**args)
+        want = _ref.trace_batch(**args)
         for a, b in zip(got, want):
             np.testing.assert_array_equal(a, b)
         assert list(want[0]) == hops
+        _assert_trace_one_agrees(**args)
 
     def test_measurement_identity_holds_on_compiled_backend(self):
         cfg = NetworkConfig(n=1500, alpha=1.2, beta=0.9, seed=23)
@@ -355,7 +353,7 @@ class TestTraceBatchParity:
         allocation = round_to_integers(solve(prob), prob)
         inst = sim.build_instance(cfg, allocation, seed=31)
         req = sim.draw_requests(inst, cfg.popularity(), seed=37)
-        hops, loads, status = _fast.trace_batch(*_trace_args(inst, req))
+        hops, loads, status = _fast.trace_batch(*sim._trace_args(inst, req))
         assert int(hops.sum()) == int(loads.sum())
         assert set(np.unique(status)) <= {0, 1, 2}
 
@@ -392,8 +390,9 @@ class TestCompiledInputChecks:
     @pytest.mark.parametrize(
         "override",
         [
-            {"req": np.array([0, 1])},
-            {"req": np.array([0])},
+            # trace_one's forms: content 1 and node 2 do not exist
+            {"req": np.array([0, 1]), "m": 1},
+            {"req": np.array([0]), "requester": 2},
             {"h_idx": np.array([2])},
             {"hc_idx": np.array([-1])},
             {"h_start": np.array([0, 2])},
@@ -404,8 +403,13 @@ class TestCompiledInputChecks:
         ],
     )
     def test_trace_batch_rejects(self, override):
+        args = _tiny_trace_args(**override)
+        one = {"requester": args.pop("requester", 0), "m": args.pop("m", 0)}
         with pytest.raises(ValueError):
-            _fast.trace_batch(**_tiny_trace_args(**override))
+            _fast.trace_batch(**args)
+        del args["req"]
+        with pytest.raises(ValueError):
+            _fast.trace_one(**args, **one)
 
     def test_scalar_entry_points_reject(self):
         xs = np.array([0.1, 0.6])
@@ -549,7 +553,8 @@ class TestLoader:
                 "".join(
                     f"long long ccn_{name}(void) {{ return 0; }}\n"
                     for name in (
-                        "segment_cells", "nearest_linear", "nearest_ring", "trace_batch"
+                        "segment_cells", "nearest_linear", "nearest_ring",
+                        "trace_batch", "trace_one",
                     )
                 ),
                 "ccn_ring_min_holders",

@@ -288,6 +288,44 @@ class TestTraceRequest:
         with pytest.raises(ValueError):
             sim.trace_request(inst, 0, 1)
 
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            NetworkConfig(n=3000, alpha=0.8, beta=0.9, seed=5),
+            NetworkConfig(
+                n=3000, alpha=1.2, beta=0.9, mode=Mode.HETEROGENEOUS, mu=0.4, seed=5
+            ),
+        ],
+        ids=["adhoc", "heterogeneous"],
+    )
+    def test_single_requests_match_the_batch(self, cfg):
+        # Every node's request, traced alone, takes the hops and charges the
+        # cells that measure() gives it, including requests for a content
+        # nobody caches.
+        prob = cfg.problem()
+        allocation = round_to_integers(solve(prob), prob)
+        allocation[-1] = 0
+        inst = sim.build_instance(cfg, allocation, seed=11)
+        reqs = sim.draw_requests(inst, cfg.popularity(), seed=13)
+        reqs[::7] = cfg.M - 1
+        meas = sim.measure(inst, reqs)
+        g = inst.grid.side
+        loads = np.zeros(g * g, dtype=np.int64)
+        unroutable = 0
+        for i, m in enumerate(reqs):
+            try:
+                hops, cells = sim.trace_request(inst, i, int(m))
+            except NoHolderError:
+                # measure() charges it one hop in the requester's own cell
+                unroutable += 1
+                hops, cells = 1, [inst.grid.cell_of(tuple(inst.nodes[i]))]
+            assert hops == meas.request_hops[i]
+            for row, col in cells[:-1] or cells:
+                loads[row * g + col] += 1
+        np.testing.assert_array_equal(loads, meas.lines_per_cell)
+        held_by_nobody = np.count_nonzero(reqs == cfg.M - 1)
+        assert unroutable == (0 if inst.base_stations.size else held_by_nobody)
+
 
 class TestMeasure:
     def _four_node_instance(self, delta=1.0):
