@@ -41,18 +41,7 @@ def main() -> None:
     allocation = round_to_integers(solve(prob), prob)
     inst = sim.build_instance(cfg, allocation, seed=args.seed + 1)
     req = sim.draw_requests(inst, cfg.popularity(), seed=args.seed + 2)
-    trace_args = (
-        inst._xs,
-        inst._ys,
-        inst.grid.side,
-        req,
-        inst._h_idx,
-        inst._h_start,
-        inst._hc_idx,
-        inst._hc_cell,
-        inst.base_stations[:, 0],
-        inst.base_stations[:, 1],
-    )
+    trace_args = sim._trace_args(inst, req)
 
     print(
         f"workload: n={cfg.n}  M={cfg.M}  grid={inst.grid.side}x{inst.grid.side}  "

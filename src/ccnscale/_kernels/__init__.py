@@ -11,10 +11,12 @@ Two interchangeable implementations of the hot inner loops exist:
 Both perform identical floating-point arithmetic and return identical
 results.  The routing rules live only there: ``trace_one`` routes one
 request and ``trace_batch`` runs it for every node.  This module exports
-both, with ``segment_cells`` and ``nearest_linear``.  The compiled backend
-is preferred when it loads; otherwise the dispatcher falls back to
-``_ref`` and records why in :data:`BACKEND_REASON` (``""`` while the
-compiled backend is active).  Set the environment variable
+those two and ``RING_MIN_HOLDERS``; the helpers they are built from
+(``segment_cells``, ``nearest_linear``, ``nearest_ring``) are reached
+only through the backend modules.  The compiled backend is preferred
+when it loads; otherwise the dispatcher falls back to ``_ref`` and
+records why in :data:`BACKEND_REASON` (``""`` while the compiled
+backend is active).  Set the environment variable
 ``CCNSCALE_BACKEND`` to ``python`` or ``compiled`` to force one (forcing
 ``compiled`` raises ImportError with the reason if it cannot load).
 """
@@ -46,8 +48,6 @@ else:
 
 BACKEND_NAME: str = _impl.BACKEND_NAME
 RING_MIN_HOLDERS: int = _impl.RING_MIN_HOLDERS
-segment_cells = _impl.segment_cells
-nearest_linear = _impl.nearest_linear
 trace_one = _impl.trace_one
 trace_batch = _impl.trace_batch
 

@@ -287,6 +287,7 @@ def _validate_config(cfg: SweepConfig, seen: dict[str, int]) -> None:
 
 class RegressionResult(NamedTuple):
     slope: float
+    intercept: float
     stderr: float
     r_squared: float
 
@@ -384,6 +385,20 @@ def _network_config(point: dict, values: dict) -> NetworkConfig:
     return NetworkConfig(**kwargs)
 
 
+def _point_problem(index: int, point: dict, values: dict):
+    """Network config and allocation problem of one sweep point.
+
+    Values the model rejects raise :class:`ConfigError` naming the point;
+    a ``ValueError`` raised later in the pipeline is a bug and propagates.
+    """
+    try:
+        cfg = _network_config(point, values)
+        return cfg, cfg.problem()
+    except ValueError as exc:
+        where = " ".join(f"{k}={_fmt(v)}" for k, v in point.items() if v is not None)
+        raise ConfigError(f"sweep point {index} ({where}): {exc}") from exc
+
+
 def _predictions(cfg: NetworkConfig):
     """Closed-form orders for a config point, or Nones where not covered."""
     if cfg.mode is Mode.HETEROGENEOUS and cfg.mu is None:
@@ -414,7 +429,7 @@ def _row_seeds(base_seed: int, index: int, trials: int) -> tuple[int, ...]:
 def _compute_row(
     index: int, point: dict, values: dict, do_sim: bool, max_sim_n: int
 ) -> SweepRow:
-    cfg = _network_config(point, values)
+    cfg, prob = _point_problem(index, point, values)
     seeds = _row_seeds(values["seed"], index, values["trials"])
     identity = dict(
         index=index,
@@ -449,7 +464,6 @@ def _compute_row(
         fallback_rate=None,
     )
 
-    prob = cfg.problem()
     try:
         alloc = solve(prob)
     except InfeasibleError:
@@ -532,13 +546,15 @@ def slope_regression(rows, x: str = "n", y: str = "optimizer_delay") -> Regressi
     if sxx == 0.0:
         raise ValueError("regression needs at least two distinct x values")
     slope = float(((lx - xbar) * (ly - ybar)).sum() / sxx)
-    intercept = ybar - slope * xbar
+    intercept = float(ybar - slope * xbar)
     resid = ly - (intercept + slope * lx)
     ssr = float((resid**2).sum())
     sst = float(((ly - ybar) ** 2).sum())
     stderr = math.sqrt(ssr / (npts - 2) / sxx) if npts > 2 else float("inf")
     r_squared = 1.0 if sst == 0.0 and ssr <= 1e-30 else 1.0 - ssr / sst if sst else 0.0
-    return RegressionResult(slope=slope, stderr=stderr, r_squared=r_squared)
+    return RegressionResult(
+        slope=slope, intercept=intercept, stderr=stderr, r_squared=r_squared
+    )
 
 
 def _curve_label(key: tuple) -> str:
@@ -572,19 +588,14 @@ def _regressions(rows: Sequence[SweepRow]) -> tuple[RegressionSummary, ...]:
             ]
             if len({r.n for r in usable}) < 4:
                 continue
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                res = slope_regression(usable, "n", metric)
-            lx = np.log([r.n for r in usable])
-            ly = np.log([getattr(r, metric) for r in usable])
-            intercept = float(ly.mean() - res.slope * lx.mean())
+            res = slope_regression(usable, "n", metric)
             out.append(
                 RegressionSummary(
                     curve=_curve_label(key),
                     metric=metric,
                     points=len(usable),
                     slope=res.slope,
-                    intercept=intercept,
+                    intercept=res.intercept,
                     stderr=res.stderr,
                     r_squared=res.r_squared,
                 )
@@ -895,9 +906,7 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_alloc(args) -> int:
     cfg_file = parse_config(args.config)
-    point = cfg_file.points()[0]
-    cfg = _network_config(point, cfg_file.values)
-    prob = cfg.problem()
+    cfg, prob = _point_problem(0, cfg_file.points()[0], cfg_file.values)
     alloc = solve(prob)  # InfeasibleError handled by main()
     allocation = round_to_integers(alloc, prob)
     print(
@@ -936,7 +945,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         if args.command == "alloc":
             return _cmd_alloc(args)
         return _cmd_check()
-    except (ConfigError, FileNotFoundError, ValueError) as exc:
+    except (ConfigError, FileNotFoundError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except InfeasibleError as exc:

@@ -1,5 +1,5 @@
-"""Geometry on the unit torus: distances, grid cells, segment traversal,
-nearest-holder queries, and the exact mean nearest-holder distance.
+"""Geometry on the unit torus: the metric, grid cells, and the exact
+mean nearest-holder distance.
 
 All positions live in the half-open unit square [0, 1) x [0, 1) with
 wrap-around (torus) metric.  The square is partitioned into g x g equal
@@ -11,23 +11,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from math import exp, hypot, lgamma, log, pi, sqrt
-from typing import NamedTuple, Sequence
-
-import numpy as np
-
-from . import _kernels
-from .errors import NoHolderError
+from typing import NamedTuple
 
 __all__ = [
     "TorusPoint",
     "CellGrid",
-    "Segment",
-    "torus_delta",
     "torus_distance",
-    "torus_distances",
     "grid_side",
-    "cells_on_segment",
-    "nearest_holder",
     "expected_nearest_distance_exact",
     "asymptotic_nearest_distance",
     "double_factorial_ratio_bounds",
@@ -50,21 +40,6 @@ class TorusPoint(NamedTuple):
         return TorusPoint(x % 1.0, y % 1.0)
 
 
-def torus_delta(a: float, b: float) -> float:
-    """Signed geodesic displacement from ``a`` to ``b`` along one axis.
-
-    Result lies in (-0.5, 0.5]; an exact half-wrap tie resolves to +0.5.
-    """
-    d = b - a
-    if d > 0.5:
-        return d - 1.0
-    if d < -0.5:
-        return d + 1.0
-    if d == -0.5:
-        return 0.5
-    return d
-
-
 def torus_distance(p: "TorusPoint | tuple[float, float]",
                    q: "TorusPoint | tuple[float, float]") -> float:
     """Geodesic (wrap-around) distance between two points."""
@@ -75,15 +50,6 @@ def torus_distance(p: "TorusPoint | tuple[float, float]",
     if dy > 0.5:
         dy = 1.0 - dy
     return hypot(dx, dy)
-
-
-def torus_distances(px: float, py: float, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    """Geodesic distances from one point to arrays of points."""
-    dx = np.abs(np.asarray(xs, dtype=np.float64) - px)
-    np.minimum(dx, 1.0 - dx, out=dx)
-    dy = np.abs(np.asarray(ys, dtype=np.float64) - py)
-    np.minimum(dy, 1.0 - dy, out=dy)
-    return np.hypot(dx, dy)
 
 
 def grid_side(cell_area: float) -> int:
@@ -122,9 +88,6 @@ class CellGrid:
         """Cell area, 1/g²."""
         return 1.0 / (self.side * self.side)
 
-    cell_width = s
-    cell_area = a
-
     @property
     def n_cells(self) -> int:
         return self.side * self.side
@@ -144,76 +107,9 @@ class CellGrid:
             row = g - 1
         return row, col
 
-    def cell_id(self, p: "TorusPoint | tuple[float, float]") -> int:
-        """Flat id ``row * side + col`` of the containing cell."""
-        row, col = self.cell_of(p)
-        return row * self.side + col
-
     def cell_center(self, row: int, col: int) -> TorusPoint:
         g = self.side
         return TorusPoint(((col % g) + 0.5) / g, ((row % g) + 0.5) / g)
-
-
-@dataclass(frozen=True)
-class Segment:
-    """Geodesic segment between two torus points.
-
-    The segment follows the shortest wrap-around displacement on each
-    axis; an exact half-wrap tie goes in the positive direction.
-    """
-
-    start: TorusPoint
-    end: TorusPoint
-
-    @property
-    def delta(self) -> tuple[float, float]:
-        return (
-            torus_delta(self.start[0], self.end[0]),
-            torus_delta(self.start[1], self.end[1]),
-        )
-
-    @property
-    def length(self) -> float:
-        dx, dy = self.delta
-        return hypot(dx, dy)
-
-
-def cells_on_segment(seg: Segment, grid: CellGrid) -> list[tuple[int, int]]:
-    """Cells crossed by a geodesic segment, in traversal order.
-
-    First entry is the start point's cell, last the end point's cell;
-    consecutive cells share an edge except where the segment passes
-    exactly through a lattice corner (a diagonal step).  The list length
-    h satisfies 1 <= h <= 2*(ceil(length/s) + 2).
-    """
-    x0, y0 = seg.start
-    dx, dy = seg.delta
-    g = grid.side
-    flat = _kernels.segment_cells(x0, y0, dx, dy, g)
-    end_id = grid.cell_id(seg.end)
-    if flat[-1] != end_id:
-        flat.append(end_id)
-    return [(c // g, c % g) for c in flat]
-
-
-def nearest_holder(
-    p: "TorusPoint | tuple[float, float]",
-    holders: Sequence[tuple[float, float]],
-) -> tuple[int, float]:
-    """Index and geodesic distance of the holder nearest to ``p``.
-
-    Distance ties resolve to the lowest index.  The requester itself must
-    not appear among ``holders``.  Raises :class:`NoHolderError` when the
-    set is empty.
-    """
-    xs = [float(h[0]) for h in holders]
-    ys = [float(h[1]) for h in holders]
-    if not xs:
-        raise NoHolderError("no eligible holder for this request")
-    idx, d2, _ = _kernels.nearest_linear(
-        float(p[0]), float(p[1]), xs, ys, range(len(xs)), -1
-    )
-    return idx, sqrt(d2)
 
 
 @lru_cache(maxsize=4096)

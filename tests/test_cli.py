@@ -165,6 +165,13 @@ class TestSlopeRegression:
         assert math.isclose(res.r_squared, 1.0, abs_tol=1e-12)
         assert res.stderr < 1e-12
 
+    def test_intercept_is_a_python_float(self):
+        # The regressions CSV writes it with repr: a plain number, not np.float64.
+        rows = [(n, 2.0 * float(n) ** -0.5) for n in (10, 100, 1000, 10_000)]
+        res = slope_regression(rows, "n", "y")
+        assert type(res.intercept) is float
+        assert math.isclose(res.intercept, math.log(2.0), abs_tol=1e-12)
+
     def test_noisy_power_law_and_stderr(self):
         rng = np.random.default_rng(5)
         ns = np.geomspace(1e3, 1e6, 12)
@@ -417,6 +424,34 @@ class TestCommandLine:
     def test_missing_file_exit_code_2(self, tmp_path):
         proc = _run_cli("sweep", str(tmp_path / "absent.conf"))
         assert proc.returncode == 2
+
+    @pytest.mark.parametrize("command", ["alloc", "sweep"])
+    def test_rejected_point_is_a_config_error(self, tmp_path, capsys, command):
+        conf = _write(
+            tmp_path,
+            "f.conf",
+            "mode = heterogeneous\nn = 300\nalpha = 0.8\nbeta = 0.9\nf = 0.5\n",
+        )
+        extra = ["--out", str(tmp_path / "o")] if command == "sweep" else []
+        assert cli.main([command, conf, *extra]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: sweep point 0 (mode=heterogeneous n=300")
+        assert "needs f >= 1, got 0.5" in err
+
+    def test_value_error_past_the_config_propagates(self, tmp_path, monkeypatch):
+        # Only a point the model rejects is a config error; a ValueError
+        # raised while simulating a valid point is a bug and keeps its traceback.
+        def broken_run_trials(*args, **kwargs):
+            raise ValueError("holder counts must lie in [0, n]")
+
+        monkeypatch.setattr(cli.sim, "run_trials", broken_run_trials)
+        conf = _write(
+            tmp_path,
+            "sim.conf",
+            "mode = adhoc\nn = 300\nalpha = 0.8\nbeta = 0.9\nsim = true\n",
+        )
+        with pytest.raises(ValueError, match="holder counts"):
+            cli.main(["sweep", conf, "--out", str(tmp_path / "o")])
 
     def test_infeasible_alloc_exit_code_3(self, tmp_path):
         conf = _write(

@@ -1,5 +1,8 @@
-"""Torus geometry: metric, grid, segment traversal, nearest holder,
-and the exact mean nearest-holder distance with its sandwich bounds."""
+"""Torus geometry: the metric, the kernel's per-axis displacement rule,
+the grid, and the exact mean nearest-holder distance with its sandwich
+bounds.  Segment walks and nearest-holder searches are tested where they
+run: through ``sim.trace_request`` (``test_sim``) and the kernel backends
+(``test_kernels``)."""
 
 import math
 
@@ -9,9 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ccnscale import geometry as geo
-from ccnscale.errors import NoHolderError
-
-from oracles import nearest_by_scan, sample_segment_cells, torus_dist
+from ccnscale._kernels import _ref
 
 units = st.floats(min_value=0.0, max_value=1.0, exclude_max=True, allow_nan=False)
 
@@ -39,25 +40,16 @@ class TestTorusMetric:
         dpr, drq = dist(p, r), dist(r, q)
         assert np.all(dpq <= dpr + drq + 1e-12)  # triangle inequality
 
-    def test_vectorized_matches_scalar(self):
-        rng = np.random.default_rng(5)
-        xs, ys = rng.random(200), rng.random(200)
-        d = geo.torus_distances(0.37, 0.91, xs, ys)
-        for i in range(200):
-            assert d[i] == pytest.approx(
-                geo.torus_distance((0.37, 0.91), (xs[i], ys[i])), abs=1e-15
-            )
-
     @given(a=units, b=units)
     @settings(max_examples=200, deadline=None)
     def test_delta_is_shortest_signed_displacement(self, a, b):
-        d = geo.torus_delta(a, b)
+        d = _ref._wrap_delta(a, b)
         assert -0.5 < d <= 0.5
         assert (a + d) % 1.0 == pytest.approx(b % 1.0, abs=1e-12)
 
     def test_delta_half_tie_goes_positive(self):
-        assert geo.torus_delta(0.75, 0.25) == 0.5
-        assert geo.torus_delta(0.25, 0.75) == 0.5
+        assert _ref._wrap_delta(0.75, 0.25) == 0.5
+        assert _ref._wrap_delta(0.25, 0.75) == 0.5
 
     def test_wrap_constructor(self):
         p = geo.TorusPoint.wrap(1.25, -0.25)
@@ -80,8 +72,6 @@ class TestCellGrid:
         assert grid.g == 5
         assert grid.s == 0.2
         assert grid.a == 0.04
-        assert grid.cell_width == 0.2
-        assert grid.cell_area == 0.04
         assert grid.n_cells == 25
 
     def test_invalid_side(self):
@@ -108,130 +98,6 @@ class TestCellGrid:
         for row in range(7):
             for col in range(7):
                 assert grid.cell_of(grid.cell_center(row, col)) == (row, col)
-
-    def test_cell_id_is_row_major(self):
-        grid = geo.CellGrid(4)
-        assert grid.cell_id((0.26, 0.51)) == 2 * 4 + 1
-
-
-class TestSegment:
-    def test_length_zero(self):
-        p = geo.TorusPoint(0.3, 0.3)
-        assert geo.Segment(p, p).length == 0.0
-
-    def test_wraparound_length(self):
-        seg = geo.Segment(geo.TorusPoint(0.9, 0.5), geo.TorusPoint(0.1, 0.5))
-        assert seg.delta == pytest.approx((0.2, 0.0))
-        assert seg.length == pytest.approx(0.2)
-
-    @given(x0=units, y0=units, x1=units, y1=units)
-    @settings(max_examples=200, deadline=None)
-    def test_geodesic_never_exceeds_torus_diameter(self, x0, y0, x1, y1):
-        seg = geo.Segment(geo.TorusPoint(x0, y0), geo.TorusPoint(x1, y1))
-        assert seg.length <= math.sqrt(0.5) + 1e-15
-        assert seg.length == pytest.approx(torus_dist(x0, y0, x1, y1), abs=1e-12)
-
-
-class TestCellsOnSegment:
-    def test_single_cell_segment(self):
-        grid = geo.CellGrid(4)
-        seg = geo.Segment(geo.TorusPoint(0.30, 0.30), geo.TorusPoint(0.45, 0.45))
-        assert geo.cells_on_segment(seg, grid) == [(1, 1)]
-
-    def test_axis_parallel_two_and_a_half_cells(self):
-        # Start mid-cell, go +x for 2.5 cell widths: 4 cells crossed.
-        grid = geo.CellGrid(8)
-        s = grid.s
-        seg = geo.Segment(
-            geo.TorusPoint(0.5 * s, 0.5 * s), geo.TorusPoint(3.0 * s, 0.5 * s)
-        )
-        assert geo.cells_on_segment(seg, grid) == [(0, 0), (0, 1), (0, 2), (0, 3)]
-
-    def test_corner_crossing_steps_diagonally(self):
-        grid = geo.CellGrid(4)
-        seg = geo.Segment(geo.TorusPoint(1 / 8, 1 / 8), geo.TorusPoint(5 / 8, 5 / 8))
-        assert geo.cells_on_segment(seg, grid) == [(0, 0), (1, 1), (2, 2)]
-
-    def test_wraparound_crossing(self):
-        grid = geo.CellGrid(4)
-        seg = geo.Segment(geo.TorusPoint(0.95, 0.5), geo.TorusPoint(0.05, 0.5))
-        assert geo.cells_on_segment(seg, grid) == [(2, 3), (2, 0)]
-
-    def test_single_cell_grid_collapses(self):
-        grid = geo.CellGrid(1)
-        seg = geo.Segment(geo.TorusPoint(0.9, 0.9), geo.TorusPoint(0.3, 0.2))
-        assert geo.cells_on_segment(seg, grid) == [(0, 0)]
-
-    def _check_one(self, seg, grid):
-        cells = geo.cells_on_segment(seg, grid)
-        g = grid.side
-        assert cells[0] == grid.cell_of(seg.start)
-        assert cells[-1] == grid.cell_of(seg.end)
-        assert len(cells) <= 2 * (math.ceil(seg.length / grid.s) + 2)
-        assert len(set(cells)) == len(cells) or g <= 2  # tiny tori revisit
-        for (r0, c0), (r1, c1) in zip(cells, cells[1:]):
-            assert (r0, c0) != (r1, c1)
-            dr = min((r1 - r0) % g, (r0 - r1) % g)
-            dc = min((c1 - c0) % g, (c0 - c1) % g)
-            assert dr <= 1 and dc <= 1  # 8-neighborhood connectivity
-        sampled = sample_segment_cells(
-            seg.start.x, seg.start.y, seg.end.x, seg.end.y, g, oversample=300
-        )
-        assert sampled <= set(cells)
-
-    def test_random_segments_against_sampling_oracle(self):
-        rng = np.random.default_rng(99)
-        for g in (1, 2, 3, 5, 8, 16, 37):
-            grid = geo.CellGrid(g)
-            for _ in range(60):
-                seg = geo.Segment(
-                    geo.TorusPoint(*rng.random(2)), geo.TorusPoint(*rng.random(2))
-                )
-                self._check_one(seg, grid)
-
-    def test_boundary_aligned_segments(self):
-        # Endpoints sitting exactly on cell edges, axis-aligned runs.
-        grid = geo.CellGrid(5)
-        for seg in (
-            geo.Segment(geo.TorusPoint(0.2, 0.4), geo.TorusPoint(0.6, 0.4)),
-            geo.Segment(geo.TorusPoint(0.0, 0.0), geo.TorusPoint(0.0, 0.4)),
-            geo.Segment(geo.TorusPoint(0.4, 0.2), geo.TorusPoint(0.4, 0.8)),
-        ):
-            self._check_one(seg, grid)
-
-
-class TestNearestHolder:
-    def test_single_holder(self):
-        assert geo.nearest_holder((0.5, 0.5), [(0.25, 0.25)]) == (
-            0,
-            pytest.approx(math.hypot(0.25, 0.25)),
-        )
-
-    def test_coincident_holder_distance_zero(self):
-        idx, d = geo.nearest_holder((0.3, 0.7), [(0.9, 0.9), (0.3, 0.7)])
-        assert (idx, d) == (1, 0.0)
-
-    def test_tie_breaks_to_lowest_index(self):
-        holders = [(0.6, 0.5), (0.4, 0.5)]  # both at distance 0.1
-        idx, d = geo.nearest_holder((0.5, 0.5), holders)
-        assert idx == 0
-        assert d == pytest.approx(0.1)
-
-    def test_empty_holder_set(self):
-        with pytest.raises(NoHolderError):
-            geo.nearest_holder((0.5, 0.5), [])
-
-    def test_matches_linear_scan_oracle(self):
-        rng = np.random.default_rng(31)
-        holders = [tuple(v) for v in rng.random((1000, 2))]
-        xs = [h[0] for h in holders]
-        ys = [h[1] for h in holders]
-        for _ in range(200):
-            p = tuple(rng.random(2))
-            want_i, want_d = nearest_by_scan(p[0], p[1], xs, ys)
-            got_i, got_d = geo.nearest_holder(p, holders)
-            assert got_i == want_i
-            assert got_d == pytest.approx(want_d, abs=1e-12)
 
 
 class TestExpectedNearestDistance:

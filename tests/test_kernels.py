@@ -3,11 +3,14 @@
 Every test here compares the two implementations on identical inputs and
 requires exact equality — not approximate — because the simulator's
 reproducibility guarantee ("same seed, same numbers") must hold no matter
-which backend the host machine ends up with.
+which backend the host machine ends up with.  The nearest-holder scan is
+also checked against a brute-force oracle, on the pure-Python backend even
+where no compiler can build the other one.
 """
 
 from __future__ import annotations
 
+import math
 import os
 import shlex
 import shutil
@@ -23,6 +26,8 @@ from ccnscale._kernels import _ref
 from ccnscale.config import Mode, NetworkConfig
 from ccnscale.geometry import CellGrid
 from ccnscale.sched import build_schedule
+
+from oracles import nearest_by_scan
 
 
 def _compiler_on_path() -> bool:
@@ -107,6 +112,17 @@ def _bucketize(xs, ys, holders, g):
     return holders[order], cells[order]
 
 
+def _assert_matches_scan(got, px, py, xs, ys, cand, exclude):
+    """A ``nearest_linear`` result agrees with a brute-force scan of ``cand``."""
+    cand = np.asarray(cand, dtype=np.int64)
+    skip = np.flatnonzero(cand == exclude)
+    i, d = nearest_by_scan(
+        px, py, xs[cand], ys[cand], int(skip[0]) if skip.size else -1
+    )
+    assert got[0] == (int(cand[i]) if i >= 0 else -1)
+    assert math.sqrt(got[1]) == pytest.approx(d, abs=1e-12)
+
+
 @needs_fast
 class TestNearestParity:
     @pytest.mark.parametrize("g", [1, 2, 8, 32])
@@ -124,6 +140,7 @@ class TestNearestParity:
                 px, py, list(xs), list(ys), [int(c) for c in cand], exclude
             )
             assert got_f == got_r
+            _assert_matches_scan(got_f, px, py, xs, ys, cand, exclude)
 
     def test_linear_accepts_range_candidates(self):
         rng = np.random.default_rng(3)
@@ -188,6 +205,22 @@ class TestNearestParity:
             assert got_f[:2] == lin[:2]
             if got_f[0] == -1:
                 assert got_f[2] == lin[2]
+
+
+class TestNearestOracle:
+    def test_linear_matches_scan_oracle(self):
+        # Not marked needs_fast: the reference runs even without a compiler.
+        rng = np.random.default_rng(31)
+        xs, ys = _random_positions(rng, 1000)
+        xl, yl = xs.tolist(), ys.tolist()
+        for trial in range(200):
+            px, py = rng.random(), rng.random()
+            exclude = int(rng.integers(1000)) if trial % 2 else -1
+            got = _ref.nearest_linear(px, py, xl, yl, range(1000), exclude)
+            _assert_matches_scan(got, px, py, xs, ys, range(1000), exclude)
+            if _fast is not None:
+                got_f = _fast.nearest_linear(px, py, xs, ys, range(1000), exclude)
+                assert got_f == got
 
 
 # ---------------------------------------------------------------------------

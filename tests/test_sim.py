@@ -14,6 +14,8 @@ from ccnscale.geometry import CellGrid, torus_distance
 from ccnscale.scaling import expected_hops
 from ccnscale.sched import build_schedule
 
+from oracles import sample_segment_cells
+
 
 def _manual_instance(nodes, holders, g, base_stations=(), delta=1.0, seed=0):
     grid = CellGrid(g)
@@ -25,6 +27,11 @@ def _manual_instance(nodes, holders, g, base_stations=(), delta=1.0, seed=0):
         schedule=build_schedule(grid, delta),
         rng_seed=seed,
     )
+
+
+def _walk(start, end, g):
+    """Route a request from ``start`` to the sole holder at ``end``."""
+    return sim.trace_request(_manual_instance([start, end], [[1]], g=g), 0, 0)
 
 
 class TestNetworkConfig:
@@ -267,19 +274,66 @@ class TestTraceRequest:
         # equidistant: the wireless node at col 1 wins, walk goes left
         assert cells[-1] == (2, 1)
 
-    def test_hop_count_bounds_random(self):
-        rng = np.random.default_rng(77)
-        g = 8
-        s = 1 / g
-        for _ in range(200):
-            nodes = rng.random((2, 2))
-            inst = _manual_instance(nodes, [[1]], g=g)
-            d = torus_distance(tuple(nodes[0]), tuple(nodes[1]))
-            hops, cells = sim.trace_request(inst, 0, 0)
-            assert max(1, math.floor(d / s)) <= hops <= 2 * (math.ceil(d / s) + 2)
-            # walk starts at the requester's cell, ends at the holder's
-            assert cells[0] == inst.grid.cell_of(tuple(nodes[0]))
-            assert cells[-1] == inst.grid.cell_of(tuple(nodes[1]))
+    def test_single_cell_segment(self):
+        assert _walk((0.30, 0.30), (0.45, 0.45), g=4) == (1, [(1, 1)])
+
+    def test_axis_parallel_two_and_a_half_cells(self):
+        # Start mid-cell, go +x for 2.5 cell widths: 4 cells crossed.
+        s = 1 / 8
+        _, cells = _walk((0.5 * s, 0.5 * s), (3.0 * s, 0.5 * s), g=8)
+        assert cells == [(0, 0), (0, 1), (0, 2), (0, 3)]
+
+    def test_corner_crossing_steps_diagonally(self):
+        _, cells = _walk((1 / 8, 1 / 8), (5 / 8, 5 / 8), g=4)
+        assert cells == [(0, 0), (1, 1), (2, 2)]
+
+    def test_wraparound_crossing(self):
+        _, cells = _walk((0.95, 0.5), (0.05, 0.5), g=4)
+        assert cells == [(2, 3), (2, 0)]
+
+    def test_single_cell_grid_collapses(self):
+        assert _walk((0.9, 0.9), (0.3, 0.2), g=1) == (1, [(0, 0)])
+
+    def test_walk_ending_on_a_lattice_line_lands_on_the_holder_cell(self):
+        # Walking -x onto the line x = 6/7 enters column 5; the kernel's
+        # target-cell safety net steps back into the holder's column 6.
+        assert _walk((0.0, 0.5), (6 / 7, 0.5), g=7) == (
+            3,
+            [(3, 0), (3, 6), (3, 5), (3, 6)],
+        )
+
+    def _check_walk(self, start, end, g):
+        hops, cells = _walk(start, end, g)
+        grid = CellGrid(g)
+        length = torus_distance(start, end)
+        assert hops == max(1, len(cells) - 1)
+        assert hops >= max(1, math.floor(length / grid.s))
+        assert cells[0] == grid.cell_of(start)
+        assert cells[-1] == grid.cell_of(end)
+        assert len(cells) <= 2 * (math.ceil(length / grid.s) + 2)
+        assert len(set(cells)) == len(cells) or g <= 2  # tiny tori revisit
+        for (r0, c0), (r1, c1) in zip(cells, cells[1:]):
+            assert (r0, c0) != (r1, c1)
+            dr = min((r1 - r0) % g, (r0 - r1) % g)
+            dc = min((c1 - c0) % g, (c0 - c1) % g)
+            assert dr <= 1 and dc <= 1  # 8-neighborhood connectivity
+        sampled = sample_segment_cells(*start, *end, g, oversample=300)
+        assert sampled <= set(cells)
+
+    def test_random_segments_against_sampling_oracle(self):
+        rng = np.random.default_rng(99)
+        for g in (1, 2, 3, 5, 8, 16, 37):
+            for _ in range(60):
+                self._check_walk(tuple(rng.random(2)), tuple(rng.random(2)), g)
+
+    def test_boundary_aligned_segments(self):
+        # Endpoints sitting exactly on cell edges, axis-aligned runs.
+        for start, end in (
+            ((0.2, 0.4), (0.6, 0.4)),
+            ((0.0, 0.0), (0.0, 0.4)),
+            ((0.4, 0.2), (0.4, 0.8)),
+        ):
+            self._check_walk(start, end, g=5)
 
     def test_rejects_bad_indices(self):
         inst = _manual_instance([[0.1, 0.1], [0.2, 0.2]], [[1]], g=4)
