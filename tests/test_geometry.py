@@ -1,8 +1,8 @@
-"""Torus geometry: the metric, the kernel's per-axis displacement rule,
-the grid, and the exact mean nearest-holder distance with its sandwich
-bounds.  Segment walks and nearest-holder searches are tested where they
-run: through ``sim.trace_request`` (``test_sim``) and the kernel backends
-(``test_kernels``)."""
+"""Torus geometry: the metric, the kernel's per-axis displacement rule
+and cell walk, the grid, and the exact mean nearest-holder distance with
+its sandwich bounds.  Whole routed walks and nearest-holder searches are
+tested where they run: through ``sim.trace_request`` (``test_sim``) and
+the kernel backends (``test_kernels``)."""
 
 import math
 
@@ -13,6 +13,8 @@ from hypothesis import strategies as st
 
 from ccnscale import geometry as geo
 from ccnscale._kernels import _ref
+
+from oracles import sample_segment_cells
 
 units = st.floats(min_value=0.0, max_value=1.0, exclude_max=True, allow_nan=False)
 
@@ -98,6 +100,35 @@ class TestCellGrid:
         for row in range(7):
             for col in range(7):
                 assert grid.cell_of(grid.cell_center(row, col)) == (row, col)
+
+
+class TestCellsOnSegment:
+    """The kernel's raw cell walk, ``_ref.segment_cells``, fed the kernel's
+    own geodesic displacement, before any routing rule is applied."""
+
+    def _check_one(self, start, end, g):
+        grid = geo.CellGrid(g)
+        dx = _ref._wrap_delta(start[0], end[0])
+        dy = _ref._wrap_delta(start[1], end[1])
+        cells = [divmod(c, g) for c in _ref.segment_cells(*start, dx, dy, g)]
+        assert cells[0] == grid.cell_of(start)
+        assert cells[-1] == grid.cell_of(end)
+        length = geo.torus_distance(start, end)
+        assert len(cells) <= 2 * (math.ceil(length / grid.s) + 2)
+        assert len(set(cells)) == len(cells) or g <= 2  # tiny tori revisit
+        for (r0, c0), (r1, c1) in zip(cells, cells[1:]):
+            assert (r0, c0) != (r1, c1)
+            dr = min((r1 - r0) % g, (r0 - r1) % g)
+            dc = min((c1 - c0) % g, (c0 - c1) % g)
+            assert dr <= 1 and dc <= 1  # 8-neighborhood connectivity
+        sampled = sample_segment_cells(*start, *end, g, oversample=300)
+        assert sampled <= set(cells)
+
+    def test_random_segments_against_sampling_oracle(self):
+        rng = np.random.default_rng(99)
+        for g in (1, 2, 3, 5, 8, 16, 37):
+            for _ in range(60):
+                self._check_one(tuple(rng.random(2)), tuple(rng.random(2)), g)
 
 
 class TestExpectedNearestDistance:

@@ -335,6 +335,20 @@ class TestTraceRequest:
         ):
             self._check_walk(start, end, g=5)
 
+    def test_hop_count_bounds_random(self):
+        rng = np.random.default_rng(77)
+        g = 8
+        s = 1 / g
+        for _ in range(200):
+            nodes = rng.random((2, 2))
+            inst = _manual_instance(nodes, [[1]], g=g)
+            d = torus_distance(tuple(nodes[0]), tuple(nodes[1]))
+            hops, cells = sim.trace_request(inst, 0, 0)
+            assert max(1, math.floor(d / s)) <= hops <= 2 * (math.ceil(d / s) + 2)
+            # walk starts at the requester's cell, ends at the holder's
+            assert cells[0] == inst.grid.cell_of(tuple(nodes[0]))
+            assert cells[-1] == inst.grid.cell_of(tuple(nodes[1]))
+
     def test_rejects_bad_indices(self):
         inst = _manual_instance([[0.1, 0.1], [0.2, 0.2]], [[1]], g=4)
         with pytest.raises(ValueError):
