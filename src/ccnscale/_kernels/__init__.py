@@ -1,6 +1,6 @@
 """Kernel backend selection.
 
-Two interchangeable implementations of the hot inner loops exist:
+Two interchangeable implementations of the routing kernel exist:
 
 * ``ccnscale._kernels._fast`` — ``trace.c``, a hand-written C99 kernel
   loaded through ``ctypes`` and compiled into the user cache on first

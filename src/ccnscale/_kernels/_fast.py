@@ -93,7 +93,7 @@ _I64 = ndpointer(np.int64, ndim=1, flags="C_CONTIGUOUS")
 
 def _bind(lib: ctypes.CDLL) -> int:
     """Declare the kernel's signatures; return ``ccn_ring_min_holders``."""
-    lib.ccn_segment_cells.argtypes = [c_double] * 4 + [c_int64, _I64, c_int64]
+    lib.ccn_segment_cells.argtypes = [c_double] * 4 + [c_int64, _I64]
     lib.ccn_segment_cells.restype = c_int64
     lib.ccn_nearest_linear.argtypes = [
         c_double, c_double, _F64, _F64, _I64, c_int64, c_int64,
@@ -112,7 +112,7 @@ def _bind(lib: ctypes.CDLL) -> int:
     lib.ccn_trace_batch.restype = c_int
     lib.ccn_trace_one.argtypes = [
         c_int64, _F64, _F64, c_int64, c_int64, c_int64, _I64, _I64, _I64, _I64,
-        c_int64, _F64, _F64, _I64, c_int64, POINTER(c_int64),
+        c_int64, _F64, _F64, _I64, POINTER(c_int64),
     ]
     lib.ccn_trace_one.restype = c_int64
     return c_int64.in_dll(lib, "ccn_ring_min_holders").value
@@ -143,11 +143,11 @@ def _f64(values) -> np.ndarray:
 
 
 def _coords(values, name: str) -> np.ndarray:
-    """Contiguous float64 coordinates, which must lie in [0, 1]: the kernel
+    """Contiguous float64 coordinates, which must lie in [0, 1): the kernel
     turns them into cell ids that index its outputs."""
     a = _f64(values)
-    if a.size and not ((a >= 0.0) & (a <= 1.0)).all():
-        raise ValueError(f"{name}: coordinates must lie in [0, 1]")
+    if a.size and not ((a >= 0.0) & (a < 1.0)).all():
+        raise ValueError(f"{name}: coordinates must lie in [0, 1)")
     return a
 
 
@@ -171,20 +171,16 @@ def _same_length(*arrays: np.ndarray) -> None:
 
 
 def _path_buffer(g: int) -> np.ndarray:
-    """Room for any geodesic walk: at most g + 3 cells, plus the safety net."""
-    return np.empty(2 * g + 16, dtype=np.int64)
+    """Room for any walk: fewer than g steps per axis, so at most 2g - 1 cells."""
+    return np.empty(2 * g - 1, dtype=np.int64)
 
 
-def segment_cells(x0: float, y0: float, dx: float, dy: float, g: int) -> list[int]:
-    """Cells crossed by the segment from (x0,y0) along (dx,dy); see ``_ref``."""
+def segment_cells(x0: float, y0: float, x1: float, y1: float, g: int) -> list[int]:
+    """Cells crossed by the geodesic segment from (x0,y0) to (x1,y1); see ``_ref``."""
     g = _grid(g)
-    _coords((x0, y0), "start")
-    if not (abs(dx) <= 0.5 and abs(dy) <= 0.5):
-        raise ValueError("segment_cells requires |dx| <= 0.5 and |dy| <= 0.5")
+    _coords((x0, y0, x1, y1), "endpoints")
     buf = _path_buffer(g)
-    count = _lib.ccn_segment_cells(x0, y0, dx, dy, g, buf, len(buf))
-    if count < 0:
-        raise RuntimeError("segment_cells: path overflowed its buffer")
+    count = _lib.ccn_segment_cells(x0, y0, x1, y1, g, buf)
     return buf[:count].tolist()
 
 
@@ -249,10 +245,8 @@ def trace_one(xs, ys, g, requester, m, h_idx, h_start, hc_idx, hc_cell, bs_x, bs
     status = c_int64()
     count = _lib.ccn_trace_one(
         len(xs), xs, ys, g, requester, m, h_idx, h_start, hc_idx, hc_cell,
-        len(bs_x), bs_x, bs_y, buf, len(buf), byref(status),
+        len(bs_x), bs_x, bs_y, buf, byref(status),
     )
-    if count < 0:
-        raise RuntimeError("trace_one: path overflowed its buffer")
     return status.value, buf[:count].tolist()
 
 
@@ -274,8 +268,6 @@ def trace_batch(xs, ys, g, req, h_idx, h_start, hc_idx, hc_cell, bs_x, bs_y):
         n, xs, ys, g, req, h_idx, h_start, hc_idx, hc_cell, len(bs_x),
         bs_x, bs_y, hops, loads, status,
     )
-    if rc == -1:
-        raise MemoryError("trace_batch: cannot allocate the path buffer")
     if rc != 0:
-        raise RuntimeError("trace_batch: path overflowed its buffer")
+        raise MemoryError("trace_batch: cannot allocate the path buffer")
     return hops, loads, status

@@ -10,7 +10,7 @@ lockstep.
 from __future__ import annotations
 
 from bisect import bisect_left
-from math import floor, inf
+from math import inf
 
 import numpy as np
 
@@ -53,27 +53,28 @@ def _dist2(ax: float, ay: float, bx: float, by: float) -> float:
     return dx * dx + dy * dy
 
 
-def segment_cells(x0: float, y0: float, dx: float, dy: float, g: int) -> list[int]:
-    """Cells crossed by the segment from (x0,y0) along (dx,dy), unwrapped.
+def segment_cells(x0: float, y0: float, x1: float, y1: float, g: int) -> list[int]:
+    """Cells crossed by the geodesic segment from (x0,y0) to (x1,y1).
 
-    Requires |dx| <= 0.5 and |dy| <= 0.5 (geodesic displacements).
-    Returns flat ids ``row * g + col`` of torus cells, in traversal order,
-    starting at the cell containing (x0, y0).  A segment passing exactly
-    through a lattice corner steps diagonally.  A boundary crossing that
-    wraps back into the same torus cell (possible only for g = 1) is not
-    repeated in the list.
+    Both endpoints lie in [0, 1).  Returns flat ids ``row * g + col`` of
+    torus cells, in traversal order, from the cell containing (x0, y0) to
+    the cell containing (x1, y1).  The geodesic displacement
+    (:func:`_wrap_delta`) fixes the step direction on each axis; the step
+    count is the integer cell difference in that direction, mod g, so the
+    walk ends on the end cell by construction and, with fewer than g steps
+    per axis, never repeats a cell.  The float crossing times only order
+    the steps (Amanatides & Woo grid traversal); a segment passing exactly
+    through a lattice corner steps diagonally.
     """
     col = _cell_index(x0, g)
     row = _cell_index(y0, g)
-    cells = [row * g + col]
-    ce = floor((x0 + dx) * g)
-    re = floor((y0 + dy) * g)
-    nx = ce - col if ce >= col else col - ce
-    ny = re - row if re >= row else row - re
-    if nx == 0 and ny == 0:
-        return cells
+    dx = _wrap_delta(x0, x1)
+    dy = _wrap_delta(y0, y1)
     sx = 1 if dx > 0.0 else (-1 if dx < 0.0 else 0)
     sy = 1 if dy > 0.0 else (-1 if dy < 0.0 else 0)
+    nx = (_cell_index(x1, g) - col) * sx % g
+    ny = (_cell_index(y1, g) - row) * sy % g
+    cells = [row * g + col]
     if sx > 0:
         tx = ((col + 1.0) / g - x0) / dx
         dtx = 1.0 / (g * dx)
@@ -108,9 +109,7 @@ def segment_cells(x0: float, y0: float, dx: float, dy: float, g: int) -> list[in
             ty += dty
             nx -= 1
             ny -= 1
-        cid = (row % g) * g + (col % g)
-        if cid != cells[-1]:
-            cells.append(cid)
+        cells.append((row % g) * g + (col % g))
     return cells
 
 
@@ -222,14 +221,7 @@ def trace_one(xs, ys, g, requester, m, h_idx, h_start, hc_idx, hc_cell, bs_x, bs
 
     hx = xs[best_i] if best_i < n else bs_x[best_i - n]
     hy = ys[best_i] if best_i < n else bs_y[best_i - n]
-    dx = _wrap_delta(px, hx)
-    dy = _wrap_delta(py, hy)
-    cells = segment_cells(px, py, dx, dy, g)
-    target = _cell_index(hy, g) * g + _cell_index(hx, g)
-    if cells[-1] != target:
-        # float-boundary safety net: land on the holder's cell
-        cells.append(target)
-    return 0, cells
+    return 0, segment_cells(px, py, hx, hy, g)
 
 
 def trace_batch(xs, ys, g, req, h_idx, h_start, hc_idx, hc_cell, bs_x, bs_y):

@@ -56,22 +56,21 @@ static inline double dist2(double ax, double ay, double bx, double by)
     return dx * dx + dy * dy;
 }
 
-/* Writes the flat ids of the cells crossed by the segment to buf and
- * returns their count, or -1 if more than cap cells would be written. */
-i64 ccn_segment_cells(double x0, double y0, double dx, double dy, i64 g,
-                      i64 *buf, i64 cap)
+/* Writes the flat ids of the cells crossed by the geodesic segment from
+ * (x0, y0) to (x1, y1) to buf and returns their count (see
+ * _ref.segment_cells).  Each axis takes fewer than g steps, so the walk has
+ * at most 2g - 1 cells and buf must hold that many. */
+i64 ccn_segment_cells(double x0, double y0, double x1, double y1, i64 g,
+                      i64 *buf)
 {
     i64 col = cell_index(x0, g), row = cell_index(y0, g), count = 1;
-    i64 ce, re, nx, ny, sx, sy, cid;
+    double dx = wrap_delta(x0, x1), dy = wrap_delta(y0, y1);
+    i64 sx = dx > 0.0 ? 1 : (dx < 0.0 ? -1 : 0);
+    i64 sy = dy > 0.0 ? 1 : (dy < 0.0 ? -1 : 0);
+    i64 nx = mod((cell_index(x1, g) - col) * sx, g);
+    i64 ny = mod((cell_index(y1, g) - row) * sy, g);
     double tx, ty, dtx, dty;
     buf[0] = row * g + col;
-    ce = (i64)floor((x0 + dx) * g);
-    re = (i64)floor((y0 + dy) * g);
-    nx = ce >= col ? ce - col : col - ce;
-    ny = re >= row ? re - row : row - re;
-    if (nx == 0 && ny == 0) return count;
-    sx = dx > 0.0 ? 1 : (dx < 0.0 ? -1 : 0);
-    sy = dy > 0.0 ? 1 : (dy < 0.0 ? -1 : 0);
     if (sx > 0) {
         tx = ((col + 1.0) / g - x0) / dx;
         dtx = 1.0 / (g * dx);
@@ -100,11 +99,7 @@ i64 ccn_segment_cells(double x0, double y0, double dx, double dy, i64 g,
         } else { /* exact corner crossing: one diagonal step */
             col += sx; row += sy; tx += dtx; ty += dty; nx -= 1; ny -= 1;
         }
-        cid = mod(row, g) * g + mod(col, g);
-        if (cid != buf[count - 1]) {
-            if (count == cap) return -1;
-            buf[count++] = cid;
-        }
+        buf[count++] = mod(row, g) * g + mod(col, g);
     }
     return count;
 }
@@ -195,18 +190,17 @@ i64 ccn_nearest_ring(double px, double py, const double *xs, const double *ys,
 }
 
 /* Routes one request (see _ref.trace_one): writes its walk's cell ids to
- * buf and a nonzero status to *status (callers zero it, so a routed request
- * touches no page of it); returns the cell count, or -1 when the walk would
- * overflow cap cells.  Inlined into ccn_trace_batch's loop. */
+ * buf, which holds 2g - 1 cells, and a nonzero status to *status (callers
+ * zero it, so a routed request touches no page of it); returns the cell
+ * count.  Inlined into ccn_trace_batch's loop. */
 static inline i64 trace_one(i64 n, const double *xs, const double *ys,
                              i64 g, i64 requester, i64 m, const i64 *h_idx,
                              const i64 *h_start, const i64 *hc_idx,
                              const i64 *hc_cell, i64 nbs, const double *bs_x,
-                             const double *bs_y, i64 *buf, i64 cap,
-                             i64 *status)
+                             const double *bs_y, i64 *buf, i64 *status)
 {
     i64 lo = h_start[m], hi = h_start[m + 1];
-    i64 best_i, ncells, target;
+    i64 best_i;
     double px = xs[requester], py = ys[requester], best_d2, hx, hy;
     int saw_self;
     if (hi - lo > ccn_ring_min_holders)
@@ -226,51 +220,34 @@ static inline i64 trace_one(i64 n, const double *xs, const double *ys,
     }
     hx = best_i < n ? xs[best_i] : bs_x[best_i - n];
     hy = best_i < n ? ys[best_i] : bs_y[best_i - n];
-    /* Keep one slot free for the safety net below. */
-    ncells = ccn_segment_cells(px, py, wrap_delta(px, hx), wrap_delta(py, hy),
-                               g, buf, cap - 1);
-    if (ncells < 0) return -1;
-    target = cell_index(hy, g) * g + cell_index(hx, g);
-    if (buf[ncells - 1] != target) {
-        /* float-boundary safety net: land on the holder's cell */
-        buf[ncells++] = target;
-    }
-    return ncells;
+    return ccn_segment_cells(px, py, hx, hy, g, buf);
 }
 
 i64 ccn_trace_one(i64 n, const double *xs, const double *ys, i64 g,
                   i64 requester, i64 m, const i64 *h_idx, const i64 *h_start,
                   const i64 *hc_idx, const i64 *hc_cell, i64 nbs,
-                  const double *bs_x, const double *bs_y, i64 *buf, i64 cap,
+                  const double *bs_x, const double *bs_y, i64 *buf,
                   i64 *status)
 {
     return trace_one(n, xs, ys, g, requester, m, h_idx, h_start, hc_idx,
-                     hc_cell, nbs, bs_x, bs_y, buf, cap, status);
+                     hc_cell, nbs, bs_x, bs_y, buf, status);
 }
 
 /* Traces one request per node into hops, loads and status (all zeroed by
- * the caller); see _ref.trace_batch for the rules.  Returns 0, -1 when the
- * path buffer cannot be allocated, or -2 when a path overflows it. */
+ * the caller); see _ref.trace_batch for the rules.  Returns 0, or -1 when
+ * the path buffer cannot be allocated. */
 int ccn_trace_batch(i64 n, const double *xs, const double *ys, i64 g,
                     const i64 *req, const i64 *h_idx, const i64 *h_start,
                     const i64 *hc_idx, const i64 *hc_cell, i64 nbs,
                     const double *bs_x, const double *bs_y, i64 *hops,
                     i64 *loads, i64 *status)
 {
-    /* A geodesic path crosses at most g + 3 cells; one more for the
-     * target safety net. */
-    i64 cap = 2 * g + 16;
-    int rc = 0;
-    i64 *buf = malloc((size_t)cap * sizeof *buf);
+    i64 *buf = malloc((size_t)(2 * g - 1) * sizeof *buf);
     if (buf == NULL) return -1;
     for (i64 i = 0; i < n; i++) {
         i64 ncells = trace_one(n, xs, ys, g, i, req[i], h_idx, h_start,
-                               hc_idx, hc_cell, nbs, bs_x, bs_y, buf, cap,
+                               hc_idx, hc_cell, nbs, bs_x, bs_y, buf,
                                &status[i]);
-        if (ncells < 0) {
-            rc = -2;
-            break;
-        }
         if (ncells == 1) {
             loads[buf[0]] += 1;
             hops[i] = 1;
@@ -280,5 +257,5 @@ int ccn_trace_batch(i64 n, const double *xs, const double *ys, i64 g,
         }
     }
     free(buf);
-    return rc;
+    return 0;
 }

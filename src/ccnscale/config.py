@@ -36,9 +36,9 @@ class NetworkConfig:
     base stations beta must stay below 1 so the combined cache space
     can hold the catalog.  Base-station count comes from ``f`` when
     given, else n^mu; ``f = 0`` in heterogeneous mode degenerates to
-    the pure ad hoc network.  ``cell_area`` fixes the cell size a;
-    when omitted the occupancy rule a = 2 ln(n)/n applies (requires
-    n >= 2).
+    the pure ad hoc network.  ``cell_area`` fixes the cell size a, at
+    least 1/n; when omitted the occupancy rule a = 2 ln(n)/n applies
+    (requires n >= 2).
     """
 
     n: int
@@ -75,9 +75,13 @@ class NetworkConfig:
                 f"concentration factor must be positive, "
                 f"got {self.concentration_factor}"
             )
-        if self.cell_area is not None and not 0.0 < self.cell_area <= 1.0:
+        a_min = 1.0 / self.n
+        if self.cell_area is not None and not a_min <= self.cell_area <= 1.0:
+            # More cells than nodes leave cells empty (condition 1 fails),
+            # and the holder cap 1/a - f would exceed n.
             raise ValueError(
-                f"cell area must be in (0, 1], got {self.cell_area}"
+                f"cell area must be in [1/n, 1] = [{a_min:g}, 1], "
+                f"got {self.cell_area}"
             )
         if self.mode is Mode.ADHOC:
             if self.mu is not None or self.f is not None:

@@ -86,6 +86,9 @@ class NetworkInstance:
         if nodes.ndim != 2 or nodes.shape[1] != 2 or nodes.shape[0] < 1:
             raise ValueError("nodes must be an (n, 2) array with n >= 1")
         bs = np.asarray(self.base_stations, dtype=np.float64).reshape(-1, 2)
+        for name, pts in (("node", nodes), ("base-station", bs)):
+            if pts.size and not (pts.min() >= 0.0 and pts.max() < 1.0):
+                raise ValueError(f"{name} coordinates must lie in [0, 1)")
         n = nodes.shape[0]
         g = self.grid.side
 

@@ -438,6 +438,19 @@ class TestCommandLine:
         assert err.startswith("config error: sweep point 0 (mode=heterogeneous n=300")
         assert "needs f >= 1, got 0.5" in err
 
+    def test_more_cells_than_nodes_is_a_config_error(self, tmp_path, capsys):
+        # 10,000 cells for 300 nodes: the holder cap 1/a exceeds n.
+        conf = _write(
+            tmp_path,
+            "cells.conf",
+            "mode = adhoc\nn = 300\nalpha = 2.0\nbeta = 0.3\nK = 5\n"
+            "cell_area = 0.0001\nsim = true\n",
+        )
+        assert cli.main(["sweep", conf, "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: sweep point 0 (mode=adhoc n=300")
+        assert "cell area must be in [1/n, 1]" in err
+
     def test_value_error_past_the_config_propagates(self, tmp_path, monkeypatch):
         # Only a point the model rejects is a config error; a ValueError
         # raised while simulating a valid point is a bug and keeps its traceback.

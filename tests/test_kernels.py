@@ -69,16 +69,16 @@ class TestSegmentCellsParity:
         rng = np.random.default_rng(1000 + g)
         for _ in range(400):
             x0, y0 = rng.random(), rng.random()
-            dx = rng.uniform(-0.5, 0.5)
-            dy = rng.uniform(-0.5, 0.5)
-            assert _fast.segment_cells(x0, y0, dx, dy, g) == _ref.segment_cells(
-                x0, y0, dx, dy, g
+            x1 = (x0 + rng.uniform(-0.5, 0.5)) % 1.0
+            y1 = (y0 + rng.uniform(-0.5, 0.5)) % 1.0
+            assert _fast.segment_cells(x0, y0, x1, y1, g) == _ref.segment_cells(
+                x0, y0, x1, y1, g
             )
 
     @pytest.mark.parametrize("g", [2, 5, 16])
     def test_lattice_aligned_segments(self, g):
         # Endpoints and directions sitting exactly on cell boundaries hit
-        # the corner-crossing and dedup branches.
+        # the corner-crossing branch and the half-torus rule.
         cases = [
             (0.0, 0.0, 0.5, 0.5),
             (0.0, 0.0, 0.5, 0.0),
@@ -88,14 +88,33 @@ class TestSegmentCellsParity:
             (1.0 - 0.5 / g, 0.5 / g, 0.5, 0.5),
         ]
         for x0, y0, dx, dy in cases:
-            assert _fast.segment_cells(x0, y0, dx, dy, g) == _ref.segment_cells(
-                x0, y0, dx, dy, g
+            x1, y1 = (x0 + dx) % 1.0, (y0 + dy) % 1.0
+            assert _fast.segment_cells(x0, y0, x1, y1, g) == _ref.segment_cells(
+                x0, y0, x1, y1, g
             )
 
     def test_zero_displacement(self):
-        assert _fast.segment_cells(0.3, 0.7, 0.0, 0.0, 8) == _ref.segment_cells(
-            0.3, 0.7, 0.0, 0.0, 8
+        assert _fast.segment_cells(0.3, 0.7, 0.3, 0.7, 8) == _ref.segment_cells(
+            0.3, 0.7, 0.3, 0.7, 8
         )
+
+
+@pytest.mark.parametrize(
+    "backend",
+    [_ref, pytest.param(_fast, marks=needs_fast)],
+    ids=["python", "compiled"],
+)
+def test_lattice_line_walk_is_symmetric(backend):
+    # A holder on the line x = 6/7 of a 7x7 grid, one cell across the wrap:
+    # the request takes 1 hop in either direction, over the same two cells.
+    args = dict(
+        xs=np.array([0.0, 6 / 7]), ys=np.array([0.5, 0.5]), g=7,
+        h_idx=np.array([1, 0]), h_start=np.array([0, 1, 2]),
+        hc_idx=np.array([1, 0]), hc_cell=np.array([27, 21]),
+        bs_x=np.array([]), bs_y=np.array([]),
+    )
+    assert backend.trace_one(requester=0, m=0, **args) == (0, [21, 27])
+    assert backend.trace_one(requester=1, m=1, **args) == (0, [27, 21])
 
 
 # ---------------------------------------------------------------------------
@@ -294,6 +313,7 @@ class TestTraceBatchParity:
             (6000, 0.8, {}),  # crosses RING_MIN_HOLDERS for hot contents
             (4000, 0.8, {"mode": Mode.HETEROGENEOUS, "mu": 0.3}),
             (3000, 1.2, {"mode": Mode.HETEROGENEOUS, "f": 5.0}),
+            (10_000, 0.8, {}),
         ],
     )
     def test_configured_instances(self, n, alpha, mode_kw):
@@ -354,9 +374,9 @@ class TestTraceBatchParity:
     @pytest.mark.parametrize(
         "xs,g,hops",
         [
-            # The holder sits on a lattice line across the wrap: the walk
-            # overshoots by one cell and the target-cell safety net steps back.
-            ([0.0, 6 / 7], 7, [3, 1]),
+            # The holder sits on a lattice line across the wrap: one hop
+            # each way, since each walk counts its steps from the end cells.
+            ([0.0, 6 / 7], 7, [1, 1]),
             # The holder is exactly half a torus away: the displacement is +0.5.
             ([0.75, 0.25], 8, [4, 4]),
         ],
@@ -433,6 +453,7 @@ class TestCompiledInputChecks:
             {"ys": np.array([float("nan"), 0.7])},
             {"bs_x": np.array([0.5]), "bs_y": np.array([])},
             {"g": 0},
+            {"xs": np.array([1.0, 0.6])},  # coordinates lie in [0, 1)
         ],
     )
     def test_trace_batch_rejects(self, override):
@@ -446,8 +467,9 @@ class TestCompiledInputChecks:
 
     def test_scalar_entry_points_reject(self):
         xs = np.array([0.1, 0.6])
-        with pytest.raises(ValueError):
-            _fast.segment_cells(0.5, 0.5, 0.7, 0.0, 4)
+        for endpoints in ((0.5, 0.5, 1.0, 0.0), (-0.1, 0.5, 0.5, 0.5)):
+            with pytest.raises(ValueError):
+                _fast.segment_cells(*endpoints, 4)
         with pytest.raises(ValueError):
             _fast.nearest_linear(0.5, 0.5, xs, xs, [0, 2], -1)
         with pytest.raises(ValueError):

@@ -99,6 +99,10 @@ class TestNetworkConfig:
             NetworkConfig(**{**ok, "concentration_factor": 0.0})
         with pytest.raises(ValueError):
             NetworkConfig(**{**ok, "cell_area": 1.5})
+        with pytest.raises(ValueError, match="1/n"):
+            # more cells than nodes
+            NetworkConfig(**{**ok, "cell_area": 0.009})
+        NetworkConfig(**{**ok, "cell_area": 0.01})
         with pytest.raises(ValueError):
             # ad hoc mode rejects base-station knobs
             NetworkConfig(**{**ok, "mu": 0.4})
@@ -180,6 +184,22 @@ class TestBuildInstance:
         lam = n * cfg.a
         sigma_of_mean = math.sqrt(lam / occ.size)
         assert abs(occ.mean() - lam) <= 3 * sigma_of_mean
+
+    @pytest.mark.parametrize(
+        "nodes, base_stations",
+        [
+            ([[-0.3, 0.1], [0.6, 0.6]], []),
+            ([[0.1, 1.0], [0.6, 0.6]], []),
+            ([[0.1, float("nan")], [0.6, 0.6]], []),
+            ([[0.1, 0.1], [0.6, 0.6]], [[0.5, float("inf")]]),
+            ([[0.1, 0.1], [0.6, 0.6]], [[1.2, 0.5]]),
+        ],
+        ids=["node-negative", "node-one", "node-nan", "station-inf", "station-above"],
+    )
+    def test_rejects_positions_outside_the_unit_square(self, nodes, base_stations):
+        # Both kernel backends then see only coordinates in [0, 1).
+        with pytest.raises(ValueError, match=r"must lie in \[0, 1\)"):
+            _manual_instance(nodes, [[1]], g=2, base_stations=base_stations)
 
     def test_instance_invariant_rejections(self):
         nodes = [[0.1, 0.1], [0.6, 0.6]]
@@ -295,12 +315,11 @@ class TestTraceRequest:
         assert _walk((0.9, 0.9), (0.3, 0.2), g=1) == (1, [(0, 0)])
 
     def test_walk_ending_on_a_lattice_line_lands_on_the_holder_cell(self):
-        # Walking -x onto the line x = 6/7 enters column 5; the kernel's
-        # target-cell safety net steps back into the holder's column 6.
-        assert _walk((0.0, 0.5), (6 / 7, 0.5), g=7) == (
-            3,
-            [(3, 0), (3, 6), (3, 5), (3, 6)],
-        )
+        # Walking -x across the wrap onto the line x = 6/7 takes one step,
+        # into the holder's column 6, not on into column 5; so does the
+        # reverse walk.
+        assert _walk((0.0, 0.5), (6 / 7, 0.5), g=7) == (1, [(3, 0), (3, 6)])
+        assert _walk((6 / 7, 0.5), (0.0, 0.5), g=7) == (1, [(3, 6), (3, 0)])
 
     def _check_walk(self, start, end, g):
         hops, cells = _walk(start, end, g)
@@ -311,7 +330,7 @@ class TestTraceRequest:
         assert cells[0] == grid.cell_of(start)
         assert cells[-1] == grid.cell_of(end)
         assert len(cells) <= 2 * (math.ceil(length / grid.s) + 2)
-        assert len(set(cells)) == len(cells) or g <= 2  # tiny tori revisit
+        assert len(set(cells)) == len(cells)
         for (r0, c0), (r1, c1) in zip(cells, cells[1:]):
             assert (r0, c0) != (r1, c1)
             dr = min((r1 - r0) % g, (r0 - r1) % g)
