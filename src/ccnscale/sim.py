@@ -31,6 +31,7 @@ plain time-division policy: throughput W/n, delay 2 (N + 1).
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -60,10 +61,12 @@ class NetworkInstance:
     """One realization of node/base-station positions and holder sets.
 
     ``holders[m]`` lists the node indices caching content m, sorted
-    ascending.  Base stations hold every content and are indexed
-    ``n + b`` where routing needs a single index space.  The kernel's
-    flattened holder arrays are derived once here and reused by every
-    measurement on the instance.
+    ascending; a node may hold several contents.  Base stations hold
+    every content and are indexed ``n + b`` where routing needs a single
+    index space.  For the kernel, ``_h_idx`` concatenates the lists,
+    content m at ``[_h_start[m], _h_start[m + 1])``, and ``_hc_idx`` and
+    ``_hc_cell`` hold the same nodes and their cells, stably sorted by
+    ``m·g² + cell``: by content, then cell, then node.
     """
 
     nodes: np.ndarray  # (n, 2) float64 positions
@@ -71,7 +74,6 @@ class NetworkInstance:
     holders: tuple[np.ndarray, ...]  # per-content sorted node indices
     grid: CellGrid
     schedule: TdmSchedule
-    rng_seed: int
 
     _xs: np.ndarray = field(init=False, repr=False)
     _ys: np.ndarray = field(init=False, repr=False)
@@ -98,34 +100,34 @@ class NetworkInstance:
         row = np.minimum((ys * g).astype(np.int64), g - 1)
         node_cell = row * g + col
 
-        sizes = np.array([len(h) for h in self.holders], dtype=np.int64)
-        h_start = np.zeros(len(self.holders) + 1, dtype=np.int64)
-        np.cumsum(sizes, out=h_start[1:])
-        h_idx = np.zeros(int(h_start[-1]), dtype=np.int64)
-        hc_idx = np.zeros_like(h_idx)
-        hc_cell = np.zeros_like(h_idx)
-        clean_holders = []
-        for m, h in enumerate(self.holders):
-            seg = np.asarray(h, dtype=np.int64)
-            if seg.size and (seg[0] < 0 or seg[-1] >= n):
-                raise ValueError(
-                    f"holder indices for content {m} fall outside [0, {n})"
-                )
-            if seg.size > 1 and not np.all(np.diff(seg) > 0):
-                raise ValueError(
-                    f"holder list for content {m} must be sorted and unique"
-                )
-            lo, hi = h_start[m], h_start[m + 1]
-            h_idx[lo:hi] = seg
-            cells = node_cell[seg]
-            order = np.lexsort((seg, cells))
-            hc_idx[lo:hi] = seg[order]
-            hc_cell[lo:hi] = cells[order]
-            clean_holders.append(seg)
+        holders = tuple(np.asarray(h, dtype=np.int64) for h in self.holders)
+        h_start = np.cumsum([0, *map(len, holders)], dtype=np.int64)
+        sizes = np.diff(h_start)
+        h_idx = np.concatenate((np.zeros(0, dtype=np.int64), *holders))
+
+        # Each index lies in [0, n) and exceeds the one before, unless it opens a list.
+        ok = np.ones(h_idx.size, dtype=bool)
+        ok[1:] = h_idx[1:] > h_idx[:-1]
+        ok[h_start[:-1][sizes > 0]] = True
+        ok &= (h_idx >= 0) & (h_idx < n)
+        if not ok.all():
+            m = np.searchsorted(h_start, ok.argmin(), side="right") - 1
+            raise ValueError(f"content {m}: holders must strictly ascend in [0, {n})")
+        del ok
+
+        # The stable sort keeps each (content, cell) bucket in the ascending
+        # node order of its holder list.
+        key = np.repeat(np.arange(len(holders), dtype=np.int64) * g**2, sizes)
+        key += node_cell[h_idx]
+        order = np.argsort(key, kind="stable")
+        del key
+        hc_idx = h_idx[order]
+        del order
+        hc_cell = node_cell[hc_idx]
 
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "base_stations", bs)
-        object.__setattr__(self, "holders", tuple(clean_holders))
+        object.__setattr__(self, "holders", holders)
         object.__setattr__(self, "_xs", xs)
         object.__setattr__(self, "_ys", ys)
         object.__setattr__(self, "_node_cell", node_cell)
@@ -180,12 +182,8 @@ def build_instance(
     stations consumes exactly the same stream as an ad hoc one.
     """
     allocation = np.asarray(allocation, dtype=np.int64)
-    if allocation.ndim != 1:
-        raise ValueError("allocation must be a 1-d integer vector")
-    if len(allocation) != cfg.M:
-        raise ValueError(
-            f"allocation length {len(allocation)} != catalog size {cfg.M}"
-        )
+    if allocation.shape != (cfg.M,):
+        raise ValueError(f"allocation shape {allocation.shape} != ({cfg.M},)")
     n = cfg.n
     if np.any(allocation < 0) or np.any(allocation > n):
         raise ValueError("holder counts must lie in [0, n]")
@@ -205,7 +203,6 @@ def build_instance(
         holders=holders,
         grid=grid,
         schedule=schedule,
-        rng_seed=int(seed),
     )
 
 
@@ -265,7 +262,8 @@ def measure(
 
     Never raises on routing: a request nobody can serve is charged one
     hop in its own cell, keeping the load/hop identity intact (the
-    feasibility of the allocation is the caller's contract).
+    feasibility of the allocation is the caller's contract), and one
+    ``RuntimeWarning`` gives the number of such requests.
     """
     requests = np.asarray(requests, dtype=np.int64)
     if requests.shape != (inst.n,):
@@ -281,7 +279,12 @@ def measure(
             f"concentration factor must be positive, got {concentration_factor}"
         )
 
-    hops, loads, _status = _kernels.trace_batch(*_trace_args(inst, requests))
+    hops, loads, status = _kernels.trace_batch(*_trace_args(inst, requests))
+    if unroutable := int(np.count_nonzero(status == 2)):
+        warnings.warn(
+            f"{unroutable} requests had no holder and no base station; each "
+            "was charged one hop in its own cell", RuntimeWarning, stacklevel=2,
+        )
     hops_total = int(hops.sum())
     n = inst.n
     mean_hops = hops_total / n

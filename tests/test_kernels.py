@@ -290,7 +290,6 @@ class TestTraceBatchParity:
             holders=tuple(holders),
             grid=CellGrid(g),
             schedule=build_schedule(CellGrid(g), 1.0),
-            rng_seed=0,
         )
         req = rng.integers(0, m_count, size=n).astype(np.int64)
         # Keep requests pointing at non-empty holder sets unless a base

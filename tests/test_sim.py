@@ -2,9 +2,12 @@
 model measurement, and trial aggregation."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ccnscale import sim
 from ccnscale.alloc import round_to_integers, solve
@@ -17,7 +20,7 @@ from ccnscale.sched import build_schedule
 from oracles import sample_segment_cells
 
 
-def _manual_instance(nodes, holders, g, base_stations=(), delta=1.0, seed=0):
+def _manual_instance(nodes, holders, g, base_stations=(), delta=1.0):
     grid = CellGrid(g)
     return sim.NetworkInstance(
         nodes=np.asarray(nodes, dtype=np.float64),
@@ -25,7 +28,6 @@ def _manual_instance(nodes, holders, g, base_stations=(), delta=1.0, seed=0):
         holders=tuple(np.asarray(h, dtype=np.int64) for h in holders),
         grid=grid,
         schedule=build_schedule(grid, delta),
-        rng_seed=seed,
     )
 
 
@@ -209,6 +211,61 @@ class TestBuildInstance:
             _manual_instance(nodes, [[0, 0]], g=2)  # duplicate
         with pytest.raises(ValueError):
             _manual_instance(nodes, [[2]], g=2)  # out of range
+
+        # A node may hold several contents: an index may drop or repeat
+        # across a content boundary, but not inside one list.
+        nodes = np.random.default_rng(1).random((8, 2))
+        for holders in ([[5], [5]], [[3, 7], [1, 2]]):
+            inst = _manual_instance(nodes, holders, g=2)
+            assert [h.tolist() for h in inst.holders] == holders
+        for holders, m in (
+            ([[], [], [2, 1]], 2),  # leading empty contents
+            ([[0], [1, 1]], 1),
+            ([[0], [8]], 1),
+            ([[0], [-1]], 1),
+            ([[0, 1], [], [3], [7, 9], [2, 1]], 3),  # first of two bad lists
+        ):
+            with pytest.raises(ValueError, match=rf"^content {m}: "):
+                _manual_instance(nodes, holders, g=2)
+
+    @pytest.mark.parametrize("holders", [[[], [], []], []], ids=["empty", "none"])
+    def test_contents_without_holders(self, holders):
+        inst = _manual_instance([[0.1, 0.1], [0.6, 0.6]], holders, g=2)
+        assert inst.m_count == len(holders)
+        assert inst._h_start.tolist() == [0] * (len(holders) + 1)
+        for name in ("_h_idx", "_hc_idx", "_hc_cell"):
+            arr = getattr(inst, name)
+            assert arr.shape == (0,) and arr.dtype == np.int64
+
+    @given(data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_holder_array_layout(self, data):
+        # Random nodes on small grids; sorted holder lists, some empty and
+        # some sharing nodes with other contents.
+        n = data.draw(st.integers(1, 30), label="n")
+        g = data.draw(st.integers(1, 5), label="g")
+        coords = st.floats(0.0, 1.0, exclude_max=True, allow_nan=False)
+        nodes = data.draw(
+            st.lists(st.tuples(coords, coords), min_size=n, max_size=n), label="nodes"
+        )
+        holders = data.draw(
+            st.lists(st.sets(st.integers(0, n - 1)).map(sorted), max_size=8),
+            label="holders",
+        )
+        inst = _manual_instance(nodes, holders, g=g)
+
+        sizes = [len(h) for h in holders]
+        flat = [i for h in holders for i in h]
+        assert inst._h_start.tolist() == np.cumsum([0, *sizes]).tolist()
+        assert inst._h_idx.tolist() == flat
+        cell = np.array([r * g + c for r, c in map(inst.grid.cell_of, nodes)])
+        np.testing.assert_array_equal(inst._node_cell, cell)
+        np.testing.assert_array_equal(inst._hc_cell, cell[inst._hc_idx])
+        for m in range(len(holders)):
+            lo, hi = inst._h_start[m], inst._h_start[m + 1]
+            seg = inst._hc_idx[lo:hi].tolist()
+            assert sorted(seg) == holders[m]
+            assert seg == sorted(holders[m], key=lambda i: (cell[i], i))
 
 
 class TestDrawRequests:
@@ -395,7 +452,9 @@ class TestTraceRequest:
         inst = sim.build_instance(cfg, allocation, seed=11)
         reqs = sim.draw_requests(inst, cfg.popularity(), seed=13)
         reqs[::7] = cfg.M - 1
-        meas = sim.measure(inst, reqs)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            meas = sim.measure(inst, reqs)
         g = inst.grid.side
         loads = np.zeros(g * g, dtype=np.int64)
         unroutable = 0
@@ -412,6 +471,9 @@ class TestTraceRequest:
         np.testing.assert_array_equal(loads, meas.lines_per_cell)
         held_by_nobody = np.count_nonzero(reqs == cfg.M - 1)
         assert unroutable == (0 if inst.base_stations.size else held_by_nobody)
+        assert [str(w.message).split()[0] for w in caught] == (
+            [str(unroutable)] if unroutable else []
+        )
 
 
 class TestMeasure:
@@ -527,6 +589,26 @@ class TestMeasure:
             assert np.array_equal(ma.request_hops, mh.request_hops)
             assert ma.realized_delay == mh.realized_delay
             assert ma.realized_throughput == mh.realized_throughput
+
+    def test_unroutable_requests_warn(self):
+        # Content 1 is held by nobody and no base station serves it: each
+        # of its two requests is charged one hop in its own cell, and one
+        # warning says so.
+        nodes = [[0.25, 0.25], [0.75, 0.25], [0.25, 0.75], [0.75, 0.75]]
+        inst = _manual_instance(nodes, [[0, 1, 2, 3], []], g=2)
+        with pytest.warns(RuntimeWarning, match="^2 requests had no holder") as rec:
+            meas = sim.measure(inst, [0, 1, 0, 1])
+        assert len(rec) == 1
+        assert "one hop in its own cell" in str(rec[0].message)
+        assert meas.request_hops.tolist() == [1, 1, 1, 1]
+        assert int(meas.lines_per_cell.sum()) == meas.hops_total == 4
+
+    def test_routable_trials_do_not_warn(self):
+        cfg = NetworkConfig(n=500, alpha=0.8, beta=0.6, seed=2)
+        prob = cfg.problem()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            sim.run_trials(cfg, round_to_integers(solve(prob), prob), trials=2)
 
     def test_validation(self):
         inst = self._four_node_instance()
