@@ -3,7 +3,7 @@ content-centric wireless networks on the unit torus."""
 
 from __future__ import annotations
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 from ._kernels import get_backend
 from .alloc import (

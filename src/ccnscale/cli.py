@@ -685,8 +685,10 @@ def run_sweep(
     """Run the sweep described by a config file; write CSV outputs.
 
     Keyword arguments override the corresponding file settings.  Points
-    run on a thread pool; rows are buffered and written in config order,
-    so the files are byte-identical for identical config plus seeds.
+    run on a thread pool of ``workers`` threads (default: the CPU count,
+    at most 8), or in the calling thread when that is one; rows are
+    buffered and written in config order, so the files are
+    byte-identical for identical config plus seeds.
     With ``out_dir=None`` nothing is written and the result is returned
     only in memory.
     """
@@ -703,12 +705,19 @@ def run_sweep(
     cap = int(values["max_sim_n"])
 
     pool_size = workers or min(8, os.cpu_count() or 1)
-    with ThreadPoolExecutor(max_workers=pool_size) as pool:
-        futures = [
-            pool.submit(_compute_row, i, pt, values, do_sim, cap)
-            for i, pt in enumerate(points)
-        ]
-        rows = tuple(f.result() for f in futures)  # config order, not finish order
+    if pool_size == 1:
+        # No pool thread: one fresh thread per sweep made glibc add a malloc
+        # arena now and then, and repeated serial sweeps grew peak RSS.
+        rows = tuple(
+            _compute_row(i, pt, values, do_sim, cap) for i, pt in enumerate(points)
+        )
+    else:
+        with ThreadPoolExecutor(max_workers=pool_size) as pool:
+            futures = [
+                pool.submit(_compute_row, i, pt, values, do_sim, cap)
+                for i, pt in enumerate(points)
+            ]
+            rows = tuple(f.result() for f in futures)  # config order, not finish order
 
     regs = _regressions(rows)
     header = tuple(cfg.header_lines())

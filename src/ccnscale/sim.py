@@ -60,13 +60,13 @@ __all__ = [
 class NetworkInstance:
     """One realization of node/base-station positions and holder sets.
 
-    ``holders[m]`` lists the node indices caching content m, sorted
-    ascending; a node may hold several contents.  Base stations hold
-    every content and are indexed ``n + b`` where routing needs a single
-    index space.  For the kernel, ``_h_idx`` concatenates the lists,
-    content m at ``[_h_start[m], _h_start[m + 1])``, and ``_hc_idx`` and
-    ``_hc_cell`` hold the same nodes and their cells, stably sorted by
-    ``m·g² + cell``: by content, then cell, then node.
+    ``holders[m]`` lists the node indices caching content m, a 1-d
+    integer array sorted ascending; a node may hold several contents.
+    Base stations hold every content and are indexed ``n + b`` where
+    routing needs a single index space.  For the kernel, ``_h_idx``
+    concatenates the lists, content m at ``[_h_start[m], _h_start[m + 1])``,
+    and ``_hc_idx`` and ``_hc_cell`` hold the same nodes and their cells,
+    stably sorted by ``m·g² + cell``: by content, then cell, then node.
     """
 
     nodes: np.ndarray  # (n, 2) float64 positions
@@ -100,10 +100,19 @@ class NetworkInstance:
         row = np.minimum((ys * g).astype(np.int64), g - 1)
         node_cell = row * g + col
 
-        holders = tuple(np.asarray(h, dtype=np.int64) for h in self.holders)
+        # Only a list that is not 1-d (concatenate raises) or not integer
+        # (the result is not int64) sends construction to the per-content check.
+        empty = np.zeros(0, dtype=np.int64)
+        try:
+            holders = tuple(map(np.asarray, self.holders))
+            h_idx = np.concatenate((empty, *holders))
+        except (ValueError, TypeError):
+            h_idx = None
+        if h_idx is None or h_idx.dtype != np.int64:
+            holders = _holder_arrays(self.holders)
+            h_idx = np.concatenate((empty, *holders))
         h_start = np.cumsum([0, *map(len, holders)], dtype=np.int64)
         sizes = np.diff(h_start)
-        h_idx = np.concatenate((np.zeros(0, dtype=np.int64), *holders))
 
         # Each index lies in [0, n) and exceeds the one before, unless it opens a list.
         ok = np.ones(h_idx.size, dtype=bool)
@@ -149,6 +158,26 @@ class NetworkInstance:
         return np.bincount(self._node_cell, minlength=self.grid.side**2)
 
 
+def _holder_arrays(holders) -> tuple[np.ndarray, ...]:
+    """Each holder list as an int64 array; raise naming the first bad list.
+
+    A list must be 1-d and of integer dtype; an empty list may have any
+    dtype (``np.asarray([])`` is float64).
+    """
+    arrays = []
+    for m, h in enumerate(holders):
+        try:
+            arr = np.asarray(h)
+        except ValueError:  # ragged nesting
+            arr = None
+        if arr is None or arr.ndim != 1 or (arr.size and arr.dtype.kind not in "iu"):
+            raise ValueError(
+                f"content {m}: holders must be a 1-d list of integer node indices"
+            )
+        arrays.append(arr.astype(np.int64))
+    return tuple(arrays)
+
+
 @dataclass(frozen=True, eq=False)
 class Measurement:
     """Per-trial measurement of the slotted fluid model.
@@ -171,15 +200,55 @@ class Measurement:
     fallback_used: bool
 
 
+def _draw_holder_sets(
+    rng: np.random.Generator, n: int, counts: np.ndarray
+) -> list[np.ndarray]:
+    """A uniform ``counts[m]``-subset of ``range(n)`` per content m, sorted.
+
+    Every (content, slot) pair gets a uniform node from one
+    ``rng.integers`` call.  The keys ``content·n + node`` are sorted, and
+    each slot whose key equals its predecessor's draws a new node, until
+    no key repeats.  The rule never looks at node labels, so each set is
+    a uniform subset and the contents are independent.  A content on
+    more than half the nodes draws the nodes it leaves out and keeps the
+    rest, so no content redraws more than half its slots in a round and
+    the rounds fall off geometrically.
+    """
+    dense = 2 * counts > n
+    drawn = np.where(dense, n - counts, counts)
+    key = rng.integers(0, n, size=drawn.sum(), dtype=np.int64)
+    key += np.repeat(np.arange(counts.size, dtype=np.int64) * n, drawn)
+    while True:
+        key.sort()
+        dup = np.flatnonzero(key[1:] == key[:-1]) + 1
+        if not dup.size:
+            break
+        # Swap the node part of each repeated key for a fresh node.
+        key[dup] += rng.integers(0, n, size=dup.size, dtype=np.int64) - key[dup] % n
+    key %= n
+    ends = np.cumsum(drawn).tolist()
+    sets = [key[lo:hi] for lo, hi in zip([0, *ends], ends)]
+    for m in np.flatnonzero(dense):
+        keep = np.ones(n, dtype=bool)
+        keep[sets[m]] = False
+        sets[m] = np.flatnonzero(keep)
+    return sets
+
+
 def build_instance(
     cfg: NetworkConfig, allocation, seed: int
 ) -> NetworkInstance:
     """Draw one network realization for an integer cache allocation.
 
     The RNG draw order is fixed: node positions, then base-station
-    positions, then holder sets for contents 0, 1, ... — so a seed
-    replay is bit-identical, and a heterogeneous run with zero base
-    stations consumes exactly the same stream as an ad hoc one.
+    positions, then the holder sets of all contents in one vectorised
+    draw: every (content, slot) pair gets a uniform node, and each slot
+    that repeats a node of its content is redrawn until none does (a
+    content on more than half the nodes draws the nodes it leaves out
+    instead).  Each holder set is a uniform ``allocation[m]``-subset,
+    independent across contents.  A seed replay is bit-identical, and a
+    heterogeneous run with zero base stations consumes exactly the same
+    stream as an ad hoc one.
     """
     allocation = np.asarray(allocation, dtype=np.int64)
     if allocation.shape != (cfg.M,):
@@ -191,10 +260,7 @@ def build_instance(
     rng = np.random.default_rng(seed)
     nodes = rng.random((n, 2))
     bs = rng.random((cfg.base_station_count, 2))
-    holders = tuple(
-        np.sort(rng.choice(n, size=int(x), replace=False))
-        for x in allocation
-    )
+    holders = tuple(_draw_holder_sets(rng, n, allocation))
     grid = CellGrid.from_area(cfg.a)
     schedule = build_schedule(grid, cfg.delta)
     return NetworkInstance(

@@ -1,6 +1,7 @@
 """Monte-Carlo simulator: instance building, request routing, fluid-
 model measurement, and trial aggregation."""
 
+import itertools
 import math
 import warnings
 
@@ -25,7 +26,7 @@ def _manual_instance(nodes, holders, g, base_stations=(), delta=1.0):
     return sim.NetworkInstance(
         nodes=np.asarray(nodes, dtype=np.float64),
         base_stations=np.asarray(base_stations, dtype=np.float64).reshape(-1, 2),
-        holders=tuple(np.asarray(h, dtype=np.int64) for h in holders),
+        holders=tuple(holders),
         grid=grid,
         schedule=build_schedule(grid, delta),
     )
@@ -224,6 +225,9 @@ class TestBuildInstance:
             ([[0], [8]], 1),
             ([[0], [-1]], 1),
             ([[0, 1], [], [3], [7, 9], [2, 1]], 3),  # first of two bad lists
+            ([[0.5]], 0),  # not an integer
+            ([[1], [2.0]], 1),
+            ([[[1, 2]]], 0),  # not 1-d
         ):
             with pytest.raises(ValueError, match=rf"^content {m}: "):
                 _manual_instance(nodes, holders, g=2)
@@ -266,6 +270,100 @@ class TestBuildInstance:
             seg = inst._hc_idx[lo:hi].tolist()
             assert sorted(seg) == holders[m]
             assert seg == sorted(holders[m], key=lambda i: (cell[i], i))
+
+
+class _CountingRng:
+    """A seeded generator that fails on its ``integers`` call past ``limit``."""
+
+    def __init__(self, seed, limit):
+        self._rng = np.random.default_rng(seed)
+        self.calls = 0
+        self.limit = limit
+
+    def integers(self, *args, **kwargs):
+        self.calls += 1
+        assert self.calls <= self.limit, f"more than {self.limit - 1} redraw rounds"
+        return self._rng.integers(*args, **kwargs)
+
+
+# Upper 0.1% points of the chi-square distribution, by degrees of freedom.
+_CHI2_999 = {5: 20.515, 19: 43.820, 35: 66.619}
+
+
+def _chi_square_uniform(codes, cells):
+    """Chi-square statistic of ``codes`` against a uniform law on ``cells``."""
+    obs = np.array([np.count_nonzero(codes == c) for c in cells])
+    assert obs.sum() == codes.size  # no code outside the cells
+    expected = codes.size / len(cells)
+    return float(((obs - expected) ** 2 / expected).sum())
+
+
+def _subset_codes(sets, n, x):
+    """Bit mask of every set, and the masks of all x-subsets of range(n)."""
+    codes = (1 << np.concatenate(sets).reshape(len(sets), x)).sum(axis=1)
+    return codes, [sum(1 << i for i in c) for c in itertools.combinations(range(n), x)]
+
+
+class TestHolderDraw:
+    @given(data=st.data())
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_sets_are_sorted_distinct_and_sized(self, data):
+        n = data.draw(st.integers(1, 40), label="n")
+        size = st.one_of(
+            st.sampled_from([0, n, min(n, n // 2 + 1), min(n, n // 2 + 2)]),
+            st.integers(0, n),
+        )
+        counts = data.draw(st.lists(size, max_size=12), label="counts")
+        seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+        rng = np.random.default_rng(seed)
+        sets = sim._draw_holder_sets(rng, n, np.array(counts, dtype=np.int64))
+        assert [s.size for s in sets] == counts
+        for s in sets:
+            assert s.dtype == np.int64
+            assert np.all(np.diff(s) > 0)
+            assert s.size == 0 or (s[0] >= 0 and s[-1] < n)
+
+    @pytest.mark.parametrize("x", [3, 5], ids=["sparse", "dense"])
+    def test_every_subset_is_equally_likely(self, x):
+        n, draws = 6, 40_000
+        rng = np.random.default_rng(2024)
+        sets = sim._draw_holder_sets(rng, n, np.full(draws, x, dtype=np.int64))
+        codes, cells = _subset_codes(sets, n, x)
+        assert _chi_square_uniform(codes, cells) < _CHI2_999[len(cells) - 1]
+
+    def test_contents_are_independent(self):
+        # Two 2-subsets of 4 nodes per draw, redrawn in the same rounds:
+        # all 36 pairs of subsets must be equally likely.
+        n, draws = 4, 36_000
+        rng = np.random.default_rng(77)
+        sets = sim._draw_holder_sets(rng, n, np.full(2 * draws, 2, dtype=np.int64))
+        codes, cells = _subset_codes(sets, n, 2)
+        pairs = codes[0::2] * 16 + codes[1::2]
+        joint = [a * 16 + b for a in cells for b in cells]
+        assert _chi_square_uniform(pairs, joint) < _CHI2_999[35]
+
+    @pytest.mark.parametrize("x", [10**5, 10**5 - 1], ids=["all", "all-but-one"])
+    def test_dense_content_needs_no_redraw_round(self, x):
+        n = 10**5
+        rng = _CountingRng(seed=5, limit=1)
+        (s,) = sim._draw_holder_sets(rng, n, np.array([x], dtype=np.int64))
+        assert s.size == x and np.all(np.diff(s) > 0)
+        assert s[0] >= 0 and s[-1] < n
+        if x == n:
+            np.testing.assert_array_equal(s, np.arange(n))
+
+    def test_heterogeneous_without_stations_draws_the_ad_hoc_instance(self):
+        adhoc = NetworkConfig(n=400, alpha=0.8, beta=0.6)
+        het = NetworkConfig(
+            n=400, alpha=0.8, beta=0.6, mode=Mode.HETEROGENEOUS, f=0.5
+        )
+        assert het.base_station_count == 0
+        counts = np.linspace(0, adhoc.n, adhoc.M).astype(np.int64)
+        a = sim.build_instance(adhoc, counts, seed=21)
+        h = sim.build_instance(het, counts, seed=21)
+        assert np.array_equal(a.nodes, h.nodes)
+        assert h.base_stations.shape == (0, 2)
+        assert all(np.array_equal(x, y) for x, y in zip(a.holders, h.holders))
 
 
 class TestDrawRequests:
