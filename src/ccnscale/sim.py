@@ -100,15 +100,14 @@ class NetworkInstance:
         row = np.minimum((ys * g).astype(np.int64), g - 1)
         node_cell = row * g + col
 
-        # Only a list that is not 1-d (concatenate raises) or not integer
-        # (the result is not int64) sends construction to the per-content check.
+        # Only a list that is not 1-d or not int64 (bool included, which a
+        # plain concatenate would promote) makes concatenate raise and sends
+        # construction to the per-content check.
         empty = np.zeros(0, dtype=np.int64)
         try:
             holders = tuple(map(np.asarray, self.holders))
-            h_idx = np.concatenate((empty, *holders))
+            h_idx = np.concatenate((empty, *holders), dtype=np.int64, casting="equiv")
         except (ValueError, TypeError):
-            h_idx = None
-        if h_idx is None or h_idx.dtype != np.int64:
             holders = _holder_arrays(self.holders)
             h_idx = np.concatenate((empty, *holders))
         h_start = np.cumsum([0, *map(len, holders)], dtype=np.int64)

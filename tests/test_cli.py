@@ -242,8 +242,8 @@ class TestRunSweep:
             "mode = adhoc\nn = 200, 400\nalpha = 0.8\nbeta = 0.9\n"
             "trials = 2\nseed = 5\nsim = true\n",
         )
-        r1 = run_sweep(conf, out_dir=str(tmp_path / "o1"), workers=2)
-        r2 = run_sweep(conf, out_dir=str(tmp_path / "o2"), workers=1)
+        r1 = run_sweep(conf, out_dir=str(tmp_path / "o1"))
+        r2 = run_sweep(conf, out_dir=str(tmp_path / "o2"))
         b1 = open(r1.csv_path, "rb").read()
         b2 = open(r2.csv_path, "rb").read()
         assert b1 == b2
@@ -251,9 +251,7 @@ class TestRunSweep:
         g2 = open(r2.regression_csv_path, "rb").read()
         assert g1 == g2
 
-    def test_one_worker_runs_rows_in_the_calling_thread(
-        self, tmp_path, monkeypatch
-    ):
+    def test_rows_run_in_the_calling_thread(self, tmp_path, monkeypatch):
         threads = []
         compute_row = cli._compute_row
 
@@ -263,8 +261,10 @@ class TestRunSweep:
 
         monkeypatch.setattr(cli, "_compute_row", recording)
         conf = "mode = adhoc\nn = 200, 400\nbeta = 0.7\n"
-        run_sweep(_write(tmp_path, "serial.conf", conf), workers=1)
-        assert threads == [threading.get_ident()] * 2
+        path = _write(tmp_path, "serial.conf", conf)
+        run_sweep(path)
+        run_sweep(path, workers=2)  # accepted and ignored
+        assert threads == [threading.get_ident()] * 4
 
     def test_theory_columns_seed_independent(self, tmp_path):
         base = "mode = adhoc\nn = 300, 900\nalpha = 1.0\nbeta = 0.8\nsim = true\ntrials = 2\n"

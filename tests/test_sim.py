@@ -227,6 +227,8 @@ class TestBuildInstance:
             ([[0, 1], [], [3], [7, 9], [2, 1]], 3),  # first of two bad lists
             ([[0.5]], 0),  # not an integer
             ([[1], [2.0]], 1),
+            ([[0], [True]], 1),  # bool, which concatenate would promote
+            ([[True]], 0),
             ([[[1, 2]]], 0),  # not 1-d
         ):
             with pytest.raises(ValueError, match=rf"^content {m}: "):
