@@ -102,9 +102,9 @@ def _bind(lib: ctypes.CDLL) -> int:
     lib.ccn_nearest_linear.restype = c_int64
     lib.ccn_nearest_ring.argtypes = [
         c_double, c_double, _F64, _F64, _I64, _I64, c_int64, c_int64, c_int64,
-        c_int64, POINTER(c_double), POINTER(c_int),
+        c_int64, c_int64, POINTER(c_int64), POINTER(c_double), POINTER(c_int),
     ]
-    lib.ccn_nearest_ring.restype = c_int64
+    lib.ccn_nearest_ring.restype = None
     lib.ccn_trace_batch.argtypes = [
         c_int64, _F64, _F64, c_int64, _I64, _I64, _I64, _I64, _I64, c_int64,
         _F64, _F64, _I64, _I64, _I64,
@@ -196,8 +196,11 @@ def nearest_linear(px, py, xs, ys, cand, exclude):
     return best, d2.value, bool(saw.value)
 
 
-def nearest_ring(px, py, xs, ys, hc_idx, hc_cell, lo, hi, g, exclude):
-    """Expanding-ring search over per-cell buckets of one holder set."""
+def nearest_ring(
+    px, py, xs, ys, hc_idx, hc_cell, lo, hi, g, exclude,
+    best_i=-1, best_d2=float("inf"), offset=0,
+):
+    """Expanding-ring search over per-cell buckets of one candidate set."""
     g = _grid(g)
     _coords((px, py), "query")
     xs, ys = _f64(xs), _f64(ys)
@@ -208,12 +211,12 @@ def nearest_ring(px, py, xs, ys, hc_idx, hc_cell, lo, hi, g, exclude):
     if not 0 <= lo <= hi <= len(hc_idx):
         raise ValueError(f"bucket range [{lo}, {hi}) outside [0, {len(hc_idx)}]")
     _indices(hc_idx[lo:hi], len(xs), "hc_idx")
-    d2, saw = c_double(), c_int()
-    best = _lib.ccn_nearest_ring(
+    best, d2, saw = c_int64(int(best_i)), c_double(best_d2), c_int()
+    _lib.ccn_nearest_ring(
         px, py, xs, ys, hc_idx, hc_cell, int(lo), int(hi), g, int(exclude),
-        byref(d2), byref(saw),
+        int(offset), byref(best), byref(d2), byref(saw),
     )
-    return best, d2.value, bool(saw.value)
+    return best.value, d2.value, bool(saw.value)
 
 
 def _trace_inputs(xs, ys, g, h_idx, h_start, hc_idx, hc_cell, bs_x, bs_y):
@@ -247,6 +250,8 @@ def trace_one(xs, ys, g, requester, m, h_idx, h_start, hc_idx, hc_cell, bs_x, bs
         len(xs), xs, ys, g, requester, m, h_idx, h_start, hc_idx, hc_cell,
         len(bs_x), bs_x, bs_y, buf, byref(status),
     )
+    if count < 0:
+        raise MemoryError("trace_one: cannot allocate the station layout")
     return status.value, buf[:count].tolist()
 
 
@@ -269,5 +274,7 @@ def trace_batch(xs, ys, g, req, h_idx, h_start, hc_idx, hc_cell, bs_x, bs_y):
         bs_x, bs_y, hops, loads, status,
     )
     if rc != 0:
-        raise MemoryError("trace_batch: cannot allocate the path buffer")
+        raise MemoryError(
+            "trace_batch: cannot allocate the path buffer or the station layout"
+        )
     return hops, loads, status

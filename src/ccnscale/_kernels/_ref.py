@@ -10,7 +10,7 @@ lockstep.
 from __future__ import annotations
 
 from bisect import bisect_left
-from math import inf
+from math import inf, isqrt
 
 import numpy as np
 
@@ -40,14 +40,10 @@ def _wrap_delta(a: float, b: float) -> float:
 
 
 def _dist2(ax: float, ay: float, bx: float, by: float) -> float:
-    dx = ax - bx
-    if dx < 0.0:
-        dx = -dx
+    dx = abs(ax - bx)
     if dx > 0.5:
         dx = 1.0 - dx
-    dy = ay - by
-    if dy < 0.0:
-        dy = -dy
+    dy = abs(ay - by)
     if dy > 0.5:
         dy = 1.0 - dy
     return dx * dx + dy * dy
@@ -132,17 +128,22 @@ def nearest_linear(px, py, xs, ys, cand, exclude):
     return best_i, best_d2, saw_excluded
 
 
-def nearest_ring(px, py, xs, ys, hc_idx, hc_cell, lo, hi, g, exclude):
-    """Expanding-ring search over per-cell buckets of one holder set.
+def nearest_ring(
+    px, py, xs, ys, hc_idx, hc_cell, lo, hi, g, exclude,
+    best_i=-1, best_d2=inf, offset=0,
+):
+    """Expanding-ring search over per-cell buckets of one candidate set.
 
-    ``hc_idx[lo:hi]``/``hc_cell[lo:hi]`` hold the set's node indices and
-    their cell ids, sorted by (cell, index).  Equivalent to a linear scan,
-    including ties-to-lowest-index.
+    ``hc_idx[lo:hi]``/``hc_cell[lo:hi]`` hold the set's indices into
+    ``xs``/``ys`` and their cell ids, sorted by (cell, index).  Candidate
+    ``k`` competes as ``offset + k`` against the best so far, ``(best_i,
+    best_d2)``: it wins when closer, or as close with a lower id.  Once a
+    best exists, the search stops at the first ring that lies beyond its
+    distance.  Equivalent to a linear scan seeded with the same best,
+    including ties-to-lowest-id.
     """
     qcol = _cell_index(px, g)
     qrow = _cell_index(py, g)
-    best_i = -1
-    best_d2 = inf
     saw_excluded = False
     s = 1.0 / g
     rmax = g // 2 + 1
@@ -167,9 +168,9 @@ def nearest_ring(px, py, xs, ys, hc_idx, hc_cell, lo, hi, g, exclude):
                     saw_excluded = True
                     continue
                 d2 = _dist2(px, py, xs[idx], ys[idx])
-                if d2 < best_d2 or (d2 == best_d2 and idx < best_i):
+                if d2 < best_d2 or (d2 == best_d2 and offset + idx < best_i):
                     best_d2 = d2
-                    best_i = idx
+                    best_i = offset + idx
     return best_i, best_d2, saw_excluded
 
 
@@ -184,19 +185,56 @@ def _ring_offsets(r: int):
     return out
 
 
+def _station_index(bs_x, bs_y):
+    """The stations' bucket layout for :func:`nearest_ring`.
+
+    Returns ``(side, idx, cell)``: a grid of side ``floor(sqrt(b))`` for
+    ``b`` stations, so that a cell holds about one station (the cell size
+    of Bentley, Weide & Yao), the station indices sorted by (cell, index),
+    and their cell ids.  With at most ``RING_MIN_HOLDERS`` stations, which
+    are scanned linearly, ``idx`` and ``cell`` are empty.
+    """
+    nbs = len(bs_x)
+    side = isqrt(nbs)
+    if nbs <= RING_MIN_HOLDERS:
+        return side, [], []
+    cells = [
+        _cell_index(y, side) * side + _cell_index(x, side)
+        for x, y in zip(bs_x, bs_y)
+    ]
+    order = sorted(range(nbs), key=cells.__getitem__)
+    return side, order, [cells[b] for b in order]
+
+
 def trace_one(xs, ys, g, requester, m, h_idx, h_start, hc_idx, hc_cell, bs_x, bs_y):
     """Route node ``requester``'s request for content ``m``; returns (status, cells).
 
     Find the nearest holder (ring or linear search) excluding the
-    requester itself, let base stations compete as extra candidates (never
-    excluded; nodes win distance ties), then walk the grid cells along the
-    geodesic to the winner.  ``cells`` holds the flat ids of the walk in
-    traversal order, ending on the winner's cell; a request that no other
-    cache can serve gets just the requester's own cell.
+    requester itself, then let base stations compete as extra candidates,
+    never excluded: station ``b`` is candidate ``n + b``, so a node wins a
+    distance tie against a station and the lowest station index wins
+    among stations.  More than ``RING_MIN_HOLDERS`` stations are searched
+    by :func:`nearest_ring` on the grid of :func:`_station_index`, seeded
+    with the node winner, so the search stops at the first ring beyond
+    it; fewer are scanned linearly.  Both give the same winner.  Then
+    walk the grid cells along the geodesic to the winner.  ``cells``
+    holds the flat ids of the walk in traversal order, ending on the
+    winner's cell; a request that no other cache can serve gets just the
+    requester's own cell.
 
     status: 0 ok, 1 served locally (requester is the sole holder),
     2 routing failure (no holder, no base station).
     """
+    return _route(
+        xs, ys, g, requester, m, h_idx, h_start, hc_idx, hc_cell, bs_x, bs_y,
+        _station_index(bs_x, bs_y),
+    )
+
+
+def _route(
+    xs, ys, g, requester, m, h_idx, h_start, hc_idx, hc_cell, bs_x, bs_y, stations
+):
+    """:func:`trace_one` with the station layout of :func:`_station_index`."""
     n = len(xs)
     lo, hi = h_start[m], h_start[m + 1]
     px, py = xs[requester], ys[requester]
@@ -208,12 +246,19 @@ def trace_one(xs, ys, g, requester, m, h_idx, h_start, hc_idx, hc_cell, bs_x, bs
         best_i, best_d2, saw_self = nearest_linear(
             px, py, xs, ys, h_idx[lo:hi], requester
         )
-    for b in range(len(bs_x)):
-        d2 = _dist2(px, py, bs_x[b], bs_y[b])
-        idx = n + b
-        if d2 < best_d2 or (d2 == best_d2 and idx < best_i):
-            best_d2 = d2
-            best_i = idx
+    bs_g, bs_idx, bs_cell = stations
+    if bs_idx:
+        best_i, best_d2, _ = nearest_ring(
+            px, py, bs_x, bs_y, bs_idx, bs_cell, 0, len(bs_idx), bs_g, -1,
+            best_i, best_d2, n,
+        )
+    else:
+        for b in range(len(bs_x)):
+            d2 = _dist2(px, py, bs_x[b], bs_y[b])
+            idx = n + b
+            if d2 < best_d2 or (d2 == best_d2 and idx < best_i):
+                best_d2 = d2
+                best_i = idx
 
     if best_i < 0:
         own = _cell_index(py, g) * g + _cell_index(px, g)
@@ -244,10 +289,12 @@ def trace_batch(xs, ys, g, req, h_idx, h_start, hc_idx, hc_cell, bs_x, bs_y):
     loads = np.zeros(g * g, dtype=np.int64)
     loads_l = [0] * (g * g)
     status = np.zeros(n, dtype=np.int64)
+    stations = _station_index(bs_x, bs_y)
 
     for i in range(n):
-        status[i], cells = trace_one(
-            xs, ys, g, i, req[i], h_idx, h_start, hc_idx, hc_cell, bs_x, bs_y
+        status[i], cells = _route(
+            xs, ys, g, i, req[i], h_idx, h_start, hc_idx, hc_cell, bs_x, bs_y,
+            stations,
         )
         if len(cells) == 1:
             loads_l[cells[0]] += 1

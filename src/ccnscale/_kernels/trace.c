@@ -3,7 +3,9 @@
  * Every function performs the same IEEE-754 double operations in the same
  * order as its counterpart in _ref.py, so cell lists, nearest indices, hop
  * counts and per-cell loads are bit-identical whichever backend is active.
- * Keep the two files in lockstep.  Build with -ffp-contract=off, so the
+ * Two spots compute the same values by other means, to avoid branches:
+ * dist2's fabs and scan_bucket's bisection.  Keep the two files in
+ * lockstep.  Build with -ffp-contract=off, so the
  * compiler cannot fuse multiply-adds into differently rounded FMA
  * instructions, and never with -ffast-math.
  *
@@ -47,12 +49,11 @@ static inline double wrap_delta(double a, double b)
 
 static inline double dist2(double ax, double ay, double bx, double by)
 {
-    double dx = ax - bx, dy;
-    if (dx < 0.0) dx = -dx;
-    if (dx > 0.5) dx = 1.0 - dx;
-    dy = ay - by;
-    if (dy < 0.0) dy = -dy;
-    if (dy > 0.5) dy = 1.0 - dy;
+    /* fabs and the selects compile without branches; fabs(-0.0) is +0.0
+     * where _ref keeps -0.0, which squares to the same +0.0. */
+    double dx = fabs(ax - bx), dy = fabs(ay - by);
+    dx = dx > 0.5 ? 1.0 - dx : dx;
+    dy = dy > 0.5 ? 1.0 - dy : dy;
     return dx * dx + dy * dy;
 }
 
@@ -133,42 +134,54 @@ i64 ccn_nearest_linear(double px, double py, const double *xs,
     return best_i;
 }
 
-/* Scans the holders of one bucket: hc_cell[lo:hi] is sorted, so the
- * bucket starts at the leftmost position of cid (bisect_left). */
-static void scan_bucket(double px, double py, const double *xs,
-                        const double *ys, const i64 *hc_idx,
-                        const i64 *hc_cell, i64 lo, i64 hi, i64 cid,
-                        i64 exclude, i64 *best_i, double *best_d2, int *saw)
+/* Scans the candidates of one bucket: hc_cell[lo:hi] is sorted, so the
+ * bucket starts at the leftmost position of cid (bisect_left), found by a
+ * bisection whose steps are selects rather than hard-to-predict branches. */
+static inline void scan_bucket(double px, double py, const double *xs,
+                               const double *ys, const i64 *hc_idx,
+                               const i64 *hc_cell, i64 lo, i64 hi, i64 cid,
+                               i64 exclude, i64 offset, i64 *best_i,
+                               double *best_d2, int *saw)
 {
-    i64 j, top = hi;
-    while (lo < top) {
-        i64 mid = (lo + top) / 2;
-        if (hc_cell[mid] < cid) lo = mid + 1; else top = mid;
+    i64 j, len = hi - lo;
+    if (len == 0) return;
+    while (len > 1) {
+        i64 half = len / 2;
+        lo = hc_cell[lo + half] < cid ? lo + half : lo;
+        len -= half;
     }
-    for (j = lo; j < hi && hc_cell[j] == cid; j++) {
-        if (hc_idx[j] == exclude) {
+    for (j = lo + (hc_cell[lo] < cid); j < hi && hc_cell[j] == cid; j++) {
+        i64 idx = hc_idx[j];
+        if (idx == exclude) {
             *saw = 1;
             continue;
         }
-        consider(dist2(px, py, xs[hc_idx[j]], ys[hc_idx[j]]), hc_idx[j],
-                 best_i, best_d2);
+        consider(dist2(px, py, xs[idx], ys[idx]), offset + idx, best_i,
+                 best_d2);
     }
 }
 
-i64 ccn_nearest_ring(double px, double py, const double *xs, const double *ys,
-                     const i64 *hc_idx, const i64 *hc_cell, i64 lo, i64 hi,
-                     i64 g, i64 exclude, double *out_d2, int *out_saw)
+/* Expanding-ring search over the per-cell buckets of one candidate set on
+ * a grid of side g (see _ref.nearest_ring): candidate hc_idx[j] competes
+ * as offset + hc_idx[j] against the best so far, which *best_i and
+ * *best_d2 hold on entry and on return.  Once a best exists, the search
+ * stops at the first ring that lies beyond its distance. */
+static inline void nearest_ring(double px, double py, const double *xs,
+                                const double *ys, const i64 *hc_idx,
+                                const i64 *hc_cell, i64 lo, i64 hi, i64 g,
+                                i64 exclude, i64 offset, i64 *best_i,
+                                double *best_d2, int *out_saw)
 {
     i64 qcol = cell_index(px, g), qrow = cell_index(py, g);
-    i64 best_i = -1, rmax = g / 2 + 1;
-    double best_d2 = INFINITY, s = 1.0 / g;
+    i64 bi = *best_i, rmax = g / 2 + 1;
+    double bd2 = *best_d2, s = 1.0 / g;
+    int saw = 0;
 #define SCAN(r, c) scan_bucket(px, py, xs, ys, hc_idx, hc_cell, lo, hi, \
-        mod(r, g) * g + mod(c, g), exclude, &best_i, &best_d2, out_saw)
-    *out_saw = 0;
+        mod(r, g) * g + mod(c, g), exclude, offset, &bi, &bd2, &saw)
     for (i64 ring = 0; ring <= rmax; ring++) {
-        if (best_i >= 0 && ring >= 2) {
+        if (bi >= 0 && ring >= 2) {
             double reach = (ring - 1) * s;
-            if (reach * reach > best_d2) break;
+            if (reach * reach > bd2) break;
         }
         if (ring == 0) {
             SCAN(qrow, qcol);
@@ -185,8 +198,71 @@ i64 ccn_nearest_ring(double px, double py, const double *xs, const double *ys,
         }
     }
 #undef SCAN
-    *out_d2 = best_d2;
-    return best_i;
+    *best_i = bi;
+    *best_d2 = bd2;
+    *out_saw = saw;
+}
+
+void ccn_nearest_ring(double px, double py, const double *xs,
+                      const double *ys, const i64 *hc_idx, const i64 *hc_cell,
+                      i64 lo, i64 hi, i64 g, i64 exclude, i64 offset,
+                      i64 *best_i, double *best_d2, int *out_saw)
+{
+    nearest_ring(px, py, xs, ys, hc_idx, hc_cell, lo, hi, g, exclude, offset,
+                 best_i, best_d2, out_saw);
+}
+
+/* The base stations and, when there are more than ccn_ring_min_holders of
+ * them, their bucket layout for nearest_ring (see _ref._station_index): a
+ * grid of side g = floor(sqrt(count)), so a cell holds about one station,
+ * and in one block of 2 * count entries the station indices sorted by
+ * (cell, index), then their cell ids.  Otherwise idx and cell are NULL and
+ * the stations are scanned linearly. */
+typedef struct {
+    i64 count, g;
+    const double *x, *y;
+    i64 *idx, *cell;
+} stations;
+
+typedef struct { i64 cell, idx; } cell_entry;
+
+static int by_cell_then_index(const void *a, const void *b)
+{
+    const cell_entry *p = a, *q = b;
+    if (p->cell != q->cell) return p->cell < q->cell ? -1 : 1;
+    return (p->idx > q->idx) - (p->idx < q->idx);
+}
+
+/* Fills *bs; returns 0, or -1 when memory runs out.  Release with
+ * free(bs->idx). */
+static int stations_init(stations *bs, i64 nbs, const double *bs_x,
+                         const double *bs_y)
+{
+    cell_entry *order;
+    i64 g = (i64)sqrt((double)nbs);
+    while (g * g > nbs) g--;  /* exact floor(sqrt(nbs)), as math.isqrt */
+    while ((g + 1) * (g + 1) <= nbs) g++;
+    *bs = (stations){nbs, g, bs_x, bs_y, NULL, NULL};
+    if (nbs <= ccn_ring_min_holders) return 0;
+    order = malloc((size_t)nbs * sizeof *order);
+    bs->idx = malloc((size_t)(2 * nbs) * sizeof *bs->idx);
+    if (order == NULL || bs->idx == NULL) {
+        free(order);
+        free(bs->idx);
+        return -1;
+    }
+    bs->cell = bs->idx + nbs;
+    for (i64 b = 0; b < nbs; b++) {
+        order[b].cell = cell_index(bs_y[b], g) * g + cell_index(bs_x[b], g);
+        order[b].idx = b;
+    }
+    qsort(order, (size_t)nbs, sizeof *order, by_cell_then_index);
+    for (i64 b = 0; b < nbs; b++) {
+        bs->idx[b] = order[b].idx;
+        bs->cell[b] = order[b].cell;
+    }
+    free(order);
+    return 0;
 }
 
 /* Routes one request (see _ref.trace_one): writes its walk's cell ids to
@@ -196,58 +272,78 @@ i64 ccn_nearest_ring(double px, double py, const double *xs, const double *ys,
 static inline i64 trace_one(i64 n, const double *xs, const double *ys,
                              i64 g, i64 requester, i64 m, const i64 *h_idx,
                              const i64 *h_start, const i64 *hc_idx,
-                             const i64 *hc_cell, i64 nbs, const double *bs_x,
-                             const double *bs_y, i64 *buf, i64 *status)
+                             const i64 *hc_cell, const stations *bs,
+                             i64 *buf, i64 *status)
 {
     i64 lo = h_start[m], hi = h_start[m + 1];
-    i64 best_i;
-    double px = xs[requester], py = ys[requester], best_d2, hx, hy;
-    int saw_self;
+    i64 best_i = -1;
+    double px = xs[requester], py = ys[requester], best_d2 = INFINITY, hx, hy;
+    int saw_self, saw_none;
     if (hi - lo > ccn_ring_min_holders)
-        best_i = ccn_nearest_ring(px, py, xs, ys, hc_idx, hc_cell, lo, hi, g,
-                                  requester, &best_d2, &saw_self);
+        nearest_ring(px, py, xs, ys, hc_idx, hc_cell, lo, hi, g, requester, 0,
+                     &best_i, &best_d2, &saw_self);
     else
         best_i = ccn_nearest_linear(px, py, xs, ys, h_idx + lo, hi - lo,
                                     requester, &best_d2, &saw_self);
-    /* Base stations rank after every node, so nodes win distance ties. */
-    for (i64 b = 0; b < nbs; b++)
-        consider(dist2(px, py, bs_x[b], bs_y[b]), n + b, &best_i, &best_d2);
+    /* Station b competes as n + b, after every node: a node wins a distance
+     * tie, and the lowest station index wins among stations.  The ring
+     * search starts from the node winner, so it stops at the first ring
+     * beyond that node. */
+    if (bs->idx != NULL)
+        nearest_ring(px, py, bs->x, bs->y, bs->idx, bs->cell, 0, bs->count,
+                     bs->g, -1, n, &best_i, &best_d2, &saw_none);
+    else
+        for (i64 b = 0; b < bs->count; b++)
+            consider(dist2(px, py, bs->x[b], bs->y[b]), n + b, &best_i,
+                     &best_d2);
 
     if (best_i < 0) {
         buf[0] = cell_index(py, g) * g + cell_index(px, g);
         *status = saw_self ? 1 : 2;
         return 1;
     }
-    hx = best_i < n ? xs[best_i] : bs_x[best_i - n];
-    hy = best_i < n ? ys[best_i] : bs_y[best_i - n];
+    hx = best_i < n ? xs[best_i] : bs->x[best_i - n];
+    hy = best_i < n ? ys[best_i] : bs->y[best_i - n];
     return ccn_segment_cells(px, py, hx, hy, g, buf);
 }
 
+/* Routes one request, building the station layout for this call alone.
+ * Returns the cell count, or -1 when memory runs out. */
 i64 ccn_trace_one(i64 n, const double *xs, const double *ys, i64 g,
                   i64 requester, i64 m, const i64 *h_idx, const i64 *h_start,
                   const i64 *hc_idx, const i64 *hc_cell, i64 nbs,
                   const double *bs_x, const double *bs_y, i64 *buf,
                   i64 *status)
 {
-    return trace_one(n, xs, ys, g, requester, m, h_idx, h_start, hc_idx,
-                     hc_cell, nbs, bs_x, bs_y, buf, status);
+    stations bs;
+    i64 count;
+    if (stations_init(&bs, nbs, bs_x, bs_y) != 0) return -1;
+    count = trace_one(n, xs, ys, g, requester, m, h_idx, h_start, hc_idx,
+                      hc_cell, &bs, buf, status);
+    free(bs.idx);
+    return count;
 }
 
 /* Traces one request per node into hops, loads and status (all zeroed by
  * the caller); see _ref.trace_batch for the rules.  Returns 0, or -1 when
- * the path buffer cannot be allocated. */
+ * the path buffer or the station layout cannot be allocated. */
 int ccn_trace_batch(i64 n, const double *xs, const double *ys, i64 g,
                     const i64 *req, const i64 *h_idx, const i64 *h_start,
                     const i64 *hc_idx, const i64 *hc_cell, i64 nbs,
                     const double *bs_x, const double *bs_y, i64 *hops,
                     i64 *loads, i64 *status)
 {
-    i64 *buf = malloc((size_t)(2 * g - 1) * sizeof *buf);
-    if (buf == NULL) return -1;
+    stations bs;
+    i64 *buf;
+    if (stations_init(&bs, nbs, bs_x, bs_y) != 0) return -1;
+    buf = malloc((size_t)(2 * g - 1) * sizeof *buf);
+    if (buf == NULL) {
+        free(bs.idx);
+        return -1;
+    }
     for (i64 i = 0; i < n; i++) {
         i64 ncells = trace_one(n, xs, ys, g, i, req[i], h_idx, h_start,
-                               hc_idx, hc_cell, nbs, bs_x, bs_y, buf,
-                               &status[i]);
+                               hc_idx, hc_cell, &bs, buf, &status[i]);
         if (ncells == 1) {
             loads[buf[0]] += 1;
             hops[i] = 1;
@@ -257,5 +353,6 @@ int ccn_trace_batch(i64 n, const double *xs, const double *ys, i64 g,
         }
     }
     free(buf);
+    free(bs.idx);
     return 0;
 }

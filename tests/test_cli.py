@@ -550,6 +550,27 @@ class TestCommandLine:
         assert "FAIL" not in proc.stdout
         assert "checks passed" in proc.stdout
 
+    def test_check_compares_backends_on_the_station_ring_path(self, monkeypatch):
+        # A compiled kernel that goes wrong only with more than
+        # RING_MIN_HOLDERS base stations fails the backend check.
+        _fast = pytest.importorskip("ccnscale._kernels._fast")
+        from ccnscale._kernels import _ref
+
+        real = _fast.trace_batch
+
+        def wrong_with_many_stations(*args):
+            hops, loads, status = real(*args)
+            if len(args[-1]) > _ref.RING_MIN_HOLDERS:
+                hops = hops + 1
+            return hops, loads, status
+
+        name = "kernel backends bit-identical"
+        (passed, detail), = [c[1:] for c in cli._self_checks() if c[0] == name]
+        assert passed and "95-station" in detail
+        monkeypatch.setattr(_fast, "trace_batch", wrong_with_many_stations)
+        (passed, _), = [c[1:] for c in cli._self_checks() if c[0] == name]
+        assert not passed
+
     def test_check_fails_when_the_kernel_does_not_build(self, tmp_path):
         env = dict(
             os.environ, CC="false", XDG_CACHE_HOME=str(tmp_path), CCNSCALE_BACKEND=""

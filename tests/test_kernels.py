@@ -267,16 +267,21 @@ def _assert_trace_one_agrees(req, **args):
 
 @needs_fast
 class TestTraceBatchParity:
-    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("seed", range(12))
     def test_random_instances_small_grids(self, seed):
         # Instances assembled directly so grid sizes g in {1, 2, 3} and
-        # degenerate holder layouts are all exercised.
+        # degenerate holder layouts are all exercised.  Seeds 6-11 place
+        # 56-71 stations, across RING_MIN_HOLDERS, so both station searches
+        # run.
         rng = np.random.default_rng(seed)
         n = int(rng.integers(4, 120))
         g = int(rng.integers(1, 4))
         m_count = int(rng.integers(1, 6))
         nodes = rng.random((n, 2))
-        nbs = int(rng.integers(0, 3))
+        if seed < 6:
+            nbs = int(rng.integers(0, 3))
+        else:
+            nbs = _ref.RING_MIN_HOLDERS - 8 + 3 * (seed - 6)
         bs = rng.random((nbs, 2))
         holders = []
         for _ in range(m_count):
@@ -313,6 +318,8 @@ class TestTraceBatchParity:
             (4000, 0.8, {"mode": Mode.HETEROGENEOUS, "mu": 0.3}),
             (3000, 1.2, {"mode": Mode.HETEROGENEOUS, "f": 5.0}),
             (10_000, 0.8, {}),
+            # 86 stations: the station ring search
+            (20_000, 0.8, {"mode": Mode.HETEROGENEOUS, "mu": 0.45}),
         ],
     )
     def test_configured_instances(self, n, alpha, mode_kw):
@@ -326,6 +333,8 @@ class TestTraceBatchParity:
         counts = np.diff(inst._h_start)
         if n >= 6000:
             assert counts.max() > _ref.RING_MIN_HOLDERS  # ring path exercised
+        if mode_kw.get("mu", 0.0) >= 0.45:  # station ring search exercised
+            assert len(inst.base_stations) > _ref.RING_MIN_HOLDERS
         assert counts.min() >= 0
         _assert_trace_equal(inst, req)
 
@@ -408,6 +417,107 @@ class TestTraceBatchParity:
         hops, loads, status = _fast.trace_batch(*sim._trace_args(inst, req))
         assert int(hops.sum()) == int(loads.sum())
         assert set(np.unique(status)) <= {0, 1, 2}
+
+
+# ---------------------------------------------------------------------------
+# base stations searched ring by ring
+# ---------------------------------------------------------------------------
+
+
+def _station_cases() -> dict:
+    """Hand-built (nodes, holders, stations), each with more than
+    RING_MIN_HOLDERS stations.  Coordinates are multiples of 1/128, so
+    the distance ties below are exact."""
+    rng = np.random.default_rng(77)
+
+    def dyadic(k, lo, hi):
+        return np.floor(rng.uniform(lo, hi, size=(k, 2)) * 128) / 128
+
+    lattice = np.arange(16) / 16
+    corners = np.array([(x, y) for y in lattice for x in lattice])
+    wrap = np.array([(63 / 64, k / 128) for k in range(70)] + [(1 / 64, 0.25)])
+    far = np.array([(0.5, k / 128) for k in range(1, 70)])
+    return {
+        # 256 stations, each on a corner of the 16x16 station grid; a node
+        # at a cell centre is equidistant from four stations.
+        "corner": (
+            np.vstack([corners[[17, 90, 255]] + 1 / 32, dyadic(30, 0, 1)]),
+            [[], [3, 7, 11, 20]],
+            corners,
+        ),
+        # Stations on x = 63/64 serve nodes on x = 0 across the wrap; the
+        # last station ties at (0, 0.25) with station 32 across the wrap.
+        "wrap": (
+            np.vstack([[(0.0, 0.25), (1 / 128, 0.5)], dyadic(20, 0, 1 / 32)]),
+            [[], [1, 5]],
+            wrap,
+        ),
+        # Station 0 ties with node 1 for the requests of nodes 0 and 2 for
+        # content 0; the node must win.  The other stations lie on x = 0.5.
+        "node-tie": (
+            np.vstack(
+                [[(0.25, 0.5), (0.25 - 3 / 64, 0.5), (0.25, 0.5 + 1 / 64)],
+                 dyadic(20, 0, 1)]
+            ),
+            [[1], [], [4, 9]],
+            np.vstack([[(0.25 + 3 / 64, 0.5)], far]),
+        ),
+        # 65 stations in one far corner, the nodes around (0.4, 0.4): the
+        # search runs out to rings that wrap onto themselves.
+        "far-cluster": (
+            dyadic(25, 0.35, 0.45),
+            [[], [2]],
+            dyadic(65, 56 / 64, 60 / 64),
+        ),
+    }
+
+
+_STATION_CASES = _station_cases()
+
+
+@pytest.mark.parametrize("g", [1, 2, 3, 8])
+@pytest.mark.parametrize("case", sorted(_STATION_CASES))
+@pytest.mark.parametrize(
+    "backend",
+    [_ref, pytest.param(_fast, marks=needs_fast)],
+    ids=["python", "compiled"],
+)
+def test_station_ring_search_finds_the_scan_winner(backend, case, g):
+    # Every request is won by the candidate that a brute-force scan of the
+    # content's holders and then the stations picks; ids order holders
+    # before stations, so the scan's lowest-index rule lets nodes win
+    # distance ties and the lowest station win among stations.
+    nodes, holders, stations = _STATION_CASES[case]
+    assert len(stations) > _ref.RING_MIN_HOLDERS
+    inst = sim.NetworkInstance(
+        nodes=nodes,
+        base_stations=stations,
+        holders=tuple(np.array(h, dtype=np.int64) for h in holders),
+        grid=CellGrid(g),
+        schedule=build_schedule(CellGrid(g), 1.0),
+    )
+    n, xs, ys = inst.n, inst._xs, inst._ys
+    bs_x, bs_y = stations[:, 0], stations[:, 1]
+    side, bs_idx, bs_cell = _ref._station_index(bs_x.tolist(), bs_y.tolist())
+    for m, held in enumerate(inst.holders):
+        cx = np.concatenate([xs[held], bs_x])
+        cy = np.concatenate([ys[held], bs_y])
+        for i in range(n):
+            px, py = xs[i], ys[i]
+            own = np.flatnonzero(held == i)
+            k, _ = nearest_by_scan(px, py, cx, cy, int(own[0]) if own.size else -1)
+            want = int(held[k]) if k < len(held) else n + k - len(held)
+            node = _ref.nearest_linear(px, py, xs, ys, held, i)
+            got = backend.nearest_ring(
+                px, py, bs_x, bs_y, bs_idx, bs_cell, 0, len(bs_idx), side, -1,
+                node[0], node[1], n,
+            )
+            assert got[0] == want, (m, i)
+            assert backend.trace_one(*sim._trace_args(inst, i, m)) == (
+                0, _ref.segment_cells(px, py, cx[k], cy[k], g)
+            )
+    if backend is _fast:
+        _assert_trace_equal(inst, np.arange(n) % len(holders))
 
 
 def _tiny_trace_args(**override):
