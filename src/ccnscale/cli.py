@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import io
 import itertools
 import math
 import os
@@ -70,7 +69,7 @@ _SWEEP_KEYS = ("mode", "n", "alpha", "beta", "K", "delta", "mu", "f", "cell_area
 _SCALAR_KEYS = ("W", "trials", "seed", "concentration_factor", "sim", "max_sim_n")
 
 _DEFAULTS: dict[str, tuple] = {
-    "mode": ("adhoc",),
+    "mode": (Mode.ADHOC,),
     "n": (10_000,),
     "alpha": (0.8,),
     "beta": (0.9,),
@@ -89,36 +88,8 @@ _DEFAULTS: dict[str, tuple] = {
 
 _CANON = {k.lower(): k for k in (*_SWEEP_KEYS, *_SCALAR_KEYS)}
 
-_CSV_COLUMNS = (
-    "mode",
-    "n",
-    "alpha",
-    "beta",
-    "K",
-    "delta",
-    "mu",
-    "f",
-    "cell_area",
-    "M",
-    "status",
-    "m1",
-    "m2",
-    "optimizer_delay",
-    "predicted_delay",
-    "predicted_throughput",
-    "predicted_m1",
-    "predicted_m2",
-    "sim_delay_mean",
-    "sim_delay_stderr",
-    "sim_throughput_mean",
-    "sim_throughput_stderr",
-    "sim_mean_hops",
-    "condition1_rate",
-    "condition2_rate",
-    "fallback_rate",
-    "trials",
-    "seeds",
-)
+# Keys whose values must be integers.
+_INT_KEYS = frozenset({"n", "trials", "seed", "max_sim_n"})
 
 
 # ---------------------------------------------------------------------------
@@ -150,7 +121,7 @@ def _parse_atom(token: str, key: str, line: int):
         value = float(t)
     except ValueError:
         raise ConfigError(f"cannot parse value {t!r} for key {key!r}", line) from None
-    if key in {"n", "trials", "seed", "max_sim_n"}:
+    if key in _INT_KEYS:
         if not value.is_integer():
             raise ConfigError(f"key {key!r} needs an integer, got {t!r}", line)
         return int(value)
@@ -170,11 +141,23 @@ class SweepConfig:
         object.__setattr__(self, "values", merged)
 
     def points(self) -> list[dict]:
-        """Sweep grid in deterministic order (cross product of lists)."""
-        axes = [self.values[k] for k in _SWEEP_KEYS]
+        """Sweep grid in deterministic order (cross product of lists).
+
+        Each point maps every sweep key to a value and is the identity of
+        the row computed for it.  Ad hoc points have no base stations, so
+        they carry ``mu = f = None`` and run once, not once per ``mu`` or
+        ``f`` value; a repeated point keeps only its first place.
+        """
+        seen: set[tuple] = set()
         out = []
-        for combo in itertools.product(*axes):
-            out.append(dict(zip(_SWEEP_KEYS, combo)))
+        for combo in itertools.product(*(self.values[k] for k in _SWEEP_KEYS)):
+            point = dict(zip(_SWEEP_KEYS, combo))
+            if point["mode"] is Mode.ADHOC:
+                point.update(mu=None, f=None)
+            key = tuple(point.values())
+            if key not in seen:
+                seen.add(key)
+                out.append(point)
         return out
 
     def header_lines(self) -> list[str]:
@@ -197,7 +180,8 @@ def parse_config(path: str, overrides: dict | None = None) -> SweepConfig:
     Unknown keys, unparsable values, and repeated keys raise
     :class:`ConfigError` carrying the offending line number.
     ``overrides`` (already-typed values from the command line) replace
-    file values after parsing.
+    file values after parsing and are checked the same way, without a
+    line number.
     """
     values: dict[str, tuple] = {}
     seen: dict[str, int] = {}
@@ -227,25 +211,26 @@ def parse_config(path: str, overrides: dict | None = None) -> SweepConfig:
             else:
                 values[key] = atoms
             _check_key_types(key, values[key], lineno)
-    if overrides:
-        for key, value in overrides.items():
-            if value is None:
-                continue
+    for key, value in (overrides or {}).items():
+        if value is not None:
+            _check_key_types(key, value, None)
             values[key] = value
     cfg = SweepConfig(values=values, source=path)
     _validate_config(cfg, seen)
     return cfg
 
 
-def _check_key_types(key, value, line: int) -> None:
+def _check_key_types(key, value, line: int | None) -> None:
     atoms = value if isinstance(value, tuple) else (value,)
     for v in atoms:
         if key == "mode":
             if not isinstance(v, Mode):
                 raise ConfigError("mode must be 'adhoc' or 'heterogeneous'", line)
-        elif key in {"n", "trials", "seed", "max_sim_n"}:
+        elif key in _INT_KEYS:
             if not isinstance(v, int) or isinstance(v, bool):
                 raise ConfigError(f"key {key!r} needs an integer", line)
+            if key == "seed" and v < 0:
+                raise ConfigError(f"key 'seed' needs an integer >= 0, got {v}", line)
         elif key == "sim":
             if not isinstance(v, bool):
                 raise ConfigError("key 'sim' needs true or false", line)
@@ -293,6 +278,8 @@ class RegressionResult(NamedTuple):
 
 @dataclasses.dataclass(frozen=True)
 class RegressionSummary:
+    """One slope fit; the field order is the regressions CSV's column order."""
+
     curve: str
     metric: str
     points: int
@@ -302,13 +289,16 @@ class RegressionSummary:
     r_squared: float
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, kw_only=True)
 class SweepRow:
     """One sweep grid point with everything computed for it.
 
-    Numeric fields are ``None`` when unavailable: theory orders when no
-    closed form covers the point, simulation fields when the point was
-    not simulated, everything but identity when infeasible.
+    The fields after ``index`` are the sweep CSV's columns, in order, so a
+    new column is one new field.  The point's keys come first.  Result
+    fields default to ``None``, which a row keeps where a value is
+    unavailable: theory orders when no closed form covers the point,
+    simulation fields when the point was not simulated, every result
+    when the point is infeasible.
     """
 
     index: int
@@ -323,36 +313,35 @@ class SweepRow:
     cell_area: float | None
     M: int
     status: str  # "ok" | "infeasible"
-    m1: int | None
-    m2: int | None
-    optimizer_delay: float | None
-    predicted_delay: float | None
-    predicted_throughput: float | None
-    predicted_m1: float | None
-    predicted_m2: float | None
-    sim_delay_mean: float | None
-    sim_delay_stderr: float | None
-    sim_throughput_mean: float | None
-    sim_throughput_stderr: float | None
-    sim_mean_hops: float | None
-    condition1_rate: float | None
-    condition2_rate: float | None
-    fallback_rate: float | None
+    m1: int | None = None
+    m2: int | None = None
+    optimizer_delay: float | None = None
+    predicted_delay: float | None = None
+    predicted_throughput: float | None = None
+    predicted_m1: float | None = None
+    predicted_m2: float | None = None
+    sim_delay_mean: float | None = None
+    sim_delay_stderr: float | None = None
+    sim_throughput_mean: float | None = None
+    sim_throughput_stderr: float | None = None
+    sim_mean_hops: float | None = None
+    condition1_rate: float | None = None
+    condition2_rate: float | None = None
+    fallback_rate: float | None = None
     trials: int
     seeds: tuple[int, ...]
 
+    def point(self) -> dict:
+        """The sweep point this row was computed for."""
+        return {k: getattr(self, k) for k in _SWEEP_KEYS}
+
     def curve_key(self) -> tuple:
-        """Identity of the curve this row belongs to (everything but n)."""
-        return (
-            self.mode,
-            self.alpha,
-            self.beta,
-            self.K,
-            self.delta,
-            self.mu,
-            self.f,
-            self.cell_area,
-        )
+        """Identity of the curve this row belongs to (its point but n)."""
+        return tuple(getattr(self, k) for k in _SWEEP_KEYS if k != "n")
+
+
+_CSV_COLUMNS = tuple(f.name for f in dataclasses.fields(SweepRow) if f.name != "index")
+_REGRESSION_COLUMNS = tuple(f.name for f in dataclasses.fields(RegressionSummary))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -365,23 +354,13 @@ class SweepResult:
 
 
 def _network_config(point: dict, values: dict) -> NetworkConfig:
-    kwargs = dict(
-        n=point["n"],
-        alpha=point["alpha"],
-        beta=point["beta"],
-        K=point["K"],
-        delta=point["delta"],
-        mode=point["mode"],
-        cell_area=point["cell_area"],
-        W=values["W"],
-        trials=values["trials"],
-        seed=values["seed"],
-        concentration_factor=values["concentration_factor"],
-    )
-    if point["mode"] is Mode.HETEROGENEOUS:
-        kwargs["mu"] = point["mu"]
-        kwargs["f"] = point["f"]
-    return NetworkConfig(**kwargs)
+    scalars = ("W", "trials", "seed", "concentration_factor")
+    return NetworkConfig(**point, **{k: values[k] for k in scalars})
+
+
+def _describe(point: dict) -> str:
+    """``key=value`` text of a sweep point's set keys, in sweep-key order."""
+    return " ".join(f"{k}={_fmt(v)}" for k, v in point.items() if v is not None)
 
 
 def _point_problem(index: int, point: dict, values: dict):
@@ -394,14 +373,13 @@ def _point_problem(index: int, point: dict, values: dict):
         cfg = _network_config(point, values)
         return cfg, cfg.problem()
     except ValueError as exc:
-        where = " ".join(f"{k}={_fmt(v)}" for k, v in point.items() if v is not None)
-        raise ConfigError(f"sweep point {index} ({where}): {exc}") from exc
+        raise ConfigError(f"sweep point {index} ({_describe(point)}): {exc}") from exc
 
 
-def _predictions(cfg: NetworkConfig):
-    """Closed-form orders for a config point, or Nones where not covered."""
+def _predictions(cfg: NetworkConfig) -> dict:
+    """Closed-form order columns of a config point; empty where not covered."""
     if cfg.mode is Mode.HETEROGENEOUS and cfg.mu is None:
-        return None, None, None, None  # orders are stated for f = n^mu
+        return {}  # orders are stated for f = n^mu
     try:
         reg = ScalingRegime(
             alpha=cfg.alpha,
@@ -414,8 +392,13 @@ def _predictions(cfg: NetworkConfig):
         throughput = predicted_throughput_order(reg, cfg.n)
         pm1, pm2 = m1_m2_orders(reg, cfg.n)
     except (UnsupportedRegimeError, ValueError):
-        return None, None, None, None
-    return delay, throughput, pm1, pm2
+        return {}
+    return dict(
+        predicted_delay=delay,
+        predicted_throughput=throughput,
+        predicted_m1=pm1,
+        predicted_m2=pm2,
+    )
 
 
 def _row_seeds(base_seed: int, index: int, trials: int) -> tuple[int, ...]:
@@ -430,59 +413,20 @@ def _compute_row(
 ) -> SweepRow:
     cfg, prob = _point_problem(index, point, values)
     seeds = _row_seeds(values["seed"], index, values["trials"])
-    identity = dict(
-        index=index,
-        mode=cfg.mode,
-        n=cfg.n,
-        alpha=cfg.alpha,
-        beta=cfg.beta,
-        K=cfg.K,
-        delta=cfg.delta,
-        mu=cfg.mu,
-        f=point["f"],
-        cell_area=point["cell_area"],
-        M=cfg.M,
-        trials=values["trials"],
-        seeds=seeds,
-    )
-    empty = dict(
-        m1=None,
-        m2=None,
-        optimizer_delay=None,
-        predicted_delay=None,
-        predicted_throughput=None,
-        predicted_m1=None,
-        predicted_m2=None,
-        sim_delay_mean=None,
-        sim_delay_stderr=None,
-        sim_throughput_mean=None,
-        sim_throughput_stderr=None,
-        sim_mean_hops=None,
-        condition1_rate=None,
-        condition2_rate=None,
-        fallback_rate=None,
-    )
-
+    row = dict(point, index=index, M=cfg.M, trials=values["trials"], seeds=seeds)
     try:
         alloc = solve(prob)
     except InfeasibleError:
-        return SweepRow(status="infeasible", **identity, **empty)
+        return SweepRow(status="infeasible", **row)
 
-    pred_delay, pred_tp, pred_m1, pred_m2 = _predictions(cfg)
-    row = dict(
-        empty,
+    row.update(
+        _predictions(cfg),
         m1=alloc.m1,
         m2=alloc.m2,
         optimizer_delay=optimized_delay(alloc, prob),
-        predicted_delay=pred_delay,
-        predicted_throughput=pred_tp,
-        predicted_m1=pred_m1,
-        predicted_m2=pred_m2,
     )
-
     if do_sim and cfg.n <= max_sim_n:
-        allocation = round_to_integers(alloc, prob)
-        stats = sim.run_trials(cfg, allocation, seeds=seeds)
+        stats = sim.run_trials(cfg, round_to_integers(alloc, prob), seeds=seeds)
         row.update(
             sim_delay_mean=stats.realized_delay.mean,
             sim_delay_stderr=stats.realized_delay.stderr,
@@ -493,8 +437,7 @@ def _compute_row(
             condition2_rate=stats.condition2_rate,
             fallback_rate=stats.fallback_rate,
         )
-
-    return SweepRow(status="ok", **identity, **row)
+    return SweepRow(status="ok", **row)
 
 
 # ---------------------------------------------------------------------------
@@ -593,10 +536,7 @@ def _regressions(rows: Sequence[SweepRow]) -> tuple[RegressionSummary, ...]:
                     curve=_curve_label(key),
                     metric=metric,
                     points=len(usable),
-                    slope=res.slope,
-                    intercept=res.intercept,
-                    stderr=res.stderr,
-                    r_squared=res.r_squared,
+                    **res._asdict(),
                 )
             )
     return tuple(out)
@@ -616,54 +556,19 @@ def _fmt(v) -> str:
         return "true" if v else "false"
     if isinstance(v, float):
         return repr(v)
+    if isinstance(v, tuple):
+        return ";".join(_fmt(x) for x in v)
     return str(v)
 
 
-def _row_cells(row: SweepRow) -> list[str]:
-    cells = []
-    for col in _CSV_COLUMNS:
-        if col == "seeds":
-            cells.append(";".join(str(s) for s in row.seeds))
-        else:
-            cells.append(_fmt(getattr(row, col)))
-    return cells
-
-
-def _render_csv(rows: Sequence[SweepRow], header_lines: Sequence[str]) -> str:
-    buf = io.StringIO()
-    buf.write(CSV_SCHEMA_HEADER + "\n")
-    for line in header_lines:
-        buf.write(line + "\n")
-    buf.write(",".join(_CSV_COLUMNS) + "\n")
-    for row in rows:
-        buf.write(",".join(_row_cells(row)) + "\n")
-    return buf.getvalue()
-
-
-def _render_regressions_csv(
-    regs: Sequence[RegressionSummary], header_lines: Sequence[str]
-) -> str:
-    buf = io.StringIO()
-    buf.write(CSV_SCHEMA_HEADER + "\n")
-    for line in header_lines:
-        buf.write(line + "\n")
-    buf.write("curve,metric,points,slope,intercept,stderr,r_squared\n")
-    for r in regs:
-        buf.write(
-            ",".join(
-                [
-                    '"' + r.curve + '"',
-                    r.metric,
-                    str(r.points),
-                    repr(r.slope),
-                    repr(r.intercept),
-                    repr(r.stderr),
-                    repr(r.r_squared),
-                ]
-            )
-            + "\n"
-        )
-    return buf.getvalue()
+def _write_csv(
+    path: str, columns: Sequence[str], records: Sequence, header_lines: Sequence[str]
+) -> None:
+    """Schema line, settings lines, column names, then one line per record."""
+    lines = [CSV_SCHEMA_HEADER, *header_lines, ",".join(columns)]
+    lines += [",".join(_fmt(getattr(r, col)) for col in columns) for r in records]
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("".join(line + "\n" for line in lines))
 
 
 # ---------------------------------------------------------------------------
@@ -715,13 +620,12 @@ def run_sweep(
     csv_path = reg_path = None
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
-        stem = os.path.splitext(os.path.basename(config_path))[0]
-        csv_path = os.path.join(out_dir, f"{stem}_sweep.csv")
-        with open(csv_path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(_render_csv(rows, header))
-        reg_path = os.path.join(out_dir, f"{stem}_regressions.csv")
-        with open(reg_path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(_render_regressions_csv(regs, header))
+        stem = os.path.join(out_dir, os.path.splitext(os.path.basename(config_path))[0])
+        csv_path, reg_path = f"{stem}_sweep.csv", f"{stem}_regressions.csv"
+        _write_csv(csv_path, _CSV_COLUMNS, rows, header)
+        # curve labels hold spaces: quote them
+        quoted = [dataclasses.replace(r, curve=f'"{r.curve}"') for r in regs]
+        _write_csv(reg_path, _REGRESSION_COLUMNS, quoted, header)
 
     return SweepResult(
         rows=rows,
@@ -897,12 +801,8 @@ def _cmd_sweep(args) -> int:
     ok_rows = sum(1 for r in result.rows if r.status == "ok")
     for row in result.rows:
         if row.status != "ok":
-            print(
-                f"row {row.index}: {row.status} "
-                f"(mode={row.mode.value} n={row.n} alpha={row.alpha} "
-                f"beta={row.beta} K={row.K})",
-                file=sys.stderr,
-            )
+            where = _describe(row.point())
+            print(f"row {row.index}: {row.status} ({where})", file=sys.stderr)
     print(f"wrote {result.csv_path} ({ok_rows}/{len(result.rows)} rows ok)")
     print(f"wrote {result.regression_csv_path} ({len(result.regressions)} regressions)")
     for reg in result.regressions:

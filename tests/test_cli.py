@@ -145,6 +145,18 @@ class TestParseConfig:
         assert cfg.values["sim"] is True
         assert cfg.values["trials"] == 3  # None override = keep file value
 
+    def test_negative_seed_rejected_with_its_line(self, tmp_path):
+        path = _write(tmp_path, "neg.conf", "mode = adhoc\nseed = -1\n")
+        with pytest.raises(ConfigError, match="seed") as err:
+            parse_config(path)
+        assert err.value.line == 2
+        with pytest.raises(ConfigError, match="seed"):
+            parse_config(_write(tmp_path, "pos.conf", "seed = 3\n"), {"seed": -1})
+
+    def test_points_drop_repeats_in_first_seen_order(self, tmp_path):
+        cfg = parse_config(_write(tmp_path, "rep.conf", "n = 30, 10, 30, 10\n"))
+        assert [p["n"] for p in cfg.points()] == [30, 10]
+
     def test_header_lines_cover_every_key(self, tmp_path):
         cfg = parse_config(_write(tmp_path, "n.conf", BASIC))
         lines = cfg.header_lines()
@@ -314,15 +326,32 @@ class TestRunSweep:
         assert big.optimizer_delay is not None
 
     def test_heterogeneous_sweep_ignores_mu_for_adhoc_rows(self, tmp_path):
-        conf = _write(
-            tmp_path,
-            "both.conf",
-            "mode = adhoc, heterogeneous\nn = 400\nalpha = 0.8\nbeta = 0.9\nmu = 0.4\n",
-        )
-        result = run_sweep(conf, out_dir=None)
-        by_mode = {row.mode: row for row in result.rows}
-        assert by_mode[Mode.ADHOC].mu is None
-        assert by_mode[Mode.HETEROGENEOUS].mu == 0.4
+        # Ad hoc points carry no mu or f and run once per n, however many
+        # base-station settings the heterogeneous points sweep.
+        for name, stations in (("mu", "mu = 0.3, 0.5"), ("f", "f = 5")):
+            conf = _write(
+                tmp_path,
+                f"both_{name}.conf",
+                "mode = adhoc, heterogeneous\nn = 1000, 3162, 10000, 31623\n"
+                f"alpha = 0.8\nbeta = 0.9\n{stations}\n",
+            )
+            result = run_sweep(conf, out_dir=None)
+            adhoc = [row for row in result.rows if row.mode is Mode.ADHOC]
+            assert [row.n for row in adhoc] == [1000, 3162, 10000, 31623]
+            assert all(row.mu is None and row.f is None for row in adhoc)
+            het = [row for row in result.rows if row.mode is Mode.HETEROGENEOUS]
+            assert all(getattr(row, name) is not None for row in het)
+            (reg,) = [
+                r
+                for r in result.regressions
+                if r.curve.startswith("adhoc") and r.metric == "optimizer_delay"
+            ]
+            assert reg.curve == "adhoc alpha=0.8 beta=0.9"
+            assert reg.points == 4
+
+    def test_omitted_mode_runs_ad_hoc(self, tmp_path):
+        result = run_sweep(_write(tmp_path, "nomode.conf", "n = 400\n"))
+        assert [(row.mode, row.status) for row in result.rows] == [(Mode.ADHOC, "ok")]
 
     def test_explicit_f_gets_no_predictions_but_solves(self, tmp_path):
         conf = _write(
@@ -440,6 +469,33 @@ class TestCommandLine:
     def test_missing_file_exit_code_2(self, tmp_path):
         proc = _run_cli("sweep", str(tmp_path / "absent.conf"))
         assert proc.returncode == 2
+
+    @pytest.mark.parametrize(
+        "text, argv, where",
+        [("seed = -1\n", (), "line 2: "), ("seed = 1\n", ("--seed", "-1"), "")],
+        ids=["file", "option"],
+    )
+    def test_negative_seed_exit_code_2(self, tmp_path, capsys, text, argv, where):
+        conf = _write(tmp_path, "seed.conf", "mode = adhoc\n" + text)
+        assert cli.main(["sweep", conf, "--out", str(tmp_path / "o"), *argv]) == 2
+        err = capsys.readouterr().err
+        assert err == f"config error: {where}key 'seed' needs an integer >= 0, got -1\n"
+
+    def test_failed_rows_name_their_whole_point(self, tmp_path, capsys):
+        # Two infeasible points that differ only in delta.
+        conf = _write(
+            tmp_path,
+            "delta.conf",
+            "mode = adhoc\nn = 20\nalpha = 1.0\nbeta = 0.99\nK = 0.2\n"
+            "delta = 1.0, 2.0\n",
+        )
+        assert cli.main(["sweep", conf, "--out", str(tmp_path / "o")]) == 3
+        err = capsys.readouterr().err.splitlines()
+        point = "mode=adhoc n=20 alpha=1.0 beta=0.99 K=0.2 delta={}"
+        assert err == [
+            f"row 0: infeasible ({point.format('1.0')})",
+            f"row 1: infeasible ({point.format('2.0')})",
+        ]
 
     @pytest.mark.parametrize("command", ["alloc", "sweep"])
     def test_rejected_point_is_a_config_error(self, tmp_path, capsys, command):
@@ -610,3 +666,24 @@ class TestCsvRendering:
         result = run_sweep(conf, out_dir=str(tmp_path / "o"))
         first = open(result.csv_path, encoding="utf-8").readline().rstrip("\n")
         assert first == f"# ccn-scale v{cli.__version__} schema=1"
+
+    def test_column_header_rows(self, tmp_path):
+        conf = _write(
+            tmp_path, "cols.conf", "mode = adhoc\nn = 100\nalpha = 0.8\nbeta = 0.9\n"
+        )
+        result = run_sweep(conf, out_dir=str(tmp_path / "o"))
+
+        def header(path):
+            with open(path, encoding="utf-8") as fh:
+                return next(ln for ln in fh if not ln.startswith("#")).rstrip("\n")
+
+        assert header(result.csv_path) == (
+            "mode,n,alpha,beta,K,delta,mu,f,cell_area,M,status,m1,m2,"
+            "optimizer_delay,predicted_delay,predicted_throughput,predicted_m1,"
+            "predicted_m2,sim_delay_mean,sim_delay_stderr,sim_throughput_mean,"
+            "sim_throughput_stderr,sim_mean_hops,condition1_rate,condition2_rate,"
+            "fallback_rate,trials,seeds"
+        )
+        assert header(result.regression_csv_path) == (
+            "curve,metric,points,slope,intercept,stderr,r_squared"
+        )
