@@ -11,16 +11,23 @@ stations hold every content.  ``upper = 1/a - f`` caps holders at one
 per cell, where the hop count floors at one.
 
 The optimum is a water-filling: interior contents share a single level
-c with X_m + f = c * p_m^(2/3), clipped to the box.  The solver finds c
-by bisection on the clipped budget, classifies the three regimes
-(saturated / interior / floored, thresholds m1 and m2), snaps the
-interior to the closed form driven by the residual budget K', and
-verifies the KKT conditions before returning.
+c with X_m + f = c * p_m^(2/3), clipped to the box.  The clipped budget
+S(c) = sum_m clip(c p_m^(2/3) - f, lower, upper) is piecewise linear in
+c, and because p is non-increasing its breakpoints are monotone in m.
+With one prefix sum of p^(2/3), S(c) costs two bisections over the
+contents, so the solver bisects over the breakpoint indices to find the
+linear piece holding the budget and takes c in closed form on it.  It
+then classifies the three regimes (saturated / interior / floored,
+thresholds m1 and m2), snaps the interior to the closed form driven by
+the residual budget K', and verifies the KKT conditions before
+returning.  Sums that must be exact use :func:`_fsum`, a vectorised,
+correctly rounded sum.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -42,10 +49,9 @@ __all__ = [
 _LOWER_TOL = 1e-12
 _KKT_TOL = 1e-8
 
-# Budget bisection: stop when the clipped sum is within 1e-9 of the
-# budget or the bracket has collapsed to 1e-14 relative width.
-_BUDGET_RTOL = 1e-9
-_BRACKET_RTOL = 1e-14
+# _fsum adds 27-bit mantissa halves in float64 buckets, which stays exact
+# while every bucket sum is an integer below 2**53.
+_FSUM_MAX_LEN = 1 << 26
 
 
 @dataclass(frozen=True)
@@ -111,7 +117,9 @@ class Allocation:
     m < m1, interior for m1 <= m < m2, X = lower for m >= m2 (indices
     1-based; m1 = M+1 means no saturated content, m2 = M+1 no floored
     content).  ``Kprime`` is the residual per-node budget feeding the
-    interior regime; ``multiplier`` the budget-constraint scalar.
+    interior regime; ``multiplier`` the budget-constraint scalar;
+    ``s_interior`` the correctly rounded sum of p_m^(2/3) over the
+    interior (0 when it is empty).
     """
 
     X: np.ndarray = field(repr=False)
@@ -120,22 +128,49 @@ class Allocation:
     Kprime: float
     multiplier: float
     objective: float
+    s_interior: float
     degenerate: bool = False
+
+
+def _fsum(x: np.ndarray) -> float:
+    """Correctly rounded sum of a float64 array: the same bits as ``math.fsum``.
+
+    Each element is split by ``frexp`` into a 53-bit integer mantissa and
+    an exponent, and the mantissa into 27- and 26-bit halves.  The halves
+    are summed per exponent with ``bincount``; every partial sum is an
+    integer below 2**53, so these sums are exact.  The buckets are then
+    combined into one Python integer and divided by a power of two, which
+    rounds once, to nearest even.
+    """
+    if len(x) == 0 or len(x) >= _FSUM_MAX_LEN:
+        return math.fsum(x)
+    mant, exp = np.frexp(x)
+    mant *= 2.0**27
+    high = np.floor(mant)
+    with np.errstate(invalid="ignore"):  # inf - inf: fsum reports it below
+        mant -= high  # the low 26 bits, as a fraction
+    mant *= 2.0**26
+    base = int(exp.min())
+    exp = exp.astype(np.intp)  # bincount's index type, converted once
+    exp -= base
+    high_sums = np.bincount(exp, weights=high).tolist()
+    low_sums = np.bincount(exp, weights=mant).tolist()
+    try:
+        total = sum(
+            ((int(h) << 26) + int(lo)) << k
+            for k, (h, lo) in enumerate(zip(high_sums, low_sums))
+        )
+    except (OverflowError, ValueError):  # an inf or nan: let fsum report it
+        return math.fsum(x)
+    shift = base - 53
+    if shift >= 0:
+        return float(total << shift)
+    return total / (1 << -shift)
 
 
 def _grad_magnitude(p: np.ndarray, x: np.ndarray, a: float, f: float) -> np.ndarray:
     """|d objective / dX_m| = p_m / (2 sqrt(a) (X_m + f)^{3/2})."""
     return p / (2.0 * math.sqrt(a) * (x + f) ** 1.5)
-
-
-def _classify(x: np.ndarray, lower: float, upper: float) -> tuple[int, int]:
-    """1-based thresholds: m1 = first X < upper, m2 = first X at lower."""
-    m_count = len(x)
-    below_upper = np.nonzero(x < upper)[0]
-    m1 = int(below_upper[0]) + 1 if len(below_upper) else m_count + 1
-    at_lower = np.nonzero(x <= lower + _LOWER_TOL * max(1.0, upper))[0]
-    m2 = int(at_lower[0]) + 1 if len(at_lower) else m_count + 1
-    return m1, max(m1, m2)
 
 
 def _residual_budget(prob: AllocationProblem, m1: int, m2: int) -> float:
@@ -181,6 +216,7 @@ def solve(prob: AllocationProblem) -> Allocation:
             Kprime=_residual_budget(prob, 1, 1) / prob.n,
             multiplier=0.0,
             objective=float(np.sum(p / np.sqrt(a * (x + f)))),
+            s_interior=0.0,
             degenerate=True,
         )
         return alloc
@@ -190,8 +226,6 @@ def solve(prob: AllocationProblem) -> Allocation:
             f"budget n*K = {budget:g} cannot give {m_count} contents "
             f"{lower:g} holders each"
         )
-
-    p23 = p ** (2.0 / 3.0)
 
     if m_count * upper <= budget:
         # Over-provisioned: the cap binds everywhere, budget slack, multiplier 0.
@@ -204,48 +238,85 @@ def solve(prob: AllocationProblem) -> Allocation:
             Kprime=_residual_budget(prob, m1, m2) / prob.n,
             multiplier=0.0,
             objective=float(np.sum(p / np.sqrt(a * (x + f)))),
+            s_interior=0.0,
         )
         _verify_kkt(alloc, prob)
         return alloc
 
-    def clipped_sum(c: float) -> float:
-        return float(np.sum(np.clip(c * p23 - f, lower, upper)))
+    p23 = p ** (2.0 / 3.0)
+    # Python-float views: bisect indexes them without making numpy scalars.
+    q = memoryview(p23)
+    cum = memoryview(np.cumsum(p23))
 
-    # Bracket the water level: at c_lo everything clips to lower
-    # (feasible), at c_hi everything clips to upper (over budget).
-    c_lo = (lower + f) / p23[0]
-    c_hi = (upper + f) / p23[-1]
-    for _ in range(200):
-        if (c_hi - c_lo) <= _BRACKET_RTOL * c_hi:
-            break
-        c_mid = 0.5 * (c_lo + c_hi)
-        b = clipped_sum(c_mid) - budget
-        if abs(b) <= _BUDGET_RTOL * budget:
-            c_lo = c_hi = c_mid
-            break
-        if b > 0.0:
-            c_hi = c_mid
-        else:
-            c_lo = c_mid
-    c = c_lo
-    x = np.clip(c * p23 - f, lower, upper)
+    def first(seq, pred) -> int:
+        """First index where ``pred`` holds; it must hold on a suffix."""
+        return bisect_left(seq, True, key=pred)
 
-    m1, m2 = _classify(x, lower, upper)
+    def clipped_budget(c: float) -> float:
+        # k1 contents clip to upper, the k2 - k1 after them are interior.
+        k1 = first(q, lambda v: c * v - f < upper)
+        k2 = first(q, lambda v: c * v - f <= lower)
+        interior = (cum[k2 - 1] if k2 else 0.0) - (cum[k1 - 1] if k1 else 0.0)
+        return k1 * upper + (m_count - k2) * lower + c * interior - (k2 - k1) * f
+
+    def level_at(bound: float, m: int) -> float:
+        """Breakpoint: the level c at which content m reaches ``bound``."""
+        return (bound + f) / q[m]
+
+    def first_over_budget(bound: float) -> int:
+        # The breakpoints rise with m, and S rises with c.
+        return first(
+            range(m_count), lambda m: clipped_budget(level_at(bound, m)) > budget
+        )
+
+    # On the piece of S that holds the budget, contents [0, j) are
+    # saturated and [i, M) floored.  S at the last content's upper
+    # breakpoint is M*upper > budget, so j < M.
+    j = first_over_budget(upper)
+    i = first_over_budget(lower)
+    cum.release()
+    if i > j:
+        s_interior = _fsum(p23[j:i])
+        c = _residual_budget(prob, j + 1, i + 1) / s_interior
+    else:
+        # Flat piece (a tie): every c on it meets the budget; take the middle.
+        s_interior = 0.0
+        c_lo = max(
+            level_at(upper, j - 1) if j else 0.0,
+            level_at(lower, i - 1) if i else 0.0,
+        )
+        c = 0.5 * (c_lo + min(level_at(upper, j), level_at(lower, i)))
+
+    # Classify at c as the clipped water level would be.  A content that
+    # the piece puts at a bound stays there: at a tie, c sits on that
+    # content's breakpoint and rounding must not make it interior.
+    floor_tol = lower + _LOWER_TOL * max(1.0, upper)
+    m1 = first(q, lambda v: c * v - f < upper) + 1
+    m2 = first(q, lambda v: min(max(c * v - f, lower), upper) <= floor_tol) + 1
+    m1 = max(m1, j + 1)
+    m2 = max(m1, min(m2, i + 1))
+    q.release()
+    if (m1, m2) != (j + 1, i + 1):
+        s_interior = _fsum(p23[m1 - 1 : m2 - 1])
 
     # Snap the interior to the closed form: X_m = (p_m^{2/3}/S) nK' - f.
-    # This lands the budget exactly; keep the bisected solution if the
-    # snapped values stray outside the box (classification edge case).
+    # This lands the budget exactly.  Without an interior, or if the
+    # snapped values stray outside the box (classification edge case),
+    # keep the clipped water level, which also keeps values within the
+    # classification tolerance of a bound.
+    x = None
     if m2 > m1:
-        s_interior = math.fsum(p23[m1 - 1 : m2 - 1])
         n_kprime = _residual_budget(prob, m1, m2)
         c_exact = n_kprime / s_interior
         interior = c_exact * p23[m1 - 1 : m2 - 1] - f
         if interior.min() > lower and interior.max() < upper:
-            x = x.copy()
-            x[m1 - 1 : m2 - 1] = interior
+            x = np.full(m_count, lower)
             x[: m1 - 1] = upper
-            x[m2 - 1 :] = lower
+            x[m1 - 1 : m2 - 1] = interior
             c = c_exact
+    if x is None:
+        x = np.clip(c * p23 - f, lower, upper)
+    del p23  # before the KKT check, whose temporaries set the peak
 
     multiplier = 1.0 / (2.0 * math.sqrt(a) * c**1.5)
     alloc = Allocation(
@@ -255,6 +326,7 @@ def solve(prob: AllocationProblem) -> Allocation:
         Kprime=_residual_budget(prob, m1, m2) / prob.n,
         multiplier=multiplier,
         objective=float(np.sum(p / np.sqrt(a * (x + f)))),
+        s_interior=s_interior,
     )
     _verify_kkt(alloc, prob)
     return alloc
@@ -326,7 +398,8 @@ def optimized_delay(alloc: Allocation, prob: AllocationProblem) -> float:
 
     Exact three-term form: saturated contents cost one hop each,
     interior contents S^{3/2}/sqrt(n K' a) with S the interior sum of
-    p^{2/3}, floored contents p_m/sqrt(a (lower+f)).  Equals the direct
+    p^{2/3} that :func:`solve` carries, floored contents
+    p_m/sqrt(a (lower+f)).  Equals the direct
     sum over p_m * max(1, 1/sqrt(a (X_m+f))) for non-degenerate
     problems.
     """
@@ -334,14 +407,13 @@ def optimized_delay(alloc: Allocation, prob: AllocationProblem) -> float:
         raise ValueError("allocation does not match the problem's catalog size")
     p = prob.pop.p
     m1, m2 = alloc.m1, alloc.m2
-    term_saturated = math.fsum(p[: m1 - 1])
+    term_saturated = _fsum(p[: m1 - 1])
     if m2 > m1:
-        s_interior = math.fsum(p[m1 - 1 : m2 - 1] ** (2.0 / 3.0))
         n_kprime = prob.n * alloc.Kprime
-        term_interior = s_interior**1.5 / math.sqrt(n_kprime * prob.a)
+        term_interior = alloc.s_interior**1.5 / math.sqrt(n_kprime * prob.a)
     else:
         term_interior = 0.0
-    term_floor = math.fsum(p[m2 - 1 :]) / math.sqrt(prob.a * (prob.lower + prob.f))
+    term_floor = _fsum(p[m2 - 1 :]) / math.sqrt(prob.a * (prob.lower + prob.f))
     return term_saturated + term_interior + term_floor
 
 

@@ -88,8 +88,11 @@ _DEFAULTS: dict[str, tuple] = {
 
 _CANON = {k.lower(): k for k in (*_SWEEP_KEYS, *_SCALAR_KEYS)}
 
-# Keys whose values must be integers.
+# Keys whose values must be integers, and the least value of some.
 _INT_KEYS = frozenset({"n", "trials", "seed", "max_sim_n"})
+_INT_MIN = {"trials": 1, "seed": 0, "max_sim_n": 1}
+# Scalar settings that must be positive numbers.
+_POSITIVE_KEYS = frozenset({"W", "concentration_factor"})
 
 
 # ---------------------------------------------------------------------------
@@ -146,13 +149,18 @@ class SweepConfig:
         Each point maps every sweep key to a value and is the identity of
         the row computed for it.  Ad hoc points have no base stations, so
         they carry ``mu = f = None`` and run once, not once per ``mu`` or
-        ``f`` value; a repeated point keeps only its first place.
+        ``f`` value; a repeated point keeps only its first place.  Ad hoc
+        points at ``beta >= 1`` are left out: caches that small cannot
+        hold one copy of everything.  Only a sweep that also has
+        heterogeneous points may list such a beta.
         """
         seen: set[tuple] = set()
         out = []
         for combo in itertools.product(*(self.values[k] for k in _SWEEP_KEYS)):
             point = dict(zip(_SWEEP_KEYS, combo))
             if point["mode"] is Mode.ADHOC:
+                if point["beta"] is not None and point["beta"] >= 1:
+                    continue
                 point.update(mu=None, f=None)
             key = tuple(point.values())
             if key not in seen:
@@ -229,8 +237,11 @@ def _check_key_types(key, value, line: int | None) -> None:
         elif key in _INT_KEYS:
             if not isinstance(v, int) or isinstance(v, bool):
                 raise ConfigError(f"key {key!r} needs an integer", line)
-            if key == "seed" and v < 0:
-                raise ConfigError(f"key 'seed' needs an integer >= 0, got {v}", line)
+            least = _INT_MIN.get(key)
+            if least is not None and v < least:
+                raise ConfigError(
+                    f"key {key!r} needs an integer >= {least}, got {v}", line
+                )
         elif key == "sim":
             if not isinstance(v, bool):
                 raise ConfigError("key 'sim' needs true or false", line)
@@ -238,6 +249,8 @@ def _check_key_types(key, value, line: int | None) -> None:
             v is not None and not isinstance(v, (int, float))
         ):
             raise ConfigError(f"key {key!r} needs a number", line)
+        elif key in _POSITIVE_KEYS and not (v is not None and v > 0):
+            raise ConfigError(f"key {key!r} needs a positive number, got {v}", line)
 
 
 def _validate_config(cfg: SweepConfig, seen: dict[str, int]) -> None:
@@ -254,13 +267,18 @@ def _validate_config(cfg: SweepConfig, seen: dict[str, int]) -> None:
         raise ConfigError(
             "heterogeneous mode needs 'mu' or 'f'", seen.get("mode")
         )
-    if Mode.ADHOC in v["mode"] and any(
-        b is not None and b >= 1 for b in v["beta"]
-    ):
-        raise ConfigError(
+    too_big = [b for b in v["beta"] if b is not None and b >= 1]
+    if Mode.ADHOC in v["mode"] and too_big:
+        why = (
             "beta must be < 1 in adhoc mode (caches must be able to hold "
-            "one copy of everything)",
-            seen.get("beta"),
+            "one copy of everything)"
+        )
+        if not het:
+            raise ConfigError(why, seen.get("beta"))
+        print(
+            f"note: line {seen['beta']}: adhoc points at beta = "
+            f"{', '.join(_fmt(b) for b in too_big)} left out: {why}",
+            file=sys.stderr,
         )
 
 

@@ -17,6 +17,9 @@ so that agreement is meaningful:
                              step.  Too slow for live use; it was run
                              offline to freeze expected allocations that
                              the test suite pins exactly.
+* ``solve_bisect``         — the package's earlier solver: bisection on
+                             the water level with full-array clips.  The
+                             one-pass solver must return its bits.
 """
 
 from __future__ import annotations
@@ -203,3 +206,67 @@ def random_instances(seed: int, count: int, m_max: int = 30):
             n_min = max(m, int(math.ceil(m / K)) + 1)
             n = int(rng.integers(n_min, n_min + 2000))
             yield AllocationProblem(pop=pop, n=n, K=K, a=a)
+
+
+def solve_bisect(prob):
+    """The allocation solver as it was before the one-pass water level.
+
+    Bisects the water level c on the clipped budget with full-array
+    clips, classifies the regimes on the clipped solution, snaps the
+    interior to the closed form and keeps the bisected solution if the
+    snap leaves the box.  Returns ``(X, m1, m2, multiplier)`` for
+    non-degenerate problems that are not over-provisioned; the KKT check
+    is left to the caller.
+    """
+    p = prob.pop.p
+    m_count = prob.pop.m_count
+    lower, upper, f, a = prob.lower, prob.upper, prob.f, prob.a
+    budget = prob.budget
+    p23 = p ** (2.0 / 3.0)
+
+    def residual_budget(m1, m2):
+        return (
+            budget
+            - (m1 - 1) * upper
+            - (m_count - m2 + 1) * lower
+            + (m2 - m1) * f
+        )
+
+    def clipped_sum(c):
+        return float(np.sum(np.clip(c * p23 - f, lower, upper)))
+
+    c_lo = (lower + f) / p23[0]
+    c_hi = (upper + f) / p23[-1]
+    for _ in range(200):
+        if (c_hi - c_lo) <= 1e-14 * c_hi:
+            break
+        c_mid = 0.5 * (c_lo + c_hi)
+        b = clipped_sum(c_mid) - budget
+        if abs(b) <= 1e-9 * budget:
+            c_lo = c_hi = c_mid
+            break
+        if b > 0.0:
+            c_hi = c_mid
+        else:
+            c_lo = c_mid
+    c = c_lo
+    x = np.clip(c * p23 - f, lower, upper)
+
+    below_upper = np.nonzero(x < upper)[0]
+    m1 = int(below_upper[0]) + 1 if len(below_upper) else m_count + 1
+    at_lower = np.nonzero(x <= lower + 1e-12 * max(1.0, upper))[0]
+    m2 = max(m1, int(at_lower[0]) + 1 if len(at_lower) else m_count + 1)
+
+    if m2 > m1:
+        s_interior = math.fsum(p23[m1 - 1 : m2 - 1])
+        c_exact = residual_budget(m1, m2) / s_interior
+        interior = c_exact * p23[m1 - 1 : m2 - 1] - f
+        if interior.min() > lower and interior.max() < upper:
+            x = x.copy()
+            x[m1 - 1 : m2 - 1] = interior
+            x[: m1 - 1] = upper
+            x[m2 - 1 :] = lower
+            c = c_exact
+
+    multiplier = 1.0 / (2.0 * math.sqrt(a) * c**1.5)
+    return x, m1, m2, multiplier

@@ -2,17 +2,22 @@
 oracles, KKT certificates, threshold structure, and rounding."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ccnscale import alloc
+from ccnscale import alloc, cli
 from ccnscale.alloc import AllocationProblem, solve
 from ccnscale.errors import InfeasibleError, SolverError, UnsupportedRegimeError
 from ccnscale.popularity import from_weights, zipf
 
 from oracles import objective as oracle_objective
-from oracles import random_instances, solve_spg
+from oracles import random_instances, solve_bisect, solve_spg
+
+_CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 # Frozen output of the spectral-projected-gradient oracle (Barzilai-
 # Borwein steps, nonmonotone line search, run to first-order tolerance
@@ -328,3 +333,181 @@ class TestProblemValidation:
         with pytest.raises(ValueError):
             # ad hoc mode must keep at least one copy available
             AllocationProblem(pop=pop, n=10, K=1.0, a=1 / 9, lower=0.5)
+
+
+def _sample_config_problems():
+    """The allocation problem of every point of the sample configs."""
+    for path in sorted(_CONFIGS.glob("*.conf")):
+        cfg = cli.parse_config(str(path))
+        for index, point in enumerate(cfg.points()):
+            yield cli._point_problem(index, point, cfg.values)[1]
+
+
+def _bisection_path(prob):
+    """True when the old solver reached its bisection for this problem."""
+    return not prob.degenerate and prob.pop.m_count * prob.upper > prob.budget
+
+
+def _assert_same_as_bisection(prob):
+    res = solve(prob)
+    x, m1, m2, multiplier = solve_bisect(prob)
+    assert (res.m1, res.m2) == (m1, m2)
+    assert res.multiplier == multiplier
+    assert np.array_equal(res.X, x)
+
+
+def _tie_problem(pop, n, a, f, lower, m, at_upper):
+    """Budget at which content m (0-based) sits exactly on a bound."""
+    upper = 1.0 / a - f
+    q = pop.p ** (2.0 / 3.0)
+    c = ((upper if at_upper else lower) + f) / q[m]
+    budget = math.fsum(np.clip(c * q - f, lower, upper))
+    return AllocationProblem(pop=pop, n=n, K=budget / n, a=a, f=f, lower=lower)
+
+
+# (problem, new (m1, m2) where the bisection's differ, else None).  At an
+# exact tie the bisection classified the tied content by the side of the
+# breakpoint its last midpoint fell on; the one-pass solver keeps it at
+# the bound.  Both solutions carry a KKT certificate.
+_TIES = {
+    "adhoc, content 1 at upper": (
+        _tie_problem(zipf(12, 1.2), 40, 1 / 25, 0.0, 1.0, 0, True),
+        None,
+    ),
+    "adhoc, content 3 at upper": (
+        _tie_problem(zipf(12, 1.2), 40, 1 / 25, 0.0, 1.0, 2, True),
+        (4, 13),
+    ),
+    "adhoc, content 10 at lower": (
+        _tie_problem(zipf(30, 2.0), 100, 1 / 36, 0.0, 1.0, 9, False),
+        (1, 10),
+    ),
+    "heterogeneous, content 5 at lower": (
+        _tie_problem(zipf(20, 1.1), 100, 1 / 36, 4.0, 0.0, 4, False),
+        None,
+    ),
+    "heterogeneous, content 2 at upper": (
+        _tie_problem(zipf(20, 1.1), 100, 1 / 36, 4.0, 0.0, 1, True),
+        None,
+    ),
+    "tied popularity, group at upper": (
+        _tie_problem(from_weights([3, 3, 3, 1, 1]), 10, 1 / 9, 0.0, 1.0, 2, True),
+        None,
+    ),
+    "tied popularity, group at lower": (
+        _tie_problem(from_weights([4, 2, 2, 2, 1]), 10, 1 / 9, 2.0, 0.0, 3, False),
+        None,
+    ),
+    "adhoc, budget exactly M * lower": (
+        AllocationProblem(pop=zipf(10, 1.0), n=10, K=1.0, a=1 / 16),
+        (1, 1),
+    ),
+}
+
+
+class TestMatchesBisection:
+    """The one-pass water level returns what the 200-step bisection did."""
+
+    def test_random_instances(self):
+        checked = 0
+        for seed in range(12):
+            for prob in random_instances(seed=seed, count=200):
+                if _bisection_path(prob):
+                    _assert_same_as_bisection(prob)
+                    checked += 1
+        assert checked > 500
+
+    def test_every_sample_config_point(self):
+        problems = [p for p in _sample_config_problems() if _bisection_path(p)]
+        assert len(problems) == 71
+        for prob in problems:
+            _assert_same_as_bisection(prob)
+
+    @pytest.mark.parametrize("name", list(_TIES))
+    def test_hand_built_ties(self, name):
+        prob, moved = _TIES[name]
+        if moved is None:
+            _assert_same_as_bisection(prob)
+            return
+        res = solve(prob)
+        x, m1, m2, _ = solve_bisect(prob)
+        assert (res.m1, res.m2) == moved != (m1, m2)
+        assert alloc.kkt_residual(res, prob) <= 1e-8
+        # The bisection stopped within 1e-9 of the budget, on either side.
+        assert np.max(np.abs(res.X - x)) <= 1e-8 * prob.upper
+        assert res.objective == pytest.approx(
+            oracle_objective(x, prob.pop.p, prob.a, prob.f), rel=1e-8
+        )
+
+    def test_optimized_delay_equals_three_fsum_form(self):
+        problems = list(random_instances(seed=5150, count=100))
+        problems += list(_sample_config_problems())
+        problems += [prob for prob, _ in _TIES.values()]
+        for prob in problems:
+            res = solve(prob)
+            p = prob.pop.p
+            m1, m2 = res.m1, res.m2
+            want = math.fsum(p[: m1 - 1])
+            if m2 > m1:
+                s_interior = math.fsum(p[m1 - 1 : m2 - 1] ** (2.0 / 3.0))
+                want += s_interior**1.5 / math.sqrt(prob.n * res.Kprime * prob.a)
+            want += math.fsum(p[m2 - 1 :]) / math.sqrt(
+                prob.a * (prob.lower + prob.f)
+            )
+            assert alloc.optimized_delay(res, prob) == want
+
+
+# Zeros, subnormals, negatives and exponents over 2000 binades; capped at
+# 2**1000 so that no sum of 60 overflows.
+_SPREAD_FLOATS = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.0**-1022, 1.0, -1.0]),
+    st.floats(min_value=-(2.0**900), max_value=2.0**900),
+    st.builds(
+        math.ldexp, st.floats(min_value=-1.0, max_value=1.0), st.integers(-1100, 1000)
+    ),
+)
+
+
+class TestFsum:
+    """``_fsum`` is correctly rounded, so it returns math.fsum's bits."""
+
+    @given(st.lists(_SPREAD_FLOATS, max_size=60))
+    @settings(max_examples=400, deadline=None)
+    def test_matches_math_fsum(self, xs):
+        # For finite non-zero floats == is bit equality; the sign of a
+        # zero sum is not compared.
+        assert alloc._fsum(np.array(xs, dtype=np.float64)) == math.fsum(xs)
+
+    @pytest.mark.parametrize(
+        "xs",
+        [
+            [],
+            [0.0],
+            [-0.0],
+            [5e-324],
+            [-3.5],
+            [5e-324, 5e-324, -5e-324],
+            [2.0**-1022, -(2.0**-1074)],
+            [1.0, 2.0**-53],  # halfway: ties to even, stays 1.0
+            [1.0 + 2.0**-52, 2.0**-53],  # halfway: ties to even, rounds up
+            [1.0, 2.0**-53, 5e-324],  # just above halfway
+            [2.0**1000, 1.0, 2.0**-1000, -(2.0**1000)],
+            [2.0**1000, 2.0**-1074, -(2.0**1000), 2.0**-1074],
+        ],
+    )
+    def test_edge_cases(self, xs):
+        assert alloc._fsum(np.array(xs, dtype=np.float64)) == math.fsum(xs)
+
+    def test_zipf_slices(self):
+        rng = np.random.default_rng(11)
+        for m_count, alpha in ((20_000, 0.8), (5000, 1.2), (3000, 0.0)):
+            q = zipf(m_count, alpha).p ** (2.0 / 3.0)
+            for _ in range(40):
+                lo, hi = sorted(rng.integers(0, m_count + 1, size=2))
+                assert alloc._fsum(q[lo:hi]) == math.fsum(q[lo:hi])
+
+    def test_non_finite_input_behaves_like_math_fsum(self):
+        assert alloc._fsum(np.array([1.0, math.inf])) == math.inf
+        assert math.isnan(alloc._fsum(np.array([1.0, math.nan])))
+        with pytest.raises(ValueError):
+            alloc._fsum(np.array([math.inf, -math.inf]))

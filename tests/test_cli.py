@@ -138,6 +138,59 @@ class TestParseConfig:
             parse_config(path)
         assert err.value.line == 2
 
+    def test_mixed_sweep_leaves_out_adhoc_points_at_beta_above_one(
+        self, tmp_path, capsys
+    ):
+        text = "mode = adhoc, heterogeneous\nn = 400\nbeta = 0.9, 1.2\nmu = 0.4\n"
+        path = _write(tmp_path, "mixed.conf", text)
+        cfg = parse_config(path)
+        assert capsys.readouterr().err == (
+            "note: line 3: adhoc points at beta = 1.2 left out: beta must be < 1 "
+            "in adhoc mode (caches must be able to hold one copy of everything)\n"
+        )
+        assert [(p["mode"], p["beta"]) for p in cfg.points()] == [
+            (Mode.ADHOC, 0.9),
+            (Mode.HETEROGENEOUS, 0.9),
+            (Mode.HETEROGENEOUS, 1.2),
+        ]
+        out_dir = str(tmp_path / "out")
+        assert cli.main(["sweep", path, "--out", out_dir]) == 0
+        assert "adhoc points at beta = 1.2 left out" in capsys.readouterr().err
+        with open(os.path.join(out_dir, "mixed_sweep.csv"), encoding="utf-8") as fh:
+            rows = [ln for ln in fh if not ln.startswith("#")][1:]
+        assert [r.split(",")[:4] for r in rows] == [
+            ["adhoc", "400", "0.8", "0.9"],
+            ["heterogeneous", "400", "0.8", "0.9"],
+            ["heterogeneous", "400", "0.8", "1.2"],
+        ]
+
+    @pytest.mark.parametrize(
+        "setting, message",
+        [
+            ("W = -1", "key 'W' needs a positive number, got -1"),
+            ("W = none", "key 'W' needs a positive number"),
+            ("trials = 0", "key 'trials' needs an integer >= 1, got 0"),
+            (
+                "concentration_factor = 0",
+                "key 'concentration_factor' needs a positive number, got 0",
+            ),
+            ("max_sim_n = -5", "key 'max_sim_n' needs an integer >= 1, got -5"),
+        ],
+    )
+    def test_bad_scalar_setting_reports_its_line(self, tmp_path, setting, message):
+        path = _write(tmp_path, "scalar.conf", f"mode = adhoc\nn = 400\n{setting}\n")
+        with pytest.raises(ConfigError, match=message) as err:
+            parse_config(path)
+        assert err.value.line == 3
+
+    def test_bad_scalar_override_rejected(self, tmp_path):
+        path = _write(tmp_path, "ok.conf", "mode = adhoc\nn = 400\n")
+        with pytest.raises(ConfigError, match="max_sim_n") as err:
+            parse_config(path, {"max_sim_n": -5})
+        assert err.value.line is None
+        with pytest.raises(ConfigError, match="trials"):
+            parse_config(path, {"trials": 0})
+
     def test_overrides_replace_file_values(self, tmp_path):
         path = _write(tmp_path, "m.conf", BASIC)
         cfg = parse_config(path, {"seed": 99, "sim": True, "trials": None})
