@@ -10,13 +10,17 @@ Two interchangeable implementations of the routing kernel exist:
 
 Both perform identical floating-point arithmetic and return identical
 results.  The routing rules live only there: ``trace_one`` routes one
-request and ``trace_batch`` runs it for every node.  This module exports
-those two and ``RING_MIN_HOLDERS``; the helpers they are built from
-(``segment_cells``, ``nearest_linear``, ``nearest_ring``) are reached
-only through the backend modules.  The compiled backend is preferred
-when it loads; otherwise the dispatcher falls back to ``_ref`` and
-records why in :data:`BACKEND_REASON` (``""`` while the compiled
-backend is active).  Set the environment variable
+request and ``trace_batch`` runs it for every node.  Holders and base
+stations go through one search, ``nearest``, which scans a set of at most
+``RING_MIN_HOLDERS`` members and searches a larger one ring by ring; the
+stations' bucket layout comes from ``_ref.station_layout``, in numpy, for
+both backends.  This module exports ``trace_one``, ``trace_batch`` and
+``RING_MIN_HOLDERS``; the helpers they are built from
+(``segment_cells``, ``nearest_linear``, ``nearest_ring``,
+``station_layout``) are reached only through the backend modules.  The
+compiled backend is preferred when it loads; otherwise the dispatcher
+falls back to ``_ref`` and records why in :data:`BACKEND_REASON` (``""``
+while the compiled backend is active).  Set the environment variable
 ``CCNSCALE_BACKEND`` to ``python`` or ``compiled`` to force one (forcing
 ``compiled`` raises ImportError with the reason if it cannot load).
 """

@@ -5,7 +5,10 @@ double arithmetic in the same order, so both backends return bit-identical
 results.  Every routing rule lives there.  The wrappers below only convert
 arguments to contiguous int64/float64 arrays, check lengths, index ranges
 and coordinates so that the C code never reads or writes out of bounds,
-and allocate the outputs.
+and allocate every buffer the kernel uses: the outputs, the path buffer
+and the stations' bucket layout, which ``_ref.station_layout`` builds in
+numpy for both backends.  The kernel allocates nothing, so a call cannot
+fail once its inputs pass the checks.
 
 The shared library lives at ``${XDG_CACHE_HOME:-~/.cache}/ccnscale/<key>/
 trace.so``, where ``key`` is the sha256 of the source, the compile command
@@ -33,6 +36,8 @@ from pathlib import Path
 
 import numpy as np
 from numpy.ctypeslib import ndpointer
+
+from ._ref import station_layout
 
 BACKEND_NAME = "compiled"
 
@@ -96,10 +101,10 @@ def _bind(lib: ctypes.CDLL) -> int:
     lib.ccn_segment_cells.argtypes = [c_double] * 4 + [c_int64, _I64]
     lib.ccn_segment_cells.restype = c_int64
     lib.ccn_nearest_linear.argtypes = [
-        c_double, c_double, _F64, _F64, _I64, c_int64, c_int64,
-        POINTER(c_double), POINTER(c_int),
+        c_double, c_double, _F64, _F64, _I64, c_int64, c_int64, c_int64,
+        POINTER(c_int64), POINTER(c_double), POINTER(c_int),
     ]
-    lib.ccn_nearest_linear.restype = c_int64
+    lib.ccn_nearest_linear.restype = None
     lib.ccn_nearest_ring.argtypes = [
         c_double, c_double, _F64, _F64, _I64, _I64, c_int64, c_int64, c_int64,
         c_int64, c_int64, POINTER(c_int64), POINTER(c_double), POINTER(c_int),
@@ -107,12 +112,12 @@ def _bind(lib: ctypes.CDLL) -> int:
     lib.ccn_nearest_ring.restype = None
     lib.ccn_trace_batch.argtypes = [
         c_int64, _F64, _F64, c_int64, _I64, _I64, _I64, _I64, _I64, c_int64,
-        _F64, _F64, _I64, _I64, _I64,
+        _F64, _F64, c_int64, _I64, _I64, _I64, _I64, _I64, _I64,
     ]
-    lib.ccn_trace_batch.restype = c_int
+    lib.ccn_trace_batch.restype = None
     lib.ccn_trace_one.argtypes = [
         c_int64, _F64, _F64, c_int64, c_int64, c_int64, _I64, _I64, _I64, _I64,
-        c_int64, _F64, _F64, _I64, POINTER(c_int64),
+        c_int64, _F64, _F64, c_int64, _I64, _I64, _I64, POINTER(c_int64),
     ]
     lib.ccn_trace_one.restype = c_int64
     return c_int64.in_dll(lib, "ccn_ring_min_holders").value
@@ -184,16 +189,19 @@ def segment_cells(x0: float, y0: float, x1: float, y1: float, g: int) -> list[in
     return buf[:count].tolist()
 
 
-def nearest_linear(px, py, xs, ys, cand, exclude):
-    """Scan candidate node indices; return (index, d2, saw_excluded)."""
+def nearest_linear(
+    px, py, xs, ys, cand, exclude, best_i=-1, best_d2=float("inf"), offset=0,
+):
+    """Scan candidate indices, seeded with ``(best_i, best_d2)``; see ``_ref``."""
     xs, ys = _f64(xs), _f64(ys)
     _same_length(xs, ys)
     cand = _indices(cand, len(xs), "cand")
-    d2, saw = c_double(), c_int()
-    best = _lib.ccn_nearest_linear(
-        px, py, xs, ys, cand, len(cand), int(exclude), byref(d2), byref(saw)
+    best, d2, saw = c_int64(int(best_i)), c_double(best_d2), c_int()
+    _lib.ccn_nearest_linear(
+        px, py, xs, ys, cand, len(cand), int(exclude), int(offset),
+        byref(best), byref(d2), byref(saw),
     )
-    return best, d2.value, bool(saw.value)
+    return best.value, d2.value, bool(saw.value)
 
 
 def nearest_ring(
@@ -220,7 +228,9 @@ def nearest_ring(
 
 
 def _trace_inputs(xs, ys, g, h_idx, h_start, hc_idx, hc_cell, bs_x, bs_y):
-    """Checked contiguous inputs shared by ``trace_batch`` and ``trace_one``."""
+    """Checked contiguous inputs shared by ``trace_batch`` and ``trace_one``,
+    with the stations as the kernel takes them: count, coordinates and
+    :func:`station_layout`."""
     g = _grid(g)
     xs, ys = _coords(xs, "xs"), _coords(ys, "ys")
     bs_x, bs_y = _coords(bs_x, "bs_x"), _coords(bs_y, "bs_y")
@@ -234,12 +244,13 @@ def _trace_inputs(xs, ys, g, h_idx, h_start, hc_idx, hc_cell, bs_x, bs_y):
     h_start = _indices(h_start, len(h_idx) + 1, "h_start")
     if len(h_start) == 0:
         raise ValueError("h_start must hold at least one offset")
-    return xs, ys, g, h_idx, h_start, hc_idx, hc_cell, bs_x, bs_y
+    stations = (len(bs_x), bs_x, bs_y, *station_layout(bs_x, bs_y))
+    return xs, ys, g, h_idx, h_start, hc_idx, hc_cell, stations
 
 
 def trace_one(xs, ys, g, requester, m, h_idx, h_start, hc_idx, hc_cell, bs_x, bs_y):
     """Route one request; returns (status, cells).  See ``_ref.trace_one``."""
-    xs, ys, g, h_idx, h_start, hc_idx, hc_cell, bs_x, bs_y = _trace_inputs(
+    xs, ys, g, h_idx, h_start, hc_idx, hc_cell, stations = _trace_inputs(
         xs, ys, g, h_idx, h_start, hc_idx, hc_cell, bs_x, bs_y
     )
     requester = int(_indices([requester], len(xs), "requester")[0])
@@ -248,10 +259,8 @@ def trace_one(xs, ys, g, requester, m, h_idx, h_start, hc_idx, hc_cell, bs_x, bs
     status = c_int64()
     count = _lib.ccn_trace_one(
         len(xs), xs, ys, g, requester, m, h_idx, h_start, hc_idx, hc_cell,
-        len(bs_x), bs_x, bs_y, buf, byref(status),
+        *stations, buf, byref(status),
     )
-    if count < 0:
-        raise MemoryError("trace_one: cannot allocate the station layout")
     return status.value, buf[:count].tolist()
 
 
@@ -260,7 +269,7 @@ def trace_batch(xs, ys, g, req, h_idx, h_start, hc_idx, hc_cell, bs_x, bs_y):
 
     See ``_ref.trace_batch`` for the routing rules and status codes.
     """
-    xs, ys, g, h_idx, h_start, hc_idx, hc_cell, bs_x, bs_y = _trace_inputs(
+    xs, ys, g, h_idx, h_start, hc_idx, hc_cell, stations = _trace_inputs(
         xs, ys, g, h_idx, h_start, hc_idx, hc_cell, bs_x, bs_y
     )
     req = _indices(req, len(h_start) - 1, "req")
@@ -269,12 +278,8 @@ def trace_batch(xs, ys, g, req, h_idx, h_start, hc_idx, hc_cell, bs_x, bs_y):
     hops = np.zeros(n, dtype=np.int64)
     loads = np.zeros(g * g, dtype=np.int64)
     status = np.zeros(n, dtype=np.int64)
-    rc = _lib.ccn_trace_batch(
-        n, xs, ys, g, req, h_idx, h_start, hc_idx, hc_cell, len(bs_x),
-        bs_x, bs_y, hops, loads, status,
+    _lib.ccn_trace_batch(
+        n, xs, ys, g, req, h_idx, h_start, hc_idx, hc_cell, *stations,
+        _path_buffer(g), hops, loads, status,
     )
-    if rc != 0:
-        raise MemoryError(
-            "trace_batch: cannot allocate the path buffer or the station layout"
-        )
     return hops, loads, status

@@ -109,22 +109,26 @@ def segment_cells(x0: float, y0: float, x1: float, y1: float, g: int) -> list[in
     return cells
 
 
-def nearest_linear(px, py, xs, ys, cand, exclude):
-    """Scan candidate node indices; return (index, d2, saw_excluded).
+def nearest_linear(
+    px, py, xs, ys, cand, exclude, best_i=-1, best_d2=inf, offset=0,
+):
+    """Scan the candidate indices ``cand`` into ``xs``/``ys``.
 
-    Ties in distance resolve to the lowest node index.
+    Candidate ``k`` competes as ``offset + k`` against the best so far,
+    ``(best_i, best_d2)``: it wins when closer, or as close with a lower
+    id.  The winner is the lexicographic minimum of (d2, id), so the order
+    of ``cand`` does not matter.  Returns ``(best_i, best_d2,
+    saw_excluded)``.
     """
-    best_i = -1
-    best_d2 = inf
     saw_excluded = False
     for idx in cand:
         if idx == exclude:
             saw_excluded = True
             continue
         d2 = _dist2(px, py, xs[idx], ys[idx])
-        if d2 < best_d2 or (d2 == best_d2 and idx < best_i):
+        if d2 < best_d2 or (d2 == best_d2 and offset + idx < best_i):
             best_d2 = d2
-            best_i = idx
+            best_i = offset + idx
     return best_i, best_d2, saw_excluded
 
 
@@ -135,10 +139,9 @@ def nearest_ring(
     """Expanding-ring search over per-cell buckets of one candidate set.
 
     ``hc_idx[lo:hi]``/``hc_cell[lo:hi]`` hold the set's indices into
-    ``xs``/``ys`` and their cell ids, sorted by (cell, index).  Candidate
-    ``k`` competes as ``offset + k`` against the best so far, ``(best_i,
-    best_d2)``: it wins when closer, or as close with a lower id.  Once a
-    best exists, the search stops at the first ring that lies beyond its
+    ``xs``/``ys`` and their cell ids on a grid of side ``g``, sorted by
+    (cell, index).  Candidates compete as in :func:`nearest_linear`.  Once
+    a best exists, the search stops at the first ring that lies beyond its
     distance.  Equivalent to a linear scan seeded with the same best,
     including ties-to-lowest-id.
     """
@@ -185,80 +188,87 @@ def _ring_offsets(r: int):
     return out
 
 
-def _station_index(bs_x, bs_y):
-    """The stations' bucket layout for :func:`nearest_ring`.
+def nearest(
+    px, py, xs, ys, cand, hc_idx, hc_cell, lo, hi, g, exclude,
+    best_i=-1, best_d2=inf, offset=0,
+):
+    """Nearest member of one candidate set, seeded with ``(best_i, best_d2)``.
+
+    A set with more than ``RING_MIN_HOLDERS`` members is searched by
+    :func:`nearest_ring` over its buckets ``hc_idx``/``hc_cell[lo:hi]``;
+    a smaller one is scanned by :func:`nearest_linear` over
+    ``cand[lo:hi]``, which holds the same members.  Both give the same
+    winner.
+    """
+    if hi - lo > RING_MIN_HOLDERS:
+        return nearest_ring(
+            px, py, xs, ys, hc_idx, hc_cell, lo, hi, g, exclude,
+            best_i, best_d2, offset,
+        )
+    return nearest_linear(
+        px, py, xs, ys, cand[lo:hi], exclude, best_i, best_d2, offset
+    )
+
+
+def station_layout(bs_x, bs_y):
+    """The stations' bucket layout, which both backends search.
 
     Returns ``(side, idx, cell)``: a grid of side ``floor(sqrt(b))`` for
     ``b`` stations, so that a cell holds about one station (the cell size
-    of Bentley, Weide & Yao), the station indices sorted by (cell, index),
-    and their cell ids.  With at most ``RING_MIN_HOLDERS`` stations, which
-    are scanned linearly, ``idx`` and ``cell`` are empty.
+    of Bentley, Weide & Yao), the station indices sorted by (cell, index)
+    as int64, and their cell ids.  The cell of a coordinate is the one
+    :func:`_cell_index` gives.
     """
-    nbs = len(bs_x)
-    side = isqrt(nbs)
-    if nbs <= RING_MIN_HOLDERS:
-        return side, [], []
-    cells = [
-        _cell_index(y, side) * side + _cell_index(x, side)
-        for x, y in zip(bs_x, bs_y)
-    ]
-    order = sorted(range(nbs), key=cells.__getitem__)
-    return side, order, [cells[b] for b in order]
+    bs_x = np.asarray(bs_x, dtype=np.float64)
+    bs_y = np.asarray(bs_y, dtype=np.float64)
+    side = isqrt(len(bs_x))
+
+    def cell_index(v):
+        return np.minimum((v * side).astype(np.int64), side - 1)
+
+    cells = cell_index(bs_y) * side + cell_index(bs_x)
+    idx = np.argsort(cells, kind="stable").astype(np.int64, copy=False)
+    return side, idx, cells[idx]
 
 
 def trace_one(xs, ys, g, requester, m, h_idx, h_start, hc_idx, hc_cell, bs_x, bs_y):
     """Route node ``requester``'s request for content ``m``; returns (status, cells).
 
-    Find the nearest holder (ring or linear search) excluding the
-    requester itself, then let base stations compete as extra candidates,
-    never excluded: station ``b`` is candidate ``n + b``, so a node wins a
-    distance tie against a station and the lowest station index wins
-    among stations.  More than ``RING_MIN_HOLDERS`` stations are searched
-    by :func:`nearest_ring` on the grid of :func:`_station_index`, seeded
-    with the node winner, so the search stops at the first ring beyond
-    it; fewer are scanned linearly.  Both give the same winner.  Then
-    walk the grid cells along the geodesic to the winner.  ``cells``
-    holds the flat ids of the walk in traversal order, ending on the
-    winner's cell; a request that no other cache can serve gets just the
-    requester's own cell.
+    Find the nearest holder excluding the requester itself, then let base
+    stations compete as extra candidates, never excluded: station ``b`` is
+    candidate ``n + b``, so a node wins a distance tie against a station
+    and the lowest station index wins among stations.  Holders and
+    stations go through the same :func:`nearest`, the stations on the grid
+    of :func:`station_layout` and seeded with the node winner, so a ring
+    search stops at the first ring beyond it.  Then walk the grid cells
+    along the geodesic to the winner.  ``cells`` holds the flat ids of the
+    walk in traversal order, ending on the winner's cell; a request that
+    no other cache can serve gets just the requester's own cell.
 
     status: 0 ok, 1 served locally (requester is the sole holder),
     2 routing failure (no holder, no base station).
     """
     return _route(
         xs, ys, g, requester, m, h_idx, h_start, hc_idx, hc_cell, bs_x, bs_y,
-        _station_index(bs_x, bs_y),
+        station_layout(bs_x, bs_y),
     )
 
 
 def _route(
     xs, ys, g, requester, m, h_idx, h_start, hc_idx, hc_cell, bs_x, bs_y, stations
 ):
-    """:func:`trace_one` with the station layout of :func:`_station_index`."""
+    """:func:`trace_one` with the station layout of :func:`station_layout`."""
     n = len(xs)
-    lo, hi = h_start[m], h_start[m + 1]
     px, py = xs[requester], ys[requester]
-    if hi - lo > RING_MIN_HOLDERS:
-        best_i, best_d2, saw_self = nearest_ring(
-            px, py, xs, ys, hc_idx, hc_cell, lo, hi, g, requester
-        )
-    else:
-        best_i, best_d2, saw_self = nearest_linear(
-            px, py, xs, ys, h_idx[lo:hi], requester
-        )
-    bs_g, bs_idx, bs_cell = stations
-    if bs_idx:
-        best_i, best_d2, _ = nearest_ring(
-            px, py, bs_x, bs_y, bs_idx, bs_cell, 0, len(bs_idx), bs_g, -1,
-            best_i, best_d2, n,
-        )
-    else:
-        for b in range(len(bs_x)):
-            d2 = _dist2(px, py, bs_x[b], bs_y[b])
-            idx = n + b
-            if d2 < best_d2 or (d2 == best_d2 and idx < best_i):
-                best_d2 = d2
-                best_i = idx
+    best_i, best_d2, saw_self = nearest(
+        px, py, xs, ys, h_idx, hc_idx, hc_cell, h_start[m], h_start[m + 1], g,
+        requester,
+    )
+    side, bs_idx, bs_cell = stations
+    best_i, best_d2, _ = nearest(
+        px, py, bs_x, bs_y, bs_idx, bs_idx, bs_cell, 0, len(bs_idx), side, -1,
+        best_i, best_d2, n,
+    )
 
     if best_i < 0:
         own = _cell_index(py, g) * g + _cell_index(px, g)
@@ -289,7 +299,8 @@ def trace_batch(xs, ys, g, req, h_idx, h_start, hc_idx, hc_cell, bs_x, bs_y):
     loads = np.zeros(g * g, dtype=np.int64)
     loads_l = [0] * (g * g)
     status = np.zeros(n, dtype=np.int64)
-    stations = _station_index(bs_x, bs_y)
+    side, bs_idx, bs_cell = station_layout(bs_x, bs_y)
+    stations = side, bs_idx.tolist(), bs_cell.tolist()
 
     for i in range(n):
         status[i], cells = _route(

@@ -10,12 +10,13 @@
  * instructions, and never with -ffast-math.
  *
  * Inputs are trusted: the ctypes binding in _fast.py checks array lengths,
- * index ranges and coordinates before calling in.
+ * index ranges and coordinates before calling in.  The binding passes every
+ * buffer, the station layout (_ref.station_layout) and the path buffer
+ * included; the kernel allocates nothing.
  */
 
 #include <math.h>
 #include <stdint.h>
-#include <stdlib.h>
 
 typedef int64_t i64;
 
@@ -115,23 +116,37 @@ static inline void consider(double d2, i64 idx, i64 *best_i, double *best_d2)
     }
 }
 
-i64 ccn_nearest_linear(double px, double py, const double *xs,
-                       const double *ys, const i64 *cand, i64 n_cand,
-                       i64 exclude, double *out_d2, int *out_saw)
+/* Linear scan of cand[0:n_cand] (see _ref.nearest_linear): candidate
+ * cand[k] competes as offset + cand[k] against the best so far, which
+ * *best_i and *best_d2 hold on entry and on return. */
+static inline void nearest_linear(double px, double py, const double *xs,
+                                  const double *ys, const i64 *cand,
+                                  i64 n_cand, i64 exclude, i64 offset,
+                                  i64 *best_i, double *best_d2, int *out_saw)
 {
-    i64 best_i = -1;
-    double best_d2 = INFINITY;
-    *out_saw = 0;
+    i64 bi = *best_i;
+    double bd2 = *best_d2;
+    int saw = 0;
     for (i64 k = 0; k < n_cand; k++) {
         i64 idx = cand[k];
         if (idx == exclude) {
-            *out_saw = 1;
+            saw = 1;
             continue;
         }
-        consider(dist2(px, py, xs[idx], ys[idx]), idx, &best_i, &best_d2);
+        consider(dist2(px, py, xs[idx], ys[idx]), offset + idx, &bi, &bd2);
     }
-    *out_d2 = best_d2;
-    return best_i;
+    *best_i = bi;
+    *best_d2 = bd2;
+    *out_saw = saw;
+}
+
+void ccn_nearest_linear(double px, double py, const double *xs,
+                        const double *ys, const i64 *cand, i64 n_cand,
+                        i64 exclude, i64 offset, i64 *best_i, double *best_d2,
+                        int *out_saw)
+{
+    nearest_linear(px, py, xs, ys, cand, n_cand, exclude, offset, best_i,
+                   best_d2, out_saw);
 }
 
 /* Scans the candidates of one bucket: hc_cell[lo:hi] is sorted, so the
@@ -212,138 +227,86 @@ void ccn_nearest_ring(double px, double py, const double *xs,
                  best_i, best_d2, out_saw);
 }
 
-/* The base stations and, when there are more than ccn_ring_min_holders of
- * them, their bucket layout for nearest_ring (see _ref._station_index): a
- * grid of side g = floor(sqrt(count)), so a cell holds about one station,
- * and in one block of 2 * count entries the station indices sorted by
- * (cell, index), then their cell ids.  Otherwise idx and cell are NULL and
- * the stations are scanned linearly. */
-typedef struct {
-    i64 count, g;
-    const double *x, *y;
-    i64 *idx, *cell;
-} stations;
-
-typedef struct { i64 cell, idx; } cell_entry;
-
-static int by_cell_then_index(const void *a, const void *b)
+/* Nearest member of one candidate set (see _ref.nearest): the ring search
+ * over the buckets hc_idx/hc_cell[lo:hi] on a grid of side g when the set
+ * has more than ccn_ring_min_holders members, else a linear scan of
+ * cand[lo:hi], which holds the same members. */
+static inline void nearest(double px, double py, const double *xs,
+                           const double *ys, const i64 *cand,
+                           const i64 *hc_idx, const i64 *hc_cell, i64 lo,
+                           i64 hi, i64 g, i64 exclude, i64 offset,
+                           i64 *best_i, double *best_d2, int *out_saw)
 {
-    const cell_entry *p = a, *q = b;
-    if (p->cell != q->cell) return p->cell < q->cell ? -1 : 1;
-    return (p->idx > q->idx) - (p->idx < q->idx);
-}
-
-/* Fills *bs; returns 0, or -1 when memory runs out.  Release with
- * free(bs->idx). */
-static int stations_init(stations *bs, i64 nbs, const double *bs_x,
-                         const double *bs_y)
-{
-    cell_entry *order;
-    i64 g = (i64)sqrt((double)nbs);
-    while (g * g > nbs) g--;  /* exact floor(sqrt(nbs)), as math.isqrt */
-    while ((g + 1) * (g + 1) <= nbs) g++;
-    *bs = (stations){nbs, g, bs_x, bs_y, NULL, NULL};
-    if (nbs <= ccn_ring_min_holders) return 0;
-    order = malloc((size_t)nbs * sizeof *order);
-    bs->idx = malloc((size_t)(2 * nbs) * sizeof *bs->idx);
-    if (order == NULL || bs->idx == NULL) {
-        free(order);
-        free(bs->idx);
-        return -1;
-    }
-    bs->cell = bs->idx + nbs;
-    for (i64 b = 0; b < nbs; b++) {
-        order[b].cell = cell_index(bs_y[b], g) * g + cell_index(bs_x[b], g);
-        order[b].idx = b;
-    }
-    qsort(order, (size_t)nbs, sizeof *order, by_cell_then_index);
-    for (i64 b = 0; b < nbs; b++) {
-        bs->idx[b] = order[b].idx;
-        bs->cell[b] = order[b].cell;
-    }
-    free(order);
-    return 0;
+    if (hi - lo > ccn_ring_min_holders)
+        nearest_ring(px, py, xs, ys, hc_idx, hc_cell, lo, hi, g, exclude,
+                     offset, best_i, best_d2, out_saw);
+    else
+        nearest_linear(px, py, xs, ys, cand + lo, hi - lo, exclude, offset,
+                       best_i, best_d2, out_saw);
 }
 
 /* Routes one request (see _ref.trace_one): writes its walk's cell ids to
  * buf, which holds 2g - 1 cells, and a nonzero status to *status (callers
  * zero it, so a routed request touches no page of it); returns the cell
- * count.  Inlined into ccn_trace_batch's loop. */
+ * count.  The nbs stations are searched on the layout of
+ * _ref.station_layout: a grid of side bs_g, and the station indices
+ * bs_idx sorted by (cell, index) with their cell ids bs_cell.  Inlined
+ * into ccn_trace_batch's loop. */
 static inline i64 trace_one(i64 n, const double *xs, const double *ys,
-                             i64 g, i64 requester, i64 m, const i64 *h_idx,
-                             const i64 *h_start, const i64 *hc_idx,
-                             const i64 *hc_cell, const stations *bs,
-                             i64 *buf, i64 *status)
+                            i64 g, i64 requester, i64 m, const i64 *h_idx,
+                            const i64 *h_start, const i64 *hc_idx,
+                            const i64 *hc_cell, i64 nbs, const double *bs_x,
+                            const double *bs_y, i64 bs_g, const i64 *bs_idx,
+                            const i64 *bs_cell, i64 *buf, i64 *status)
 {
-    i64 lo = h_start[m], hi = h_start[m + 1];
     i64 best_i = -1;
     double px = xs[requester], py = ys[requester], best_d2 = INFINITY, hx, hy;
     int saw_self, saw_none;
-    if (hi - lo > ccn_ring_min_holders)
-        nearest_ring(px, py, xs, ys, hc_idx, hc_cell, lo, hi, g, requester, 0,
-                     &best_i, &best_d2, &saw_self);
-    else
-        best_i = ccn_nearest_linear(px, py, xs, ys, h_idx + lo, hi - lo,
-                                    requester, &best_d2, &saw_self);
+    nearest(px, py, xs, ys, h_idx, hc_idx, hc_cell, h_start[m], h_start[m + 1],
+            g, requester, 0, &best_i, &best_d2, &saw_self);
     /* Station b competes as n + b, after every node: a node wins a distance
-     * tie, and the lowest station index wins among stations.  The ring
-     * search starts from the node winner, so it stops at the first ring
-     * beyond that node. */
-    if (bs->idx != NULL)
-        nearest_ring(px, py, bs->x, bs->y, bs->idx, bs->cell, 0, bs->count,
-                     bs->g, -1, n, &best_i, &best_d2, &saw_none);
-    else
-        for (i64 b = 0; b < bs->count; b++)
-            consider(dist2(px, py, bs->x[b], bs->y[b]), n + b, &best_i,
-                     &best_d2);
+     * tie, and the lowest station index wins among stations.  The search
+     * starts from the node winner, so a ring search stops at the first
+     * ring beyond that node. */
+    nearest(px, py, bs_x, bs_y, bs_idx, bs_idx, bs_cell, 0, nbs, bs_g, -1, n,
+            &best_i, &best_d2, &saw_none);
 
     if (best_i < 0) {
         buf[0] = cell_index(py, g) * g + cell_index(px, g);
         *status = saw_self ? 1 : 2;
         return 1;
     }
-    hx = best_i < n ? xs[best_i] : bs->x[best_i - n];
-    hy = best_i < n ? ys[best_i] : bs->y[best_i - n];
+    hx = best_i < n ? xs[best_i] : bs_x[best_i - n];
+    hy = best_i < n ? ys[best_i] : bs_y[best_i - n];
     return ccn_segment_cells(px, py, hx, hy, g, buf);
 }
 
-/* Routes one request, building the station layout for this call alone.
- * Returns the cell count, or -1 when memory runs out. */
 i64 ccn_trace_one(i64 n, const double *xs, const double *ys, i64 g,
                   i64 requester, i64 m, const i64 *h_idx, const i64 *h_start,
                   const i64 *hc_idx, const i64 *hc_cell, i64 nbs,
-                  const double *bs_x, const double *bs_y, i64 *buf,
+                  const double *bs_x, const double *bs_y, i64 bs_g,
+                  const i64 *bs_idx, const i64 *bs_cell, i64 *buf,
                   i64 *status)
 {
-    stations bs;
-    i64 count;
-    if (stations_init(&bs, nbs, bs_x, bs_y) != 0) return -1;
-    count = trace_one(n, xs, ys, g, requester, m, h_idx, h_start, hc_idx,
-                      hc_cell, &bs, buf, status);
-    free(bs.idx);
-    return count;
+    return trace_one(n, xs, ys, g, requester, m, h_idx, h_start, hc_idx,
+                     hc_cell, nbs, bs_x, bs_y, bs_g, bs_idx, bs_cell, buf,
+                     status);
 }
 
 /* Traces one request per node into hops, loads and status (all zeroed by
- * the caller); see _ref.trace_batch for the rules.  Returns 0, or -1 when
- * the path buffer or the station layout cannot be allocated. */
-int ccn_trace_batch(i64 n, const double *xs, const double *ys, i64 g,
-                    const i64 *req, const i64 *h_idx, const i64 *h_start,
-                    const i64 *hc_idx, const i64 *hc_cell, i64 nbs,
-                    const double *bs_x, const double *bs_y, i64 *hops,
-                    i64 *loads, i64 *status)
+ * the caller), with buf as the path buffer of trace_one; see
+ * _ref.trace_batch for the rules. */
+void ccn_trace_batch(i64 n, const double *xs, const double *ys, i64 g,
+                     const i64 *req, const i64 *h_idx, const i64 *h_start,
+                     const i64 *hc_idx, const i64 *hc_cell, i64 nbs,
+                     const double *bs_x, const double *bs_y, i64 bs_g,
+                     const i64 *bs_idx, const i64 *bs_cell, i64 *buf,
+                     i64 *hops, i64 *loads, i64 *status)
 {
-    stations bs;
-    i64 *buf;
-    if (stations_init(&bs, nbs, bs_x, bs_y) != 0) return -1;
-    buf = malloc((size_t)(2 * g - 1) * sizeof *buf);
-    if (buf == NULL) {
-        free(bs.idx);
-        return -1;
-    }
     for (i64 i = 0; i < n; i++) {
         i64 ncells = trace_one(n, xs, ys, g, i, req[i], h_idx, h_start,
-                               hc_idx, hc_cell, &bs, buf, &status[i]);
+                               hc_idx, hc_cell, nbs, bs_x, bs_y, bs_g, bs_idx,
+                               bs_cell, buf, &status[i]);
         if (ncells == 1) {
             loads[buf[0]] += 1;
             hops[i] = 1;
@@ -352,7 +315,4 @@ int ccn_trace_batch(i64 n, const double *xs, const double *ys, i64 g,
             hops[i] = ncells - 1;
         }
     }
-    free(buf);
-    free(bs.idx);
-    return 0;
 }

@@ -207,6 +207,12 @@ def solve(prob: AllocationProblem) -> Allocation:
     lower, upper, f, a = prob.lower, prob.upper, prob.f, prob.a
     budget = prob.budget
 
+    if f == 0 and m_count * lower > budget:
+        raise InfeasibleError(
+            f"budget n*K = {budget:g} cannot give {m_count} contents "
+            f"{lower:g} holders each"
+        )
+
     if prob.degenerate:
         x = np.full(m_count, lower)
         alloc = Allocation(
@@ -220,12 +226,6 @@ def solve(prob: AllocationProblem) -> Allocation:
             degenerate=True,
         )
         return alloc
-
-    if f == 0 and m_count * lower > budget:
-        raise InfeasibleError(
-            f"budget n*K = {budget:g} cannot give {m_count} contents "
-            f"{lower:g} holders each"
-        )
 
     if m_count * upper <= budget:
         # Over-provisioned: the cap binds everywhere, budget slack, multiplier 0.
@@ -333,12 +333,15 @@ def solve(prob: AllocationProblem) -> Allocation:
 
 
 def kkt_residual(alloc: Allocation, prob: AllocationProblem) -> float:
-    """Largest relative violation of the stationarity conditions.
+    """Largest relative violation of the KKT conditions.
 
     With gradient magnitude g_m = p_m/(2 sqrt(a) (X_m+f)^{3/2}) and
     multiplier lam, optimality requires g_m >= lam at the upper bound,
     g_m = lam in the interior, g_m <= lam at the lower bound, and no
-    budget slack when lam > 0.  Residuals are scaled by max(g_m, lam).
+    budget slack when lam > 0; these residuals are scaled by
+    max(g_m, lam).  Feasibility requires sum X <= n K, whose overrun is
+    scaled by n K, and lower <= X_m <= upper, whose violations are
+    scaled by max(1, |upper|).
     """
     p = prob.pop.p
     x = alloc.X
@@ -354,11 +357,14 @@ def kkt_residual(alloc: Allocation, prob: AllocationProblem) -> float:
     res[at_upper] = np.maximum(0.0, lam - g[at_upper])
     res[at_lower] = np.maximum(0.0, g[at_lower] - lam)
     res[interior] = np.abs(g[interior] - lam)
-    worst = float(np.max(res / scale)) if len(res) else 0.0
+    worst = 0.0
+    if len(x):
+        box = max(lower - float(x.min()), float(x.max()) - upper)
+        worst = max(float(np.max(res / scale)), box / max(1.0, abs(upper)))
+    excess = float(np.sum(x)) - prob.budget
     if lam > 0:
-        slack = prob.budget - float(np.sum(x))
-        worst = max(worst, max(0.0, slack) / prob.budget)
-    return worst
+        excess = abs(excess)  # no slack either
+    return max(worst, excess / prob.budget)
 
 
 def _verify_kkt(alloc: Allocation, prob: AllocationProblem) -> None:

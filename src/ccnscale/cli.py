@@ -752,20 +752,24 @@ def _self_checks() -> list[tuple[str, bool, str]]:
     else:
         if _kernels.BACKEND_REASON:
             active += f": {_kernels.BACKEND_REASON}"
-        # 95 base stations, more than RING_MIN_HOLDERS: the station ring search
-        het = NetworkConfig(
-            n=2000, alpha=0.8, beta=0.9, mode=Mode.HETEROGENEOUS, mu=0.6, seed=1
-        )
-        het_prob = het.problem()
-        het_allocation = round_to_integers(solve(het_prob), het_prob)
+        # 20 and 95 base stations, on either side of RING_MIN_HOLDERS: the
+        # linear and the ring station search
+        points = [(cfg, allocation)]
+        for mu in (0.4, 0.6):
+            het = NetworkConfig(
+                n=2000, alpha=0.8, beta=0.9, mode=Mode.HETEROGENEOUS, mu=mu, seed=1
+            )
+            het_prob = het.problem()
+            points.append((het, round_to_integers(solve(het_prob), het_prob)))
         same = True
-        for point, alloc in ((cfg, allocation), (het, het_allocation)):
+        for point, alloc in points:
             inst = sim.build_instance(point, alloc, seed=3)
             req = sim.draw_requests(inst, point.popularity(), seed=4)
             args = sim._trace_args(inst, req)
             fast_out, ref_out = _fast.trace_batch(*args), _ref.trace_batch(*args)
             same &= all(np.array_equal(a, b) for a, b in zip(fast_out, ref_out))
-        traced = f"ad hoc and {het.base_station_count}-station instances"
+        few, many = (point.base_station_count for point, _ in points[1:])
+        traced = f"ad hoc, {few}-station and {many}-station instances"
         checks.append((name, bool(same), f"{active}; {traced}"))
 
     return checks

@@ -73,6 +73,14 @@ class TestSolveExamples:
         with pytest.raises(InfeasibleError):
             solve(AllocationProblem(pop=zipf(30, 1.0), n=20, K=1.0, a=1 / 16))
 
+    def test_infeasible_degenerate_ad_hoc_budget(self):
+        # a = 1 collapses the box to X = 1, which 63 contents cannot get
+        # from a budget of 10.
+        prob = AllocationProblem.ad_hoc(zipf(63, 0.8), n=100, K=0.1, a=1.0)
+        assert prob.degenerate
+        with pytest.raises(InfeasibleError):
+            solve(prob)
+
     def test_over_provisioned_budget_all_upper(self):
         prob = AllocationProblem(pop=zipf(3, 1.0), n=1000, K=1.0, a=1 / 9)
         res = solve(prob)
@@ -132,7 +140,40 @@ class TestOracleParity:
                 ) + 1e-12
 
 
+def _allocation(x, multiplier=0.0):
+    """A hand-built allocation; only ``X`` and the multiplier enter the KKT
+    residual."""
+    return alloc.Allocation(
+        X=np.array(x, dtype=np.float64), m1=1, m2=1, Kprime=0.0,
+        multiplier=multiplier, objective=0.0, s_interior=0.0,
+    )
+
+
 class TestKkt:
+    def test_over_budget_allocation_fails_certificate(self):
+        # Every content at upper = 25 with multiplier 0 meets every
+        # stationarity condition, but uses 300 of a budget of 40.
+        prob = AllocationProblem(pop=zipf(12, 1.2), n=40, K=1.0, a=1 / 25)
+        bad = _allocation(np.full(12, prob.upper))
+        assert alloc.kkt_residual(bad, prob) == (300 - 40) / 40
+        with pytest.raises(SolverError, match="optimality certificate failed"):
+            alloc._verify_kkt(bad, prob)
+
+    def test_allocation_outside_the_box_fails_certificate(self):
+        # Over-provisioned (budget 200 for 4 contents capped at 25): X =
+        # upper is optimal with multiplier 0, and one content above the
+        # cap breaks only the box.
+        prob = AllocationProblem(pop=zipf(4, 1.0), n=200, K=1.0, a=1 / 25)
+        assert alloc.kkt_residual(_allocation([25.0] * 4), prob) == 0.0
+        above = _allocation([25.5, 25.0, 25.0, 25.0])
+        assert alloc.kkt_residual(above, prob) == 0.5 / 25
+        # Content 0 interior at the multiplier, content 1 half a holder
+        # below lower = 1 with a smaller gradient, the budget of 10 met.
+        prob = AllocationProblem(pop=zipf(2, 10.0), n=10, K=1.0, a=1 / 25)
+        x = np.array([9.5, 0.5])
+        lam = float(alloc._grad_magnitude(prob.pop.p, x, prob.a, prob.f)[0])
+        assert alloc.kkt_residual(_allocation(x, lam), prob) == 0.5 / 25
+
     def test_residual_small_on_random_instances(self):
         for prob in random_instances(seed=1618, count=200):
             res = solve(prob)

@@ -364,6 +364,18 @@ class TestRunSweep:
         text = open(result.csv_path, encoding="utf-8").read()
         assert ",infeasible," in text
 
+    def test_infeasible_degenerate_point_surfaced(self, tmp_path):
+        # cell_area = 1 collapses the box to one holder per content: 63
+        # contents do not fit a budget of n*K = 10.
+        conf = _write(
+            tmp_path,
+            "degen.conf",
+            "mode = adhoc\nn = 100\nalpha = 0.8\nbeta = 0.9\nK = 0.1\n"
+            "cell_area = 1\n",
+        )
+        (row,) = run_sweep(conf, out_dir=None).rows
+        assert row.status == "infeasible"
+
     def test_simulation_capped_by_max_sim_n(self, tmp_path):
         conf = _write(
             tmp_path,
@@ -659,26 +671,43 @@ class TestCommandLine:
         assert "FAIL" not in proc.stdout
         assert "checks passed" in proc.stdout
 
-    def test_check_compares_backends_on_the_station_ring_path(self, monkeypatch):
-        # A compiled kernel that goes wrong only with more than
-        # RING_MIN_HOLDERS base stations fails the backend check.
+    @staticmethod
+    def _check_fails_if_compiled_errs(monkeypatch, wrong_for):
+        """The backend check passes, and fails once the compiled
+        ``trace_batch`` goes wrong on the instances whose station count
+        ``wrong_for`` accepts."""
         _fast = pytest.importorskip("ccnscale._kernels._fast")
-        from ccnscale._kernels import _ref
-
         real = _fast.trace_batch
 
-        def wrong_with_many_stations(*args):
+        def wrong(*args):
             hops, loads, status = real(*args)
-            if len(args[-1]) > _ref.RING_MIN_HOLDERS:
+            if wrong_for(len(args[-1])):
                 hops = hops + 1
             return hops, loads, status
 
         name = "kernel backends bit-identical"
         (passed, detail), = [c[1:] for c in cli._self_checks() if c[0] == name]
-        assert passed and "95-station" in detail
-        monkeypatch.setattr(_fast, "trace_batch", wrong_with_many_stations)
+        assert passed and "20-station and 95-station" in detail
+        monkeypatch.setattr(_fast, "trace_batch", wrong)
         (passed, _), = [c[1:] for c in cli._self_checks() if c[0] == name]
         assert not passed
+
+    def test_check_compares_backends_on_the_station_ring_path(self, monkeypatch):
+        # A compiled kernel that goes wrong only with more than
+        # RING_MIN_HOLDERS base stations fails the backend check.
+        from ccnscale._kernels import _ref
+
+        self._check_fails_if_compiled_errs(
+            monkeypatch, lambda nbs: nbs > _ref.RING_MIN_HOLDERS
+        )
+
+    def test_check_compares_backends_on_the_station_linear_path(self, monkeypatch):
+        # Likewise with 1 to RING_MIN_HOLDERS base stations.
+        from ccnscale._kernels import _ref
+
+        self._check_fails_if_compiled_errs(
+            monkeypatch, lambda nbs: 0 < nbs <= _ref.RING_MIN_HOLDERS
+        )
 
     def test_check_fails_when_the_kernel_does_not_build(self, tmp_path):
         env = dict(

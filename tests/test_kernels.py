@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 import os
+import re
 import shlex
 import shutil
 import subprocess
@@ -475,6 +476,43 @@ def _station_cases() -> dict:
 _STATION_CASES = _station_cases()
 
 
+def _station_instance(nodes, holders, stations, g):
+    return sim.NetworkInstance(
+        nodes=nodes,
+        base_stations=stations,
+        holders=tuple(np.array(h, dtype=np.int64) for h in holders),
+        grid=CellGrid(g),
+        schedule=build_schedule(CellGrid(g), 1.0),
+    )
+
+
+def _scan_winners(inst):
+    """Yield ``(m, i, winner, end)`` for node i's request of each content m:
+    the id that a brute-force scan of the content's holders and then the
+    stations picks, and its coordinates.  Ids order holders before
+    stations, so the scan's lowest-index rule lets nodes win distance ties
+    and the lowest station win among stations."""
+    n, xs, ys = inst.n, inst._xs, inst._ys
+    bs_x, bs_y = inst.base_stations[:, 0], inst.base_stations[:, 1]
+    for m, held in enumerate(inst.holders):
+        cx = np.concatenate([xs[held], bs_x])
+        cy = np.concatenate([ys[held], bs_y])
+        for i in range(n):
+            own = np.flatnonzero(held == i)
+            k, _ = nearest_by_scan(
+                xs[i], ys[i], cx, cy, int(own[0]) if own.size else -1
+            )
+            winner = int(held[k]) if k < len(held) else n + k - len(held)
+            yield m, i, winner, (cx[k], cy[k])
+
+
+def _assert_walks_to(backend, inst, i, m, end):
+    px, py = inst._xs[i], inst._ys[i]
+    assert backend.trace_one(*sim._trace_args(inst, i, m)) == (
+        0, _ref.segment_cells(px, py, *end, inst.grid.side)
+    )
+
+
 @pytest.mark.parametrize("g", [1, 2, 3, 8])
 @pytest.mark.parametrize("case", sorted(_STATION_CASES))
 @pytest.mark.parametrize(
@@ -483,41 +521,111 @@ _STATION_CASES = _station_cases()
     ids=["python", "compiled"],
 )
 def test_station_ring_search_finds_the_scan_winner(backend, case, g):
-    # Every request is won by the candidate that a brute-force scan of the
-    # content's holders and then the stations picks; ids order holders
-    # before stations, so the scan's lowest-index rule lets nodes win
-    # distance ties and the lowest station win among stations.
+    # Every request is won by the candidate that a brute-force scan picks;
+    # the station ring search, seeded with the node winner, finds it.
     nodes, holders, stations = _STATION_CASES[case]
     assert len(stations) > _ref.RING_MIN_HOLDERS
-    inst = sim.NetworkInstance(
-        nodes=nodes,
-        base_stations=stations,
-        holders=tuple(np.array(h, dtype=np.int64) for h in holders),
-        grid=CellGrid(g),
-        schedule=build_schedule(CellGrid(g), 1.0),
-    )
+    inst = _station_instance(nodes, holders, stations, g)
     n, xs, ys = inst.n, inst._xs, inst._ys
     bs_x, bs_y = stations[:, 0], stations[:, 1]
-    side, bs_idx, bs_cell = _ref._station_index(bs_x.tolist(), bs_y.tolist())
-    for m, held in enumerate(inst.holders):
-        cx = np.concatenate([xs[held], bs_x])
-        cy = np.concatenate([ys[held], bs_y])
-        for i in range(n):
-            px, py = xs[i], ys[i]
-            own = np.flatnonzero(held == i)
-            k, _ = nearest_by_scan(px, py, cx, cy, int(own[0]) if own.size else -1)
-            want = int(held[k]) if k < len(held) else n + k - len(held)
-            node = _ref.nearest_linear(px, py, xs, ys, held, i)
-            got = backend.nearest_ring(
-                px, py, bs_x, bs_y, bs_idx, bs_cell, 0, len(bs_idx), side, -1,
-                node[0], node[1], n,
-            )
-            assert got[0] == want, (m, i)
-            assert backend.trace_one(*sim._trace_args(inst, i, m)) == (
-                0, _ref.segment_cells(px, py, cx[k], cy[k], g)
-            )
+    side, bs_idx, bs_cell = _ref.station_layout(bs_x, bs_y)
+    for m, i, want, end in _scan_winners(inst):
+        px, py = xs[i], ys[i]
+        node = _ref.nearest_linear(px, py, xs, ys, inst.holders[m], i)
+        got = backend.nearest_ring(
+            px, py, bs_x, bs_y, bs_idx, bs_cell, 0, len(bs_idx), side, -1,
+            node[0], node[1], n,
+        )
+        assert got[0] == want, (m, i)
+        _assert_walks_to(backend, inst, i, m, end)
     if backend is _fast:
         _assert_trace_equal(inst, np.arange(n) % len(holders))
+
+
+@needs_fast
+@pytest.mark.parametrize("nbs", [64, 65])
+@pytest.mark.parametrize("k", [64, 65])
+def test_trace_on_both_sides_of_ring_min_holders(k, nbs):
+    # k holders of content 0 and nbs stations: RING_MIN_HOLDERS members
+    # are scanned linearly, one more are searched ring by ring.  Content 1
+    # has two holders, so stations win most of its requests.  Coordinates
+    # are multiples of 1/32, so distance ties are exact and frequent.
+    assert _ref.RING_MIN_HOLDERS == 64
+    rng = np.random.default_rng(100 * k + nbs)
+    n = 200
+    nodes = rng.integers(0, 32, size=(n, 2)) / 32
+    stations = rng.integers(0, 32, size=(nbs, 2)) / 32
+    holders = [np.sort(rng.choice(n, size=k, replace=False)), [3, 150]]
+    inst = _station_instance(nodes, holders, stations, 6)
+    for m, i, _, end in _scan_winners(inst):
+        _assert_walks_to(_ref, inst, i, m, end)
+        _assert_walks_to(_fast, inst, i, m, end)
+    _assert_trace_equal(inst, np.arange(n) % 2)
+
+
+@pytest.mark.parametrize("nbs", [0, 1, 3, 4, 64, 65, 251])
+def test_station_layout_sorts_by_cell_then_index(nbs):
+    # Coordinates on the cell edges k/side, at 0 and just below the wrap
+    # at 1, and at random; repeats put several stations in one cell.
+    rng = np.random.default_rng(nbs)
+    side = math.isqrt(nbs)
+    edges = np.arange(max(side, 1)) / max(side, 1)
+    pool = np.concatenate([edges, [0.0, np.nextafter(1.0, 0.0)], rng.random(8)])
+    bs = rng.choice(pool, size=(nbs, 2))
+    cells = [
+        _ref._cell_index(y, side) * side + _ref._cell_index(x, side)
+        for x, y in bs.tolist()
+    ]
+    want = sorted(range(nbs), key=lambda b: (cells[b], b))
+    got_side, idx, cell = _ref.station_layout(bs[:, 0], bs[:, 1])
+    assert got_side == side
+    assert idx.dtype == cell.dtype == np.int64
+    assert idx.tolist() == want
+    assert cell.tolist() == [cells[b] for b in want]
+
+
+@pytest.mark.parametrize(
+    "backend",
+    [_ref, pytest.param(_fast, marks=needs_fast)],
+    ids=["python", "compiled"],
+)
+def test_seeded_linear_scan_matches_ring_search(backend):
+    # Both searches return the lexicographic minimum of (d2, id) over the
+    # seed and the candidates, candidate c as offset + c, whatever the
+    # order of the linear scan's candidates.  Lattice coordinates make
+    # ties, with the seed too.
+    rng = np.random.default_rng(5)
+    n, g, offset = 300, 8, 1000
+    xs, ys = rng.integers(0, 64, size=(2, n)) / 64
+    for trial in range(80):
+        members = rng.choice(n, size=int(rng.integers(1, 120)), replace=False)
+        hc_idx, hc_cell = _bucketize(xs, ys, members, g)
+        px, py = rng.integers(0, 64, size=2) / 64
+        exclude = int(members[0]) if trial % 3 == 0 else -1
+        seed = (-1, math.inf)
+        if trial % 4:
+            sx, sy = rng.integers(0, 64, size=2) / 64
+            seed = (int(rng.integers(2 * offset)), _ref._dist2(px, py, sx, sy))
+        want = min(
+            [seed[::-1]]
+            + [(_ref._dist2(px, py, xs[c], ys[c]), offset + int(c))
+               for c in members if c != exclude]
+        )[::-1]
+        lin = backend.nearest_linear(
+            px, py, xs, ys, rng.permutation(members), exclude, *seed, offset
+        )
+        ring = backend.nearest_ring(
+            px, py, xs, ys, hc_idx, hc_cell, 0, len(members), g, exclude,
+            *seed, offset,
+        )
+        assert lin[:2] == ring[:2] == want
+
+
+def test_compiled_kernel_allocates_nothing():
+    # The binding passes every buffer, so no allocation can fail in C.
+    source = (Path(_ref.__file__).parent / "trace.c").read_text()
+    named = re.findall(r"\b(?:malloc|calloc|realloc|free|qsort)\b|stdlib\.h", source)
+    assert named == []
 
 
 def _tiny_trace_args(**override):
