@@ -15,9 +15,10 @@ stations go through one search, ``nearest``, which scans a set of at most
 ``RING_MIN_HOLDERS`` members and searches a larger one ring by ring; the
 stations' bucket layout comes from ``_ref.station_layout``, in numpy, for
 both backends.  This module exports ``trace_one``, ``trace_batch`` and
-``RING_MIN_HOLDERS``; the helpers they are built from
+``RING_MIN_HOLDERS``.  The helpers they are built from
 (``segment_cells``, ``nearest_linear``, ``nearest_ring``,
-``station_layout``) are reached only through the backend modules.  The
+``station_layout``) are exposed only by ``_ref``; the compiled library
+exports just the two entry points.  The
 compiled backend is preferred when it loads; otherwise the dispatcher
 falls back to ``_ref`` and records why in :data:`BACKEND_REASON` (``""``
 while the compiled backend is active).  Set the environment variable

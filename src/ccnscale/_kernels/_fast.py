@@ -2,13 +2,17 @@
 
 ``trace.c`` is a C99 port of ``_ref.py`` that performs the same IEEE-754
 double arithmetic in the same order, so both backends return bit-identical
-results.  Every routing rule lives there.  The wrappers below only convert
-arguments to contiguous int64/float64 arrays, check lengths, index ranges
-and coordinates so that the C code never reads or writes out of bounds,
-and allocate every buffer the kernel uses: the outputs, the path buffer
-and the stations' bucket layout, which ``_ref.station_layout`` builds in
-numpy for both backends.  The kernel allocates nothing, so a call cannot
-fail once its inputs pass the checks.
+results.  Every routing rule lives there.  The library exports two entry
+points, ``ccn_trace_one`` and ``ccn_trace_batch``, behind :func:`trace_one`
+and :func:`trace_batch`, and the constant :data:`RING_MIN_HOLDERS`; the
+helpers they are built from are static in C, and only ``_ref`` exposes
+them.  The wrappers below only convert arguments to contiguous
+int64/float64 arrays, check lengths, index ranges and coordinates so that
+the C code never reads or writes out of bounds, and allocate every buffer
+the kernel uses: the outputs, the path buffer and the stations' bucket
+layout, which ``_ref.station_layout`` builds in numpy for both backends.
+The kernel allocates nothing, so a call cannot fail once its inputs pass
+the checks.
 
 The shared library lives at ``${XDG_CACHE_HOME:-~/.cache}/ccnscale/<key>/
 trace.so``, where ``key`` is the sha256 of the source, the compile command
@@ -30,7 +34,7 @@ import ctypes
 import hashlib
 import os
 import shlex
-from ctypes import POINTER, byref, c_double, c_int, c_int64
+from ctypes import POINTER, byref, c_int64
 from importlib.machinery import EXTENSION_SUFFIXES
 from pathlib import Path
 
@@ -98,18 +102,6 @@ _I64 = ndpointer(np.int64, ndim=1, flags="C_CONTIGUOUS")
 
 def _bind(lib: ctypes.CDLL) -> int:
     """Declare the kernel's signatures; return ``ccn_ring_min_holders``."""
-    lib.ccn_segment_cells.argtypes = [c_double] * 4 + [c_int64, _I64]
-    lib.ccn_segment_cells.restype = c_int64
-    lib.ccn_nearest_linear.argtypes = [
-        c_double, c_double, _F64, _F64, _I64, c_int64, c_int64, c_int64,
-        POINTER(c_int64), POINTER(c_double), POINTER(c_int),
-    ]
-    lib.ccn_nearest_linear.restype = None
-    lib.ccn_nearest_ring.argtypes = [
-        c_double, c_double, _F64, _F64, _I64, _I64, c_int64, c_int64, c_int64,
-        c_int64, c_int64, POINTER(c_int64), POINTER(c_double), POINTER(c_int),
-    ]
-    lib.ccn_nearest_ring.restype = None
     lib.ccn_trace_batch.argtypes = [
         c_int64, _F64, _F64, c_int64, _I64, _I64, _I64, _I64, _I64, c_int64,
         _F64, _F64, c_int64, _I64, _I64, _I64, _I64, _I64, _I64,
@@ -143,14 +135,10 @@ def _load() -> tuple[ctypes.CDLL, int]:
 _lib, RING_MIN_HOLDERS = _load()
 
 
-def _f64(values) -> np.ndarray:
-    return np.ascontiguousarray(values, dtype=np.float64)
-
-
 def _coords(values, name: str) -> np.ndarray:
     """Contiguous float64 coordinates, which must lie in [0, 1): the kernel
     turns them into cell ids that index its outputs."""
-    a = _f64(values)
+    a = np.ascontiguousarray(values, dtype=np.float64)
     if a.size and not ((a >= 0.0) & (a < 1.0)).all():
         raise ValueError(f"{name}: coordinates must lie in [0, 1)")
     return a
@@ -178,53 +166,6 @@ def _same_length(*arrays: np.ndarray) -> None:
 def _path_buffer(g: int) -> np.ndarray:
     """Room for any walk: fewer than g steps per axis, so at most 2g - 1 cells."""
     return np.empty(2 * g - 1, dtype=np.int64)
-
-
-def segment_cells(x0: float, y0: float, x1: float, y1: float, g: int) -> list[int]:
-    """Cells crossed by the geodesic segment from (x0,y0) to (x1,y1); see ``_ref``."""
-    g = _grid(g)
-    _coords((x0, y0, x1, y1), "endpoints")
-    buf = _path_buffer(g)
-    count = _lib.ccn_segment_cells(x0, y0, x1, y1, g, buf)
-    return buf[:count].tolist()
-
-
-def nearest_linear(
-    px, py, xs, ys, cand, exclude, best_i=-1, best_d2=float("inf"), offset=0,
-):
-    """Scan candidate indices, seeded with ``(best_i, best_d2)``; see ``_ref``."""
-    xs, ys = _f64(xs), _f64(ys)
-    _same_length(xs, ys)
-    cand = _indices(cand, len(xs), "cand")
-    best, d2, saw = c_int64(int(best_i)), c_double(best_d2), c_int()
-    _lib.ccn_nearest_linear(
-        px, py, xs, ys, cand, len(cand), int(exclude), int(offset),
-        byref(best), byref(d2), byref(saw),
-    )
-    return best.value, d2.value, bool(saw.value)
-
-
-def nearest_ring(
-    px, py, xs, ys, hc_idx, hc_cell, lo, hi, g, exclude,
-    best_i=-1, best_d2=float("inf"), offset=0,
-):
-    """Expanding-ring search over per-cell buckets of one candidate set."""
-    g = _grid(g)
-    _coords((px, py), "query")
-    xs, ys = _f64(xs), _f64(ys)
-    hc_idx = np.ascontiguousarray(hc_idx, dtype=np.int64)
-    hc_cell = np.ascontiguousarray(hc_cell, dtype=np.int64)
-    _same_length(xs, ys)
-    _same_length(hc_idx, hc_cell)
-    if not 0 <= lo <= hi <= len(hc_idx):
-        raise ValueError(f"bucket range [{lo}, {hi}) outside [0, {len(hc_idx)}]")
-    _indices(hc_idx[lo:hi], len(xs), "hc_idx")
-    best, d2, saw = c_int64(int(best_i)), c_double(best_d2), c_int()
-    _lib.ccn_nearest_ring(
-        px, py, xs, ys, hc_idx, hc_cell, int(lo), int(hi), g, int(exclude),
-        int(offset), byref(best), byref(d2), byref(saw),
-    )
-    return best.value, d2.value, bool(saw.value)
 
 
 def _trace_inputs(xs, ys, g, h_idx, h_start, hc_idx, hc_cell, bs_x, bs_y):

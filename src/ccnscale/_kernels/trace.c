@@ -9,8 +9,10 @@
  * compiler cannot fuse multiply-adds into differently rounded FMA
  * instructions, and never with -ffast-math.
  *
- * Inputs are trusted: the ctypes binding in _fast.py checks array lengths,
- * index ranges and coordinates before calling in.  The binding passes every
+ * The library exports two entry points, ccn_trace_one and ccn_trace_batch,
+ * and the constant ccn_ring_min_holders; every helper is static.  Inputs
+ * are trusted: the ctypes binding in _fast.py checks array lengths, index
+ * ranges and coordinates before calling in.  The binding passes every
  * buffer, the station layout (_ref.station_layout) and the path buffer
  * included; the kernel allocates nothing.
  */
@@ -62,8 +64,8 @@ static inline double dist2(double ax, double ay, double bx, double by)
  * (x0, y0) to (x1, y1) to buf and returns their count (see
  * _ref.segment_cells).  Each axis takes fewer than g steps, so the walk has
  * at most 2g - 1 cells and buf must hold that many. */
-i64 ccn_segment_cells(double x0, double y0, double x1, double y1, i64 g,
-                      i64 *buf)
+static inline i64 segment_cells(double x0, double y0, double x1, double y1,
+                                i64 g, i64 *buf)
 {
     i64 col = cell_index(x0, g), row = cell_index(y0, g), count = 1;
     double dx = wrap_delta(x0, x1), dy = wrap_delta(y0, y1);
@@ -140,15 +142,6 @@ static inline void nearest_linear(double px, double py, const double *xs,
     *out_saw = saw;
 }
 
-void ccn_nearest_linear(double px, double py, const double *xs,
-                        const double *ys, const i64 *cand, i64 n_cand,
-                        i64 exclude, i64 offset, i64 *best_i, double *best_d2,
-                        int *out_saw)
-{
-    nearest_linear(px, py, xs, ys, cand, n_cand, exclude, offset, best_i,
-                   best_d2, out_saw);
-}
-
 /* Scans the candidates of one bucket: hc_cell[lo:hi] is sorted, so the
  * bucket starts at the leftmost position of cid (bisect_left), found by a
  * bisection whose steps are selects rather than hard-to-predict branches. */
@@ -218,15 +211,6 @@ static inline void nearest_ring(double px, double py, const double *xs,
     *out_saw = saw;
 }
 
-void ccn_nearest_ring(double px, double py, const double *xs,
-                      const double *ys, const i64 *hc_idx, const i64 *hc_cell,
-                      i64 lo, i64 hi, i64 g, i64 exclude, i64 offset,
-                      i64 *best_i, double *best_d2, int *out_saw)
-{
-    nearest_ring(px, py, xs, ys, hc_idx, hc_cell, lo, hi, g, exclude, offset,
-                 best_i, best_d2, out_saw);
-}
-
 /* Nearest member of one candidate set (see _ref.nearest): the ring search
  * over the buckets hc_idx/hc_cell[lo:hi] on a grid of side g when the set
  * has more than ccn_ring_min_holders members, else a linear scan of
@@ -278,7 +262,7 @@ static inline i64 trace_one(i64 n, const double *xs, const double *ys,
     }
     hx = best_i < n ? xs[best_i] : bs_x[best_i - n];
     hy = best_i < n ? ys[best_i] : bs_y[best_i - n];
-    return ccn_segment_cells(px, py, hx, hy, g, buf);
+    return segment_cells(px, py, hx, hy, g, buf);
 }
 
 i64 ccn_trace_one(i64 n, const double *xs, const double *ys, i64 g,

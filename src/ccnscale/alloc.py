@@ -197,7 +197,9 @@ def solve(prob: AllocationProblem) -> Allocation:
     """Solve the program exactly; see the module docstring for the shape.
 
     Raises :class:`InfeasibleError` when f = 0 and M*lower exceeds the
-    budget (not enough memory for one copy of everything), and
+    budget (not enough memory for one copy of everything) or when the box
+    is empty (upper = 1/a - f < lower: with lower = 0, more base stations
+    than cells), and
     :class:`~ccnscale.errors.SolverError` if the KKT certificate check fails.
     """
     p = prob.pop.p
@@ -213,32 +215,27 @@ def solve(prob: AllocationProblem) -> Allocation:
             f"{lower:g} holders each"
         )
 
-    if prob.degenerate:
-        x = np.full(m_count, lower)
-        alloc = Allocation(
-            X=x,
-            m1=1,
-            m2=1,
-            Kprime=_residual_budget(prob, 1, 1) / prob.n,
-            multiplier=0.0,
-            objective=float(np.sum(p / np.sqrt(a * (x + f)))),
-            s_interior=0.0,
-            degenerate=True,
+    if upper < lower:
+        raise InfeasibleError(
+            f"empty box: the holder cap 1/a - f = {upper:g} is below the floor "
+            f"{lower:g} (f = {f:g} base stations, 1/a = {1 / a:g} cells)"
         )
-        return alloc
 
-    if m_count * upper <= budget:
-        # Over-provisioned: the cap binds everywhere, budget slack, multiplier 0.
+    if prob.degenerate or m_count * upper <= budget:
+        # X = upper everywhere: a point box (upper = lower) fixes it, all
+        # floored; an over-provisioned budget leaves slack, all saturated.
+        # Either way the multiplier is 0.
+        m1 = 1 if prob.degenerate else m_count + 1
         x = np.full(m_count, upper)
-        m1, m2 = m_count + 1, m_count + 1
         alloc = Allocation(
             X=x,
             m1=m1,
-            m2=m2,
-            Kprime=_residual_budget(prob, m1, m2) / prob.n,
+            m2=m1,
+            Kprime=_residual_budget(prob, m1, m1) / prob.n,
             multiplier=0.0,
             objective=float(np.sum(p / np.sqrt(a * (x + f)))),
             s_interior=0.0,
+            degenerate=prob.degenerate,
         )
         _verify_kkt(alloc, prob)
         return alloc
@@ -341,7 +338,8 @@ def kkt_residual(alloc: Allocation, prob: AllocationProblem) -> float:
     budget slack when lam > 0; these residuals are scaled by
     max(g_m, lam).  Feasibility requires sum X <= n K, whose overrun is
     scaled by n K, and lower <= X_m <= upper, whose violations are
-    scaled by max(1, |upper|).
+    scaled by max(1, |upper|).  A content at both bounds, fixed by a
+    point box, has no stationarity condition.
     """
     p = prob.pop.p
     x = alloc.X
@@ -356,6 +354,7 @@ def kkt_residual(alloc: Allocation, prob: AllocationProblem) -> float:
     res = np.zeros_like(g)
     res[at_upper] = np.maximum(0.0, lam - g[at_upper])
     res[at_lower] = np.maximum(0.0, g[at_lower] - lam)
+    res[at_upper & at_lower] = 0.0  # fixed by a point box: no stationarity
     res[interior] = np.abs(g[interior] - lam)
     worst = 0.0
     if len(x):

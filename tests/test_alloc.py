@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from ccnscale import alloc, cli
 from ccnscale.alloc import AllocationProblem, solve
+from ccnscale.config import Mode, NetworkConfig
 from ccnscale.errors import InfeasibleError, SolverError, UnsupportedRegimeError
 from ccnscale.popularity import from_weights, zipf
 
@@ -103,6 +104,24 @@ class TestSolveExamples:
         assert res.multiplier == 0.0
         want = 1.0 / math.sqrt((1 / 16) * 16.0)
         assert alloc.optimized_delay(res, prob) == pytest.approx(want)
+
+    def test_point_box_is_certified(self):
+        # upper = lower = 0: every content sits at both bounds, which fix
+        # it, so no stationarity condition applies.
+        prob = AllocationProblem.heterogeneous(
+            pop=zipf(5, 1.0), n=100, K=1.0, a=1 / 16, f=16.0
+        )
+        assert prob.upper == prob.lower
+        assert alloc.kkt_residual(solve(prob), prob) == 0.0
+
+    def test_infeasible_empty_heterogeneous_box(self):
+        # f = 501.2 base stations on 72.4 cells: upper = -428.8 < lower = 0.
+        prob = NetworkConfig(
+            n=1000, alpha=0.8, beta=0.9, mode=Mode.HETEROGENEOUS, mu=0.9
+        ).problem()
+        assert prob.upper < prob.lower
+        with pytest.raises(InfeasibleError, match="empty box"):
+            solve(prob)
 
     def test_rejects_non_monotone_popularity(self):
         model = zipf(3, 1.0)

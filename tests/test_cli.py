@@ -376,6 +376,19 @@ class TestRunSweep:
         (row,) = run_sweep(conf, out_dir=None).rows
         assert row.status == "infeasible"
 
+    def test_infeasible_empty_box_point_surfaced(self, tmp_path):
+        # n^0.9 = 501 base stations exceed the cap of one per cell, so the
+        # allocation box is empty.
+        conf = _write(
+            tmp_path,
+            "empty.conf",
+            "mode = heterogeneous\nn = 1000\nalpha = 0.8\nbeta = 0.9\n"
+            "mu = 0.9\n",
+        )
+        (row,) = run_sweep(conf, out_dir=None).rows
+        assert row.status == "infeasible"
+        assert row.optimizer_delay is None
+
     def test_simulation_capped_by_max_sim_n(self, tmp_path):
         conf = _write(
             tmp_path,

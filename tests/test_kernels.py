@@ -59,8 +59,78 @@ def _random_positions(rng: np.random.Generator, n: int):
 
 
 # ---------------------------------------------------------------------------
-# segment_cells
+# test instances and brute-force routes
 # ---------------------------------------------------------------------------
+
+
+def _instance(nodes, holders, g, stations=()):
+    return sim.NetworkInstance(
+        nodes=nodes,
+        base_stations=stations,
+        holders=tuple(np.array(h, dtype=np.int64) for h in holders),
+        grid=CellGrid(g),
+        schedule=build_schedule(CellGrid(g), 1.0),
+    )
+
+
+def _scan_winner(inst, i, m):
+    """The id that a brute-force scan of content m's holders and then the
+    stations picks for node i's request, and its coordinates; ``(-1,
+    None)`` when there is no candidate.  Ids order holders before
+    stations, so the scan's lowest-index rule lets nodes win distance ties
+    and the lowest station win among stations."""
+    n, xs, ys = inst.n, inst._xs, inst._ys
+    held = inst.holders[m]
+    cx = np.concatenate([xs[held], inst.base_stations[:, 0]])
+    cy = np.concatenate([ys[held], inst.base_stations[:, 1]])
+    own = np.flatnonzero(held == i)
+    k, _ = nearest_by_scan(xs[i], ys[i], cx, cy, int(own[0]) if own.size else -1)
+    if k < 0:
+        return -1, None
+    return (int(held[k]) if k < len(held) else n + k - len(held)), (cx[k], cy[k])
+
+
+def _scan_winners(inst):
+    """Yield ``(m, i, winner, end)`` for node i's request of each content m,
+    as :func:`_scan_winner` finds them."""
+    for m in range(len(inst.holders)):
+        for i in range(inst.n):
+            yield (m, i, *_scan_winner(inst, i, m))
+
+
+def _assert_walks_to(backend, inst, i, m, end):
+    """``backend.trace_one`` walks node i's request for content m to
+    ``end``; without one, it serves the request in the requester's cell."""
+    px, py, g = inst._xs[i], inst._ys[i], inst.grid.side
+    if end is None:
+        own = _ref._cell_index(py, g) * g + _ref._cell_index(px, g)
+        want = (1 if i in inst.holders[m] else 2, [own])
+    else:
+        want = (0, _ref.segment_cells(px, py, *end, g))
+    assert backend.trace_one(*sim._trace_args(inst, i, m)) == want
+
+
+def _assert_routes_to_scan_winner(inst, i, m):
+    end = _scan_winner(inst, i, m)[1]
+    _assert_walks_to(_ref, inst, i, m, end)
+    _assert_walks_to(_fast, inst, i, m, end)
+
+
+# ---------------------------------------------------------------------------
+# the walk: segment_cells through trace_one
+# ---------------------------------------------------------------------------
+
+
+def _assert_walks_along(segments, g):
+    """Both backends walk each segment as ``_ref.segment_cells`` does: node
+    2k stands at the start of segment k, and node 2k + 1, at its end, is
+    the one holder of content k."""
+    nodes = np.asarray(segments, dtype=np.float64).reshape(-1, 2)
+    inst = _instance(nodes, [[2 * k + 1] for k in range(len(segments))], g)
+    for k, (x0, y0, x1, y1) in enumerate(segments):
+        want = (0, _ref.segment_cells(x0, y0, x1, y1, g))
+        args = sim._trace_args(inst, 2 * k, k)
+        assert _fast.trace_one(*args) == _ref.trace_one(*args) == want
 
 
 @needs_fast
@@ -68,13 +138,13 @@ class TestSegmentCellsParity:
     @pytest.mark.parametrize("g", [1, 2, 3, 8, 16, 64])
     def test_random_segments(self, g):
         rng = np.random.default_rng(1000 + g)
+        segments = []
         for _ in range(400):
             x0, y0 = rng.random(), rng.random()
             x1 = (x0 + rng.uniform(-0.5, 0.5)) % 1.0
             y1 = (y0 + rng.uniform(-0.5, 0.5)) % 1.0
-            assert _fast.segment_cells(x0, y0, x1, y1, g) == _ref.segment_cells(
-                x0, y0, x1, y1, g
-            )
+            segments.append((x0, y0, x1, y1))
+        _assert_walks_along(segments, g)
 
     @pytest.mark.parametrize("g", [2, 5, 16])
     def test_lattice_aligned_segments(self, g):
@@ -88,16 +158,13 @@ class TestSegmentCellsParity:
             (0.25, 0.75, 0.0, -0.5),
             (1.0 - 0.5 / g, 0.5 / g, 0.5, 0.5),
         ]
-        for x0, y0, dx, dy in cases:
-            x1, y1 = (x0 + dx) % 1.0, (y0 + dy) % 1.0
-            assert _fast.segment_cells(x0, y0, x1, y1, g) == _ref.segment_cells(
-                x0, y0, x1, y1, g
-            )
+        _assert_walks_along(
+            [(x0, y0, (x0 + dx) % 1.0, (y0 + dy) % 1.0) for x0, y0, dx, dy in cases],
+            g,
+        )
 
     def test_zero_displacement(self):
-        assert _fast.segment_cells(0.3, 0.7, 0.3, 0.7, 8) == _ref.segment_cells(
-            0.3, 0.7, 0.3, 0.7, 8
-        )
+        _assert_walks_along([(0.3, 0.7, 0.3, 0.7)], 8)
 
 
 @pytest.mark.parametrize(
@@ -119,112 +186,71 @@ def test_lattice_line_walk_is_symmetric(backend):
 
 
 # ---------------------------------------------------------------------------
-# nearest_linear / nearest_ring
+# the holder search: linear scan and ring search through trace_one
 # ---------------------------------------------------------------------------
 
 
-def _bucketize(xs, ys, holders, g):
-    """Sorted (cell, index) bucket arrays for one holder set."""
-    cells = np.minimum((ys[holders] * g).astype(np.int64), g - 1) * g + np.minimum(
-        (xs[holders] * g).astype(np.int64), g - 1
-    )
-    order = np.lexsort((holders, cells))
-    return holders[order], cells[order]
-
-
-def _assert_matches_scan(got, px, py, xs, ys, cand, exclude):
-    """A ``nearest_linear`` result agrees with a brute-force scan of ``cand``."""
-    cand = np.asarray(cand, dtype=np.int64)
-    skip = np.flatnonzero(cand == exclude)
-    i, d = nearest_by_scan(
-        px, py, xs[cand], ys[cand], int(skip[0]) if skip.size else -1
-    )
-    assert got[0] == (int(cand[i]) if i >= 0 else -1)
-    assert math.sqrt(got[1]) == pytest.approx(d, abs=1e-12)
+def _query_instance(rng, n, sizes, g):
+    """n random nodes, then one query node per content; content t has
+    ``sizes[t]`` random holders among the first n nodes."""
+    nodes = rng.random((n + len(sizes), 2))
+    holders = [np.sort(rng.choice(n, size=k, replace=False)) for k in sizes]
+    return _instance(nodes, holders, g)
 
 
 @needs_fast
 class TestNearestParity:
     @pytest.mark.parametrize("g", [1, 2, 8, 32])
     def test_linear_random(self, g):
+        # 1-60 holders, scanned linearly; every third request comes from a
+        # holder, which the scan skips (alone, it serves itself).
         rng = np.random.default_rng(2000 + g)
-        xs, ys = _random_positions(rng, 200)
-        for trial in range(50):
-            k = int(rng.integers(1, 60))
-            cand = rng.choice(200, size=k, replace=False).astype(np.int64)
-            cand.sort()
-            px, py = rng.random(), rng.random()
-            exclude = int(cand[0]) if trial % 3 == 0 else -1
-            got_f = _fast.nearest_linear(px, py, xs, ys, cand, exclude)
-            got_r = _ref.nearest_linear(
-                px, py, list(xs), list(ys), [int(c) for c in cand], exclude
-            )
-            assert got_f == got_r
-            _assert_matches_scan(got_f, px, py, xs, ys, cand, exclude)
+        n = 200
+        inst = _query_instance(rng, n, rng.integers(1, 61, size=50), g)
+        for m, held in enumerate(inst.holders):
+            assert len(held) <= _ref.RING_MIN_HOLDERS
+            requester = int(held[0]) if m % 3 == 0 else n + m
+            _assert_routes_to_scan_winner(inst, requester, m)
 
     def test_linear_accepts_range_candidates(self):
+        # The binding takes any integer sequence, here the holders as a range.
         rng = np.random.default_rng(3)
-        xs, ys = _random_positions(rng, 10)
-        got_f = _fast.nearest_linear(0.5, 0.5, xs, ys, range(10), -1)
-        got_r = _ref.nearest_linear(0.5, 0.5, list(xs), list(ys), range(10), -1)
-        assert got_f == got_r
+        inst = _instance(rng.random((11, 2)), [range(1, 11)], 4)
+        args = list(sim._trace_args(inst, 0, 0))
+        args[5] = range(1, 11)  # h_idx
+        assert _fast.trace_one(*args) == _ref.trace_one(*sim._trace_args(inst, 0, 0))
+        _assert_routes_to_scan_winner(inst, 0, 0)
 
     def test_linear_empty_candidates(self):
-        xs = np.array([0.1])
-        ys = np.array([0.2])
-        got_f = _fast.nearest_linear(0.5, 0.5, xs, ys, np.array([], np.int64), -1)
-        got_r = _ref.nearest_linear(0.5, 0.5, [0.1], [0.2], [], -1)
-        assert got_f == got_r == (-1, float("inf"), False)
+        # Nobody holds content 0; node 1 alone holds content 1.  Node 1's
+        # cell on the 4x4 grid is 2 * 4 + 2.
+        inst = _instance(np.array([[0.1, 0.2], [0.5, 0.5]]), [[], [1]], 4)
+        for m, status in ((0, 2), (1, 1)):
+            args = sim._trace_args(inst, 1, m)
+            assert _fast.trace_one(*args) == _ref.trace_one(*args) == (status, [10])
 
     @pytest.mark.parametrize("order", [[1, 0], [0, 1]])
     def test_linear_tie_breaks_to_lowest_index(self, order):
-        # Two holders mirror-placed around the query: identical distance.
-        xs = np.array([0.25, 0.75, 0.5])
-        ys = np.array([0.5, 0.5, 0.5])
-        cand = np.array(order, dtype=np.int64)
-        got_f = _fast.nearest_linear(0.5, 0.5, xs, ys, cand, -1)
-        got_r = _ref.nearest_linear(0.5, 0.5, list(xs), list(ys), order, -1)
-        assert got_f == got_r
-        assert got_f[0] == 0
+        # Nodes order[0] and order[1] mirror-placed around the requester,
+        # node 2: identical distance, so node 0 must win.
+        xs = np.full(3, 0.5)
+        xs[order] = [0.25, 0.75]
+        inst = _instance(np.column_stack([xs, np.full(3, 0.5)]), [[0, 1]], 8)
+        args = sim._trace_args(inst, 2, 0)
+        want = (0, _ref.segment_cells(0.5, 0.5, xs[0], 0.5, 8))
+        assert _fast.trace_one(*args) == _ref.trace_one(*args) == want
 
     @pytest.mark.parametrize("g", [1, 2, 3, 8, 16, 64])
     def test_ring_matches_linear_and_backends_agree(self, g):
+        # 65-200 holders, searched ring by ring; every fourth request comes
+        # from a holder.
         rng = np.random.default_rng(4000 + g)
         n = 500
-        xs, ys = _random_positions(rng, n)
-        for trial in range(25):
-            k = int(rng.integers(1, 200))
-            holders = rng.choice(n, size=k, replace=False).astype(np.int64)
-            holders.sort()
-            hc_idx, hc_cell = _bucketize(xs, ys, holders, g)
-            px, py = rng.random(), rng.random()
-            exclude = int(holders[0]) if trial % 4 == 0 else -1
-            got_f = _fast.nearest_ring(
-                px, py, xs, ys, hc_idx, hc_cell, 0, k, g, exclude
-            )
-            got_r = _ref.nearest_ring(
-                px,
-                py,
-                list(xs),
-                list(ys),
-                [int(v) for v in hc_idx],
-                [int(v) for v in hc_cell],
-                0,
-                k,
-                g,
-                exclude,
-            )
-            assert got_f == got_r
-            lin = _ref.nearest_linear(
-                px, py, list(xs), list(ys), [int(h) for h in holders], exclude
-            )
-            # Same winner and distance as a linear scan.  The saw-excluded
-            # flag may differ when a winner exists (the ring search stops
-            # early once the winner is provably nearest), but must agree
-            # when nothing was found, which is the only case callers use it.
-            assert got_f[:2] == lin[:2]
-            if got_f[0] == -1:
-                assert got_f[2] == lin[2]
+        inst = _query_instance(rng, n, rng.integers(65, 201, size=25), g)
+        for m, held in enumerate(inst.holders):
+            assert len(held) > _ref.RING_MIN_HOLDERS
+            requester = int(held[0]) if m % 4 == 0 else n + m
+            _assert_routes_to_scan_winner(inst, requester, m)
 
 
 class TestNearestOracle:
@@ -237,10 +263,9 @@ class TestNearestOracle:
             px, py = rng.random(), rng.random()
             exclude = int(rng.integers(1000)) if trial % 2 else -1
             got = _ref.nearest_linear(px, py, xl, yl, range(1000), exclude)
-            _assert_matches_scan(got, px, py, xs, ys, range(1000), exclude)
-            if _fast is not None:
-                got_f = _fast.nearest_linear(px, py, xs, ys, range(1000), exclude)
-                assert got_f == got
+            i, d = nearest_by_scan(px, py, xs, ys, exclude)
+            assert got[0] == i
+            assert math.sqrt(got[1]) == pytest.approx(d, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -476,43 +501,6 @@ def _station_cases() -> dict:
 _STATION_CASES = _station_cases()
 
 
-def _station_instance(nodes, holders, stations, g):
-    return sim.NetworkInstance(
-        nodes=nodes,
-        base_stations=stations,
-        holders=tuple(np.array(h, dtype=np.int64) for h in holders),
-        grid=CellGrid(g),
-        schedule=build_schedule(CellGrid(g), 1.0),
-    )
-
-
-def _scan_winners(inst):
-    """Yield ``(m, i, winner, end)`` for node i's request of each content m:
-    the id that a brute-force scan of the content's holders and then the
-    stations picks, and its coordinates.  Ids order holders before
-    stations, so the scan's lowest-index rule lets nodes win distance ties
-    and the lowest station win among stations."""
-    n, xs, ys = inst.n, inst._xs, inst._ys
-    bs_x, bs_y = inst.base_stations[:, 0], inst.base_stations[:, 1]
-    for m, held in enumerate(inst.holders):
-        cx = np.concatenate([xs[held], bs_x])
-        cy = np.concatenate([ys[held], bs_y])
-        for i in range(n):
-            own = np.flatnonzero(held == i)
-            k, _ = nearest_by_scan(
-                xs[i], ys[i], cx, cy, int(own[0]) if own.size else -1
-            )
-            winner = int(held[k]) if k < len(held) else n + k - len(held)
-            yield m, i, winner, (cx[k], cy[k])
-
-
-def _assert_walks_to(backend, inst, i, m, end):
-    px, py = inst._xs[i], inst._ys[i]
-    assert backend.trace_one(*sim._trace_args(inst, i, m)) == (
-        0, _ref.segment_cells(px, py, *end, inst.grid.side)
-    )
-
-
 @pytest.mark.parametrize("g", [1, 2, 3, 8])
 @pytest.mark.parametrize("case", sorted(_STATION_CASES))
 @pytest.mark.parametrize(
@@ -521,22 +509,24 @@ def _assert_walks_to(backend, inst, i, m, end):
     ids=["python", "compiled"],
 )
 def test_station_ring_search_finds_the_scan_winner(backend, case, g):
-    # Every request is won by the candidate that a brute-force scan picks;
-    # the station ring search, seeded with the node winner, finds it.
+    # Every request is won by the candidate that a brute-force scan picks:
+    # the reference's station ring search, seeded with the node winner,
+    # finds it, and each backend walks there.
     nodes, holders, stations = _STATION_CASES[case]
     assert len(stations) > _ref.RING_MIN_HOLDERS
-    inst = _station_instance(nodes, holders, stations, g)
+    inst = _instance(nodes, holders, g, stations)
     n, xs, ys = inst.n, inst._xs, inst._ys
     bs_x, bs_y = stations[:, 0], stations[:, 1]
     side, bs_idx, bs_cell = _ref.station_layout(bs_x, bs_y)
     for m, i, want, end in _scan_winners(inst):
-        px, py = xs[i], ys[i]
-        node = _ref.nearest_linear(px, py, xs, ys, inst.holders[m], i)
-        got = backend.nearest_ring(
-            px, py, bs_x, bs_y, bs_idx, bs_cell, 0, len(bs_idx), side, -1,
-            node[0], node[1], n,
-        )
-        assert got[0] == want, (m, i)
+        if backend is _ref:
+            px, py = xs[i], ys[i]
+            node = _ref.nearest_linear(px, py, xs, ys, inst.holders[m], i)
+            got = _ref.nearest_ring(
+                px, py, bs_x, bs_y, bs_idx, bs_cell, 0, len(bs_idx), side, -1,
+                node[0], node[1], n,
+            )
+            assert got[0] == want, (m, i)
         _assert_walks_to(backend, inst, i, m, end)
     if backend is _fast:
         _assert_trace_equal(inst, np.arange(n) % len(holders))
@@ -556,7 +546,7 @@ def test_trace_on_both_sides_of_ring_min_holders(k, nbs):
     nodes = rng.integers(0, 32, size=(n, 2)) / 32
     stations = rng.integers(0, 32, size=(nbs, 2)) / 32
     holders = [np.sort(rng.choice(n, size=k, replace=False)), [3, 150]]
-    inst = _station_instance(nodes, holders, stations, 6)
+    inst = _instance(nodes, holders, 6, stations)
     for m, i, _, end in _scan_winners(inst):
         _assert_walks_to(_ref, inst, i, m, end)
         _assert_walks_to(_fast, inst, i, m, end)
@@ -590,35 +580,35 @@ def test_station_layout_sorts_by_cell_then_index(nbs):
     ids=["python", "compiled"],
 )
 def test_seeded_linear_scan_matches_ring_search(backend):
-    # Both searches return the lexicographic minimum of (d2, id) over the
-    # seed and the candidates, candidate c as offset + c, whatever the
-    # order of the linear scan's candidates.  Lattice coordinates make
-    # ties, with the seed too.
+    # The station search, seeded with the node winner and with station b
+    # competing as n + b, returns the lexicographic minimum of (d2, id)
+    # over the holders and the stations, whether it scans 64 or fewer
+    # stations in their layout order or searches more ring by ring; with
+    # no holder (content 1) it starts unseeded.  Lattice coordinates make
+    # ties, between nodes and stations too.
     rng = np.random.default_rng(5)
-    n, g, offset = 300, 8, 1000
-    xs, ys = rng.integers(0, 64, size=(2, n)) / 64
+    n, g = 300, 8
+    nodes = rng.integers(0, 64, size=(n, 2)) / 64
+    sides = set()
     for trial in range(80):
-        members = rng.choice(n, size=int(rng.integers(1, 120)), replace=False)
-        hc_idx, hc_cell = _bucketize(xs, ys, members, g)
-        px, py = rng.integers(0, 64, size=2) / 64
-        exclude = int(members[0]) if trial % 3 == 0 else -1
-        seed = (-1, math.inf)
-        if trial % 4:
-            sx, sy = rng.integers(0, 64, size=2) / 64
-            seed = (int(rng.integers(2 * offset)), _ref._dist2(px, py, sx, sy))
-        want = min(
-            [seed[::-1]]
-            + [(_ref._dist2(px, py, xs[c], ys[c]), offset + int(c))
-               for c in members if c != exclude]
-        )[::-1]
-        lin = backend.nearest_linear(
-            px, py, xs, ys, rng.permutation(members), exclude, *seed, offset
-        )
-        ring = backend.nearest_ring(
-            px, py, xs, ys, hc_idx, hc_cell, 0, len(members), g, exclude,
-            *seed, offset,
-        )
-        assert lin[:2] == ring[:2] == want
+        members = np.sort(rng.choice(n, size=int(rng.integers(1, 120)), replace=False))
+        stations = rng.integers(0, 64, size=(int(rng.integers(1, 128)), 2)) / 64
+        sides.add(len(stations) > _ref.RING_MIN_HOLDERS)
+        inst = _instance(nodes, [members, []], g, stations)
+        i = int(members[0]) if trial % 3 == 0 else int(rng.integers(n))
+        px, py = nodes[i]
+        by_station = [
+            (_ref._dist2(px, py, x, y), n + b)
+            for b, (x, y) in enumerate(stations.tolist())
+        ]
+        by_holder = [
+            (_ref._dist2(px, py, *nodes[c]), int(c)) for c in members if c != i
+        ]
+        for m, candidates in ((0, by_holder + by_station), (1, by_station)):
+            win = min(candidates)[1]
+            end = nodes[win] if win < n else stations[win - n]
+            _assert_walks_to(backend, inst, i, m, end)
+    assert sides == {False, True}
 
 
 def test_compiled_kernel_allocates_nothing():
@@ -626,6 +616,45 @@ def test_compiled_kernel_allocates_nothing():
     source = (Path(_ref.__file__).parent / "trace.c").read_text()
     named = re.findall(r"\b(?:malloc|calloc|realloc|free|qsort)\b|stdlib\.h", source)
     assert named == []
+
+
+_HELPERS = ("segment_cells", "nearest_linear", "nearest_ring")
+
+
+@needs_fast
+def test_compiled_library_exports_only_the_entry_points():
+    for name in ("ccn_trace_batch", "ccn_trace_one", "ccn_ring_min_holders"):
+        assert hasattr(_fast._lib, name)
+    for name in _HELPERS:
+        assert not hasattr(_fast._lib, f"ccn_{name}")
+        assert not hasattr(_fast, name)
+
+
+def test_kernel_source_compiles_clean_and_uses_every_helper(tmp_path):
+    # -Werror fails on any warning.  GCC reports an unused static function
+    # only when it compiles, and never an unused static inline one, so
+    # the test compiles an object at -O0, which inlines nothing: every
+    # static function that an entry point reaches is emitted, and one that
+    # none reaches is missing.
+    if not _compiler_on_path():
+        pytest.skip("no C compiler on PATH")
+    cc = shlex.split(os.environ.get("CC", "")) or ["cc"]
+    source = Path(_ref.__file__).parent / "trace.c"
+    obj = tmp_path / "trace.o"
+    flags = ["-std=c99", "-Wall", "-Wextra", "-Werror", "-ffp-contract=off", "-O0"]
+    proc = subprocess.run(
+        [*cc, *flags, "-c", "-o", str(obj), str(source)],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    if shutil.which("nm") is None:
+        pytest.skip("no nm on PATH to list the object's symbols")
+    symbols = subprocess.run(
+        ["nm", str(obj)], capture_output=True, text=True, check=True
+    ).stdout.split()
+    static = re.findall(r"^static\b[^(;=]*?(\w+)\(", source.read_text(), re.M)
+    assert "segment_cells" in static
+    assert set(static) <= {name.lstrip("_") for name in symbols}
 
 
 def _tiny_trace_args(**override):
@@ -681,16 +710,6 @@ class TestCompiledInputChecks:
         del args["req"]
         with pytest.raises(ValueError):
             _fast.trace_one(**args, **one)
-
-    def test_scalar_entry_points_reject(self):
-        xs = np.array([0.1, 0.6])
-        for endpoints in ((0.5, 0.5, 1.0, 0.0), (-0.1, 0.5, 0.5, 0.5)):
-            with pytest.raises(ValueError):
-                _fast.segment_cells(*endpoints, 4)
-        with pytest.raises(ValueError):
-            _fast.nearest_linear(0.5, 0.5, xs, xs, [0, 2], -1)
-        with pytest.raises(ValueError):
-            _fast.nearest_ring(0.5, 0.5, xs, xs, [0, 1], [0, 3], 0, 3, 2, -1)
 
 
 # ---------------------------------------------------------------------------
@@ -819,16 +838,11 @@ class TestLoader:
         "stale, missing",
         [
             # an old build that lacks a function
-            ("long long ccn_segment_cells(void) { return 0; }\n", "ccn_nearest_linear"),
-            # every function, but not the exported constant
+            ("long long ccn_trace_batch(void) { return 0; }\n", "ccn_trace_one"),
+            # both functions, but not the exported constant
             (
-                "".join(
-                    f"long long ccn_{name}(void) {{ return 0; }}\n"
-                    for name in (
-                        "segment_cells", "nearest_linear", "nearest_ring",
-                        "trace_batch", "trace_one",
-                    )
-                ),
+                "long long ccn_trace_batch(void) { return 0; }\n"
+                "long long ccn_trace_one(void) { return 0; }\n",
                 "ccn_ring_min_holders",
             ),
         ],
