@@ -9,10 +9,13 @@ helpers they are built from are static in C, and only ``_ref`` exposes
 them.  The wrappers below only convert arguments to contiguous
 int64/float64 arrays, check lengths, index ranges and coordinates so that
 the C code never reads or writes out of bounds, and allocate every buffer
-the kernel uses: the outputs, the path buffer and the stations' bucket
-layout, which ``_ref.station_layout`` builds in numpy for both backends.
-The kernel allocates nothing, so a call cannot fail once its inputs pass
-the checks.
+the kernel uses: the outputs, the path buffer and the bucket tables of
+holders and stations, which ``_ref.bucket_table`` and
+``_ref.station_layout`` build in numpy for both backends on each call
+(``trace_one`` builds the requested content's alone; ``bucket_table``
+also rejects a bucket id off its content's grid).  The
+kernel allocates nothing, so a call cannot fail once its inputs pass the
+checks.
 
 The shared library lives at ``${XDG_CACHE_HOME:-~/.cache}/ccnscale/<key>/
 trace.so``, where ``key`` is the sha256 of the source, the compile command
@@ -41,7 +44,7 @@ from pathlib import Path
 import numpy as np
 from numpy.ctypeslib import ndpointer
 
-from ._ref import station_layout
+from ._ref import bucket_table, station_layout
 
 BACKEND_NAME = "compiled"
 
@@ -102,14 +105,19 @@ _I64 = ndpointer(np.int64, ndim=1, flags="C_CONTIGUOUS")
 
 def _bind(lib: ctypes.CDLL) -> int:
     """Declare the kernel's signatures; return ``ccn_ring_min_holders``."""
+    # The holders and their bucket_table, then the stations and their
+    # station_layout.
+    tables = [
+        _I64, _I64, _I64, _I64, _I64, _I64, c_int64, _F64, _F64, c_int64,
+        _I64, _I64,
+    ]
     lib.ccn_trace_batch.argtypes = [
-        c_int64, _F64, _F64, c_int64, _I64, _I64, _I64, _I64, _I64, c_int64,
-        _F64, _F64, c_int64, _I64, _I64, _I64, _I64, _I64, _I64,
+        c_int64, _F64, _F64, c_int64, _I64, *tables, _I64, _I64, _I64, _I64,
     ]
     lib.ccn_trace_batch.restype = None
     lib.ccn_trace_one.argtypes = [
-        c_int64, _F64, _F64, c_int64, c_int64, c_int64, _I64, _I64, _I64, _I64,
-        c_int64, _F64, _F64, c_int64, _I64, _I64, _I64, POINTER(c_int64),
+        c_int64, _F64, _F64, c_int64, c_int64, c_int64, *tables, _I64,
+        POINTER(c_int64),
     ]
     lib.ccn_trace_one.restype = c_int64
     return c_int64.in_dll(lib, "ccn_ring_min_holders").value
@@ -196,11 +204,13 @@ def trace_one(xs, ys, g, requester, m, h_idx, h_start, hc_idx, hc_cell, bs_x, bs
     )
     requester = int(_indices([requester], len(xs), "requester")[0])
     m = int(_indices([m], len(h_start) - 1, "m")[0])
+    # Only content m's bucket table is built; the kernel sees it as content 0.
+    one = h_start[m:m + 2]
     buf = _path_buffer(g)
     status = c_int64()
     count = _lib.ccn_trace_one(
-        len(xs), xs, ys, g, requester, m, h_idx, h_start, hc_idx, hc_cell,
-        *stations, buf, byref(status),
+        len(xs), xs, ys, g, requester, 0, h_idx, one, hc_idx,
+        *bucket_table(one, hc_cell), *stations, buf, byref(status),
     )
     return status.value, buf[:count].tolist()
 
@@ -215,12 +225,14 @@ def trace_batch(xs, ys, g, req, h_idx, h_start, hc_idx, hc_cell, bs_x, bs_y):
     )
     req = _indices(req, len(h_start) - 1, "req")
     _same_length(xs, req)
+    # Built before the outputs, so its temporaries are freed first.
+    table = bucket_table(h_start, hc_cell)
     n = len(xs)
     hops = np.zeros(n, dtype=np.int64)
     loads = np.zeros(g * g, dtype=np.int64)
     status = np.zeros(n, dtype=np.int64)
     _lib.ccn_trace_batch(
-        n, xs, ys, g, req, h_idx, h_start, hc_idx, hc_cell, *stations,
+        n, xs, ys, g, req, h_idx, h_start, hc_idx, *table, *stations,
         _path_buffer(g), hops, loads, status,
     )
     return hops, loads, status

@@ -9,8 +9,7 @@ lockstep.
 
 from __future__ import annotations
 
-from bisect import bisect_left
-from math import inf, isqrt
+from math import inf
 
 import numpy as np
 
@@ -91,22 +90,31 @@ def segment_cells(x0: float, y0: float, x1: float, y1: float, g: int) -> list[in
         dty = inf
     while nx > 0 or ny > 0:
         if ny == 0 or (nx > 0 and tx < ty):
-            col += sx
+            col = _wrap(col + sx, g)
             tx += dtx
             nx -= 1
         elif nx == 0 or ty < tx:
-            row += sy
+            row = _wrap(row + sy, g)
             ty += dty
             ny -= 1
         else:  # exact corner crossing: one diagonal step
-            col += sx
-            row += sy
+            col = _wrap(col + sx, g)
+            row = _wrap(row + sy, g)
             tx += dtx
             ty += dty
             nx -= 1
             ny -= 1
-        cells.append((row % g) * g + (col % g))
+        cells.append(row * g + col)
     return cells
+
+
+def _wrap(v: int, g: int) -> int:
+    """``v % g`` for ``v`` in [-g, 2g), without a division."""
+    if v < 0:
+        return v + g
+    if v >= g:
+        return v - g
+    return v
 
 
 def nearest_linear(
@@ -133,15 +141,16 @@ def nearest_linear(
 
 
 def nearest_ring(
-    px, py, xs, ys, hc_idx, hc_cell, lo, hi, g, exclude,
-    best_i=-1, best_d2=inf, offset=0,
+    px, py, xs, ys, idx, tab, base, g, exclude, best_i=-1, best_d2=inf, offset=0,
 ):
-    """Expanding-ring search over per-cell buckets of one candidate set.
+    """Expanding-ring search over the buckets of one candidate set.
 
-    ``hc_idx[lo:hi]``/``hc_cell[lo:hi]`` hold the set's indices into
-    ``xs``/``ys`` and their cell ids on a grid of side ``g``, sorted by
-    (cell, index).  Candidates compete as in :func:`nearest_linear`.  Once
-    a best exists, the search stops at the first ring that lies beyond its
+    The set lies on a grid of side ``g`` of its own.  Its bucket ``c``
+    (flat id ``row * g + col``) holds the indices into ``xs``/``ys`` at
+    ``idx[tab[base + c]:tab[base + c + 1]]``, the layout of
+    :func:`bucket_table`.  Each bucket is one slice, scanned by
+    :func:`nearest_linear`, so candidates compete as there.  Once a best
+    exists, the search stops at the first ring that lies beyond its
     distance.  Equivalent to a linear scan seeded with the same best,
     including ties-to-lowest-id.
     """
@@ -160,20 +169,12 @@ def nearest_ring(
         else:
             offsets = _ring_offsets(ring)
         for dr, dc in offsets:
-            rr = (qrow + dr) % g
-            cc = (qcol + dc) % g
-            cid = rr * g + cc
-            j = bisect_left(hc_cell, cid, lo, hi)
-            while j < hi and hc_cell[j] == cid:
-                idx = hc_idx[j]
-                j += 1
-                if idx == exclude:
-                    saw_excluded = True
-                    continue
-                d2 = _dist2(px, py, xs[idx], ys[idx])
-                if d2 < best_d2 or (d2 == best_d2 and offset + idx < best_i):
-                    best_d2 = d2
-                    best_i = offset + idx
+            cid = base + _wrap(qrow + dr, g) * g + _wrap(qcol + dc, g)
+            best_i, best_d2, saw = nearest_linear(
+                px, py, xs, ys, idx[tab[cid]:tab[cid + 1]], exclude,
+                best_i, best_d2, offset,
+            )
+            saw_excluded |= saw
     return best_i, best_d2, saw_excluded
 
 
@@ -189,84 +190,152 @@ def _ring_offsets(r: int):
 
 
 def nearest(
-    px, py, xs, ys, cand, hc_idx, hc_cell, lo, hi, g, exclude,
+    px, py, xs, ys, cand, idx, tab, base, lo, hi, g, exclude,
     best_i=-1, best_d2=inf, offset=0,
 ):
     """Nearest member of one candidate set, seeded with ``(best_i, best_d2)``.
 
     A set with more than ``RING_MIN_HOLDERS`` members is searched by
-    :func:`nearest_ring` over its buckets ``hc_idx``/``hc_cell[lo:hi]``;
-    a smaller one is scanned by :func:`nearest_linear` over
-    ``cand[lo:hi]``, which holds the same members.  Both give the same
-    winner.
+    :func:`nearest_ring` over its buckets ``idx``/``tab`` from ``base``, on
+    its grid of side ``g``; a smaller one is scanned by
+    :func:`nearest_linear` over ``cand[lo:hi]``, which holds the same
+    members.  Both give the same winner.
     """
     if hi - lo > RING_MIN_HOLDERS:
         return nearest_ring(
-            px, py, xs, ys, hc_idx, hc_cell, lo, hi, g, exclude,
-            best_i, best_d2, offset,
+            px, py, xs, ys, idx, tab, base, g, exclude, best_i, best_d2, offset,
         )
     return nearest_linear(
         px, py, xs, ys, cand[lo:hi], exclude, best_i, best_d2, offset
     )
 
 
+def grid_sides(sizes) -> np.ndarray:
+    """Side of each candidate set's bucket grid, as int64.
+
+    A set of ``k > RING_MIN_HOLDERS`` members, which :func:`nearest`
+    searches ring by ring, gets a grid of side ``floor(sqrt(k))``, so that
+    a bucket holds about one member (the cell size of Bentley, Weide &
+    Yao); a smaller set, which is scanned, gets side 1.
+    """
+    sizes = np.asarray(sizes, dtype=np.int64)
+    # The float square root floors exactly for sizes below 2**52.
+    side = np.sqrt(sizes).astype(np.int64)
+    return np.where(sizes > RING_MIN_HOLDERS, side, 1)
+
+
+def grid_cells(x, y, side) -> np.ndarray:
+    """Flat bucket ids ``row * side + col`` of the points ``(x, y)``, as int64.
+
+    ``side`` is one grid side for all points or one per point.  The cell
+    of a coordinate is the one :func:`_cell_index` gives.
+    """
+    def cell_index(v):
+        i = (np.asarray(v, dtype=np.float64) * side).astype(np.int64)
+        i -= i >= side  # v * side rounds up to side just below v = 1
+        return i
+
+    cell = cell_index(y)
+    cell *= side
+    cell += cell_index(x)
+    return cell
+
+
+def bucket_table(start, cell):
+    """The CSR bucket table of candidate sets, which both backends search.
+
+    Set ``m`` is the members ``[start[m], start[m + 1])`` of one member
+    array, sorted by bucket within the set, and ``cell`` holds each
+    member's bucket id on the set's own grid, whose side ``side[m]``
+    :func:`grid_sides` gives.  Returns ``(side, base, tab)``, all int64:
+    bucket ``c`` of set ``m`` holds the members ``[tab[base[m] + c],
+    tab[base[m] + c + 1])``.  ``base`` is the running sum of the grid
+    sizes ``side**2``, so ``tab`` has one entry per bucket plus one.
+    Raises ValueError when ``start`` descends or a bucket id lies off its
+    set's grid.
+    """
+    start = np.asarray(start, dtype=np.int64)
+    sizes = np.diff(start)
+    if (sizes < 0).any():
+        raise ValueError("set offsets must not descend")
+    side = grid_sides(sizes)
+    base = np.zeros(len(start), dtype=np.int64)
+    np.cumsum(side * side, out=base[1:])
+    cell = np.asarray(cell, dtype=np.int64)[start[0]:start[-1]]
+    if cell.size:
+        held = sizes > 0
+        top = np.maximum.reduceat(cell, start[:-1][held] - start[0])
+        if cell.min() < 0 or (top >= (side * side)[held]).any():
+            raise ValueError("bucket id outside its set's grid")
+    # tab[k + 1] counts the members of bucket k, the set's base plus its
+    # bucket id, and then becomes the running sum in place.
+    key = np.repeat(base[:-1] + 1, sizes)
+    key += cell
+    tab = np.bincount(key, minlength=base[-1] + 1).astype(np.int64, copy=False)
+    del key
+    np.cumsum(tab, out=tab)
+    tab += start[0]
+    return side, base, tab
+
+
 def station_layout(bs_x, bs_y):
     """The stations' bucket layout, which both backends search.
 
-    Returns ``(side, idx, cell)``: a grid of side ``floor(sqrt(b))`` for
-    ``b`` stations, so that a cell holds about one station (the cell size
-    of Bentley, Weide & Yao), the station indices sorted by (cell, index)
-    as int64, and their cell ids.  The cell of a coordinate is the one
-    :func:`_cell_index` gives.
+    Returns ``(side, idx, tab)``: the grid side that :func:`grid_sides`
+    gives ``b`` stations, the station indices sorted by (bucket, index) as
+    int64, and the :func:`bucket_table` of that one set, so bucket ``c``
+    holds the stations ``idx[tab[c]:tab[c + 1]]``.
     """
-    bs_x = np.asarray(bs_x, dtype=np.float64)
-    bs_y = np.asarray(bs_y, dtype=np.float64)
-    side = isqrt(len(bs_x))
-
-    def cell_index(v):
-        return np.minimum((v * side).astype(np.int64), side - 1)
-
-    cells = cell_index(bs_y) * side + cell_index(bs_x)
+    side = int(grid_sides([len(bs_x)])[0])
+    cells = grid_cells(bs_x, bs_y, side)
     idx = np.argsort(cells, kind="stable").astype(np.int64, copy=False)
-    return side, idx, cells[idx]
+    return side, idx, bucket_table([0, len(idx)], cells[idx])[2]
 
 
 def trace_one(xs, ys, g, requester, m, h_idx, h_start, hc_idx, hc_cell, bs_x, bs_y):
     """Route node ``requester``'s request for content ``m``; returns (status, cells).
 
-    Find the nearest holder excluding the requester itself, then let base
-    stations compete as extra candidates, never excluded: station ``b`` is
-    candidate ``n + b``, so a node wins a distance tie against a station
-    and the lowest station index wins among stations.  Holders and
-    stations go through the same :func:`nearest`, the stations on the grid
-    of :func:`station_layout` and seeded with the node winner, so a ring
-    search stops at the first ring beyond it.  Then walk the grid cells
-    along the geodesic to the winner.  ``cells`` holds the flat ids of the
-    walk in traversal order, ending on the winner's cell; a request that
-    no other cache can serve gets just the requester's own cell.
+    Content ``m``'s holders are ``h_idx[h_start[m]:h_start[m + 1]]``, and
+    ``hc_idx`` holds the same slice sorted by bucket on the content's own
+    grid, with the bucket ids in ``hc_cell`` (see :func:`bucket_table` and
+    ``sim.NetworkInstance``).  Find the nearest holder excluding the
+    requester itself, then let base stations compete as extra candidates,
+    never excluded: station ``b`` is candidate ``n + b``, so a node wins a
+    distance tie against a station and the lowest station index wins among
+    stations.  Holders and stations go through the same :func:`nearest`,
+    the stations on the layout of :func:`station_layout` and seeded with
+    the node winner, so a ring search stops at the first ring beyond it.
+    Then walk the node grid's cells along the geodesic to the winner.
+    ``cells`` holds the flat ids of the walk in traversal order, ending on
+    the winner's cell; a request that no other cache can serve gets just
+    the requester's own cell.
 
     status: 0 ok, 1 served locally (requester is the sole holder),
     2 routing failure (no holder, no base station).
     """
+    # Only content m's bucket table is built; the search sees it as content 0.
+    one = h_start[m:m + 2]
     return _route(
-        xs, ys, g, requester, m, h_idx, h_start, hc_idx, hc_cell, bs_x, bs_y,
-        station_layout(bs_x, bs_y),
+        xs, ys, g, requester, 0, h_idx, one, hc_idx, bucket_table(one, hc_cell),
+        bs_x, bs_y, station_layout(bs_x, bs_y),
     )
 
 
 def _route(
-    xs, ys, g, requester, m, h_idx, h_start, hc_idx, hc_cell, bs_x, bs_y, stations
+    xs, ys, g, requester, m, h_idx, h_start, hc_idx, holders, bs_x, bs_y, stations
 ):
-    """:func:`trace_one` with the station layout of :func:`station_layout`."""
+    """:func:`trace_one` with the holders' :func:`bucket_table` and the
+    stations' :func:`station_layout`."""
     n = len(xs)
     px, py = xs[requester], ys[requester]
+    h_side, h_base, h_tab = holders
     best_i, best_d2, saw_self = nearest(
-        px, py, xs, ys, h_idx, hc_idx, hc_cell, h_start[m], h_start[m + 1], g,
-        requester,
+        px, py, xs, ys, h_idx, hc_idx, h_tab, h_base[m], h_start[m],
+        h_start[m + 1], h_side[m], requester,
     )
-    side, bs_idx, bs_cell = stations
+    side, bs_idx, bs_tab = stations
     best_i, best_d2, _ = nearest(
-        px, py, bs_x, bs_y, bs_idx, bs_idx, bs_cell, 0, len(bs_idx), side, -1,
+        px, py, bs_x, bs_y, bs_idx, bs_idx, bs_tab, 0, 0, len(bs_idx), side, -1,
         best_i, best_d2, n,
     )
 
@@ -287,24 +356,24 @@ def trace_batch(xs, ys, g, req, h_idx, h_start, hc_idx, hc_cell, bs_x, bs_y):
     a single-cell walk charges it once); hops are cells minus one, at least 1.
     """
     n = len(xs)
+    holders = [a.tolist() for a in bucket_table(h_start, hc_cell)]
+    side, bs_idx, bs_tab = station_layout(bs_x, bs_y)
+    stations = side, bs_idx.tolist(), bs_tab.tolist()
     xs, ys, bs_x, bs_y = (
         np.asarray(a, dtype=np.float64).tolist() for a in (xs, ys, bs_x, bs_y)
     )
-    req, h_idx, h_start, hc_idx, hc_cell = (
-        np.asarray(a, dtype=np.int64).tolist()
-        for a in (req, h_idx, h_start, hc_idx, hc_cell)
+    req, h_idx, h_start, hc_idx = (
+        np.asarray(a, dtype=np.int64).tolist() for a in (req, h_idx, h_start, hc_idx)
     )
 
     hops = np.zeros(n, dtype=np.int64)
     loads = np.zeros(g * g, dtype=np.int64)
     loads_l = [0] * (g * g)
     status = np.zeros(n, dtype=np.int64)
-    side, bs_idx, bs_cell = station_layout(bs_x, bs_y)
-    stations = side, bs_idx.tolist(), bs_cell.tolist()
 
     for i in range(n):
         status[i], cells = _route(
-            xs, ys, g, i, req[i], h_idx, h_start, hc_idx, hc_cell, bs_x, bs_y,
+            xs, ys, g, i, req[i], h_idx, h_start, hc_idx, holders, bs_x, bs_y,
             stations,
         )
         if len(cells) == 1:

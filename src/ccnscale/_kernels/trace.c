@@ -3,18 +3,24 @@
  * Every function performs the same IEEE-754 double operations in the same
  * order as its counterpart in _ref.py, so cell lists, nearest indices, hop
  * counts and per-cell loads are bit-identical whichever backend is active.
- * Two spots compute the same values by other means, to avoid branches:
- * dist2's fabs and scan_bucket's bisection.  Keep the two files in
- * lockstep.  Build with -ffp-contract=off, so the
- * compiler cannot fuse multiply-adds into differently rounded FMA
- * instructions, and never with -ffast-math.
+ * dist2 computes the same values by other means (fabs and selects), to
+ * avoid branches.  Keep the two files in lockstep.  Build with
+ * -ffp-contract=off, so the compiler cannot fuse multiply-adds into
+ * differently rounded FMA instructions, and never with -ffast-math.
+ *
+ * Holders and stations are searched in one bucket format, the CSR table of
+ * _ref.bucket_table: each candidate set has a grid of its own, of side
+ * side[m], and its bucket c is the slice idx[tab[base[m] + c] ..
+ * tab[base[m] + c + 1]), so a ring search reads each bucket it visits as
+ * one slice.
  *
  * The library exports two entry points, ccn_trace_one and ccn_trace_batch,
  * and the constant ccn_ring_min_holders; every helper is static.  Inputs
  * are trusted: the ctypes binding in _fast.py checks array lengths, index
  * ranges and coordinates before calling in.  The binding passes every
- * buffer, the station layout (_ref.station_layout) and the path buffer
- * included; the kernel allocates nothing.
+ * buffer, the bucket tables of holders and stations (_ref.bucket_table,
+ * _ref.station_layout) and the path buffer included; the kernel allocates
+ * nothing.
  */
 
 #include <math.h>
@@ -40,6 +46,12 @@ static inline i64 mod(i64 v, i64 g)
     return r < 0 ? r + g : r;
 }
 
+/* v mod g for v in [-g, 2g), without a division (see _ref._wrap). */
+static inline i64 wrap(i64 v, i64 g)
+{
+    return v < 0 ? v + g : (v >= g ? v - g : v);
+}
+
 /* Geodesic displacement a -> b in (-0.5, 0.5], ties toward +0.5. */
 static inline double wrap_delta(double a, double b)
 {
@@ -63,7 +75,8 @@ static inline double dist2(double ax, double ay, double bx, double by)
 /* Writes the flat ids of the cells crossed by the geodesic segment from
  * (x0, y0) to (x1, y1) to buf and returns their count (see
  * _ref.segment_cells).  Each axis takes fewer than g steps, so the walk has
- * at most 2g - 1 cells and buf must hold that many. */
+ * at most 2g - 1 cells and buf must hold that many.  The walk carries the
+ * wrapped row and column, so no step divides. */
 static inline i64 segment_cells(double x0, double y0, double x1, double y1,
                                 i64 g, i64 *buf)
 {
@@ -97,99 +110,71 @@ static inline i64 segment_cells(double x0, double y0, double x1, double y1,
     }
     while (nx > 0 || ny > 0) {
         if (ny == 0 || (nx > 0 && tx < ty)) {
-            col += sx; tx += dtx; nx -= 1;
+            col = wrap(col + sx, g); tx += dtx; nx -= 1;
         } else if (nx == 0 || ty < tx) {
-            row += sy; ty += dty; ny -= 1;
+            row = wrap(row + sy, g); ty += dty; ny -= 1;
         } else { /* exact corner crossing: one diagonal step */
-            col += sx; row += sy; tx += dtx; ty += dty; nx -= 1; ny -= 1;
+            col = wrap(col + sx, g); row = wrap(row + sy, g);
+            tx += dtx; ty += dty; nx -= 1; ny -= 1;
         }
-        buf[count++] = mod(row, g) * g + mod(col, g);
+        buf[count++] = row * g + col;
     }
     return count;
 }
 
-/* Candidate idx at squared distance d2 replaces the best so far; ties in
- * distance resolve to the lowest index. */
-static inline void consider(double d2, i64 idx, i64 *best_i, double *best_d2)
-{
-    if (d2 < *best_d2 || (d2 == *best_d2 && idx < *best_i)) {
-        *best_d2 = d2;
-        *best_i = idx;
-    }
-}
-
 /* Linear scan of cand[0:n_cand] (see _ref.nearest_linear): candidate
  * cand[k] competes as offset + cand[k] against the best so far, which
- * *best_i and *best_d2 hold on entry and on return. */
+ * *best_i and *best_d2 hold on entry and on return; distance ties resolve
+ * to the lowest id.  Sets *saw when cand holds exclude. */
 static inline void nearest_linear(double px, double py, const double *xs,
                                   const double *ys, const i64 *cand,
                                   i64 n_cand, i64 exclude, i64 offset,
-                                  i64 *best_i, double *best_d2, int *out_saw)
+                                  i64 *best_i, double *best_d2, int *saw)
 {
     i64 bi = *best_i;
     double bd2 = *best_d2;
-    int saw = 0;
     for (i64 k = 0; k < n_cand; k++) {
         i64 idx = cand[k];
-        if (idx == exclude) {
-            saw = 1;
-            continue;
-        }
-        consider(dist2(px, py, xs[idx], ys[idx]), offset + idx, &bi, &bd2);
-    }
-    *best_i = bi;
-    *best_d2 = bd2;
-    *out_saw = saw;
-}
-
-/* Scans the candidates of one bucket: hc_cell[lo:hi] is sorted, so the
- * bucket starts at the leftmost position of cid (bisect_left), found by a
- * bisection whose steps are selects rather than hard-to-predict branches. */
-static inline void scan_bucket(double px, double py, const double *xs,
-                               const double *ys, const i64 *hc_idx,
-                               const i64 *hc_cell, i64 lo, i64 hi, i64 cid,
-                               i64 exclude, i64 offset, i64 *best_i,
-                               double *best_d2, int *saw)
-{
-    i64 j, len = hi - lo;
-    if (len == 0) return;
-    while (len > 1) {
-        i64 half = len / 2;
-        lo = hc_cell[lo + half] < cid ? lo + half : lo;
-        len -= half;
-    }
-    for (j = lo + (hc_cell[lo] < cid); j < hi && hc_cell[j] == cid; j++) {
-        i64 idx = hc_idx[j];
+        double d2;
         if (idx == exclude) {
             *saw = 1;
             continue;
         }
-        consider(dist2(px, py, xs[idx], ys[idx]), offset + idx, best_i,
-                 best_d2);
+        d2 = dist2(px, py, xs[idx], ys[idx]);
+        if (d2 < bd2 || (d2 == bd2 && offset + idx < bi)) {
+            bd2 = d2;
+            bi = offset + idx;
+        }
     }
+    *best_i = bi;
+    *best_d2 = bd2;
 }
 
-/* Expanding-ring search over the per-cell buckets of one candidate set on
- * a grid of side g (see _ref.nearest_ring): candidate hc_idx[j] competes
- * as offset + hc_idx[j] against the best so far, which *best_i and
- * *best_d2 hold on entry and on return.  Once a best exists, the search
- * stops at the first ring that lies beyond its distance. */
+/* Expanding-ring search over the buckets of one candidate set on its grid
+ * of side g (see _ref.nearest_ring): bucket c is the slice
+ * idx[tab[base + c] .. tab[base + c + 1]), scanned by nearest_linear, so
+ * candidates compete as there.  Once a best exists, the search stops at
+ * the first ring that lies beyond its distance.  Sets *saw when a visited
+ * bucket holds exclude. */
 static inline void nearest_ring(double px, double py, const double *xs,
-                                const double *ys, const i64 *hc_idx,
-                                const i64 *hc_cell, i64 lo, i64 hi, i64 g,
-                                i64 exclude, i64 offset, i64 *best_i,
-                                double *best_d2, int *out_saw)
+                                const double *ys, const i64 *idx,
+                                const i64 *tab, i64 base, i64 g, i64 exclude,
+                                i64 offset, i64 *best_i, double *best_d2,
+                                int *saw)
 {
-    i64 qcol = cell_index(px, g), qrow = cell_index(py, g);
-    i64 bi = *best_i, rmax = g / 2 + 1;
-    double bd2 = *best_d2, s = 1.0 / g;
-    int saw = 0;
-#define SCAN(r, c) scan_bucket(px, py, xs, ys, hc_idx, hc_cell, lo, hi, \
-        mod(r, g) * g + mod(c, g), exclude, offset, &bi, &bd2, &saw)
+    i64 qcol = cell_index(px, g), qrow = cell_index(py, g), rmax = g / 2 + 1;
+    double s = 1.0 / g;
+    tab += base;
+#define SCAN(r, c) do { \
+        i64 cid_ = wrap(r, g) * g + wrap(c, g); \
+        nearest_linear(px, py, xs, ys, idx + tab[cid_], \
+                       tab[cid_ + 1] - tab[cid_], exclude, offset, best_i, \
+                       best_d2, saw); \
+    } while (0)
     for (i64 ring = 0; ring <= rmax; ring++) {
-        if (bi >= 0 && ring >= 2) {
+        if (*best_i >= 0 && ring >= 2) {
             double reach = (ring - 1) * s;
-            if (reach * reach > bd2) break;
+            if (reach * reach > *best_d2) break;
         }
         if (ring == 0) {
             SCAN(qrow, qcol);
@@ -206,54 +191,55 @@ static inline void nearest_ring(double px, double py, const double *xs,
         }
     }
 #undef SCAN
-    *best_i = bi;
-    *best_d2 = bd2;
-    *out_saw = saw;
 }
 
 /* Nearest member of one candidate set (see _ref.nearest): the ring search
- * over the buckets hc_idx/hc_cell[lo:hi] on a grid of side g when the set
+ * over its buckets idx/tab from base, on its grid of side g, when the set
  * has more than ccn_ring_min_holders members, else a linear scan of
  * cand[lo:hi], which holds the same members. */
 static inline void nearest(double px, double py, const double *xs,
-                           const double *ys, const i64 *cand,
-                           const i64 *hc_idx, const i64 *hc_cell, i64 lo,
-                           i64 hi, i64 g, i64 exclude, i64 offset,
-                           i64 *best_i, double *best_d2, int *out_saw)
+                           const double *ys, const i64 *cand, const i64 *idx,
+                           const i64 *tab, i64 base, i64 lo, i64 hi, i64 g,
+                           i64 exclude, i64 offset, i64 *best_i,
+                           double *best_d2, int *saw)
 {
     if (hi - lo > ccn_ring_min_holders)
-        nearest_ring(px, py, xs, ys, hc_idx, hc_cell, lo, hi, g, exclude,
-                     offset, best_i, best_d2, out_saw);
+        nearest_ring(px, py, xs, ys, idx, tab, base, g, exclude, offset,
+                     best_i, best_d2, saw);
     else
         nearest_linear(px, py, xs, ys, cand + lo, hi - lo, exclude, offset,
-                       best_i, best_d2, out_saw);
+                       best_i, best_d2, saw);
 }
 
 /* Routes one request (see _ref.trace_one): writes its walk's cell ids to
  * buf, which holds 2g - 1 cells, and a nonzero status to *status (callers
  * zero it, so a routed request touches no page of it); returns the cell
- * count.  The nbs stations are searched on the layout of
- * _ref.station_layout: a grid of side bs_g, and the station indices
- * bs_idx sorted by (cell, index) with their cell ids bs_cell.  Inlined
- * into ccn_trace_batch's loop. */
+ * count.  Content m's holders are searched on the bucket table h_side,
+ * h_base, h_tab of _ref.bucket_table over hc_idx; the nbs stations on the
+ * layout of _ref.station_layout: a grid of side bs_side, the station
+ * indices bs_idx sorted by bucket, and their table bs_tab.  Inlined into
+ * ccn_trace_batch's loop. */
 static inline i64 trace_one(i64 n, const double *xs, const double *ys,
                             i64 g, i64 requester, i64 m, const i64 *h_idx,
                             const i64 *h_start, const i64 *hc_idx,
-                            const i64 *hc_cell, i64 nbs, const double *bs_x,
-                            const double *bs_y, i64 bs_g, const i64 *bs_idx,
-                            const i64 *bs_cell, i64 *buf, i64 *status)
+                            const i64 *h_side, const i64 *h_base,
+                            const i64 *h_tab, i64 nbs, const double *bs_x,
+                            const double *bs_y, i64 bs_side,
+                            const i64 *bs_idx, const i64 *bs_tab, i64 *buf,
+                            i64 *status)
 {
     i64 best_i = -1;
     double px = xs[requester], py = ys[requester], best_d2 = INFINITY, hx, hy;
-    int saw_self, saw_none;
-    nearest(px, py, xs, ys, h_idx, hc_idx, hc_cell, h_start[m], h_start[m + 1],
-            g, requester, 0, &best_i, &best_d2, &saw_self);
+    int saw_self = 0, saw_none = 0;
+    nearest(px, py, xs, ys, h_idx, hc_idx, h_tab, h_base[m], h_start[m],
+            h_start[m + 1], h_side[m], requester, 0, &best_i, &best_d2,
+            &saw_self);
     /* Station b competes as n + b, after every node: a node wins a distance
      * tie, and the lowest station index wins among stations.  The search
      * starts from the node winner, so a ring search stops at the first
      * ring beyond that node. */
-    nearest(px, py, bs_x, bs_y, bs_idx, bs_idx, bs_cell, 0, nbs, bs_g, -1, n,
-            &best_i, &best_d2, &saw_none);
+    nearest(px, py, bs_x, bs_y, bs_idx, bs_idx, bs_tab, 0, 0, nbs, bs_side, -1,
+            n, &best_i, &best_d2, &saw_none);
 
     if (best_i < 0) {
         buf[0] = cell_index(py, g) * g + cell_index(px, g);
@@ -267,14 +253,14 @@ static inline i64 trace_one(i64 n, const double *xs, const double *ys,
 
 i64 ccn_trace_one(i64 n, const double *xs, const double *ys, i64 g,
                   i64 requester, i64 m, const i64 *h_idx, const i64 *h_start,
-                  const i64 *hc_idx, const i64 *hc_cell, i64 nbs,
-                  const double *bs_x, const double *bs_y, i64 bs_g,
-                  const i64 *bs_idx, const i64 *bs_cell, i64 *buf,
-                  i64 *status)
+                  const i64 *hc_idx, const i64 *h_side, const i64 *h_base,
+                  const i64 *h_tab, i64 nbs, const double *bs_x,
+                  const double *bs_y, i64 bs_side, const i64 *bs_idx,
+                  const i64 *bs_tab, i64 *buf, i64 *status)
 {
     return trace_one(n, xs, ys, g, requester, m, h_idx, h_start, hc_idx,
-                     hc_cell, nbs, bs_x, bs_y, bs_g, bs_idx, bs_cell, buf,
-                     status);
+                     h_side, h_base, h_tab, nbs, bs_x, bs_y, bs_side, bs_idx,
+                     bs_tab, buf, status);
 }
 
 /* Traces one request per node into hops, loads and status (all zeroed by
@@ -282,15 +268,16 @@ i64 ccn_trace_one(i64 n, const double *xs, const double *ys, i64 g,
  * _ref.trace_batch for the rules. */
 void ccn_trace_batch(i64 n, const double *xs, const double *ys, i64 g,
                      const i64 *req, const i64 *h_idx, const i64 *h_start,
-                     const i64 *hc_idx, const i64 *hc_cell, i64 nbs,
-                     const double *bs_x, const double *bs_y, i64 bs_g,
-                     const i64 *bs_idx, const i64 *bs_cell, i64 *buf,
-                     i64 *hops, i64 *loads, i64 *status)
+                     const i64 *hc_idx, const i64 *h_side, const i64 *h_base,
+                     const i64 *h_tab, i64 nbs, const double *bs_x,
+                     const double *bs_y, i64 bs_side, const i64 *bs_idx,
+                     const i64 *bs_tab, i64 *buf, i64 *hops, i64 *loads,
+                     i64 *status)
 {
     for (i64 i = 0; i < n; i++) {
         i64 ncells = trace_one(n, xs, ys, g, i, req[i], h_idx, h_start,
-                               hc_idx, hc_cell, nbs, bs_x, bs_y, bs_g, bs_idx,
-                               bs_cell, buf, &status[i]);
+                               hc_idx, h_side, h_base, h_tab, nbs, bs_x, bs_y,
+                               bs_side, bs_idx, bs_tab, buf, &status[i]);
         if (ncells == 1) {
             loads[buf[0]] += 1;
             hops[i] = 1;

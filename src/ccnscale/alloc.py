@@ -434,12 +434,11 @@ def round_to_integers(alloc: Allocation, prob: AllocationProblem) -> np.ndarray:
     remainder = x - base
     budget_int = math.floor(prob.budget)
     room = int(budget_int - base.sum())
-    order = np.lexsort((np.arange(len(x)), -remainder))
     out = base.copy()
-    for idx in order:
-        if room <= 0:
-            break
-        if remainder[idx] > 0.0 and out[idx] + 1.0 <= prob.upper:
-            out[idx] += 1.0
-            room -= 1
+    if room > 0:
+        # In order of largest remainder, then lowest index, the first
+        # ``room`` entries that can rise by one without passing ``upper``.
+        order = np.lexsort((np.arange(len(x)), -remainder))
+        ok = (remainder > 0.0) & (base + 1.0 <= prob.upper)
+        out[order[ok[order]][:room]] += 1.0
     return out.astype(np.int64)

@@ -753,23 +753,33 @@ def _self_checks() -> list[tuple[str, bool, str]]:
         if _kernels.BACKEND_REASON:
             active += f": {_kernels.BACKEND_REASON}"
         # 20 and 95 base stations, on either side of RING_MIN_HOLDERS: the
-        # linear and the ring station search
-        points = [(cfg, allocation)]
-        for mu in (0.4, 0.6):
-            het = NetworkConfig(
+        # linear and the ring station search.  The other instances hold at
+        # most 40 copies of a content; n = 910 is the smallest ad hoc one
+        # whose requests reach a content with more: the holder ring search.
+        het = [
+            NetworkConfig(
                 n=2000, alpha=0.8, beta=0.9, mode=Mode.HETEROGENEOUS, mu=mu, seed=1
             )
-            het_prob = het.problem()
-            points.append((het, round_to_integers(solve(het_prob), het_prob)))
+            for mu in (0.4, 0.6)
+        ]
+        ring = NetworkConfig(n=910, alpha=1.2, beta=0.9, seed=1)
+        points = [(cfg, allocation)]
+        for point in (*het, ring):
+            point_prob = point.problem()
+            points.append((point, round_to_integers(solve(point_prob), point_prob)))
         same = True
         for point, alloc in points:
             inst = sim.build_instance(point, alloc, seed=3)
             req = sim.draw_requests(inst, point.popularity(), seed=4)
+            held = int(np.diff(inst._h_start)[req].max())  # the ring one is last
             args = sim._trace_args(inst, req)
             fast_out, ref_out = _fast.trace_batch(*args), _ref.trace_batch(*args)
             same &= all(np.array_equal(a, b) for a, b in zip(fast_out, ref_out))
-        few, many = (point.base_station_count for point, _ in points[1:])
-        traced = f"ad hoc, {few}-station and {many}-station instances"
+        few, many = (point.base_station_count for point in het)
+        traced = (
+            f"ad hoc, {few}-station and {many}-station instances; "
+            f"holder ring search on n={ring.n} ad hoc, up to {held} holders"
+        )
         checks.append((name, bool(same), f"{active}; {traced}"))
 
     return checks

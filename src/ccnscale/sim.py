@@ -37,6 +37,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _kernels
+from ._kernels import _ref
 from .config import NetworkConfig
 from .errors import NoHolderError
 from .geometry import CellGrid
@@ -64,9 +65,15 @@ class NetworkInstance:
     integer array sorted ascending; a node may hold several contents.
     Base stations hold every content and are indexed ``n + b`` where
     routing needs a single index space.  For the kernel, ``_h_idx``
-    concatenates the lists, content m at ``[_h_start[m], _h_start[m + 1])``,
-    and ``_hc_idx`` and ``_hc_cell`` hold the same nodes and their cells,
-    stably sorted by ``m·g² + cell``: by content, then cell, then node.
+    concatenates the lists, content m at ``[_h_start[m], _h_start[m + 1])``.
+    ``_hc_idx`` holds the same nodes sorted by content, then bucket, then
+    node, and ``_hc_cell`` their buckets: each content has a bucket grid of
+    its own, of the side ``_kernels._ref.grid_sides`` gives its holder
+    count (about one holder per bucket for a content searched ring by
+    ring, one bucket for a smaller one), and ``_hc_cell[j]`` is the flat
+    bucket id ``row * side + col`` of node ``_hc_idx[j]`` on that grid.
+    The kernel turns these ids into its bucket table
+    (``_kernels._ref.bucket_table``).
     """
 
     nodes: np.ndarray  # (n, 2) float64 positions
@@ -96,9 +103,7 @@ class NetworkInstance:
 
         xs = np.ascontiguousarray(nodes[:, 0])
         ys = np.ascontiguousarray(nodes[:, 1])
-        col = np.minimum((xs * g).astype(np.int64), g - 1)
-        row = np.minimum((ys * g).astype(np.int64), g - 1)
-        node_cell = row * g + col
+        node_cell = _ref.grid_cells(xs, ys, g)
 
         # Only a list that is not 1-d or not int64 (bool included, which a
         # plain concatenate would promote) makes concatenate raise and sends
@@ -123,15 +128,19 @@ class NetworkInstance:
             raise ValueError(f"content {m}: holders must strictly ascend in [0, {n})")
         del ok
 
-        # The stable sort keeps each (content, cell) bucket in the ascending
-        # node order of its holder list.
-        key = np.repeat(np.arange(len(holders), dtype=np.int64) * g**2, sizes)
-        key += node_cell[h_idx]
+        # Each holder's bucket on its content's own grid.  The sort key puts
+        # the grids one after another, and the stable sort keeps each
+        # (content, bucket) in the ascending node order of its holder list.
+        side = _ref.grid_sides(sizes)
+        grid_size = side * side
+        cell = _ref.grid_cells(xs[h_idx], ys[h_idx], np.repeat(side, sizes))
+        key = np.repeat(np.cumsum(grid_size) - grid_size, sizes)
+        key += cell
         order = np.argsort(key, kind="stable")
         del key
         hc_idx = h_idx[order]
-        del order
-        hc_cell = node_cell[hc_idx]
+        hc_cell = cell[order]
+        del order, cell
 
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "base_stations", bs)

@@ -20,6 +20,9 @@ so that agreement is meaningful:
 * ``solve_bisect``         — the package's earlier solver: bisection on
                              the water level with full-array clips.  The
                              one-pass solver must return its bits.
+* ``round_by_loop``        — the package's earlier largest-remainder
+                             rounding, one entry at a time.  The
+                             vectorised rounding must return its array.
 """
 
 from __future__ import annotations
@@ -270,3 +273,25 @@ def solve_bisect(prob):
 
     multiplier = 1.0 / (2.0 * math.sqrt(a) * c**1.5)
     return x, m1, m2, multiplier
+
+
+def round_by_loop(x, budget, upper):
+    """Largest-remainder rounding of ``x``, one entry at a time.
+
+    Visits the entries by largest remainder, then lowest index, and raises
+    each by one while the room ``floor(budget) - sum(floor(x))`` lasts, if
+    its remainder is positive and it stays at most ``upper``.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    base = np.floor(x)
+    remainder = x - base
+    room = int(math.floor(budget) - base.sum())
+    order = np.lexsort((np.arange(len(x)), -remainder))
+    out = base.copy()
+    for idx in order:
+        if room <= 0:
+            break
+        if remainder[idx] > 0.0 and out[idx] + 1.0 <= upper:
+            out[idx] += 1.0
+            room -= 1
+    return out.astype(np.int64)

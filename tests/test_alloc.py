@@ -16,7 +16,7 @@ from ccnscale.errors import InfeasibleError, SolverError, UnsupportedRegimeError
 from ccnscale.popularity import from_weights, zipf
 
 from oracles import objective as oracle_objective
-from oracles import random_instances, solve_bisect, solve_spg
+from oracles import random_instances, round_by_loop, solve_bisect, solve_spg
 
 _CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -366,6 +366,52 @@ class TestRounding:
             assert xi.sum() <= math.floor(prob.budget) + 1e-9
             assert np.all(xi >= math.floor(prob.lower))
             assert np.all(xi <= prob.upper + 1e-12)
+
+    @staticmethod
+    def _assert_same_as_loop(x, prob):
+        got = alloc.round_to_integers(_allocation(x), prob)
+        want = round_by_loop(x, prob.budget, prob.upper)
+        assert got.dtype == want.dtype == np.int64
+        np.testing.assert_array_equal(got, want)
+
+    def test_matches_loop_on_solved_problems(self):
+        for prob in random_instances(seed=8181, count=300):
+            self._assert_same_as_loop(solve(prob).X, prob)
+
+    def test_matches_loop_on_random_arrays(self):
+        # Arbitrary X, not only optima: entries at, above and below the cap,
+        # integers among them, and budgets that leave room for none, some or
+        # all of the remainders.
+        rng = np.random.default_rng(9)
+        for _ in range(300):
+            m = int(rng.integers(1, 40))
+            prob = AllocationProblem(
+                pop=zipf(m, 1.0), n=int(rng.integers(1, 400)),
+                K=float(rng.uniform(0.05, 2.0)), a=1 / 16,
+            )
+            x = rng.uniform(0.0, 17.0, size=m)
+            whole = rng.random(m) < 0.2
+            x[whole] = np.floor(x[whole])
+            x[rng.random(m) < 0.2] = prob.upper - 0.5
+            self._assert_same_as_loop(x, prob)
+
+    @pytest.mark.parametrize("n", [16, 17, 18, 19, 20, 21, 40])
+    def test_matches_loop_on_tied_remainders(self, n):
+        # Remainders tie in groups, so the lowest index breaks each tie; one
+        # tied entry sits at upper - 0.5 = 15.5 and cannot rise.
+        prob = AllocationProblem(pop=zipf(8, 1.0), n=n, K=1.0, a=1 / 16)
+        x = np.array([2.5, 1.25, 2.5, 15.5, 1.25, 0.5, 3.0, 0.5])
+        self._assert_same_as_loop(x, prob)
+
+    @pytest.mark.parametrize("n", [1, 10, 25, 26])
+    def test_no_room_leaves_the_floor(self, n):
+        # floor(X) sums to 26, so a budget of at most 26 leaves room <= 0:
+        # every entry keeps its floor.
+        prob = AllocationProblem(pop=zipf(4, 1.0), n=n, K=1.0, a=1 / 16)
+        x = np.array([10.75, 8.5, 6.25, 2.9])
+        self._assert_same_as_loop(x, prob)
+        got = alloc.round_to_integers(_allocation(x), prob)
+        assert got.tolist() == [10, 8, 6, 2]
 
 
 class TestProblemValidation:

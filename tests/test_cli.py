@@ -687,20 +687,21 @@ class TestCommandLine:
     @staticmethod
     def _check_fails_if_compiled_errs(monkeypatch, wrong_for):
         """The backend check passes, and fails once the compiled
-        ``trace_batch`` goes wrong on the instances whose station count
+        ``trace_batch`` goes wrong on the calls whose arguments
         ``wrong_for`` accepts."""
         _fast = pytest.importorskip("ccnscale._kernels._fast")
         real = _fast.trace_batch
 
         def wrong(*args):
             hops, loads, status = real(*args)
-            if wrong_for(len(args[-1])):
+            if wrong_for(*args):
                 hops = hops + 1
             return hops, loads, status
 
         name = "kernel backends bit-identical"
         (passed, detail), = [c[1:] for c in cli._self_checks() if c[0] == name]
         assert passed and "20-station and 95-station" in detail
+        assert "holder ring search on n=910 ad hoc, up to 65 holders" in detail
         monkeypatch.setattr(_fast, "trace_batch", wrong)
         (passed, _), = [c[1:] for c in cli._self_checks() if c[0] == name]
         assert not passed
@@ -711,7 +712,7 @@ class TestCommandLine:
         from ccnscale._kernels import _ref
 
         self._check_fails_if_compiled_errs(
-            monkeypatch, lambda nbs: nbs > _ref.RING_MIN_HOLDERS
+            monkeypatch, lambda *args: len(args[-1]) > _ref.RING_MIN_HOLDERS
         )
 
     def test_check_compares_backends_on_the_station_linear_path(self, monkeypatch):
@@ -719,8 +720,18 @@ class TestCommandLine:
         from ccnscale._kernels import _ref
 
         self._check_fails_if_compiled_errs(
-            monkeypatch, lambda nbs: 0 < nbs <= _ref.RING_MIN_HOLDERS
+            monkeypatch, lambda *args: 0 < len(args[-1]) <= _ref.RING_MIN_HOLDERS
         )
+
+    def test_check_compares_backends_on_the_holder_ring_path(self, monkeypatch):
+        # Likewise when a request asks for a content with more than
+        # RING_MIN_HOLDERS holders, which is searched ring by ring.
+        from ccnscale._kernels import _ref
+
+        def holder_ring(xs, ys, g, req, h_idx, h_start, *rest):
+            return (np.diff(h_start)[req] > _ref.RING_MIN_HOLDERS).any()
+
+        self._check_fails_if_compiled_errs(monkeypatch, holder_ring)
 
     def test_check_fails_when_the_kernel_does_not_build(self, tmp_path):
         env = dict(

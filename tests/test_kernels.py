@@ -175,10 +175,11 @@ class TestSegmentCellsParity:
 def test_lattice_line_walk_is_symmetric(backend):
     # A holder on the line x = 6/7 of a 7x7 grid, one cell across the wrap:
     # the request takes 1 hop in either direction, over the same two cells.
+    # Each content has one holder, in the one bucket (0) of its own grid.
     args = dict(
         xs=np.array([0.0, 6 / 7]), ys=np.array([0.5, 0.5]), g=7,
         h_idx=np.array([1, 0]), h_start=np.array([0, 1, 2]),
-        hc_idx=np.array([1, 0]), hc_cell=np.array([27, 21]),
+        hc_idx=np.array([1, 0]), hc_cell=np.array([0, 0]),
         bs_x=np.array([]), bs_y=np.array([]),
     )
     assert backend.trace_one(requester=0, m=0, **args) == (0, [21, 27])
@@ -394,7 +395,7 @@ class TestTraceBatchParity:
             h_idx=np.array([1]),
             h_start=np.array([0, 1]),
             hc_idx=np.array([1]),
-            hc_cell=np.array([4 * 8 + 2]),
+            hc_cell=np.array([0]),  # the one bucket of the content's grid
             bs_x=np.array([0.75]),
             bs_y=np.array([0.5]),
         )
@@ -416,13 +417,13 @@ class TestTraceBatchParity:
         ],
     )
     def test_lattice_boundary_rules(self, xs, g, hops):
-        # Nodes 0 and 1 each request the content that only the other holds.
+        # Nodes 0 and 1 each request the content that only the other holds,
+        # in the one bucket (0) of the content's own grid.
         xs = np.array(xs)
-        cells = (g // 2) * g + np.minimum((xs * g).astype(np.int64), g - 1)
         args = dict(
             xs=xs, ys=np.full(2, 0.5), g=g, req=np.array([0, 1]),
             h_idx=np.array([1, 0]), h_start=np.array([0, 1, 2]),
-            hc_idx=np.array([1, 0]), hc_cell=cells[[1, 0]],
+            hc_idx=np.array([1, 0]), hc_cell=np.array([0, 0]),
             bs_x=np.array([]), bs_y=np.array([]),
         )
         got = _fast.trace_batch(**args)
@@ -517,13 +518,13 @@ def test_station_ring_search_finds_the_scan_winner(backend, case, g):
     inst = _instance(nodes, holders, g, stations)
     n, xs, ys = inst.n, inst._xs, inst._ys
     bs_x, bs_y = stations[:, 0], stations[:, 1]
-    side, bs_idx, bs_cell = _ref.station_layout(bs_x, bs_y)
+    side, bs_idx, bs_tab = _ref.station_layout(bs_x, bs_y)
     for m, i, want, end in _scan_winners(inst):
         if backend is _ref:
             px, py = xs[i], ys[i]
             node = _ref.nearest_linear(px, py, xs, ys, inst.holders[m], i)
             got = _ref.nearest_ring(
-                px, py, bs_x, bs_y, bs_idx, bs_cell, 0, len(bs_idx), side, -1,
+                px, py, bs_x, bs_y, bs_idx, bs_tab, 0, side, -1,
                 node[0], node[1], n,
             )
             assert got[0] == want, (m, i)
@@ -556,10 +557,12 @@ def test_trace_on_both_sides_of_ring_min_holders(k, nbs):
 @pytest.mark.parametrize("nbs", [0, 1, 3, 4, 64, 65, 251])
 def test_station_layout_sorts_by_cell_then_index(nbs):
     # Coordinates on the cell edges k/side, at 0 and just below the wrap
-    # at 1, and at random; repeats put several stations in one cell.
+    # at 1, and at random; repeats put several stations in one cell.  Up to
+    # RING_MIN_HOLDERS stations are scanned and share one bucket; more get
+    # a grid of side floor(sqrt(b)).
     rng = np.random.default_rng(nbs)
-    side = math.isqrt(nbs)
-    edges = np.arange(max(side, 1)) / max(side, 1)
+    side = math.isqrt(nbs) if nbs > _ref.RING_MIN_HOLDERS else 1
+    edges = np.arange(max(math.isqrt(nbs), 1)) / max(math.isqrt(nbs), 1)
     pool = np.concatenate([edges, [0.0, np.nextafter(1.0, 0.0)], rng.random(8)])
     bs = rng.choice(pool, size=(nbs, 2))
     cells = [
@@ -567,11 +570,15 @@ def test_station_layout_sorts_by_cell_then_index(nbs):
         for x, y in bs.tolist()
     ]
     want = sorted(range(nbs), key=lambda b: (cells[b], b))
-    got_side, idx, cell = _ref.station_layout(bs[:, 0], bs[:, 1])
+    got_side, idx, tab = _ref.station_layout(bs[:, 0], bs[:, 1])
     assert got_side == side
-    assert idx.dtype == cell.dtype == np.int64
+    assert idx.dtype == tab.dtype == np.int64
     assert idx.tolist() == want
-    assert cell.tolist() == [cells[b] for b in want]
+    # Bucket c is the slice idx[tab[c]:tab[c + 1]].
+    assert len(tab) == side * side + 1
+    for c in range(side * side):
+        assert [cells[b] for b in idx[tab[c]:tab[c + 1]]] == [c] * (tab[c + 1] - tab[c])
+    assert tab[0] == 0 and tab[-1] == nbs
 
 
 @pytest.mark.parametrize(
@@ -609,6 +616,149 @@ def test_seeded_linear_scan_matches_ring_search(backend):
             end = nodes[win] if win < n else stations[win - n]
             _assert_walks_to(backend, inst, i, m, end)
     assert sides == {False, True}
+
+
+# ---------------------------------------------------------------------------
+# holders searched ring by ring on per-content bucket grids
+# ---------------------------------------------------------------------------
+
+
+def _holder_cases() -> dict:
+    """Hand-built (nodes, holders), each with a content of more than
+    RING_MIN_HOLDERS holders, which is searched on a bucket grid of its
+    own, of side floor(sqrt(k)) for k holders.  Coordinates are multiples
+    of 1/128, so the distance ties below are exact."""
+    rng = np.random.default_rng(78)
+
+    def dyadic(k, lo, hi):
+        return np.floor(rng.uniform(lo, hi, size=(k, 2)) * 128) / 128
+
+    lattice = np.arange(16) / 16
+    corners = np.array([(x, y) for y in lattice for x in lattice])
+    even = [16 * r + c for r in range(0, 16, 2) for c in range(0, 16, 2)]
+    wrap = np.array([(63 / 64, k / 128) for k in range(70)] + [(1 / 64, 0.25)])
+    far = np.array([(0.5, k / 128) for k in range(1, 80)])
+    return {
+        # Content 0 holds the 64 bucket corners of its 8x8 grid and node
+        # 256, content 1 all 256 corners of its 16x16 grid: a node at a
+        # bucket centre, such as node 17 for content 0, is equidistant
+        # from four holders.
+        "corner": (
+            np.vstack([corners, corners[[17, 90, 255]] + 1 / 32, dyadic(30, 0, 1)]),
+            [even + [256], range(256), [3, 7, 11, 20]],
+        ),
+        # Content 0's holders on x = 63/64 serve nodes on x = 0 across the
+        # wrap; its last holder (node 72) ties at (0, 0.25) with node 34
+        # across the wrap.
+        "wrap": (
+            np.vstack([[(0.0, 0.25), (1 / 128, 0.5)], wrap, dyadic(20, 0, 1 / 32)]),
+            [range(2, 73), [1, 5]],
+        ),
+        # Node 0 has four holders of content 0 at distance 3/64, one on
+        # each side; the other 79 holders lie on x = 0.5.
+        "tie": (
+            np.vstack(
+                [[(0.25, 0.5), (0.25 - 3 / 64, 0.5), (0.25 + 3 / 64, 0.5),
+                  (0.25, 0.5 - 3 / 64), (0.25, 0.5 + 3 / 64)],
+                 far, dyadic(20, 0, 1)]
+            ),
+            [range(1, 84), [2, 9]],
+        ),
+        # 65 holders in one far corner of their 8x8 grid, the other nodes
+        # around (0.4, 0.4): the search runs out to rings that wrap onto
+        # themselves.
+        "far-cluster": (
+            np.vstack([dyadic(65, 56 / 64, 60 / 64), dyadic(25, 0.35, 0.45)]),
+            [range(65), [70]],
+        ),
+        # 300 holders on a 17x17 grid, finer than every node grid below.
+        "dense": (dyadic(320, 0, 1), [range(10, 310), [0, 1]]),
+    }
+
+
+_HOLDER_CASES = _holder_cases()
+
+
+@pytest.mark.parametrize("g", [1, 2, 3, 8, 16])
+@pytest.mark.parametrize("case", sorted(_HOLDER_CASES))
+@pytest.mark.parametrize(
+    "backend",
+    [_ref, pytest.param(_fast, marks=needs_fast)],
+    ids=["python", "compiled"],
+)
+def test_holder_ring_search_finds_the_scan_winner(backend, case, g):
+    # Every request is won by the holder that a brute-force scan picks:
+    # the reference's ring search over the content's own buckets finds it,
+    # and each backend walks there on the node grid of side g.
+    nodes, holders = _HOLDER_CASES[case]
+    inst = _instance(nodes, holders, g)
+    xs, ys = inst._xs, inst._ys
+    side, base, tab = _ref.bucket_table(inst._h_start, inst._hc_cell)
+    big = [
+        m for m, held in enumerate(inst.holders) if len(held) > _ref.RING_MIN_HOLDERS
+    ]
+    assert big and all(side[m] == math.isqrt(len(inst.holders[m])) for m in big)
+    for m, i, want, end in _scan_winners(inst):
+        if backend is _ref and m in big:
+            got = _ref.nearest_ring(
+                xs[i], ys[i], xs, ys, inst._hc_idx, tab, base[m], side[m], i
+            )
+            assert got[0] == want, (m, i)
+        _assert_walks_to(backend, inst, i, m, end)
+    if backend is _fast:
+        _assert_trace_equal(inst, np.arange(inst.n) % len(holders))
+
+
+@pytest.mark.parametrize("k,side", [(64, 1), (65, 8), (80, 8), (81, 9), (82, 9)])
+@pytest.mark.parametrize(
+    "backend",
+    [_ref, pytest.param(_fast, marks=needs_fast)],
+    ids=["python", "compiled"],
+)
+def test_holder_grid_side_breakpoints(backend, k, side):
+    # k holders of content 0: RING_MIN_HOLDERS are scanned in one bucket,
+    # more get a grid of side floor(sqrt(k)), which steps at 81.  Content 1
+    # has two holders.  Coordinates are multiples of 1/32, so distance
+    # ties are exact and frequent.
+    rng = np.random.default_rng(k)
+    n = 200
+    nodes = rng.integers(0, 32, size=(n, 2)) / 32
+    holders = [np.sort(rng.choice(n, size=k, replace=False)), [3, 150]]
+    inst = _instance(nodes, holders, 6)
+    assert _ref.bucket_table(inst._h_start, inst._hc_cell)[0].tolist() == [side, 1]
+    for m, i, _, end in _scan_winners(inst):
+        _assert_walks_to(backend, inst, i, m, end)
+    if backend is _fast:
+        _assert_trace_equal(inst, np.arange(n) % 2)
+
+
+def test_bucket_table_is_csr_of_the_bucket_ids():
+    # Three sets of 2, 0 and 70 members, the last on an 8x8 grid: bucket c
+    # of set m is the slice tab[base[m] + c]:tab[base[m] + c + 1].
+    rng = np.random.default_rng(6)
+    cell = np.concatenate([[0, 0], np.sort(rng.integers(0, 64, size=70))])
+    side, base, tab = _ref.bucket_table([0, 2, 2, 72], cell)
+    assert side.tolist() == [1, 1, 8]
+    assert base.tolist() == [0, 1, 2, 66]
+    assert len(tab) == 67 and tab[0] == 0 and tab[-1] == 72
+    assert tab[:3].tolist() == [0, 2, 2]
+    for c in range(64):
+        lo, hi = tab[2 + c], tab[2 + c + 1]
+        assert (cell[lo:hi] == c).all() and np.count_nonzero(cell[2:] == c) == hi - lo
+
+
+@pytest.mark.parametrize(
+    "start,cell",
+    [
+        ([0, 2], [0, 1]),  # a set of two has one bucket
+        ([0, 1], [-1]),
+        ([0, 70], [64] * 70),  # off the 8x8 grid
+        ([0, 2, 1], [0, 0]),  # offsets descend
+    ],
+)
+def test_bucket_table_rejects(start, cell):
+    with pytest.raises(ValueError):
+        _ref.bucket_table(start, cell)
 
 
 def test_compiled_kernel_allocates_nothing():
@@ -658,7 +808,8 @@ def test_kernel_source_compiles_clean_and_uses_every_helper(tmp_path):
 
 
 def _tiny_trace_args(**override):
-    """Two nodes on a 2x2 grid; the one content is held by node 1."""
+    """Two nodes on a 2x2 grid; the one content is held by node 1, in the
+    one bucket (0) of the content's own grid."""
     args = dict(
         xs=np.array([0.1, 0.6]),
         ys=np.array([0.2, 0.7]),
@@ -667,7 +818,7 @@ def _tiny_trace_args(**override):
         h_idx=np.array([1]),
         h_start=np.array([0, 1]),
         hc_idx=np.array([1]),
-        hc_cell=np.array([3]),
+        hc_cell=np.array([0]),
         bs_x=np.array([]),
         bs_y=np.array([]),
     )
@@ -698,6 +849,8 @@ class TestCompiledInputChecks:
             {"xs": np.array([-0.1, 0.6])},
             {"ys": np.array([float("nan"), 0.7])},
             {"bs_x": np.array([0.5]), "bs_y": np.array([])},
+            {"hc_cell": np.array([1])},  # one holder has one bucket, 0
+            {"hc_cell": np.array([-1])},
             {"g": 0},
             {"xs": np.array([1.0, 0.6])},  # coordinates lie in [0, 1)
         ],

@@ -246,16 +246,23 @@ class TestBuildInstance:
     @given(data=st.data())
     @settings(max_examples=150, deadline=None)
     def test_holder_array_layout(self, data):
-        # Random nodes on small grids; sorted holder lists, some empty and
-        # some sharing nodes with other contents.
-        n = data.draw(st.integers(1, 30), label="n")
+        # Random nodes on small grids; sorted holder lists, some empty, some
+        # sharing nodes with other contents, and some with more than
+        # RING_MIN_HOLDERS members, which get a bucket grid of their own.
+        n = data.draw(st.integers(1, 100), label="n")
         g = data.draw(st.integers(1, 5), label="g")
         coords = st.floats(0.0, 1.0, exclude_max=True, allow_nan=False)
         nodes = data.draw(
             st.lists(st.tuples(coords, coords), min_size=n, max_size=n), label="nodes"
         )
         holders = data.draw(
-            st.lists(st.sets(st.integers(0, n - 1)).map(sorted), max_size=8),
+            st.lists(
+                st.one_of(
+                    st.sets(st.integers(0, n - 1), max_size=8),
+                    st.sets(st.integers(0, n - 1), min_size=n // 2),
+                ).map(sorted),
+                max_size=8,
+            ),
             label="holders",
         )
         inst = _manual_instance(nodes, holders, g=g)
@@ -266,12 +273,16 @@ class TestBuildInstance:
         assert inst._h_idx.tolist() == flat
         cell = np.array([r * g + c for r, c in map(inst.grid.cell_of, nodes)])
         np.testing.assert_array_equal(inst._node_cell, cell)
-        np.testing.assert_array_equal(inst._hc_cell, cell[inst._hc_idx])
-        for m in range(len(holders)):
+        for m, held in enumerate(holders):
+            # Content m's own grid: side floor(sqrt(k)) for k > 64 holders.
+            side = math.isqrt(len(held)) if len(held) > 64 else 1
+            rc = {i: CellGrid(side).cell_of(nodes[i]) for i in held}
             lo, hi = inst._h_start[m], inst._h_start[m + 1]
             seg = inst._hc_idx[lo:hi].tolist()
-            assert sorted(seg) == holders[m]
-            assert seg == sorted(holders[m], key=lambda i: (cell[i], i))
+            assert sorted(seg) == held
+            assert seg == sorted(held, key=lambda i: (rc[i], i))
+            buckets = [r * side + c for r, c in map(rc.get, seg)]
+            assert inst._hc_cell[lo:hi].tolist() == buckets
 
 
 class _CountingRng:
