@@ -21,7 +21,10 @@ then classifies the three regimes (saturated / interior / floored,
 thresholds m1 and m2), snaps the interior to the closed form driven by
 the residual budget K', and verifies the KKT conditions before
 returning.  Sums that must be exact use :func:`_fsum`, a vectorised,
-correctly rounded sum.
+correctly rounded sum.  Apart from the allocation it returns, a solve
+holds at most two catalog-sized arrays at once (p^(2/3) and its prefix
+sum, then p^(2/3) and X); :func:`_fsum` and :func:`kkt_residual` work in
+blocks of :data:`_BLOCK` elements.
 """
 
 from __future__ import annotations
@@ -49,9 +52,11 @@ __all__ = [
 _LOWER_TOL = 1e-12
 _KKT_TOL = 1e-8
 
-# _fsum adds 27-bit mantissa halves in float64 buckets, which stays exact
-# while every bucket sum is an integer below 2**53.
-_FSUM_MAX_LEN = 1 << 26
+# Elements per block of _fsum and kkt_residual: their temporaries stay
+# small while per-block overhead stays a small share of the work.  _fsum
+# adds 27-bit mantissa halves in float64 buckets, which is exact while a
+# bucket sum stays below 2**53, that is for blocks of up to 2**26.
+_BLOCK = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -136,32 +141,43 @@ def _fsum(x: np.ndarray) -> float:
     """Correctly rounded sum of a float64 array: the same bits as ``math.fsum``.
 
     Each element is split by ``frexp`` into a 53-bit integer mantissa and
-    an exponent, and the mantissa into 27- and 26-bit halves.  The halves
-    are summed per exponent with ``bincount``; every partial sum is an
-    integer below 2**53, so these sums are exact.  The buckets are then
-    combined into one Python integer and divided by a power of two, which
-    rounds once, to nearest even.
+    an exponent, and the mantissa into 27- and 26-bit halves.  Block by
+    block, the halves are summed per exponent with ``bincount``; every
+    partial sum is an integer below 2**53, so these sums are exact.  The
+    buckets of all blocks are combined into one Python integer and divided
+    by a power of two, which rounds once, to nearest even.
     """
-    if len(x) == 0 or len(x) >= _FSUM_MAX_LEN:
-        return math.fsum(x)
-    mant, exp = np.frexp(x)
-    mant *= 2.0**27
-    high = np.floor(mant)
-    with np.errstate(invalid="ignore"):  # inf - inf: fsum reports it below
-        mant -= high  # the low 26 bits, as a fraction
-    mant *= 2.0**26
-    base = int(exp.min())
-    exp = exp.astype(np.intp)  # bincount's index type, converted once
-    exp -= base
-    high_sums = np.bincount(exp, weights=high).tolist()
-    low_sums = np.bincount(exp, weights=mant).tolist()
-    try:
-        total = sum(
-            ((int(h) << 26) + int(lo)) << k
-            for k, (h, lo) in enumerate(zip(high_sums, low_sums))
-        )
-    except (OverflowError, ValueError):  # an inf or nan: let fsum report it
-        return math.fsum(x)
+    if len(x) == 0:
+        return 0.0
+    size = min(len(x), _BLOCK)
+    mant = np.empty(size)
+    exp = np.empty(size, dtype=np.intc)
+    high = np.empty(size)
+    index = np.empty(size, dtype=np.intp)  # bincount's index type
+    partials = []  # (integer sum, exponent of its unit bit)
+    for start in range(0, len(x), _BLOCK):
+        block = x[start : start + _BLOCK]
+        k = len(block)
+        np.frexp(block, out=(mant[:k], exp[:k]))
+        mant[:k] *= 2.0**27
+        np.floor(mant[:k], out=high[:k])
+        with np.errstate(invalid="ignore"):  # inf - inf: fsum reports it below
+            mant[:k] -= high[:k]  # the low 26 bits, as a fraction
+        mant[:k] *= 2.0**26
+        base = int(exp[:k].min())
+        np.subtract(exp[:k], base, out=index[:k])
+        high_sums = np.bincount(index[:k], weights=high[:k]).tolist()
+        low_sums = np.bincount(index[:k], weights=mant[:k]).tolist()
+        try:
+            total = sum(
+                ((int(h) << 26) + int(lo)) << e
+                for e, (h, lo) in enumerate(zip(high_sums, low_sums))
+            )
+        except (OverflowError, ValueError):  # an inf or nan: let fsum report it
+            return math.fsum(x)
+        partials.append((total, base))
+    base = min(b for _, b in partials)
+    total = sum(t << (b - base) for t, b in partials)
     shift = base - 53
     if shift >= 0:
         return float(total << shift)
@@ -171,6 +187,15 @@ def _fsum(x: np.ndarray) -> float:
 def _grad_magnitude(p: np.ndarray, x: np.ndarray, a: float, f: float) -> np.ndarray:
     """|d objective / dX_m| = p_m / (2 sqrt(a) (X_m + f)^{3/2})."""
     return p / (2.0 * math.sqrt(a) * (x + f) ** 1.5)
+
+
+def _objective(p: np.ndarray, x: np.ndarray, a: float, f: float, out: np.ndarray) -> float:
+    """sum_m p_m / sqrt(a (X_m + f)), evaluated in the scratch array ``out``."""
+    np.add(x, f, out=out)
+    out *= a
+    np.sqrt(out, out=out)
+    np.divide(p, out, out=out)
+    return float(np.sum(out))
 
 
 def _residual_budget(prob: AllocationProblem, m1: int, m2: int) -> float:
@@ -204,7 +229,7 @@ def solve(prob: AllocationProblem) -> Allocation:
     """
     p = prob.pop.p
     m_count = prob.pop.m_count
-    if np.any(np.diff(p) > 0):
+    if np.any(p[1:] > p[:-1]):
         raise ValueError("popularity vector must be non-increasing")
     lower, upper, f, a = prob.lower, prob.upper, prob.f, prob.a
     budget = prob.budget
@@ -233,7 +258,7 @@ def solve(prob: AllocationProblem) -> Allocation:
             m2=m1,
             Kprime=_residual_budget(prob, m1, m1) / prob.n,
             multiplier=0.0,
-            objective=float(np.sum(p / np.sqrt(a * (x + f)))),
+            objective=_objective(p, x, a, f, np.empty(m_count)),
             s_interior=0.0,
             degenerate=prob.degenerate,
         )
@@ -301,19 +326,22 @@ def solve(prob: AllocationProblem) -> Allocation:
     # snapped values stray outside the box (classification edge case),
     # keep the clipped water level, which also keeps values within the
     # classification tolerance of a bound.
-    x = None
+    x = np.full(m_count, lower)
+    snapped = False
     if m2 > m1:
         n_kprime = _residual_budget(prob, m1, m2)
         c_exact = n_kprime / s_interior
-        interior = c_exact * p23[m1 - 1 : m2 - 1] - f
+        interior = x[m1 - 1 : m2 - 1]
+        np.multiply(p23[m1 - 1 : m2 - 1], c_exact, out=interior)
+        interior -= f
         if interior.min() > lower and interior.max() < upper:
-            x = np.full(m_count, lower)
             x[: m1 - 1] = upper
-            x[m1 - 1 : m2 - 1] = interior
             c = c_exact
-    if x is None:
-        x = np.clip(c * p23 - f, lower, upper)
-    del p23  # before the KKT check, whose temporaries set the peak
+            snapped = True
+    if not snapped:
+        np.multiply(p23, c, out=x)
+        x -= f
+        np.clip(x, lower, upper, out=x)
 
     multiplier = 1.0 / (2.0 * math.sqrt(a) * c**1.5)
     alloc = Allocation(
@@ -322,9 +350,10 @@ def solve(prob: AllocationProblem) -> Allocation:
         m2=m2,
         Kprime=_residual_budget(prob, m1, m2) / prob.n,
         multiplier=multiplier,
-        objective=float(np.sum(p / np.sqrt(a * (x + f)))),
+        objective=_objective(p, x, a, f, p23),  # p23 is dead: reuse its memory
         s_interior=s_interior,
     )
+    del p23  # before the KKT check
     _verify_kkt(alloc, prob)
     return alloc
 
@@ -345,21 +374,26 @@ def kkt_residual(alloc: Allocation, prob: AllocationProblem) -> float:
     x = alloc.X
     lower, upper = prob.lower, prob.upper
     lam = alloc.multiplier
-    g = _grad_magnitude(p, x, prob.a, prob.f)
-    scale = np.maximum(g, lam)
     tol_up = _LOWER_TOL * max(1.0, abs(upper))
-    at_upper = x >= upper - tol_up
-    at_lower = x <= lower + tol_up
-    interior = ~(at_upper | at_lower)
-    res = np.zeros_like(g)
-    res[at_upper] = np.maximum(0.0, lam - g[at_upper])
-    res[at_lower] = np.maximum(0.0, g[at_lower] - lam)
-    res[at_upper & at_lower] = 0.0  # fixed by a point box: no stationarity
-    res[interior] = np.abs(g[interior] - lam)
     worst = 0.0
     if len(x):
+        block_worst = []
+        for start in range(0, len(x), _BLOCK):
+            xb = x[start : start + _BLOCK]
+            g = _grad_magnitude(p[start : start + _BLOCK], xb, prob.a, prob.f)
+            at_upper = xb >= upper - tol_up
+            at_lower = xb <= lower + tol_up
+            res = np.where(
+                at_upper,
+                np.maximum(0.0, lam - g),
+                np.where(at_lower, np.maximum(0.0, g - lam), np.abs(g - lam)),
+            )
+            res[at_upper & at_lower] = 0.0  # fixed by a point box: no stationarity
+            res /= np.maximum(g, lam)
+            block_worst.append(np.max(res))
         box = max(lower - float(x.min()), float(x.max()) - upper)
-        worst = max(float(np.max(res / scale)), box / max(1.0, abs(upper)))
+        # np.max, not max(): a nan in any block must reach the result.
+        worst = max(float(np.max(block_worst)), box / max(1.0, abs(upper)))
     excess = float(np.sum(x)) - prob.budget
     if lam > 0:
         excess = abs(excess)  # no slack either

@@ -33,7 +33,9 @@ _ALPHA_TOL = 1e-12
 # Chunk size for the generalized-harmonic accumulation.  Each chunk is
 # pairwise-summed by numpy and the chunk totals are combined exactly with
 # math.fsum, keeping the relative error at or below 1e-12 up to M = 1e8
-# without materializing the full term array.
+# without materializing the full term array.  With one chunk the sum is
+# numpy's pairwise sum of the term array alone, so zipf() takes it from
+# the array it has already built for M up to this size.
 _HARMONIC_CHUNK = 1 << 22
 
 
@@ -117,9 +119,9 @@ class PopularityModel:
         p = np.asarray(self.p, dtype=np.float64)
         if p.ndim != 1 or p.size == 0:
             raise ValueError("popularity vector must be non-empty and 1-D")
-        if not np.all(p > 0):
+        if not p.min() > 0:
             raise ValueError("popularity weights must be strictly positive")
-        if np.any(np.diff(p) > 0):
+        if np.any(p[1:] > p[:-1]):
             raise ValueError("popularity vector must be non-increasing")
         total = float(p.sum())
         if abs(total - 1.0) > 1e-12:
@@ -145,11 +147,15 @@ def zipf(m_count: int, alpha: float) -> PopularityModel:
         raise ValueError(f"zipf() needs M >= 1, got {m_count}")
     if alpha < 0:
         raise ValueError(f"zipf() needs alpha >= 0, got {alpha}")
-    ranks = np.arange(1, m_count + 1, dtype=np.float64)
-    weights = ranks ** (-alpha)
-    p = weights / harmonic(m_count, alpha)
+    # One array, transformed in place: the ranks, their powers, p.
+    p = np.arange(1, m_count + 1, dtype=np.float64)
+    p **= -alpha
+    if m_count <= _HARMONIC_CHUNK:
+        p /= p.sum()  # harmonic(m_count, alpha), from the terms at hand
+    else:
+        p /= harmonic(m_count, alpha)
     # One exact renormalization pass so the sum lands within 1e-12 of 1.
-    p = p / p.sum()
+    p /= p.sum()
     return PopularityModel(p=p, alpha=float(alpha))
 
 

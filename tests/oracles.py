@@ -23,6 +23,13 @@ so that agreement is meaningful:
 * ``round_by_loop``        — the package's earlier largest-remainder
                              rounding, one entry at a time.  The
                              vectorised rounding must return its array.
+* ``zipf_by_harmonic``     — the package's earlier Zipf construction:
+                             fresh arrays for the powers and each
+                             division, normalized by ``harmonic()``.  The
+                             in-place construction must return its bits.
+* ``kkt_residual_by_masks`` — the package's earlier KKT certificate over
+                             the whole catalog, with masked copies.  The
+                             blocked certificate must return its value.
 """
 
 from __future__ import annotations
@@ -295,3 +302,42 @@ def round_by_loop(x, budget, upper):
             out[idx] += 1.0
             room -= 1
     return out.astype(np.int64)
+
+
+def zipf_by_harmonic(m_count: int, alpha: float) -> np.ndarray:
+    """Zipf probabilities as the package built them before its in-place
+    construction: ``ranks ** -alpha / harmonic(M, alpha)``, renormalized."""
+    from ccnscale.popularity import harmonic
+
+    ranks = np.arange(1, m_count + 1, dtype=np.float64)
+    weights = ranks ** (-alpha)
+    p = weights / harmonic(m_count, alpha)
+    return p / p.sum()
+
+
+def kkt_residual_by_masks(alloc, prob) -> float:
+    """The KKT residual as the package computed it before working in blocks:
+    whole-catalog gradient, masked assignments per regime."""
+    p = prob.pop.p
+    x = alloc.X
+    lower, upper = prob.lower, prob.upper
+    lam = alloc.multiplier
+    g = p / (2.0 * math.sqrt(prob.a) * (x + prob.f) ** 1.5)
+    scale = np.maximum(g, lam)
+    tol_up = 1e-12 * max(1.0, abs(upper))
+    at_upper = x >= upper - tol_up
+    at_lower = x <= lower + tol_up
+    interior = ~(at_upper | at_lower)
+    res = np.zeros_like(g)
+    res[at_upper] = np.maximum(0.0, lam - g[at_upper])
+    res[at_lower] = np.maximum(0.0, g[at_lower] - lam)
+    res[at_upper & at_lower] = 0.0
+    res[interior] = np.abs(g[interior] - lam)
+    worst = 0.0
+    if len(x):
+        box = max(lower - float(x.min()), float(x.max()) - upper)
+        worst = max(float(np.max(res / scale)), box / max(1.0, abs(upper)))
+    excess = float(np.sum(x)) - prob.budget
+    if lam > 0:
+        excess = abs(excess)
+    return max(worst, excess / prob.budget)

@@ -2,6 +2,7 @@
 oracles, KKT certificates, threshold structure, and rounding."""
 
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +16,7 @@ from ccnscale.config import Mode, NetworkConfig
 from ccnscale.errors import InfeasibleError, SolverError, UnsupportedRegimeError
 from ccnscale.popularity import from_weights, zipf
 
+from oracles import kkt_residual_by_masks
 from oracles import objective as oracle_objective
 from oracles import random_instances, round_by_loop, solve_bisect, solve_spg
 
@@ -168,7 +170,59 @@ def _allocation(x, multiplier=0.0):
     )
 
 
+def _kkt_hand_built():
+    """(problem, allocation) pairs that probe each branch of the certificate."""
+    adhoc = AllocationProblem(pop=zipf(12, 1.2), n=40, K=1.0, a=1 / 25)
+    solved = solve(adhoc)
+    point_box = AllocationProblem.heterogeneous(zipf(6, 1.2), n=40, K=1.0, a=1 / 25, f=25.0)
+    # upper = 1e-13 lies inside the bound tolerance of lower = 0, so every
+    # content counts as at both bounds although the box is not a point.
+    thin_box = AllocationProblem.heterogeneous(
+        zipf(6, 1.2), n=40, K=1.0, a=1 / 25, f=25.0 - 1e-13
+    )
+    below = solved.X.copy()
+    below[-1] = 0.5  # under lower = 1
+    above = solved.X.copy()
+    above[0] = adhoc.upper + 0.5
+    big = AllocationProblem(pop=zipf(3 * 2**15 + 7, 0.8), n=200_000, K=1.0, a=1 / 40_000)
+    big_solved = solve(big)
+    big_off = big_solved.X.copy()
+    big_off[2**15 + 3] = big.upper + 1.0  # above upper, in the second block
+    big_off[-1] = 0.25  # below lower, in the last block
+    lam = solved.multiplier
+    return {
+        "solved": (adhoc, solved),
+        "point box": (point_box, _allocation(np.zeros(6))),
+        "point box, positive multiplier": (point_box, _allocation(np.zeros(6), 0.3)),
+        "content at both bounds": (thin_box, _allocation(np.zeros(6), 0.3)),
+        "over budget": (adhoc, _allocation(np.full(12, adhoc.upper))),
+        "X below lower": (adhoc, _allocation(below, lam)),
+        "X above upper": (adhoc, _allocation(above, lam)),
+        "interior off the multiplier": (adhoc, _allocation(solved.X, 1.5 * lam)),
+        "empty X": (AllocationProblem(pop=zipf(1, 1.0), n=4, K=1.0, a=1 / 4), _allocation([])),
+        "empty X, positive multiplier": (
+            AllocationProblem(pop=zipf(1, 1.0), n=4, K=1.0, a=1 / 4), _allocation([], 0.5)
+        ),
+        "solved, several blocks": (big, big_solved),
+        "several blocks, off the box": (big, _allocation(big_off, big_solved.multiplier)),
+    }
+
+
 class TestKkt:
+    def test_same_value_as_masked_form_on_solved_instances(self):
+        problems = list(random_instances(seed=2718, count=200))
+        problems += list(_sample_config_problems())
+        for prob in problems:
+            res = solve(prob)
+            assert alloc.kkt_residual(res, prob) == kkt_residual_by_masks(res, prob)
+
+    @pytest.mark.parametrize("name", list(_kkt_hand_built()))
+    def test_same_value_as_masked_form_on_hand_built(self, name):
+        prob, allocation = _kkt_hand_built()[name]
+        want = kkt_residual_by_masks(allocation, prob)
+        assert math.isfinite(want)
+        assert alloc.kkt_residual(allocation, prob) == want
+
     def test_over_budget_allocation_fails_certificate(self):
         # Every content at upper = 25 with multiplier 0 meets every
         # stationarity condition, but uses 300 of a budget of 40.
@@ -617,3 +671,75 @@ class TestFsum:
         assert math.isnan(alloc._fsum(np.array([1.0, math.nan])))
         with pytest.raises(ValueError):
             alloc._fsum(np.array([math.inf, -math.inf]))
+
+    @pytest.mark.parametrize(
+        "length",
+        [alloc._BLOCK - 1, alloc._BLOCK, alloc._BLOCK + 1, 3 * alloc._BLOCK + 17],
+    )
+    def test_block_boundaries(self, length):
+        # Mantissas in (-1, 1) over exponents -1070..970, about 2000
+        # binades in every block; the blocks of the longest array are
+        # each shifted by their own offset, so their smallest exponents
+        # differ and the partials are combined at different bases.
+        rng = np.random.default_rng(length)
+        exps = rng.integers(-1070, 971, size=length)
+        exps += (np.arange(length) // alloc._BLOCK) * 30 - 90
+        xs = np.ldexp(rng.uniform(-1.0, 1.0, size=length), exps)
+        assert alloc._fsum(xs) == math.fsum(xs)
+        # Cancellation across blocks: the exact sum is the last element.
+        mirrored = np.concatenate([xs, -xs[::-1], [0.75]])
+        assert alloc._fsum(mirrored) == math.fsum(mirrored) == 0.75
+
+    def test_non_finite_value_in_a_later_block(self):
+        xs = np.linspace(1.0, 2.0, 3 * alloc._BLOCK)
+        for bad, check in ((math.inf, math.isinf), (math.nan, math.isnan)):
+            ys = xs.copy()
+            ys[2 * alloc._BLOCK + 5] = bad
+            assert check(alloc._fsum(ys)) and check(math.fsum(ys))
+        ys = xs.copy()
+        ys[7] = math.inf
+        ys[2 * alloc._BLOCK + 5] = -math.inf
+        with pytest.raises(ValueError):
+            alloc._fsum(ys)
+
+
+class TestMemory:
+    """Catalog-sized arrays held at once on the theory path, at the largest
+    sample-config catalog: n = 10**6, alpha = 0.8, M = 251,189."""
+
+    # Interpreter objects (the model, the allocation, block temporaries)
+    # on top of the arrays; a catalog-sized float64 array is 2 MB.
+    _SLACK = 1 << 16
+
+    @staticmethod
+    def _peak(fn):
+        """Peak traced bytes above the start while ``fn`` runs."""
+        assert not tracemalloc.is_tracing()
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            fn()
+            return tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+
+    def _config(self):
+        cfg = NetworkConfig(n=10**6, alpha=0.8, beta=0.9)
+        assert cfg.M == 251_189
+        return cfg
+
+    def test_zipf_holds_two_arrays(self):
+        # p and the model's int64 ``order``.
+        cfg = self._config()
+        assert self._peak(lambda: zipf(cfg.M, cfg.alpha)) <= 2 * 8 * cfg.M + self._SLACK
+
+    def test_solve_and_certificate_hold_four_arrays(self):
+        cfg = self._config()
+        prob = cfg.problem()
+
+        def run():
+            res = solve(prob)
+            alloc.kkt_residual(res, prob)
+            alloc.optimized_delay(res, prob)
+
+        assert self._peak(run) <= 4 * 8 * cfg.M + self._SLACK

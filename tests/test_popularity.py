@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from ccnscale import popularity as pop
 from ccnscale.popularity import HarmonicClass
 
-from oracles import harmonic_fsum
+from oracles import harmonic_fsum, zipf_by_harmonic
 
 
 class TestHarmonic:
@@ -119,6 +119,17 @@ class TestZipf:
             # strictly decreasing (below ~1e-17 the powers round to
             # equal floats, so the strict check needs a representable alpha)
             assert np.all(np.diff(model.p) < 0)
+
+    # Sizes around the _fsum/kkt block (2**15), the largest sample-config
+    # catalog (n = 10**6, beta = 0.9) and the first size past one harmonic
+    # chunk; exponents that take numpy's scalar-power fast paths (0, -1)
+    # and the general one.
+    @pytest.mark.parametrize(
+        "m", [1, 2, 2**15 - 1, 2**15 + 1, 251_189, pop._HARMONIC_CHUNK + 1]
+    )
+    @pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0, 1.2, 2.0])
+    def test_same_bits_as_harmonic_form(self, m, alpha):
+        assert np.array_equal(pop.zipf(m, alpha).p, zipf_by_harmonic(m, alpha))
 
     def test_explicit_ratio_follows_power_law(self):
         model = pop.zipf(50, 1.3)
