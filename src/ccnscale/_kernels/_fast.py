@@ -44,7 +44,7 @@ from pathlib import Path
 import numpy as np
 from numpy.ctypeslib import ndpointer
 
-from ._ref import bucket_table, station_layout
+from ._ref import MAX_GRID_SIDE, bucket_table, station_layout
 
 BACKEND_NAME = "compiled"
 
@@ -161,8 +161,9 @@ def _indices(values, bound: int, name: str) -> np.ndarray:
 
 
 def _grid(g) -> int:
-    if g < 1:
-        raise ValueError(f"grid side must be >= 1, got {g}")
+    """The grid side, which the walk's fixed-point arithmetic bounds."""
+    if not 1 <= g < MAX_GRID_SIDE:
+        raise ValueError(f"grid side must lie in [1, {MAX_GRID_SIDE}), got {g}")
     return int(g)
 
 

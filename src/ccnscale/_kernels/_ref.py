@@ -20,10 +20,26 @@ BACKEND_NAME = "python"
 # strategies return identical results; this only trades speed.
 RING_MIN_HOLDERS = 64
 
+# The walk works in cell units with FIX_BITS fraction bits, as integers:
+# a coordinate x becomes floor(x * g * 2**FIX_BITS).  Grid sides stay below
+# MAX_GRID_SIDE, so these integers stay below 2**62 and the products that
+# order crossings below 2**125 (the compiled kernel's __int128).
+FIX_BITS = 40
+MAX_GRID_SIDE = 1 << 22
+_FIX_SCALE = float(1 << FIX_BITS)
+
 
 def _cell_index(x: float, g: int) -> int:
     i = int(x * g)
     return g - 1 if i >= g else i
+
+
+def _fixed(x: float, g: int) -> int:
+    """``x`` in cell units, as an integer with FIX_BITS fraction bits; its
+    integer part is ``_cell_index(x, g)``."""
+    q = int(x * g * _FIX_SCALE)
+    top = (g << FIX_BITS) - 1
+    return top if q > top else q
 
 
 def _wrap_delta(a: float, b: float) -> float:
@@ -57,9 +73,14 @@ def segment_cells(x0: float, y0: float, x1: float, y1: float, g: int) -> list[in
     (:func:`_wrap_delta`) fixes the step direction on each axis; the step
     count is the integer cell difference in that direction, mod g, so the
     walk ends on the end cell by construction and, with fewer than g steps
-    per axis, never repeats a cell.  The float crossing times only order
-    the steps (Amanatides & Woo grid traversal); a segment passing exactly
-    through a lattice corner steps diagonally.
+    per axis, never repeats a cell.  The crossing times order the steps
+    (Amanatides & Woo grid traversal).  They are compared exactly, on the
+    endpoints in cell units as integers (:func:`_fixed`): the time of a
+    crossing is its distance along the axis over that axis's length, and
+    both sides are scaled by the product of the two lengths.  A segment
+    through a lattice corner steps diagonally, and a walk visits the cells
+    of its reverse walk in reverse order, unless the half-torus rule of
+    :func:`_wrap_delta` sends the two along different geodesics.
     """
     col = _cell_index(x0, g)
     row = _cell_index(y0, g)
@@ -70,38 +91,37 @@ def segment_cells(x0: float, y0: float, x1: float, y1: float, g: int) -> list[in
     nx = (_cell_index(x1, g) - col) * sx % g
     ny = (_cell_index(y1, g) - row) * sy % g
     cells = [row * g + col]
-    if sx > 0:
-        tx = ((col + 1.0) / g - x0) / dx
-        dtx = 1.0 / (g * dx)
-    elif sx < 0:
-        tx = (col / float(g) - x0) / dx
-        dtx = -1.0 / (g * dx)
-    else:
-        tx = inf
-        dtx = inf
-    if sy > 0:
-        ty = ((row + 1.0) / g - y0) / dy
-        dty = 1.0 / (g * dy)
-    elif sy < 0:
-        ty = (row / float(g) - y0) / dy
-        dty = -1.0 / (g * dy)
-    else:
-        ty = inf
-        dty = inf
+    # Lengths of the walk along each axis and the distances to the first
+    # crossings, in fixed-point cell units.
+    span = g << FIX_BITS
+    u0 = _fixed(x0, g)
+    v0 = _fixed(y0, g)
+    lx = (_fixed(x1, g) - u0) * sx
+    ly = (_fixed(y1, g) - v0) * sy
+    if lx < 0:
+        lx += span
+    if ly < 0:
+        ly += span
+    ex = ((col + 1) << FIX_BITS) - u0 if sx > 0 else u0 - (col << FIX_BITS)
+    ey = ((row + 1) << FIX_BITS) - v0 if sy > 0 else v0 - (row << FIX_BITS)
+    # The next x crossing time minus the next y crossing time, both scaled
+    # by lx * ly, and its changes when a step passes an x or a y line.
+    d = ex * ly - ey * lx
+    dkx = ly << FIX_BITS
+    dky = lx << FIX_BITS
     while nx > 0 or ny > 0:
-        if ny == 0 or (nx > 0 and tx < ty):
+        if ny == 0 or (nx > 0 and d < 0):
             col = _wrap(col + sx, g)
-            tx += dtx
+            d += dkx
             nx -= 1
-        elif nx == 0 or ty < tx:
+        elif nx == 0 or d > 0:
             row = _wrap(row + sy, g)
-            ty += dty
+            d -= dky
             ny -= 1
-        else:  # exact corner crossing: one diagonal step
+        else:  # corner crossing: one diagonal step
             col = _wrap(col + sx, g)
             row = _wrap(row + sy, g)
-            tx += dtx
-            ty += dty
+            d += dkx - dky
             nx -= 1
             ny -= 1
         cells.append(row * g + col)

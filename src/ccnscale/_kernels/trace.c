@@ -27,16 +27,31 @@
 #include <stdint.h>
 
 typedef int64_t i64;
+typedef __int128 i128;
 
 /* Contents with more holders than this are looked up via expanding-ring
  * search over grid buckets; smaller sets are scanned linearly.  Both
  * strategies return identical results; this only trades speed. */
 const i64 ccn_ring_min_holders = 64;
 
+/* The walk works in cell units with FIX_BITS fraction bits, as integers
+ * (see _ref.FIX_BITS).  The binding keeps g below _ref.MAX_GRID_SIDE =
+ * 2^22, so these integers stay below 2^62 and the products that order
+ * crossings below 2^125. */
+#define FIX_BITS 40
+
 static inline i64 cell_index(double x, i64 g)
 {
     i64 i = (i64)(x * g);
     return i >= g ? g - 1 : i;
+}
+
+/* x in cell units, as an integer with FIX_BITS fraction bits; its integer
+ * part is cell_index(x, g) (see _ref._fixed). */
+static inline i64 fixed(double x, i64 g)
+{
+    i64 q = (i64)(x * g * 0x1p40), top = (g << FIX_BITS) - 1;
+    return q > top ? top : q;
 }
 
 /* Result in [0, g) for any sign of v, like Python's % operator. */
@@ -76,7 +91,8 @@ static inline double dist2(double ax, double ay, double bx, double by)
  * (x0, y0) to (x1, y1) to buf and returns their count (see
  * _ref.segment_cells).  Each axis takes fewer than g steps, so the walk has
  * at most 2g - 1 cells and buf must hold that many.  The walk carries the
- * wrapped row and column, so no step divides. */
+ * wrapped row and column, so no step divides.  Crossings are ordered
+ * exactly, in integers: the endpoints in fixed-point cell units. */
 static inline i64 segment_cells(double x0, double y0, double x1, double y1,
                                 i64 g, i64 *buf)
 {
@@ -86,36 +102,25 @@ static inline i64 segment_cells(double x0, double y0, double x1, double y1,
     i64 sy = dy > 0.0 ? 1 : (dy < 0.0 ? -1 : 0);
     i64 nx = mod((cell_index(x1, g) - col) * sx, g);
     i64 ny = mod((cell_index(y1, g) - row) * sy, g);
-    double tx, ty, dtx, dty;
+    i64 span = g << FIX_BITS, u0 = fixed(x0, g), v0 = fixed(y0, g);
+    i64 lx = (fixed(x1, g) - u0) * sx, ly = (fixed(y1, g) - v0) * sy;
+    lx += lx < 0 ? span : 0;
+    ly += ly < 0 ? span : 0;
+    i64 ex = sx > 0 ? ((col + 1) << FIX_BITS) - u0 : u0 - (col << FIX_BITS);
+    i64 ey = sy > 0 ? ((row + 1) << FIX_BITS) - v0 : v0 - (row << FIX_BITS);
+    /* The next x crossing time minus the next y crossing time, both scaled
+     * by lx * ly, and its changes when a step passes an x or a y line. */
+    i128 d = (i128)ex * ly - (i128)ey * lx;
+    i128 dkx = (i128)ly << FIX_BITS, dky = (i128)lx << FIX_BITS;
     buf[0] = row * g + col;
-    if (sx > 0) {
-        tx = ((col + 1.0) / g - x0) / dx;
-        dtx = 1.0 / (g * dx);
-    } else if (sx < 0) {
-        tx = (col / (double)g - x0) / dx;
-        dtx = -1.0 / (g * dx);
-    } else {
-        tx = INFINITY;
-        dtx = INFINITY;
-    }
-    if (sy > 0) {
-        ty = ((row + 1.0) / g - y0) / dy;
-        dty = 1.0 / (g * dy);
-    } else if (sy < 0) {
-        ty = (row / (double)g - y0) / dy;
-        dty = -1.0 / (g * dy);
-    } else {
-        ty = INFINITY;
-        dty = INFINITY;
-    }
     while (nx > 0 || ny > 0) {
-        if (ny == 0 || (nx > 0 && tx < ty)) {
-            col = wrap(col + sx, g); tx += dtx; nx -= 1;
-        } else if (nx == 0 || ty < tx) {
-            row = wrap(row + sy, g); ty += dty; ny -= 1;
-        } else { /* exact corner crossing: one diagonal step */
+        if (ny == 0 || (nx > 0 && d < 0)) {
+            col = wrap(col + sx, g); d += dkx; nx -= 1;
+        } else if (nx == 0 || d > 0) {
+            row = wrap(row + sy, g); d -= dky; ny -= 1;
+        } else { /* corner crossing: one diagonal step */
             col = wrap(col + sx, g); row = wrap(row + sy, g);
-            tx += dtx; ty += dty; nx -= 1; ny -= 1;
+            d += dkx - dky; nx -= 1; ny -= 1;
         }
         buf[count++] = row * g + col;
     }

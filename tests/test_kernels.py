@@ -186,6 +186,54 @@ def test_lattice_line_walk_is_symmetric(backend):
     assert backend.trace_one(requester=1, m=1, **args) == (0, [27, 21])
 
 
+def _walks_both_ways(backend, pairs, g):
+    """For each pair of points (a, b), the cells of the walks a -> b and
+    b -> a, through ``backend.trace_one`` on one instance."""
+    segments = [(*a, *b) for a, b in pairs] + [(*b, *a) for a, b in pairs]
+    nodes = np.asarray(segments, dtype=np.float64).reshape(-1, 2)
+    inst = _instance(nodes, [[2 * k + 1] for k in range(len(segments))], g)
+    walks = [backend.trace_one(*sim._trace_args(inst, 2 * k, k)) for k in range(len(segments))]
+    assert all(status == 0 for status, _ in walks)
+    cells = [c for _, c in walks]
+    return cells[: len(pairs)], cells[len(pairs) :]
+
+
+@pytest.mark.parametrize(
+    "backend",
+    [_ref, pytest.param(_fast, marks=needs_fast)],
+    ids=["python", "compiled"],
+)
+def test_corner_walk_is_symmetric(backend):
+    # The segment passes the lattice corners (12/12, 7/12) and (2/12, 8/12)
+    # of a 12x12 grid: diagonal steps in both directions, 4 hops each way.
+    (forward,), (reverse,) = _walks_both_ways(backend, [((10 / 12, 0.5), (2 / 12, 8 / 12))], 12)
+    assert forward == [82, 83, 84, 85, 98]
+    assert reverse == forward[::-1]
+
+
+@pytest.mark.parametrize(
+    "backend",
+    [_ref, pytest.param(_fast, marks=needs_fast)],
+    ids=["python", "compiled"],
+)
+def test_walks_between_lattice_points_are_symmetric(backend):
+    # Every endpoint on a lattice corner i/g, so walks pass through corners
+    # whenever the displacements share a factor.  A displacement of exactly
+    # half the torus on an axis is left out: the half-torus rule sends the
+    # walk and its reverse the same way round, along different geodesics.
+    rng = np.random.default_rng(12)
+    for g in range(1, 41):
+        pairs = []
+        while len(pairs) < 40:
+            i0, j0, i1, j1 = (int(v) for v in rng.integers(0, g, 4))
+            if 2 * ((i1 - i0) % g) == g or 2 * ((j1 - j0) % g) == g:
+                continue
+            pairs.append(((i0 / g, j0 / g), (i1 / g, j1 / g)))
+        forward, reverse = _walks_both_ways(backend, pairs, g)
+        for (a, b), f, r in zip(pairs, forward, reverse):
+            assert f == r[::-1], (g, a, b)
+
+
 # ---------------------------------------------------------------------------
 # the holder search: linear scan and ring search through trace_one
 # ---------------------------------------------------------------------------
@@ -852,6 +900,7 @@ class TestCompiledInputChecks:
             {"hc_cell": np.array([1])},  # one holder has one bucket, 0
             {"hc_cell": np.array([-1])},
             {"g": 0},
+            {"g": _ref.MAX_GRID_SIDE},  # the walk's fixed point would overflow
             {"xs": np.array([1.0, 0.6])},  # coordinates lie in [0, 1)
         ],
     )
