@@ -149,29 +149,23 @@ def _fsum(x: np.ndarray) -> float:
     """
     if len(x) == 0:
         return 0.0
-    size = min(len(x), _BLOCK)
-    mant = np.empty(size)
-    exp = np.empty(size, dtype=np.intc)
-    high = np.empty(size)
-    index = np.empty(size, dtype=np.intp)  # bincount's index type
     partials = []  # (integer sum, exponent of its unit bit)
     for start in range(0, len(x), _BLOCK):
-        block = x[start : start + _BLOCK]
-        k = len(block)
-        np.frexp(block, out=(mant[:k], exp[:k]))
-        mant[:k] *= 2.0**27
-        np.floor(mant[:k], out=high[:k])
+        mant, exp = np.frexp(x[start : start + _BLOCK])
+        mant *= 2.0**27
+        high = np.floor(mant)
         with np.errstate(invalid="ignore"):  # inf - inf: fsum reports it below
-            mant[:k] -= high[:k]  # the low 26 bits, as a fraction
-        mant[:k] *= 2.0**26
-        base = int(exp[:k].min())
-        np.subtract(exp[:k], base, out=index[:k])
-        high_sums = np.bincount(index[:k], weights=high[:k]).tolist()
-        low_sums = np.bincount(index[:k], weights=mant[:k]).tolist()
+            mant -= high  # the low 26 bits, as a fraction
+        mant *= 2.0**26
+        base = int(exp.min())
+        exp = exp.astype(np.intp)  # bincount's index type, converted once
+        exp -= base
+        high_sums = np.bincount(exp, weights=high).tolist()
+        low_sums = np.bincount(exp, weights=mant).tolist()
         try:
             total = sum(
-                ((int(h) << 26) + int(lo)) << e
-                for e, (h, lo) in enumerate(zip(high_sums, low_sums))
+                ((int(h) << 26) + int(lo)) << k
+                for k, (h, lo) in enumerate(zip(high_sums, low_sums))
             )
         except (OverflowError, ValueError):  # an inf or nan: let fsum report it
             return math.fsum(x)
