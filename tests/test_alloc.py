@@ -176,9 +176,11 @@ def _kkt_hand_built():
     solved = solve(adhoc)
     point_box = AllocationProblem.heterogeneous(zipf(6, 1.2), n=40, K=1.0, a=1 / 25, f=25.0)
     # upper = 1e-13 lies inside the bound tolerance of lower = 0, so every
-    # content counts as at both bounds although the box is not a point.
+    # content counts as at both bounds although the box is not a point;
+    # the budget is met, so only stationarity could make the residual
+    # positive.
     thin_box = AllocationProblem.heterogeneous(
-        zipf(6, 1.2), n=40, K=1.0, a=1 / 25, f=25.0 - 1e-13
+        zipf(6, 1.2), n=1, K=6e-14, a=1 / 25, f=25.0 - 1e-13
     )
     below = solved.X.copy()
     below[-1] = 0.5  # under lower = 1
@@ -194,7 +196,7 @@ def _kkt_hand_built():
         "solved": (adhoc, solved),
         "point box": (point_box, _allocation(np.zeros(6))),
         "point box, positive multiplier": (point_box, _allocation(np.zeros(6), 0.3)),
-        "content at both bounds": (thin_box, _allocation(np.zeros(6), 0.3)),
+        "content at both bounds": (thin_box, _allocation(np.full(6, 1e-14), 0.3)),
         "over budget": (adhoc, _allocation(np.full(12, adhoc.upper))),
         "X below lower": (adhoc, _allocation(below, lam)),
         "X above upper": (adhoc, _allocation(above, lam)),
