@@ -50,7 +50,8 @@ static inline i64 cell_index(double x, i64 g)
  * part is cell_index(x, g) (see _ref._fixed). */
 static inline i64 fixed(double x, i64 g)
 {
-    i64 q = (i64)(x * g * 0x1p40), top = (g << FIX_BITS) - 1;
+    i64 q = (i64)(x * g * (double)((i64)1 << FIX_BITS));
+    i64 top = (g << FIX_BITS) - 1;
     return q > top ? top : q;
 }
 

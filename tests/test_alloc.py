@@ -174,7 +174,10 @@ def _kkt_hand_built():
     """(problem, allocation) pairs that probe each branch of the certificate."""
     adhoc = AllocationProblem(pop=zipf(12, 1.2), n=40, K=1.0, a=1 / 25)
     solved = solve(adhoc)
-    point_box = AllocationProblem.heterogeneous(zipf(6, 1.2), n=40, K=1.0, a=1 / 25, f=25.0)
+    point_box = AllocationProblem.heterogeneous(
+        zipf(6, 1.2), n=40, K=1.0, a=1 / 25, f=25.0
+    )
+    one_content = AllocationProblem(pop=zipf(1, 1.0), n=4, K=1.0, a=1 / 4)
     # upper = 1e-13 lies inside the bound tolerance of lower = 0, so every
     # content counts as at both bounds although the box is not a point;
     # the budget is met, so only stationarity could make the residual
@@ -201,10 +204,8 @@ def _kkt_hand_built():
         "X below lower": (adhoc, _allocation(below, lam)),
         "X above upper": (adhoc, _allocation(above, lam)),
         "interior off the multiplier": (adhoc, _allocation(solved.X, 1.5 * lam)),
-        "empty X": (AllocationProblem(pop=zipf(1, 1.0), n=4, K=1.0, a=1 / 4), _allocation([])),
-        "empty X, positive multiplier": (
-            AllocationProblem(pop=zipf(1, 1.0), n=4, K=1.0, a=1 / 4), _allocation([], 0.5)
-        ),
+        "empty X": (one_content, _allocation([])),
+        "empty X, positive multiplier": (one_content, _allocation([], 0.5)),
         "solved, several blocks": (big, big_solved),
         "several blocks, off the box": (big, _allocation(big_off, big_solved.multiplier)),
     }

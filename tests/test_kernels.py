@@ -192,7 +192,10 @@ def _walks_both_ways(backend, pairs, g):
     segments = [(*a, *b) for a, b in pairs] + [(*b, *a) for a, b in pairs]
     nodes = np.asarray(segments, dtype=np.float64).reshape(-1, 2)
     inst = _instance(nodes, [[2 * k + 1] for k in range(len(segments))], g)
-    walks = [backend.trace_one(*sim._trace_args(inst, 2 * k, k)) for k in range(len(segments))]
+    walks = [
+        backend.trace_one(*sim._trace_args(inst, 2 * k, k))
+        for k in range(len(segments))
+    ]
     assert all(status == 0 for status, _ in walks)
     cells = [c for _, c in walks]
     return cells[: len(pairs)], cells[len(pairs) :]
@@ -206,7 +209,8 @@ def _walks_both_ways(backend, pairs, g):
 def test_corner_walk_is_symmetric(backend):
     # The segment passes the lattice corners (12/12, 7/12) and (2/12, 8/12)
     # of a 12x12 grid: diagonal steps in both directions, 4 hops each way.
-    (forward,), (reverse,) = _walks_both_ways(backend, [((10 / 12, 0.5), (2 / 12, 8 / 12))], 12)
+    pair = ((10 / 12, 0.5), (2 / 12, 8 / 12))
+    (forward,), (reverse,) = _walks_both_ways(backend, [pair], 12)
     assert forward == [82, 83, 84, 85, 98]
     assert reverse == forward[::-1]
 
