@@ -362,7 +362,9 @@ def kkt_residual(alloc: Allocation, prob: AllocationProblem) -> float:
     max(g_m, lam).  Feasibility requires sum X <= n K, whose overrun is
     scaled by n K, and lower <= X_m <= upper, whose violations are
     scaled by max(1, |upper|).  A content at both bounds, fixed by a
-    point box, has no stationarity condition.
+    point box, has no stationarity condition, and neither has one with
+    X_m + f < 0, where the gradient is undefined and the box term alone
+    reports it.  A NaN in X makes the result NaN.
     """
     p = prob.pop.p
     x = alloc.X
@@ -374,7 +376,11 @@ def kkt_residual(alloc: Allocation, prob: AllocationProblem) -> float:
         block_worst = []
         for start in range(0, len(x), _BLOCK):
             xb = x[start : start + _BLOCK]
-            g = _grad_magnitude(p[start : start + _BLOCK], xb, prob.a, prob.f)
+            # Below -f the gradient is undefined; the box term reports X there.
+            below = xb < -prob.f
+            g = _grad_magnitude(
+                p[start : start + _BLOCK], np.where(below, lower, xb), prob.a, prob.f
+            )
             at_upper = xb >= upper - tol_up
             at_lower = xb <= lower + tol_up
             res = np.where(
@@ -382,7 +388,8 @@ def kkt_residual(alloc: Allocation, prob: AllocationProblem) -> float:
                 np.maximum(0.0, lam - g),
                 np.where(at_lower, np.maximum(0.0, g - lam), np.abs(g - lam)),
             )
-            res[at_upper & at_lower] = 0.0  # fixed by a point box: no stationarity
+            # Fixed by a point box, or below it: no stationarity condition.
+            res[(at_upper & at_lower) | below] = 0.0
             res /= np.maximum(g, lam)
             block_worst.append(np.max(res))
         box = max(lower - float(x.min()), float(x.max()) - upper)
@@ -396,7 +403,7 @@ def kkt_residual(alloc: Allocation, prob: AllocationProblem) -> float:
 
 def _verify_kkt(alloc: Allocation, prob: AllocationProblem) -> None:
     res = kkt_residual(alloc, prob)
-    if res > _KKT_TOL:
+    if not res <= _KKT_TOL:  # a NaN residual fails too
         raise SolverError(
             f"optimality certificate failed: KKT residual {res:.3e} > {_KKT_TOL:g}"
         )

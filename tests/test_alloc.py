@@ -250,6 +250,17 @@ class TestKkt:
         lam = float(alloc._grad_magnitude(prob.pop.p, x, prob.a, prob.f)[0])
         assert alloc.kkt_residual(_allocation(x, lam), prob) == 0.5 / 25
 
+    def test_allocation_below_minus_f_fails_certificate(self):
+        # X_3 + f = -1 has no gradient: the certificate reports the box
+        # violation (2 below lower = 1) instead of NaN, and a NaN X fails.
+        prob = AllocationProblem(pop=zipf(4, 1.0), n=10, K=1.0, a=1 / 25)
+        bad = _allocation([5.0, 3.0, 3.0, -1.0])
+        res = alloc.kkt_residual(bad, prob)
+        assert math.isfinite(res) and res >= 2 / 25
+        for x in (bad, _allocation([5.0, 3.0, 3.0, math.nan])):
+            with pytest.raises(SolverError, match="optimality certificate failed"):
+                alloc._verify_kkt(x, prob)
+
     def test_residual_small_on_random_instances(self):
         for prob in random_instances(seed=1618, count=200):
             res = solve(prob)
