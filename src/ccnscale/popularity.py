@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -108,12 +108,13 @@ class PopularityModel:
         Zipf exponent when the model is a Zipf law, else ``None``.
     order:
         ``order[i]`` is the original index of the content ranked ``i``,
-        so custom weight vectors can be reported in caller order.
+        so custom weight vectors can be reported in caller order;
+        ``None`` means the identity (rank ``i`` is content ``i``).
     """
 
     p: np.ndarray
     alpha: float | None = None
-    order: np.ndarray = field(default=None)  # type: ignore[assignment]
+    order: np.ndarray | None = None
 
     def __post_init__(self):
         p = np.asarray(self.p, dtype=np.float64)
@@ -127,8 +128,6 @@ class PopularityModel:
         if abs(total - 1.0) > 1e-12:
             raise ValueError(f"popularity vector sums to {total}, not 1")
         object.__setattr__(self, "p", p)
-        if self.order is None:
-            object.__setattr__(self, "order", np.arange(p.size))
 
     @property
     def m_count(self) -> int:

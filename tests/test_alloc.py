@@ -742,10 +742,11 @@ class TestMemory:
         assert cfg.M == 251_189
         return cfg
 
-    def test_zipf_holds_two_arrays(self):
-        # p and the model's int64 ``order``.
+    def test_zipf_holds_one_array(self):
+        # p, and the one-byte-per-content mask of the model's monotonicity
+        # check; a Zipf model keeps no ``order`` array.
         cfg = self._config()
-        assert self._peak(lambda: zipf(cfg.M, cfg.alpha)) <= 2 * 8 * cfg.M + self._SLACK
+        assert self._peak(lambda: zipf(cfg.M, cfg.alpha)) <= 9 * cfg.M + self._SLACK
 
     def test_solve_and_certificate_hold_four_arrays(self):
         cfg = self._config()
