@@ -7,6 +7,10 @@ to its nearest holder along the grid cells crossed by the geodesic,
 and measures per-cell line loads, hop counts, and the realized
 throughput and delay of the slotted fluid model.
 
+An instance stores each content's holder set once, in the CSR arrays
+that the kernel reads (one index array, content-major, and one offset
+per content), and the node coordinates once, as one (2, n) array.
+
 Routing and load accounting run in a kernel backend (compiled when
 available, pure Python otherwise; bit-identical results), which holds
 the only copy of the routing rules: ``measure`` calls its
@@ -32,7 +36,8 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -61,24 +66,29 @@ __all__ = [
 class NetworkInstance:
     """One realization of node/base-station positions and holder sets.
 
-    ``holders[m]`` lists the node indices caching content m, a 1-d
-    integer array sorted ascending; a node may hold several contents.
-    Base stations hold every content and are indexed ``n + b`` where
-    routing needs a single index space.  For the kernel, ``_h_idx``
-    concatenates the lists, content m at ``[_h_start[m], _h_start[m + 1])``.
-    ``_hc_idx`` holds the same nodes sorted by content, then bucket, then
-    node, and ``_hc_cell`` their buckets: each content has a bucket grid of
-    its own, of the side ``_kernels._ref.grid_sides`` gives its holder
-    count (about one holder per bucket for a content searched ring by
-    ring, one bucket for a smaller one), and ``_hc_cell[j]`` is the flat
-    bucket id ``row * side + col`` of node ``_hc_idx[j]`` on that grid.
-    The kernel turns these ids into its bucket table
-    (``_kernels._ref.bucket_table``).
+    The holder sets are stored once, in the kernel's CSR form: content
+    m's holders are ``_h_idx[_h_start[m]:_h_start[m + 1]]``, node indices
+    strictly ascending; a node may hold several contents.  The
+    constructor takes that pair as ``holder_idx`` and ``holder_start``;
+    :meth:`from_holders` builds it from per-content lists.  ``holders``
+    gives read-only per-content views of ``_h_idx``.  Base stations hold
+    every content and are indexed ``n + b`` where routing needs a single
+    index space.  The node coordinates are stored once, as the rows
+    ``_xs`` and ``_ys`` of one (2, n) array; ``nodes`` is its (n, 2)
+    transposed view.  ``_hc_idx`` holds the holders sorted by content,
+    then bucket, then node, and ``_hc_cell`` their buckets: each content
+    has a bucket grid of its own, of the side ``_kernels._ref.grid_sides``
+    gives its holder count (about one holder per bucket for a content
+    searched ring by ring, one bucket for a smaller one), and
+    ``_hc_cell[j]`` is the flat bucket id ``row * side + col`` of node
+    ``_hc_idx[j]`` on that grid.  The kernel turns these ids into its
+    bucket table (``_kernels._ref.bucket_table``).
     """
 
     nodes: np.ndarray  # (n, 2) float64 positions
     base_stations: np.ndarray  # (b, 2) float64 positions
-    holders: tuple[np.ndarray, ...]  # per-content sorted node indices
+    holder_idx: InitVar[np.ndarray]  # every content's holders, content-major
+    holder_start: InitVar[np.ndarray]  # (M + 1,) offsets into holder_idx
     grid: CellGrid
     schedule: TdmSchedule
 
@@ -90,7 +100,7 @@ class NetworkInstance:
     _hc_idx: np.ndarray = field(init=False, repr=False)
     _hc_cell: np.ndarray = field(init=False, repr=False)
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, holder_idx, holder_start) -> None:
         nodes = np.asarray(self.nodes, dtype=np.float64)
         if nodes.ndim != 2 or nodes.shape[1] != 2 or nodes.shape[0] < 1:
             raise ValueError("nodes must be an (n, 2) array with n >= 1")
@@ -101,22 +111,24 @@ class NetworkInstance:
         n = nodes.shape[0]
         g = self.grid.side
 
-        xs = np.ascontiguousarray(nodes[:, 0])
-        ys = np.ascontiguousarray(nodes[:, 1])
+        coords = np.ascontiguousarray(nodes.T)
+        xs, ys = coords
         node_cell = _ref.grid_cells(xs, ys, g)
 
-        # Only a list that is not 1-d or not int64 (bool included, which a
-        # plain concatenate would promote) makes concatenate raise and sends
-        # construction to the per-content check.
-        empty = np.zeros(0, dtype=np.int64)
-        try:
-            holders = tuple(map(np.asarray, self.holders))
-            h_idx = np.concatenate((empty, *holders), dtype=np.int64, casting="equiv")
-        except (ValueError, TypeError):
-            holders = _holder_arrays(self.holders)
-            h_idx = np.concatenate((empty, *holders))
-        h_start = np.cumsum([0, *map(len, holders)], dtype=np.int64)
+        h_idx = np.asarray(holder_idx)
+        h_start = np.asarray(holder_start)
+        if h_idx.ndim != 1 or (h_idx.size and h_idx.dtype.kind not in "iu"):
+            raise ValueError("holder_idx must be a 1-d integer array")
+        int_start = h_start.ndim == 1 and h_start.dtype.kind in "iu"
+        if not (int_start and h_start[:1].tolist() == [0]):
+            raise ValueError("holder_start must be a 1-d integer array starting at 0")
+        h_idx = h_idx.astype(np.int64, copy=False)
+        h_start = h_start.astype(np.int64, copy=False)
         sizes = np.diff(h_start)
+        if sizes.size and sizes.min() < 0:
+            raise ValueError("holder_start must not descend")
+        if h_start[-1] != h_idx.size:
+            raise ValueError(f"holder_start must end at len(holder_idx) = {h_idx.size}")
 
         # Each index lies in [0, n) and exceeds the one before, unless it opens a list.
         ok = np.ones(h_idx.size, dtype=bool)
@@ -142,9 +154,8 @@ class NetworkInstance:
         hc_cell = cell[order]
         del order, cell
 
-        object.__setattr__(self, "nodes", nodes)
+        object.__setattr__(self, "nodes", coords.T)
         object.__setattr__(self, "base_stations", bs)
-        object.__setattr__(self, "holders", holders)
         object.__setattr__(self, "_xs", xs)
         object.__setattr__(self, "_ys", ys)
         object.__setattr__(self, "_node_cell", node_cell)
@@ -153,13 +164,41 @@ class NetworkInstance:
         object.__setattr__(self, "_hc_idx", hc_idx)
         object.__setattr__(self, "_hc_cell", hc_cell)
 
+    @classmethod
+    def from_holders(
+        cls,
+        nodes: np.ndarray,
+        base_stations: np.ndarray,
+        holders,
+        grid: CellGrid,
+        schedule: TdmSchedule,
+    ) -> NetworkInstance:
+        """An instance from per-content holder lists.
+
+        ``holders[m]`` lists the node indices caching content m: a 1-d
+        integer sequence, strictly ascending in [0, n).  A bad list raises
+        ``ValueError`` naming its content.
+        """
+        arrays = _holder_arrays(holders)
+        start = np.cumsum([0, *map(len, arrays)], dtype=np.int64)
+        idx = np.concatenate((np.zeros(0, dtype=np.int64), *arrays))
+        return cls(nodes, base_stations, idx, start, grid, schedule)
+
+    @cached_property
+    def holders(self) -> tuple[np.ndarray, ...]:
+        """Per-content holder lists, as read-only views of ``_h_idx``."""
+        idx = self._h_idx.view()
+        idx.flags.writeable = False
+        bounds = self._h_start.tolist()
+        return tuple(idx[lo:hi] for lo, hi in zip(bounds, bounds[1:]))
+
     @property
     def n(self) -> int:
         return self.nodes.shape[0]
 
     @property
     def m_count(self) -> int:
-        return len(self.holders)
+        return self._h_start.size - 1
 
     def cell_occupancy(self) -> np.ndarray:
         """Node count per cell (length g², row-major)."""
@@ -210,17 +249,20 @@ class Measurement:
 
 def _draw_holder_sets(
     rng: np.random.Generator, n: int, counts: np.ndarray
-) -> list[np.ndarray]:
-    """A uniform ``counts[m]``-subset of ``range(n)`` per content m, sorted.
+) -> tuple[np.ndarray, np.ndarray]:
+    """A uniform ``counts[m]``-subset of ``range(n)`` per content m, as CSR.
 
-    Every (content, slot) pair gets a uniform node from one
-    ``rng.integers`` call.  The keys ``content·n + node`` are sorted, and
-    each slot whose key equals its predecessor's draws a new node, until
-    no key repeats.  The rule never looks at node labels, so each set is
-    a uniform subset and the contents are independent.  A content on
-    more than half the nodes draws the nodes it leaves out and keeps the
-    rest, so no content redraws more than half its slots in a round and
-    the rounds fall off geometrically.
+    Returns ``(idx, start)``: content m's set is ``idx[start[m]:start[m + 1]]``,
+    sorted ascending.  Every (content, slot) pair gets a uniform node
+    from one ``rng.integers`` call.  The keys ``content·n + node`` are
+    sorted, and each slot whose key equals its predecessor's draws a new
+    node, until no key repeats.  The rule never looks at node labels, so
+    each set is a uniform subset and the contents are independent.  A
+    content on more than half the nodes draws the nodes it leaves out and
+    keeps the rest, so no content redraws more than half its slots in a
+    round and the rounds fall off geometrically.  The sorted keys mod n
+    are already content-major and ascending; only those left-out draws
+    are replaced by their complements.
     """
     dense = 2 * counts > n
     drawn = np.where(dense, n - counts, counts)
@@ -234,13 +276,19 @@ def _draw_holder_sets(
         # Swap the node part of each repeated key for a fresh node.
         key[dup] += rng.integers(0, n, size=dup.size, dtype=np.int64) - key[dup] % n
     key %= n
-    ends = np.cumsum(drawn).tolist()
-    sets = [key[lo:hi] for lo, hi in zip([0, *ends], ends)]
-    for m in np.flatnonzero(dense):
+    start = np.zeros(counts.size + 1, dtype=np.int64)
+    np.cumsum(counts, out=start[1:])
+    ends = np.cumsum(drawn)
+    pieces, prev = [], 0
+    for m in np.flatnonzero(dense).tolist():
+        lo, hi = ends[m] - drawn[m], ends[m]
         keep = np.ones(n, dtype=bool)
-        keep[sets[m]] = False
-        sets[m] = np.flatnonzero(keep)
-    return sets
+        keep[key[lo:hi]] = False
+        pieces += (key[prev:lo], np.flatnonzero(keep))
+        prev = hi
+    if pieces:
+        key = np.concatenate((*pieces, key[prev:]))
+    return key, start
 
 
 def build_instance(
@@ -268,13 +316,14 @@ def build_instance(
     rng = np.random.default_rng(seed)
     nodes = rng.random((n, 2))
     bs = rng.random((cfg.base_station_count, 2))
-    holders = tuple(_draw_holder_sets(rng, n, allocation))
+    h_idx, h_start = _draw_holder_sets(rng, n, allocation)
     grid = CellGrid.from_area(cfg.a)
     schedule = build_schedule(grid, cfg.delta)
     return NetworkInstance(
         nodes=nodes,
         base_stations=bs,
-        holders=holders,
+        holder_idx=h_idx,
+        holder_start=h_start,
         grid=grid,
         schedule=schedule,
     )

@@ -64,7 +64,7 @@ def _random_positions(rng: np.random.Generator, n: int):
 
 
 def _instance(nodes, holders, g, stations=()):
-    return sim.NetworkInstance(
+    return sim.NetworkInstance.from_holders(
         nodes=nodes,
         base_stations=stations,
         holders=tuple(np.array(h, dtype=np.int64) for h in holders),
@@ -368,7 +368,7 @@ class TestTraceBatchParity:
             holders.append(
                 np.sort(rng.choice(n, size=k, replace=False).astype(np.int64))
             )
-        inst = sim.NetworkInstance(
+        inst = sim.NetworkInstance.from_holders(
             nodes=nodes,
             base_stations=bs,
             holders=tuple(holders),

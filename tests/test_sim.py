@@ -3,6 +3,7 @@ model measurement, and trial aggregation."""
 
 import itertools
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -23,7 +24,7 @@ from oracles import sample_segment_cells
 
 def _manual_instance(nodes, holders, g, base_stations=(), delta=1.0):
     grid = CellGrid(g)
-    return sim.NetworkInstance(
+    return sim.NetworkInstance.from_holders(
         nodes=np.asarray(nodes, dtype=np.float64),
         base_stations=np.asarray(base_stations, dtype=np.float64).reshape(-1, 2),
         holders=tuple(holders),
@@ -234,6 +235,45 @@ class TestBuildInstance:
             with pytest.raises(ValueError, match=rf"^content {m}: "):
                 _manual_instance(nodes, holders, g=2)
 
+    def test_drawn_arrays_equal_those_of_the_holder_lists(self):
+        # Contents on more than half the nodes (50, 40, 26), on none, and
+        # on exactly half (25, drawn directly).
+        cfg = NetworkConfig(n=50, alpha=1.0, beta=0.5)
+        counts = [50, 40, 0, 26, 25, 3, 0, 1]
+        inst = sim.build_instance(cfg, counts, seed=4)
+        assert [len(h) for h in inst.holders] == counts
+        ref = sim.NetworkInstance.from_holders(
+            inst.nodes, inst.base_stations, inst.holders, inst.grid, inst.schedule
+        )
+        names = ("_xs", "_ys", "_node_cell", "_h_idx", "_h_start", "_hc_idx", "_hc_cell")
+        for name in names:
+            np.testing.assert_array_equal(getattr(ref, name), getattr(inst, name))
+        with pytest.raises(ValueError, match="read-only"):
+            inst.holders[0][0] = 1
+
+    @pytest.mark.parametrize(
+        "start, match",
+        [
+            ([1, 2], "starting at 0"),
+            (np.zeros(0, dtype=np.int64), "starting at 0"),
+            ([0.0, 2.0], "starting at 0"),
+            ([0, 2, 1, 2], "not descend"),
+            ([0, 1], r"end at len\(holder_idx\) = 2"),
+        ],
+        ids=["not-at-zero", "empty", "float", "descending", "short"],
+    )
+    def test_rejects_malformed_holder_start(self, start, match):
+        grid = CellGrid(2)
+        parts = ([[0.1, 0.1], [0.6, 0.6]], np.zeros((0, 2)))
+        tail = (grid, build_schedule(grid, 1.0))
+        with pytest.raises(ValueError, match=f"^holder_start must .*{match}"):
+            sim.NetworkInstance(*parts, np.array([0, 1]), np.array(start), *tail)
+        with pytest.raises(ValueError, match="^holder_idx must be"):
+            sim.NetworkInstance(*parts, np.array([0.0, 1.0]), np.array([0, 2]), *tail)
+        for start, holders in (([0, 2], [[0, 1]]), ([0, 1, 1, 2], [[0], [], [1]])):
+            inst = sim.NetworkInstance(*parts, np.array([0, 1]), np.array(start), *tail)
+            assert [h.tolist() for h in inst.holders] == holders
+
     @pytest.mark.parametrize("holders", [[[], [], []], []], ids=["empty", "none"])
     def test_contents_without_holders(self, holders):
         inst = _manual_instance([[0.1, 0.1], [0.6, 0.6]], holders, g=2)
@@ -311,9 +351,10 @@ def _chi_square_uniform(codes, cells):
     return float(((obs - expected) ** 2 / expected).sum())
 
 
-def _subset_codes(sets, n, x):
-    """Bit mask of every set, and the masks of all x-subsets of range(n)."""
-    codes = (1 << np.concatenate(sets).reshape(len(sets), x)).sum(axis=1)
+def _subset_codes(idx, n, x):
+    """Bit mask of every set of x holders in the CSR index array ``idx``,
+    and the masks of all x-subsets of range(n)."""
+    codes = (1 << idx.reshape(-1, x)).sum(axis=1)
     return codes, [sum(1 << i for i in c) for c in itertools.combinations(range(n), x)]
 
 
@@ -329,10 +370,12 @@ class TestHolderDraw:
         counts = data.draw(st.lists(size, max_size=12), label="counts")
         seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
         rng = np.random.default_rng(seed)
-        sets = sim._draw_holder_sets(rng, n, np.array(counts, dtype=np.int64))
-        assert [s.size for s in sets] == counts
-        for s in sets:
-            assert s.dtype == np.int64
+        idx, start = sim._draw_holder_sets(rng, n, np.array(counts, dtype=np.int64))
+        assert idx.dtype == start.dtype == np.int64
+        assert start.tolist() == np.cumsum([0, *counts]).tolist()
+        assert idx.size == start[-1]
+        for lo, hi in zip(start[:-1], start[1:]):
+            s = idx[lo:hi]
             assert np.all(np.diff(s) > 0)
             assert s.size == 0 or (s[0] >= 0 and s[-1] < n)
 
@@ -340,8 +383,9 @@ class TestHolderDraw:
     def test_every_subset_is_equally_likely(self, x):
         n, draws = 6, 40_000
         rng = np.random.default_rng(2024)
-        sets = sim._draw_holder_sets(rng, n, np.full(draws, x, dtype=np.int64))
-        codes, cells = _subset_codes(sets, n, x)
+        idx, start = sim._draw_holder_sets(rng, n, np.full(draws, x, dtype=np.int64))
+        assert start.tolist() == list(range(0, draws * x + 1, x))
+        codes, cells = _subset_codes(idx, n, x)
         assert _chi_square_uniform(codes, cells) < _CHI2_999[len(cells) - 1]
 
     def test_contents_are_independent(self):
@@ -349,8 +393,8 @@ class TestHolderDraw:
         # all 36 pairs of subsets must be equally likely.
         n, draws = 4, 36_000
         rng = np.random.default_rng(77)
-        sets = sim._draw_holder_sets(rng, n, np.full(2 * draws, 2, dtype=np.int64))
-        codes, cells = _subset_codes(sets, n, 2)
+        idx, _ = sim._draw_holder_sets(rng, n, np.full(2 * draws, 2, dtype=np.int64))
+        codes, cells = _subset_codes(idx, n, 2)
         pairs = codes[0::2] * 16 + codes[1::2]
         joint = [a * 16 + b for a in cells for b in cells]
         assert _chi_square_uniform(pairs, joint) < _CHI2_999[35]
@@ -359,7 +403,8 @@ class TestHolderDraw:
     def test_dense_content_needs_no_redraw_round(self, x):
         n = 10**5
         rng = _CountingRng(seed=5, limit=1)
-        (s,) = sim._draw_holder_sets(rng, n, np.array([x], dtype=np.int64))
+        s, start = sim._draw_holder_sets(rng, n, np.array([x], dtype=np.int64))
+        assert start.tolist() == [0, x]
         assert s.size == x and np.all(np.diff(s) > 0)
         assert s[0] >= 0 and s[-1] < n
         if x == n:
@@ -377,6 +422,34 @@ class TestHolderDraw:
         assert np.array_equal(a.nodes, h.nodes)
         assert h.base_stations.shape == (0, 2)
         assert all(np.array_equal(x, y) for x, y in zip(a.holders, h.holders))
+
+
+class TestMemory:
+    """Bytes one instance holds at the largest sample-config size: ad hoc,
+    n = 10**6, alpha = 0.8, M = 251,189."""
+
+    # Interpreter objects (the instance, its grid and schedule) on top of
+    # the arrays; an n-sized int64 array is 8 MB.
+    _SLACK = 1 << 16
+
+    def test_instance_holds_each_array_once(self):
+        cfg = NetworkConfig(n=10**6, alpha=0.8, beta=0.9)
+        assert cfg.M == 251_189
+        prob = cfg.problem()
+        counts = round_to_integers(solve(prob), prob)
+        assert not tracemalloc.is_tracing()
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            inst = sim.build_instance(cfg, counts, seed=1)
+            held = tracemalloc.get_traced_memory()[0] - start
+        finally:
+            tracemalloc.stop()
+        # The coordinates and node cells (3n), the holders in node and in
+        # bucket order with their buckets (3H), the offsets (M + 1) and the
+        # schedule's slot per cell (g²), each 8 bytes.
+        n, h, g = cfg.n, int(counts.sum()), inst.grid.side
+        assert held <= 8 * (3 * n + 3 * h + cfg.M + 1) + 8 * g * g + self._SLACK
 
 
 class TestDrawRequests:
