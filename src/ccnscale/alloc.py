@@ -376,7 +376,7 @@ def kkt_residual(alloc: Allocation, prob: AllocationProblem) -> float:
         block_worst = []
         for start in range(0, len(x), _BLOCK):
             xb = x[start : start + _BLOCK]
-            # Below -f the gradient is undefined; the box term reports X there.
+            # (X + f)^1.5 is undefined below -f, where only the box term applies.
             below = xb < -prob.f
             g = _grad_magnitude(
                 p[start : start + _BLOCK], np.where(below, lower, xb), prob.a, prob.f
@@ -388,7 +388,7 @@ def kkt_residual(alloc: Allocation, prob: AllocationProblem) -> float:
                 np.maximum(0.0, lam - g),
                 np.where(at_lower, np.maximum(0.0, g - lam), np.abs(g - lam)),
             )
-            # Fixed by a point box, or below it: no stationarity condition.
+            # Fixed by a point box, or below -f: no stationarity condition.
             res[(at_upper & at_lower) | below] = 0.0
             res /= np.maximum(g, lam)
             block_worst.append(np.max(res))

@@ -24,7 +24,10 @@ _SEEDS = (0, 3)
 
 
 def _environment() -> dict[str, str]:
-    return {"numpy": np.__version__, "platform": f"{platform.system()}-{platform.machine()}"}
+    return {
+        "numpy": np.__version__,
+        "platform": f"{platform.system()}-{platform.machine()}",
+    }
 
 
 def _digests(out_dir: Path) -> dict[str, str]:
@@ -47,7 +50,9 @@ def test_sample_csvs_match_golden_digests(tmp_path):
     if differ:
         env = _environment()
         moved = [
-            f"{name} {golden[name]} -> {env[name]}" for name in env if env[name] != golden[name]
+            f"{name} {golden[name]} -> {env[name]}"
+            for name in env
+            if env[name] != golden[name]
         ]
         note = f"; environment changed: {', '.join(moved)}" if moved else ""
         raise AssertionError(
