@@ -33,6 +33,15 @@ def _manual_instance(nodes, holders, g, base_stations=(), delta=1.0):
     )
 
 
+def _csr_instance(holder_idx, holder_start):
+    """Two nodes on a 2x2 grid, with holders given as the CSR pair."""
+    grid = CellGrid(2)
+    return sim.NetworkInstance(
+        [[0.1, 0.1], [0.6, 0.6]], np.zeros((0, 2)), np.asarray(holder_idx),
+        np.asarray(holder_start), grid, build_schedule(grid, 1.0),
+    )
+
+
 def _walk(start, end, g):
     """Route a request from ``start`` to the sole holder at ``end``."""
     return sim.trace_request(_manual_instance([start, end], [[1]], g=g), 0, 0)
@@ -263,16 +272,15 @@ class TestBuildInstance:
         ids=["not-at-zero", "empty", "float", "descending", "short"],
     )
     def test_rejects_malformed_holder_start(self, start, match):
-        grid = CellGrid(2)
-        parts = ([[0.1, 0.1], [0.6, 0.6]], np.zeros((0, 2)))
-        tail = (grid, build_schedule(grid, 1.0))
         with pytest.raises(ValueError, match=f"^holder_start must .*{match}"):
-            sim.NetworkInstance(*parts, np.array([0, 1]), np.array(start), *tail)
-        with pytest.raises(ValueError, match="^holder_idx must be"):
-            sim.NetworkInstance(*parts, np.array([0.0, 1.0]), np.array([0, 2]), *tail)
+            _csr_instance([0, 1], np.array(start))
+
+    def test_constructor_takes_the_csr_pair(self):
         for start, holders in (([0, 2], [[0, 1]]), ([0, 1, 1, 2], [[0], [], [1]])):
-            inst = sim.NetworkInstance(*parts, np.array([0, 1]), np.array(start), *tail)
+            inst = _csr_instance([0, 1], start)
             assert [h.tolist() for h in inst.holders] == holders
+        with pytest.raises(ValueError, match="^holder_idx must be"):
+            _csr_instance([0.0, 1.0], [0, 2])
 
     @pytest.mark.parametrize("holders", [[[], [], []], []], ids=["empty", "none"])
     def test_contents_without_holders(self, holders):
