@@ -271,7 +271,16 @@ i64 ccn_trace_one(i64 n, const double *xs, const double *ys, i64 g,
 
 /* Traces one request per node into hops, loads and status (all zeroed by
  * the caller), with buf as the path buffer of trace_one; see
- * _ref.trace_batch for the rules. */
+ * _ref.trace_batch for the rules.
+ *
+ * A holder search starts with a chain of dependent loads from scattered
+ * places: h_start[m], then the holder slice, h_side[m] and h_base[m], then
+ * the coordinates of the holders a linear scan reads.  The loop requests
+ * each link a few requests ahead (group prefetching, Chen, Ailamaki,
+ * Gibbons & Mowry, ICDE 2004), once the link before it has had time to
+ * arrive.  __builtin_prefetch is a cache hint only: it does no arithmetic
+ * and changes no result, so _ref.py has nothing to mirror, and it never
+ * faults (h_idx + h_start[m] may point one past the end of h_idx). */
 void ccn_trace_batch(i64 n, const double *xs, const double *ys, i64 g,
                      const i64 *req, const i64 *h_idx, const i64 *h_start,
                      const i64 *hc_idx, const i64 *h_side, const i64 *h_base,
@@ -281,6 +290,23 @@ void ccn_trace_batch(i64 n, const double *xs, const double *ys, i64 g,
                      i64 *status)
 {
     for (i64 i = 0; i < n; i++) {
+        if (i + 16 < n)
+            __builtin_prefetch(&h_start[req[i + 16]]);
+        if (i + 8 < n) {
+            i64 m = req[i + 8];
+            __builtin_prefetch(&h_idx[h_start[m]]);
+            __builtin_prefetch(&h_side[m]);
+            __builtin_prefetch(&h_base[m]);
+        }
+        if (i + 4 < n) {
+            i64 m = req[i + 4], lo = h_start[m], hi = h_start[m + 1];
+            if (hi - lo <= ccn_ring_min_holders) {
+                for (i64 k = lo; k < hi; k++) {
+                    __builtin_prefetch(&xs[h_idx[k]]);
+                    __builtin_prefetch(&ys[h_idx[k]]);
+                }
+            }
+        }
         i64 ncells = trace_one(n, xs, ys, g, i, req[i], h_idx, h_start,
                                hc_idx, h_side, h_base, h_tab, nbs, bs_x, bs_y,
                                bs_side, bs_idx, bs_tab, buf, &status[i]);

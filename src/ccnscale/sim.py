@@ -9,7 +9,13 @@ throughput and delay of the slotted fluid model.
 
 An instance stores each content's holder set once, in the CSR arrays
 that the kernel reads (one index array, content-major, and one offset
-per content), and the node coordinates once, as one (2, n) array.
+per content), and the node coordinates once, as one (2, n) array.  Only
+the contents the kernel searches ring by ring (more than
+``RING_MIN_HOLDERS`` holders) have their holders sorted into buckets, a
+group of contents at a time.  Requests are drawn by inverting the
+popularity CDF on sorted blocks of uniforms, bit-identical to
+``Generator.choice``.  Both keep their transient arrays to a few blocks
+beyond what they return.
 
 Routing and load accounting run in a kernel backend (compiled when
 available, pure Python otherwise; bit-identical results), which holds
@@ -82,7 +88,9 @@ class NetworkInstance:
     searched ring by ring, one bucket for a smaller one), and
     ``_hc_cell[j]`` is the flat bucket id ``row * side + col`` of node
     ``_hc_idx[j]`` on that grid.  The kernel turns these ids into its
-    bucket table (``_kernels._ref.bucket_table``).
+    bucket table (``_kernels._ref.bucket_table``).  A content with one
+    bucket keeps its holders in node order, so only the contents searched
+    ring by ring are sorted, in groups of about ``_SORT_BLOCK`` holders.
     """
 
     nodes: np.ndarray  # (n, 2) float64 positions
@@ -140,19 +148,17 @@ class NetworkInstance:
             raise ValueError(f"content {m}: holders must strictly ascend in [0, {n})")
         del ok
 
-        # Each holder's bucket on its content's own grid.  The sort key puts
-        # the grids one after another, and the stable sort keeps each
-        # (content, bucket) in the ascending node order of its holder list.
-        side = _ref.grid_sides(sizes)
-        grid_size = side * side
-        cell = _ref.grid_cells(xs[h_idx], ys[h_idx], np.repeat(side, sizes))
-        key = np.repeat(np.cumsum(grid_size) - grid_size, sizes)
-        key += cell
-        order = np.argsort(key, kind="stable")
-        del key
-        hc_idx = h_idx[order]
-        hc_cell = cell[order]
-        del order, cell
+        # A content of at most RING_MIN_HOLDERS holders has one bucket, so it
+        # keeps its node order, all in bucket 0; only the larger ones sort,
+        # in groups that end where their running holder count passes a
+        # multiple of _SORT_BLOCK.
+        hc_idx = h_idx.copy()
+        hc_cell = np.zeros_like(h_idx)
+        ring = np.flatnonzero(sizes > _ref.RING_MIN_HOLDERS)
+        ends = np.cumsum(sizes[ring])
+        for group in np.split(ring, np.flatnonzero(np.diff(ends // _SORT_BLOCK)) + 1):
+            if group.size:
+                _sort_buckets(xs, ys, h_idx, h_start, sizes, group, hc_idx, hc_cell)
 
         object.__setattr__(self, "nodes", coords.T)
         object.__setattr__(self, "base_stations", bs)
@@ -203,6 +209,41 @@ class NetworkInstance:
     def cell_occupancy(self) -> np.ndarray:
         """Node count per cell (length g², row-major)."""
         return np.bincount(self._node_cell, minlength=self.grid.side**2)
+
+
+# The constructor sorts the holders of the ring-searched contents in groups
+# of about this many, so its transient arrays stay a few blocks in size.
+_SORT_BLOCK = 1 << 14
+
+
+def _sort_buckets(xs, ys, h_idx, h_start, sizes, group, hc_idx, hc_cell) -> None:
+    """Write the bucket order of the contents ``group`` into ``hc_idx``/``hc_cell``.
+
+    Each holder's bucket lies on its content's own grid (side
+    ``_ref.grid_sides``).  One ``np.sort`` of the packed key ``(grid offset
+    + bucket) * total + j``, ``j`` the holder's place in the group, orders
+    the group by content, then bucket, then node: a holder list ascends, so
+    ``j`` breaks ties in node order, as a stable sort would.  The grids lie
+    one after another and hold at most ``total`` buckets, so each content
+    keeps its own span of places.
+    """
+    k = sizes[group]
+    side = _ref.grid_sides(k)
+    total = int(k.sum())
+    first = np.cumsum(k) - k
+    pos = np.repeat(h_start[group] - first, k)
+    pos += np.arange(total)
+    node = h_idx[pos]
+    key = _ref.grid_cells(xs[node], ys[node], np.repeat(side, k))
+    grid0 = np.repeat(np.cumsum(side * side) - side * side, k)
+    key += grid0
+    key *= total
+    key += np.arange(total)
+    key.sort()
+    hc_idx[pos] = node[key % total]
+    key //= total
+    key -= grid0
+    hc_cell[pos] = key
 
 
 def _holder_arrays(holders) -> tuple[np.ndarray, ...]:
@@ -304,7 +345,9 @@ def build_instance(
     instead).  Each holder set is a uniform ``allocation[m]``-subset,
     independent across contents.  A seed replay is bit-identical, and a
     heterogeneous run with zero base stations consumes exactly the same
-    stream as an ad hoc one.
+    stream as an ad hoc one.  The instance then sorts the holders of each
+    content with more than ``RING_MIN_HOLDERS`` of them into buckets (see
+    :class:`NetworkInstance`); the rest keep their node order.
     """
     allocation = np.asarray(allocation, dtype=np.int64)
     if allocation.shape != (cfg.M,):
@@ -332,14 +375,56 @@ def build_instance(
 def draw_requests(
     inst: NetworkInstance, pop: PopularityModel, seed: int
 ) -> np.ndarray:
-    """One popularity-weighted content index per node, deterministic."""
+    """One popularity-weighted content index per node, deterministic.
+
+    The requests, as int64, are those of ``default_rng(seed).choice(M,
+    size=n, p=pop.p)``, bit for bit: see :func:`_invert_sorted`.
+    """
     if pop.m_count != inst.m_count:
         raise ValueError(
             f"popularity covers {pop.m_count} contents, instance has "
             f"{inst.m_count}"
         )
-    rng = np.random.default_rng(seed)
-    return rng.choice(pop.m_count, size=inst.n, p=pop.p).astype(np.int64)
+    return _invert_sorted(np.random.default_rng(seed), pop.p, inst.n)
+
+
+# Requests are drawn in blocks of this many uniforms (see _invert_sorted).
+_REQUEST_BLOCK = 1 << 14
+# Generator.choice's tolerance on the sum of p.
+_P_SUM_TOL = math.sqrt(np.finfo(np.float64).eps)
+
+
+def _invert_sorted(rng: np.random.Generator, p: np.ndarray, size: int) -> np.ndarray:
+    """``rng.choice(p.size, size=size, p=p)`` as int64, by inversion on
+    sorted uniforms (Devroye, *Non-Uniform Random Variate Generation*,
+    §III.2), leaving ``rng`` in the same state.
+
+    ``choice`` inverts the CDF ``cdf = p.cumsum(); cdf /= cdf[-1]`` at each
+    uniform ``u`` of ``rng.random(size)``: the request is the number of
+    entries of ``cdf`` at most ``u``, found by a binary search whose
+    branches a random ``u`` makes unpredictable.  Here each block of
+    ``_REQUEST_BLOCK`` uniforms of that stream is sorted, the same search
+    runs on the sorted block, where consecutive searches take nearly the
+    same path, and the results go back to their places.  The draw holds
+    the output and ``cdf`` (n + M int64s) and four blocks; ``choice`` and
+    the cast held 2n + M.  ``PopularityModel`` checks ``p`` at construction
+    as ``choice`` does (1-d, non-empty, no NaN, none negative, sum near 1);
+    the signs and the sum are checked again here, as ``choice`` checks them
+    on every call, so a vector changed after construction is refused.
+    """
+    if (p < 0).any():
+        raise ValueError("popularity weights must not be negative")
+    cdf = p.cumsum()
+    if not abs(cdf[-1] - 1.0) <= _P_SUM_TOL:
+        raise ValueError(f"popularity vector sums to {cdf[-1]}, not 1")
+    cdf /= cdf[-1]
+    out = np.empty(size, dtype=np.int64)
+    for lo in range(0, size, _REQUEST_BLOCK):
+        u = rng.random(min(_REQUEST_BLOCK, size - lo))
+        order = u.argsort()
+        out[lo:lo + u.size][order] = cdf.searchsorted(u[order], "right")
+    return out
+
 
 
 def _trace_args(inst: NetworkInstance, *request) -> tuple:

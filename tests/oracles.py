@@ -30,6 +30,10 @@ so that agreement is meaningful:
 * ``kkt_residual_by_masks`` — the package's earlier KKT certificate over
                              the whole catalog, with masked copies.  The
                              blocked certificate must return its value.
+* ``bucket_order_by_argsort`` — the package's earlier holder bucket
+                             order: bucket ids for every holder and one
+                             stable argsort over all of them.  The
+                             instance's grouped sort must return its arrays.
 """
 
 from __future__ import annotations
@@ -341,3 +345,20 @@ def kkt_residual_by_masks(alloc, prob) -> float:
     if lam > 0:
         excess = abs(excess)
     return max(worst, excess / prob.budget)
+
+
+def bucket_order_by_argsort(xs, ys, h_idx, h_start):
+    """``(hc_idx, hc_cell)`` as ``NetworkInstance`` built them before it
+    sorted only the ring-searched contents: each holder's bucket on its
+    content's own grid, every content's, and one stable argsort of the key
+    ``grid offset + bucket``, which keeps each bucket in node order."""
+    from ccnscale._kernels import _ref
+
+    h_idx = np.asarray(h_idx, dtype=np.int64)
+    sizes = np.diff(np.asarray(h_start, dtype=np.int64))
+    side = _ref.grid_sides(sizes)
+    grid_size = side * side
+    cell = _ref.grid_cells(xs[h_idx], ys[h_idx], np.repeat(side, sizes))
+    key = np.repeat(np.cumsum(grid_size) - grid_size, sizes) + cell
+    order = np.argsort(key, kind="stable")
+    return h_idx[order], cell[order]

@@ -16,10 +16,11 @@ from ccnscale.alloc import round_to_integers, solve
 from ccnscale.config import Mode, NetworkConfig
 from ccnscale.errors import NoHolderError
 from ccnscale.geometry import CellGrid, torus_distance
+from ccnscale.popularity import from_weights, zipf
 from ccnscale.scaling import expected_hops
 from ccnscale.sched import build_schedule
 
-from oracles import sample_segment_cells
+from oracles import bucket_order_by_argsort, sample_segment_cells
 
 
 def _manual_instance(nodes, holders, g, base_stations=(), delta=1.0):
@@ -333,6 +334,46 @@ class TestBuildInstance:
             assert inst._hc_cell[lo:hi].tolist() == buckets
 
 
+def _assert_bucket_order_of_argsort(inst):
+    hc_idx, hc_cell = bucket_order_by_argsort(inst._xs, inst._ys, inst._h_idx, inst._h_start)
+    for name, want in (("_hc_idx", hc_idx), ("_hc_cell", hc_cell)):
+        got = getattr(inst, name)
+        assert got.dtype == np.int64
+        np.testing.assert_array_equal(got, want)
+
+
+class TestBucketOrder:
+    """``_hc_idx``/``_hc_cell`` against the all-holder stable argsort."""
+
+    # Contents of 0, 1, 64 and 65 holders (65 is the smallest searched ring
+    # by ring), of all n, dense ones (2X > n), and ring-searched contents
+    # between small ones; 22,530 holders to sort, more than one group.
+    _N = 3000
+    _SIZES = [0, 1, 64, 65, _N, 2000, 3, 100, 0, 64, 65, *[2600] * 6, 1700, 5]
+
+    @pytest.mark.parametrize("block", [None, 50], ids=["default-groups", "tiny-groups"])
+    def test_hand_built_contents(self, monkeypatch, block):
+        if block is not None:
+            monkeypatch.setattr(sim, "_SORT_BLOCK", block)
+        assert sum(k for k in self._SIZES if k > 64) > sim._SORT_BLOCK
+        rng = np.random.default_rng(12)
+        holders = [np.sort(rng.choice(self._N, size=k, replace=False)) for k in self._SIZES]
+        inst = _manual_instance(rng.random((self._N, 2)), holders, g=20)
+        _assert_bucket_order_of_argsort(inst)
+
+    @pytest.mark.parametrize(
+        "point",
+        [dict(alpha=0.8), dict(alpha=1.2, mode=Mode.HETEROGENEOUS, mu=0.4)],
+        ids=["ad-hoc", "heterogeneous"],
+    )
+    def test_drawn_instances(self, point):
+        cfg = NetworkConfig(n=20_000, beta=0.9, **point)
+        prob = cfg.problem()
+        inst = sim.build_instance(cfg, round_to_integers(solve(prob), prob), seed=8)
+        assert (np.diff(inst._h_start) > 64).any()
+        _assert_bucket_order_of_argsort(inst)
+
+
 class _CountingRng:
     """A seeded generator that fails on its ``integers`` call past ``limit``."""
 
@@ -433,12 +474,63 @@ class TestHolderDraw:
 
 
 class TestMemory:
-    """Bytes one instance holds at the largest sample-config size: ad hoc,
-    n = 10**6, alpha = 0.8, M = 251,189."""
+    """Bytes one instance holds, and the transient peaks of the constructor
+    and of the request draw, at the largest sample-config size: n = 10**6,
+    M = 251,189, ad hoc at alpha = 0.8 and heterogeneous at alpha = 1.2,
+    where nearly every holder belongs to a content searched ring by ring."""
 
     # Interpreter objects (the instance, its grid and schedule) on top of
     # the arrays; an n-sized int64 array is 8 MB.
     _SLACK = 1 << 16
+
+    @staticmethod
+    def _peak(make):
+        """Peak traced bytes above those traced before ``make()`` ran."""
+        assert not tracemalloc.is_tracing()
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            make()
+            return tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+
+    @pytest.mark.parametrize(
+        "point",
+        [dict(alpha=0.8), dict(alpha=1.2, mode=Mode.HETEROGENEOUS, mu=0.4)],
+        ids=["ad-hoc", "heterogeneous"],
+    )
+    def test_constructor_peak(self, point):
+        cfg = NetworkConfig(n=10**6, beta=0.9, **point)
+        prob = cfg.problem()
+        counts = round_to_integers(solve(prob), prob)
+        rng = np.random.default_rng(1)
+        nodes = rng.random((cfg.n, 2))
+        idx, start = sim._draw_holder_sets(rng, cfg.n, counts)
+        grid = CellGrid.from_area(cfg.a)
+        schedule = build_schedule(grid, cfg.delta)
+        peak = self._peak(
+            lambda: sim.NetworkInstance(nodes, np.zeros((0, 2)), idx, start, grid, schedule)
+        )
+        # What the instance keeps beyond its inputs: the coordinates and
+        # node cells (3n), the holders in bucket order with their buckets
+        # (2H).  Then the holder counts (M), and one sort group at a time:
+        # about ten int64 arrays of its holders, at most _SORT_BLOCK plus
+        # the largest content's.  The all-holder argsort peaked at about
+        # 10n here, 74.4 MiB.
+        n, h, m = cfg.n, int(counts.sum()), cfg.M
+        group = 10 * (sim._SORT_BLOCK + int(counts.max()))
+        assert peak <= 8 * (3 * n + 2 * h + m) + 8 * group + self._SLACK
+
+    def test_request_draw_peak(self):
+        cfg = NetworkConfig(n=10**6, alpha=0.8, beta=0.9)
+        inst = _holderless_instance(cfg.n, cfg.M)
+        pop = cfg.popularity()
+        peak = self._peak(lambda: sim.draw_requests(inst, pop, seed=2))
+        # The requests (n) and the CDF (M), and a few arrays of one block;
+        # choice and the cast to int64 held 2n + M.
+        n, m = cfg.n, cfg.M
+        assert peak <= 8 * (n + m) + 8 * 8 * sim._REQUEST_BLOCK + self._SLACK
 
     def test_instance_holds_each_array_once(self):
         cfg = NetworkConfig(n=10**6, alpha=0.8, beta=0.9)
@@ -458,6 +550,35 @@ class TestMemory:
         # schedule's slot per cell (g²), each 8 bytes.
         n, h, g = cfg.n, int(counts.sum()), inst.grid.side
         assert held <= 8 * (3 * n + 3 * h + cfg.M + 1) + 8 * g * g + self._SLACK
+
+
+# More requests than three blocks of the sampler, the last block partial.
+_MULTI_BLOCK = 3 * sim._REQUEST_BLOCK + 5
+
+
+def _assert_draws_like_choice(p, n, seed):
+    """Requests of ``draw_requests`` against ``Generator.choice``, which must
+    also leave its generator in the same state; returns the requests."""
+    rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = sim._invert_sorted(rng, p, n)
+    want = ref.choice(p.size, size=n, p=p)
+    assert got.dtype == np.int64
+    np.testing.assert_array_equal(got, want)
+    assert rng.bit_generator.state == ref.bit_generator.state
+    return got
+
+
+def _holderless_instance(n, m_count):
+    """n nodes in one cell and m_count contents that nobody holds."""
+    grid = CellGrid(1)
+    return sim.NetworkInstance(
+        np.full((n, 2), 0.5), np.zeros((0, 2)), np.zeros(0, dtype=np.int64),
+        np.zeros(m_count + 1, dtype=np.int64), grid, build_schedule(grid, 1.0),
+    )
+
+
+def _requests_of(pop, n, seed):
+    return sim.draw_requests(_holderless_instance(n, pop.m_count), pop, seed)
 
 
 class TestDrawRequests:
@@ -483,10 +604,66 @@ class TestDrawRequests:
     def test_rejects_mismatched_popularity(self):
         cfg = NetworkConfig(n=50, alpha=1.0, beta=0.5)
         inst = sim.build_instance(cfg, np.ones(cfg.M, dtype=np.int64), seed=1)
-        from ccnscale.popularity import zipf
-
         with pytest.raises(ValueError):
             sim.draw_requests(inst, zipf(cfg.M + 1, 1.0), seed=0)
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.8, 1.2, 1.6])
+    @pytest.mark.parametrize("n", [1, 5, 10_000, _MULTI_BLOCK])
+    @pytest.mark.parametrize("m_count", [1, 2, 7, 3982])
+    def test_equals_generator_choice(self, m_count, n, alpha):
+        pop = zipf(m_count, alpha)
+        got = _assert_draws_like_choice(pop.p, n, seed=m_count + n)
+        np.testing.assert_array_equal(_requests_of(pop, n, m_count + n), got)
+
+    @pytest.mark.parametrize("n", [1, 5, 10_000, _MULTI_BLOCK])
+    def test_tied_weights_equal_generator_choice(self, n):
+        pop = from_weights([3.0, 1.0, 3.0, 2.0, 2.0, 1.0, 3.0, 0.5, 0.5])
+        assert np.any(pop.p[1:] == pop.p[:-1])
+        got = _assert_draws_like_choice(pop.p, n, seed=n)
+        np.testing.assert_array_equal(_requests_of(pop, n, n), got)
+
+    def test_uniform_on_a_cut_off_goes_to_the_next_content(self):
+        # choice counts the cut-offs at or below u (searchsorted side="right").
+        seed, n = 3, 1000
+        u = np.random.default_rng(seed).random(n)
+        c = u[u >= 0.5][0]  # 1 - c and c + (1 - c) = 1 are exact
+        p = np.array([c, 1.0 - c])
+        assert p.cumsum().tolist() == [c, 1.0]
+        got = _assert_draws_like_choice(p, n, seed)
+        assert got[u == c].tolist() == [1]
+
+    def test_cut_offs_are_those_of_the_normalized_cdf(self):
+        # p sums to 1 + 2**-30: the raw running sum puts one uniform below
+        # the cut-off, the normalized CDF that choice inverts puts it above.
+        seed, n = 4, 1000
+        u = np.random.default_rng(seed).random(n)
+        c = u[n // 2]
+        a = c * (1.0 - 2.0**-40)
+        p = np.array([a, 1.0 - a]) * (1.0 + 2.0**-30)
+        cdf = p.cumsum()
+        assert cdf[0] > c > cdf[0] / cdf[-1]
+        got = _assert_draws_like_choice(p, n, seed)
+        assert got[u == c].tolist() == [1]
+
+    @pytest.mark.parametrize(
+        "shift, theirs, ours",
+        [
+            ((1e-6, 0.0), "Probabilities do not sum to 1", "^popularity vector sums to"),
+            ((0.5, -0.5), "Probabilities are not non-negative", "^popularity weights must not"),
+        ],
+        ids=["sum-off-one", "negative"],
+    )
+    def test_rejects_a_vector_changed_after_construction(self, shift, theirs, ours):
+        # choice checks the signs and the sum of p on every call, so a vector
+        # changed after the model checked it is still refused.
+        cfg = NetworkConfig(n=50, alpha=1.0, beta=0.5)
+        inst = sim.build_instance(cfg, np.ones(cfg.M, dtype=np.int64), seed=1)
+        pop = cfg.popularity()
+        pop.p[:2] += shift
+        with pytest.raises(ValueError, match=theirs):
+            np.random.default_rng(0).choice(cfg.M, size=cfg.n, p=pop.p)
+        with pytest.raises(ValueError, match=ours):
+            sim.draw_requests(inst, pop, seed=0)
 
 
 class TestTraceRequest:
