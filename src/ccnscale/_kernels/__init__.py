@@ -9,23 +9,23 @@ Two interchangeable implementations of the routing kernel exist:
   reference that ``trace.c`` is a port of.
 
 Both perform identical floating-point arithmetic and return identical
-results.  The routing rules live only there: ``trace_one`` routes one
-request and ``trace_batch`` runs it for every node.  Holders and base
-stations go through one search, ``nearest``, which scans a set of at most
-``RING_MIN_HOLDERS`` members and searches a larger one ring by ring, on a
-bucket grid of the set's own with about one member per bucket.  Both
+results.  The routing rules live only there, in ``trace_one``, which
+routes one request; ``trace_batch`` runs it for every node.  Holders and
+base stations go through one search, ``nearest``, which scans a set of at
+most ``RING_MIN_HOLDERS`` members and searches a larger one ring by ring,
+on a bucket grid of the set's own with about one member per bucket.  Both
 backends read the buckets from one CSR table, built in numpy by
 ``_ref.bucket_table`` (holders, from the per-content bucket ids in
 ``hc_cell``) and ``_ref.station_layout`` (stations), so a bucket is one
-slice of the member array.  This module exports ``trace_one``,
-``trace_batch`` and ``RING_MIN_HOLDERS``.  The helpers they are built
-from (``segment_cells``, ``nearest_linear``, ``nearest_ring``,
+slice of the member array.  This module exports ``trace_batch`` and
+``RING_MIN_HOLDERS``; the compiled library exports only its entry point,
+``ccn_trace_batch``, and the constant.  A single request is routed by
+``_ref.trace_one`` whichever backend is active (``sim.trace_request``).
+The helpers (``segment_cells``, ``nearest_linear``, ``nearest_ring``,
 ``grid_sides``, ``grid_cells``, ``bucket_table``, ``station_layout``)
-are exposed only by ``_ref``; the compiled library exports just the two
-entry points.  The compiled backend is preferred when it loads; otherwise
-the dispatcher
-falls back to ``_ref`` and records why in :data:`BACKEND_REASON` (``""``
-while the compiled backend is active).  Set the environment variable
+are exposed only by ``_ref``.  The compiled backend is preferred when it
+loads; otherwise the dispatcher falls back to ``_ref`` and records why in
+:data:`BACKEND_REASON` (``""`` while the compiled backend is active).  Set the environment variable
 ``CCNSCALE_BACKEND`` to ``python`` or ``compiled`` to force one (forcing
 ``compiled`` raises ImportError with the reason if it cannot load).
 """
@@ -57,7 +57,6 @@ else:
 
 BACKEND_NAME: str = _impl.BACKEND_NAME
 RING_MIN_HOLDERS: int = _impl.RING_MIN_HOLDERS
-trace_one = _impl.trace_one
 trace_batch = _impl.trace_batch
 
 

@@ -2,20 +2,19 @@
 
 ``trace.c`` is a C99 port of ``_ref.py`` that performs the same IEEE-754
 double arithmetic in the same order, so both backends return bit-identical
-results.  Every routing rule lives there.  The library exports two entry
-points, ``ccn_trace_one`` and ``ccn_trace_batch``, behind :func:`trace_one`
-and :func:`trace_batch`, and the constant :data:`RING_MIN_HOLDERS`; the
-helpers they are built from are static in C, and only ``_ref`` exposes
-them.  The wrappers below only convert arguments to contiguous
-int64/float64 arrays, check lengths, index ranges and coordinates so that
-the C code never reads or writes out of bounds, and allocate every buffer
-the kernel uses: the outputs, the path buffer and the bucket tables of
-holders and stations, which ``_ref.bucket_table`` and
-``_ref.station_layout`` build in numpy for both backends on each call
-(``trace_one`` builds the requested content's alone; ``bucket_table``
-also rejects a bucket id off its content's grid).  The
-kernel allocates nothing, so a call cannot fail once its inputs pass the
-checks.
+results.  Every routing rule lives there.  The library exports one entry
+point, ``ccn_trace_batch``, behind :func:`trace_batch`, and the constant
+:data:`RING_MIN_HOLDERS`; the helpers it is built from are static in C,
+and only ``_ref`` exposes them.  A single request is routed by
+``_ref.trace_one`` (``sim.trace_request``).  The wrapper below only
+converts arguments to contiguous int64/float64 arrays, checks lengths,
+index ranges and coordinates so that the C code never reads or writes out
+of bounds, and allocates every buffer the kernel uses: the outputs, the
+path buffer and the bucket tables of holders and stations, which
+``_ref.bucket_table`` and ``_ref.station_layout`` build in numpy for both
+backends on each call (``bucket_table`` also rejects a bucket id off its
+content's grid).  The kernel allocates nothing, so a call cannot fail
+once its inputs pass the checks.
 
 The shared library lives at ``${XDG_CACHE_HOME:-~/.cache}/ccnscale/<key>/
 trace.so``, where ``key`` is the sha256 of the source, the compile command
@@ -37,7 +36,7 @@ import ctypes
 import hashlib
 import os
 import shlex
-from ctypes import POINTER, byref, c_int64
+from ctypes import c_int64
 from importlib.machinery import EXTENSION_SUFFIXES
 from pathlib import Path
 
@@ -115,11 +114,6 @@ def _bind(lib: ctypes.CDLL) -> int:
         c_int64, _F64, _F64, c_int64, _I64, *tables, _I64, _I64, _I64, _I64,
     ]
     lib.ccn_trace_batch.restype = None
-    lib.ccn_trace_one.argtypes = [
-        c_int64, _F64, _F64, c_int64, c_int64, c_int64, *tables, _I64,
-        POINTER(c_int64),
-    ]
-    lib.ccn_trace_one.restype = c_int64
     return c_int64.in_dll(lib, "ccn_ring_min_holders").value
 
 
@@ -172,15 +166,11 @@ def _same_length(*arrays: np.ndarray) -> None:
         raise ValueError(f"array lengths differ: {[len(a) for a in arrays]}")
 
 
-def _path_buffer(g: int) -> np.ndarray:
-    """Room for any walk: fewer than g steps per axis, so at most 2g - 1 cells."""
-    return np.empty(2 * g - 1, dtype=np.int64)
+def trace_batch(xs, ys, g, req, h_idx, h_start, hc_idx, hc_cell, bs_x, bs_y):
+    """Trace one request per node; returns (hops, loads, status).
 
-
-def _trace_inputs(xs, ys, g, h_idx, h_start, hc_idx, hc_cell, bs_x, bs_y):
-    """Checked contiguous inputs shared by ``trace_batch`` and ``trace_one``,
-    with the stations as the kernel takes them: count, coordinates and
-    :func:`station_layout`."""
+    See ``_ref.trace_batch`` for the routing rules and status codes.
+    """
     g = _grid(g)
     xs, ys = _coords(xs, "xs"), _coords(ys, "ys")
     bs_x, bs_y = _coords(bs_x, "bs_x"), _coords(bs_y, "bs_y")
@@ -194,46 +184,18 @@ def _trace_inputs(xs, ys, g, h_idx, h_start, hc_idx, hc_cell, bs_x, bs_y):
     h_start = _indices(h_start, len(h_idx) + 1, "h_start")
     if len(h_start) == 0:
         raise ValueError("h_start must hold at least one offset")
-    stations = (len(bs_x), bs_x, bs_y, *station_layout(bs_x, bs_y))
-    return xs, ys, g, h_idx, h_start, hc_idx, hc_cell, stations
-
-
-def trace_one(xs, ys, g, requester, m, h_idx, h_start, hc_idx, hc_cell, bs_x, bs_y):
-    """Route one request; returns (status, cells).  See ``_ref.trace_one``."""
-    xs, ys, g, h_idx, h_start, hc_idx, hc_cell, stations = _trace_inputs(
-        xs, ys, g, h_idx, h_start, hc_idx, hc_cell, bs_x, bs_y
-    )
-    requester = int(_indices([requester], len(xs), "requester")[0])
-    m = int(_indices([m], len(h_start) - 1, "m")[0])
-    # Only content m's bucket table is built; the kernel sees it as content 0.
-    one = h_start[m:m + 2]
-    buf = _path_buffer(g)
-    status = c_int64()
-    count = _lib.ccn_trace_one(
-        len(xs), xs, ys, g, requester, 0, h_idx, one, hc_idx,
-        *bucket_table(one, hc_cell), *stations, buf, byref(status),
-    )
-    return status.value, buf[:count].tolist()
-
-
-def trace_batch(xs, ys, g, req, h_idx, h_start, hc_idx, hc_cell, bs_x, bs_y):
-    """Trace one request per node; returns (hops, loads, status).
-
-    See ``_ref.trace_batch`` for the routing rules and status codes.
-    """
-    xs, ys, g, h_idx, h_start, hc_idx, hc_cell, stations = _trace_inputs(
-        xs, ys, g, h_idx, h_start, hc_idx, hc_cell, bs_x, bs_y
-    )
+    stations = station_layout(bs_x, bs_y)
     req = _indices(req, len(h_start) - 1, "req")
     _same_length(xs, req)
     # Built before the outputs, so its temporaries are freed first.
     table = bucket_table(h_start, hc_cell)
-    n = len(xs)
     hops = np.zeros(n, dtype=np.int64)
     loads = np.zeros(g * g, dtype=np.int64)
     status = np.zeros(n, dtype=np.int64)
+    # Any walk takes fewer than g steps per axis, so at most 2g - 1 cells.
+    path = np.empty(2 * g - 1, dtype=np.int64)
     _lib.ccn_trace_batch(
-        n, xs, ys, g, req, h_idx, h_start, hc_idx, *table, *stations,
-        _path_buffer(g), hops, loads, status,
+        n, xs, ys, g, req, h_idx, h_start, hc_idx, *table, len(bs_x), bs_x,
+        bs_y, *stations, path, hops, loads, status,
     )
     return hops, loads, status

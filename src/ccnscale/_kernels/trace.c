@@ -14,13 +14,13 @@
  * tab[base[m] + c + 1]), so a ring search reads each bucket it visits as
  * one slice.
  *
- * The library exports two entry points, ccn_trace_one and ccn_trace_batch,
- * and the constant ccn_ring_min_holders; every helper is static.  Inputs
- * are trusted: the ctypes binding in _fast.py checks array lengths, index
- * ranges and coordinates before calling in.  The binding passes every
- * buffer, the bucket tables of holders and stations (_ref.bucket_table,
- * _ref.station_layout) and the path buffer included; the kernel allocates
- * nothing.
+ * The library exports one entry point, ccn_trace_batch, and the constant
+ * ccn_ring_min_holders; every helper is static.  sim.trace_request routes
+ * a single request with _ref.trace_one.  Inputs are trusted: the ctypes
+ * binding in _fast.py checks array lengths, index ranges and coordinates
+ * before calling in.  The binding passes every buffer, the bucket tables
+ * of holders and stations (_ref.bucket_table, _ref.station_layout) and
+ * the path buffer included; the kernel allocates nothing.
  */
 
 #include <math.h>
@@ -255,18 +255,6 @@ static inline i64 trace_one(i64 n, const double *xs, const double *ys,
     hx = best_i < n ? xs[best_i] : bs_x[best_i - n];
     hy = best_i < n ? ys[best_i] : bs_y[best_i - n];
     return segment_cells(px, py, hx, hy, g, buf);
-}
-
-i64 ccn_trace_one(i64 n, const double *xs, const double *ys, i64 g,
-                  i64 requester, i64 m, const i64 *h_idx, const i64 *h_start,
-                  const i64 *hc_idx, const i64 *h_side, const i64 *h_base,
-                  const i64 *h_tab, i64 nbs, const double *bs_x,
-                  const double *bs_y, i64 bs_side, const i64 *bs_idx,
-                  const i64 *bs_tab, i64 *buf, i64 *status)
-{
-    return trace_one(n, xs, ys, g, requester, m, h_idx, h_start, hc_idx,
-                     h_side, h_base, h_tab, nbs, bs_x, bs_y, bs_side, bs_idx,
-                     bs_tab, buf, status);
 }
 
 /* Traces one request per node into hops, loads and status (all zeroed by

@@ -20,7 +20,8 @@ beyond what they return.
 Routing and load accounting run in a kernel backend (compiled when
 available, pure Python otherwise; bit-identical results), which holds
 the only copy of the routing rules: ``measure`` calls its
-``trace_batch`` and ``trace_request`` its ``trace_one``.  Every hop
+``trace_batch``, and ``trace_request`` routes one request with the
+reference's ``trace_one``.  Every hop
 is charged to its transmitting cell, so the total cell load equals the
 total hop count exactly on every trial — the bookkeeping identity the
 tests pin.
@@ -426,7 +427,6 @@ def _invert_sorted(rng: np.random.Generator, p: np.ndarray, size: int) -> np.nda
     return out
 
 
-
 def _trace_args(inst: NetworkInstance, *request) -> tuple:
     """Kernel arguments; ``request`` is ``req`` or ``requester, m``."""
     return (
@@ -439,20 +439,24 @@ def _trace_args(inst: NetworkInstance, *request) -> tuple:
 def trace_request(
     inst: NetworkInstance, requester: int, m: int
 ) -> tuple[int, list[tuple[int, int]]]:
-    """Route one request through the kernel, by the rules of ``measure``.
+    """Route one request by the rules of ``measure``.
 
     Returns (hop count, cells as (row, col) in traversal order).  The
     requester's own cache never serves as target; base stations are
     never excluded and lose distance ties to nodes.  A requester who is
     the sole holder serves itself locally (one hop, own cell).  Raises
     :class:`NoHolderError` when nobody holds the content at all.
+
+    The pure-Python reference routes the request whichever backend is
+    active: the compiled library traces whole batches only, and the two
+    backends agree bit for bit.
     """
     n = inst.n
     if not 0 <= requester < n:
         raise ValueError(f"requester index {requester} outside [0, {n})")
     if not 0 <= m < inst.m_count:
         raise ValueError(f"content index {m} outside [0, {inst.m_count})")
-    status, cells = _kernels.trace_one(*_trace_args(inst, requester, m))
+    status, cells = _ref.trace_one(*_trace_args(inst, requester, m))
     if status == 2:
         raise NoHolderError(f"content {m}: no holder and no base station")
     g = inst.grid.side

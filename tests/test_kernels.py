@@ -90,24 +90,56 @@ def _scan_winner(inst, i, m):
     return (int(held[k]) if k < len(held) else n + k - len(held)), (cx[k], cy[k])
 
 
-def _scan_winners(inst):
-    """Yield ``(m, i, winner, end)`` for node i's request of each content m,
-    as :func:`_scan_winner` finds them."""
-    for m in range(len(inst.holders)):
-        for i in range(inst.n):
-            yield (m, i, *_scan_winner(inst, i, m))
-
-
-def _assert_walks_to(backend, inst, i, m, end):
-    """``backend.trace_one`` walks node i's request for content m to
-    ``end``; without one, it serves the request in the requester's cell."""
+def _walk(inst, i, m, end):
+    """Node i's request for content m as ``(status, cells)`` when it goes
+    to ``end``, the winner's coordinates: the walk of
+    ``_ref.segment_cells``, or without a winner the requester's own cell."""
     px, py, g = inst._xs[i], inst._ys[i], inst.grid.side
     if end is None:
         own = _ref._cell_index(py, g) * g + _ref._cell_index(px, g)
-        want = (1 if i in inst.holders[m] else 2, [own])
-    else:
-        want = (0, _ref.segment_cells(px, py, *end, g))
-    assert backend.trace_one(*sim._trace_args(inst, i, m)) == want
+        return (1 if i in inst.holders[m] else 2), [own]
+    return 0, _ref.segment_cells(px, py, *end, g)
+
+
+def _scan_winners(inst):
+    """Yield ``(m, winners, walks)`` for each content m: the id that
+    :func:`_scan_winner` picks for each node's request of m, and the
+    requests' walks by node."""
+    for m in range(len(inst.holders)):
+        found = [_scan_winner(inst, i, m) for i in range(inst.n)]
+        walks = {i: _walk(inst, i, m, end) for i, (_, end) in enumerate(found)}
+        yield m, [win for win, _ in found], walks
+
+
+def _assert_routes(backend, inst, req, walks):
+    """Node i's request for content ``req[i]`` takes ``walks[i]``, a
+    ``(status, cells)`` pair, for each node i in ``walks``.
+
+    The reference returns each walk from ``trace_one``.  The compiled
+    kernel's walks are not observable: its ``trace_batch`` gives each
+    walked request the walk's status and hop count, charges the cells the
+    walks charge when they cover every node, and agrees with the
+    reference's ``trace_batch`` (:func:`_assert_trace_equal`).
+    """
+    if backend is _ref:
+        for i, walk in walks.items():
+            assert _ref.trace_one(*sim._trace_args(inst, i, req[i])) == walk, i
+        return
+    hops, loads, status = _fast.trace_batch(*sim._trace_args(inst, req))
+    for i, (s, cells) in walks.items():
+        assert (status[i], hops[i]) == (s, max(1, len(cells) - 1)), i
+    if len(walks) == inst.n:
+        want = np.zeros_like(loads)
+        for _, cells in walks.values():
+            np.add.at(want, cells[:-1] or cells, 1)
+        np.testing.assert_array_equal(loads, want)
+    _assert_trace_equal(inst, req)
+
+
+def _assert_walks_to(backend, inst, i, m, end):
+    """With every node requesting content m, ``backend`` routes node i's
+    request to ``end``, or without one serves it in the requester's cell."""
+    _assert_routes(backend, inst, np.full(inst.n, m), {i: _walk(inst, i, m, end)})
 
 
 def _assert_routes_to_scan_winner(inst, i, m):
@@ -117,20 +149,28 @@ def _assert_routes_to_scan_winner(inst, i, m):
 
 
 # ---------------------------------------------------------------------------
-# the walk: segment_cells through trace_one
+# the walk: segment_cells through trace_one and trace_batch
 # ---------------------------------------------------------------------------
 
 
-def _assert_walks_along(segments, g):
-    """Both backends walk each segment as ``_ref.segment_cells`` does: node
-    2k stands at the start of segment k, and node 2k + 1, at its end, is
-    the one holder of content k."""
+def _assert_walks_along(backend, segments, g):
+    """``backend`` walks each segment as ``_ref.segment_cells`` does, and
+    returns those walks' cells: node 2k stands at the start of segment k,
+    and node 2k + 1, at its end, is the one holder of content k, which both
+    nodes request (node 2k + 1 serves itself)."""
     nodes = np.asarray(segments, dtype=np.float64).reshape(-1, 2)
     inst = _instance(nodes, [[2 * k + 1] for k in range(len(segments))], g)
+    walks = {}
     for k, (x0, y0, x1, y1) in enumerate(segments):
-        want = (0, _ref.segment_cells(x0, y0, x1, y1, g))
-        args = sim._trace_args(inst, 2 * k, k)
-        assert _fast.trace_one(*args) == _ref.trace_one(*args) == want
+        walks[2 * k] = (0, _ref.segment_cells(x0, y0, x1, y1, g))
+        walks[2 * k + 1] = _walk(inst, 2 * k + 1, k, None)
+    _assert_routes(backend, inst, np.arange(len(nodes)) // 2, walks)
+    return [walks[2 * k][1] for k in range(len(segments))]
+
+
+def _assert_both_walk_along(segments, g):
+    for backend in (_ref, _fast):
+        _assert_walks_along(backend, segments, g)
 
 
 @needs_fast
@@ -144,7 +184,7 @@ class TestSegmentCellsParity:
             x1 = (x0 + rng.uniform(-0.5, 0.5)) % 1.0
             y1 = (y0 + rng.uniform(-0.5, 0.5)) % 1.0
             segments.append((x0, y0, x1, y1))
-        _assert_walks_along(segments, g)
+        _assert_both_walk_along(segments, g)
 
     @pytest.mark.parametrize("g", [2, 5, 16])
     def test_lattice_aligned_segments(self, g):
@@ -158,13 +198,13 @@ class TestSegmentCellsParity:
             (0.25, 0.75, 0.0, -0.5),
             (1.0 - 0.5 / g, 0.5 / g, 0.5, 0.5),
         ]
-        _assert_walks_along(
+        _assert_both_walk_along(
             [(x0, y0, (x0 + dx) % 1.0, (y0 + dy) % 1.0) for x0, y0, dx, dy in cases],
             g,
         )
 
     def test_zero_displacement(self):
-        _assert_walks_along([(0.3, 0.7, 0.3, 0.7)], 8)
+        _assert_both_walk_along([(0.3, 0.7, 0.3, 0.7)], 8)
 
 
 @pytest.mark.parametrize(
@@ -175,29 +215,18 @@ class TestSegmentCellsParity:
 def test_lattice_line_walk_is_symmetric(backend):
     # A holder on the line x = 6/7 of a 7x7 grid, one cell across the wrap:
     # the request takes 1 hop in either direction, over the same two cells.
-    # Each content has one holder, in the one bucket (0) of its own grid.
-    args = dict(
-        xs=np.array([0.0, 6 / 7]), ys=np.array([0.5, 0.5]), g=7,
-        h_idx=np.array([1, 0]), h_start=np.array([0, 1, 2]),
-        hc_idx=np.array([1, 0]), hc_cell=np.array([0, 0]),
-        bs_x=np.array([]), bs_y=np.array([]),
-    )
-    assert backend.trace_one(requester=0, m=0, **args) == (0, [21, 27])
-    assert backend.trace_one(requester=1, m=1, **args) == (0, [27, 21])
+    # Nodes 0 and 1 each request the content that only the other holds.
+    inst = _instance(np.array([[0.0, 0.5], [6 / 7, 0.5]]), [[1], [0]], 7)
+    walks = {0: (0, [21, 27]), 1: (0, [27, 21])}
+    _assert_routes(backend, inst, np.array([0, 1]), walks)
 
 
 def _walks_both_ways(backend, pairs, g):
     """For each pair of points (a, b), the cells of the walks a -> b and
-    b -> a, through ``backend.trace_one`` on one instance."""
+    b -> a, which ``backend`` takes on one instance (see
+    :func:`_assert_walks_along`)."""
     segments = [(*a, *b) for a, b in pairs] + [(*b, *a) for a, b in pairs]
-    nodes = np.asarray(segments, dtype=np.float64).reshape(-1, 2)
-    inst = _instance(nodes, [[2 * k + 1] for k in range(len(segments))], g)
-    walks = [
-        backend.trace_one(*sim._trace_args(inst, 2 * k, k))
-        for k in range(len(segments))
-    ]
-    assert all(status == 0 for status, _ in walks)
-    cells = [c for _, c in walks]
+    cells = _assert_walks_along(backend, segments, g)
     return cells[: len(pairs)], cells[len(pairs) :]
 
 
@@ -239,7 +268,7 @@ def test_walks_between_lattice_points_are_symmetric(backend):
 
 
 # ---------------------------------------------------------------------------
-# the holder search: linear scan and ring search through trace_one
+# the holder search: linear scan and ring search
 # ---------------------------------------------------------------------------
 
 
@@ -269,9 +298,13 @@ class TestNearestParity:
         # The binding takes any integer sequence, here the holders as a range.
         rng = np.random.default_rng(3)
         inst = _instance(rng.random((11, 2)), [range(1, 11)], 4)
-        args = list(sim._trace_args(inst, 0, 0))
-        args[5] = range(1, 11)  # h_idx
-        assert _fast.trace_one(*args) == _ref.trace_one(*sim._trace_args(inst, 0, 0))
+        req = np.zeros(11, dtype=np.int64)
+        args = list(sim._trace_args(inst, req))
+        args[4] = range(1, 11)  # h_idx
+        got = _fast.trace_batch(*args)
+        want = _ref.trace_batch(*sim._trace_args(inst, req))
+        for a, b in zip(got, want):
+            np.testing.assert_array_equal(a, b)
         _assert_routes_to_scan_winner(inst, 0, 0)
 
     def test_linear_empty_candidates(self):
@@ -279,8 +312,8 @@ class TestNearestParity:
         # cell on the 4x4 grid is 2 * 4 + 2.
         inst = _instance(np.array([[0.1, 0.2], [0.5, 0.5]]), [[], [1]], 4)
         for m, status in ((0, 2), (1, 1)):
-            args = sim._trace_args(inst, 1, m)
-            assert _fast.trace_one(*args) == _ref.trace_one(*args) == (status, [10])
+            for backend in (_ref, _fast):
+                _assert_routes(backend, inst, np.full(2, m), {1: (status, [10])})
 
     @pytest.mark.parametrize("order", [[1, 0], [0, 1]])
     def test_linear_tie_breaks_to_lowest_index(self, order):
@@ -289,9 +322,8 @@ class TestNearestParity:
         xs = np.full(3, 0.5)
         xs[order] = [0.25, 0.75]
         inst = _instance(np.column_stack([xs, np.full(3, 0.5)]), [[0, 1]], 8)
-        args = sim._trace_args(inst, 2, 0)
-        want = (0, _ref.segment_cells(0.5, 0.5, xs[0], 0.5, 8))
-        assert _fast.trace_one(*args) == _ref.trace_one(*args) == want
+        for backend in (_ref, _fast):
+            _assert_walks_to(backend, inst, 2, 0, (xs[0], 0.5))
 
     @pytest.mark.parametrize("g", [1, 2, 3, 8, 16, 64])
     def test_ring_matches_linear_and_backends_agree(self, g):
@@ -335,13 +367,12 @@ def _assert_trace_equal(inst, req):
 
 
 def _assert_trace_one_agrees(req, **args):
-    """Both backends route each request of ``req`` alike through
-    ``trace_one``, with the hop counts of ``trace_batch``."""
-    hops = _ref.trace_batch(req=req, **args)[0]
+    """``_ref.trace_one`` routes each request of ``req`` with the status and
+    hop count that ``trace_batch`` gives it."""
+    hops, _, status = _ref.trace_batch(req=req, **args)
     for i, m in enumerate(req):
-        got = _fast.trace_one(requester=i, m=m, **args)
-        assert got == _ref.trace_one(requester=i, m=m, **args)
-        assert max(1, len(got[1]) - 1) == hops[i]
+        s, cells = _ref.trace_one(requester=i, m=m, **args)
+        assert (s, max(1, len(cells) - 1)) == (status[i], hops[i])
 
 
 @needs_fast
@@ -571,8 +602,8 @@ def test_station_ring_search_finds_the_scan_winner(backend, case, g):
     n, xs, ys = inst.n, inst._xs, inst._ys
     bs_x, bs_y = stations[:, 0], stations[:, 1]
     side, bs_idx, bs_tab = _ref.station_layout(bs_x, bs_y)
-    for m, i, want, end in _scan_winners(inst):
-        if backend is _ref:
+    for m, winners, walks in _scan_winners(inst):
+        for i, want in enumerate(winners if backend is _ref else ()):
             px, py = xs[i], ys[i]
             node = _ref.nearest_linear(px, py, xs, ys, inst.holders[m], i)
             got = _ref.nearest_ring(
@@ -580,7 +611,7 @@ def test_station_ring_search_finds_the_scan_winner(backend, case, g):
                 node[0], node[1], n,
             )
             assert got[0] == want, (m, i)
-        _assert_walks_to(backend, inst, i, m, end)
+        _assert_routes(backend, inst, np.full(n, m), walks)
     if backend is _fast:
         _assert_trace_equal(inst, np.arange(n) % len(holders))
 
@@ -600,9 +631,9 @@ def test_trace_on_both_sides_of_ring_min_holders(k, nbs):
     stations = rng.integers(0, 32, size=(nbs, 2)) / 32
     holders = [np.sort(rng.choice(n, size=k, replace=False)), [3, 150]]
     inst = _instance(nodes, holders, 6, stations)
-    for m, i, _, end in _scan_winners(inst):
-        _assert_walks_to(_ref, inst, i, m, end)
-        _assert_walks_to(_fast, inst, i, m, end)
+    for m, _, walks in _scan_winners(inst):
+        for backend in (_ref, _fast):
+            _assert_routes(backend, inst, np.full(n, m), walks)
     _assert_trace_equal(inst, np.arange(n) % 2)
 
 
@@ -750,13 +781,13 @@ def test_holder_ring_search_finds_the_scan_winner(backend, case, g):
         m for m, held in enumerate(inst.holders) if len(held) > _ref.RING_MIN_HOLDERS
     ]
     assert big and all(side[m] == math.isqrt(len(inst.holders[m])) for m in big)
-    for m, i, want, end in _scan_winners(inst):
-        if backend is _ref and m in big:
+    for m, winners, walks in _scan_winners(inst):
+        for i, want in enumerate(winners if backend is _ref and m in big else ()):
             got = _ref.nearest_ring(
                 xs[i], ys[i], xs, ys, inst._hc_idx, tab, base[m], side[m], i
             )
             assert got[0] == want, (m, i)
-        _assert_walks_to(backend, inst, i, m, end)
+        _assert_routes(backend, inst, np.full(inst.n, m), walks)
     if backend is _fast:
         _assert_trace_equal(inst, np.arange(inst.n) % len(holders))
 
@@ -778,8 +809,8 @@ def test_holder_grid_side_breakpoints(backend, k, side):
     holders = [np.sort(rng.choice(n, size=k, replace=False)), [3, 150]]
     inst = _instance(nodes, holders, 6)
     assert _ref.bucket_table(inst._h_start, inst._hc_cell)[0].tolist() == [side, 1]
-    for m, i, _, end in _scan_winners(inst):
-        _assert_walks_to(backend, inst, i, m, end)
+    for m, _, walks in _scan_winners(inst):
+        _assert_routes(backend, inst, np.full(n, m), walks)
     if backend is _fast:
         _assert_trace_equal(inst, np.arange(n) % 2)
 
@@ -820,41 +851,51 @@ def test_compiled_kernel_allocates_nothing():
     assert named == []
 
 
-_HELPERS = ("segment_cells", "nearest_linear", "nearest_ring")
+_SOURCE = Path(_ref.__file__).parent / "trace.c"
 
 
-@needs_fast
-def test_compiled_library_exports_only_the_entry_points():
-    for name in ("ccn_trace_batch", "ccn_trace_one", "ccn_ring_min_holders"):
-        assert hasattr(_fast._lib, name)
-    for name in _HELPERS:
-        assert not hasattr(_fast._lib, f"ccn_{name}")
-        assert not hasattr(_fast, name)
-
-
-def test_kernel_source_compiles_clean_and_uses_every_helper(tmp_path):
-    # -Werror fails on any warning.  GCC reports an unused static function
-    # only when it compiles, and never an unused static inline one, so
-    # the test compiles an object at -O0, which inlines nothing: every
-    # static function that an entry point reaches is emitted, and one that
-    # none reaches is missing.
+@pytest.fixture(scope="module")
+def kernel_object(tmp_path_factory):
+    """``trace.c`` compiled to an object with -Werror, which fails on any
+    warning.  GCC reports an unused static function only when it compiles,
+    and never an unused static inline one, so the object is built at -O0,
+    which inlines nothing: every static function that an entry point
+    reaches is emitted, and one that none reaches is missing."""
     if not _compiler_on_path():
         pytest.skip("no C compiler on PATH")
     cc = shlex.split(os.environ.get("CC", "")) or ["cc"]
-    source = Path(_ref.__file__).parent / "trace.c"
-    obj = tmp_path / "trace.o"
+    obj = tmp_path_factory.mktemp("kernel") / "trace.o"
     flags = ["-std=c99", "-Wall", "-Wextra", "-Werror", "-ffp-contract=off", "-O0"]
     proc = subprocess.run(
-        [*cc, *flags, "-c", "-o", str(obj), str(source)],
+        [*cc, *flags, "-c", "-o", str(obj), str(_SOURCE)],
         capture_output=True, text=True,
     )
     assert proc.returncode == 0, proc.stderr
+    return obj
+
+
+def _nm(obj, *flags) -> str:
+    """What ``nm`` lists for ``obj``, one symbol a line."""
     if shutil.which("nm") is None:
         pytest.skip("no nm on PATH to list the object's symbols")
-    symbols = subprocess.run(
-        ["nm", str(obj)], capture_output=True, text=True, check=True
-    ).stdout.split()
-    static = re.findall(r"^static\b[^(;=]*?(\w+)\(", source.read_text(), re.M)
+    return subprocess.run(
+        ["nm", *flags, str(obj)], capture_output=True, text=True, check=True
+    ).stdout
+
+
+@needs_fast
+def test_compiled_library_exports_only_the_entry_points(kernel_object):
+    listed = _nm(kernel_object, "-g", "--defined-only").splitlines()
+    defined = {line.split()[-1] for line in listed}
+    assert defined == {"ccn_trace_batch", "ccn_ring_min_holders"}
+    for name in ("segment_cells", "nearest_linear", "nearest_ring", "trace_one"):
+        assert not hasattr(_fast, name)
+    assert not hasattr(_kernels, "trace_one")
+
+
+def test_kernel_source_compiles_clean_and_uses_every_helper(kernel_object):
+    symbols = _nm(kernel_object).split()
+    static = re.findall(r"^static\b[^(;=]*?(\w+)\(", _SOURCE.read_text(), re.M)
     assert "segment_cells" in static
     assert set(static) <= {name.lstrip("_") for name in symbols}
 
@@ -892,9 +933,8 @@ class TestCompiledInputChecks:
     @pytest.mark.parametrize(
         "override",
         [
-            # trace_one's forms: content 1 and node 2 do not exist
-            {"req": np.array([0, 1]), "m": 1},
-            {"req": np.array([0]), "requester": 2},
+            {"req": np.array([0, 1])},  # content 1 does not exist
+            {"req": np.array([0])},  # one request for two nodes
             {"h_idx": np.array([2])},
             {"hc_idx": np.array([-1])},
             {"h_start": np.array([0, 2])},
@@ -909,13 +949,8 @@ class TestCompiledInputChecks:
         ],
     )
     def test_trace_batch_rejects(self, override):
-        args = _tiny_trace_args(**override)
-        one = {"requester": args.pop("requester", 0), "m": args.pop("m", 0)}
         with pytest.raises(ValueError):
-            _fast.trace_batch(**args)
-        del args["req"]
-        with pytest.raises(ValueError):
-            _fast.trace_one(**args, **one)
+            _fast.trace_batch(**_tiny_trace_args(**override))
 
 
 # ---------------------------------------------------------------------------
@@ -1043,12 +1078,11 @@ class TestLoader:
     @pytest.mark.parametrize(
         "stale, missing",
         [
-            # an old build that lacks a function
-            ("long long ccn_trace_batch(void) { return 0; }\n", "ccn_trace_one"),
-            # both functions, but not the exported constant
+            # an old build that lacks the function
+            ("const long long ccn_ring_min_holders = 64;\n", "ccn_trace_batch"),
+            # the function, but not the exported constant
             (
-                "long long ccn_trace_batch(void) { return 0; }\n"
-                "long long ccn_trace_one(void) { return 0; }\n",
+                "long long ccn_trace_batch(void) { return 0; }\n",
                 "ccn_ring_min_holders",
             ),
         ],

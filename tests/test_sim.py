@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ccnscale import sim
+from ccnscale import _kernels, sim
 from ccnscale.alloc import round_to_integers, solve
 from ccnscale.config import Mode, NetworkConfig
 from ccnscale.errors import NoHolderError
@@ -802,23 +802,37 @@ class TestTraceRequest:
             sim.trace_request(inst, 0, 1)
 
     @pytest.mark.parametrize(
-        "cfg",
+        "cfg,station_ring",
         [
-            NetworkConfig(n=3000, alpha=0.8, beta=0.9, seed=5),
-            NetworkConfig(
-                n=3000, alpha=1.2, beta=0.9, mode=Mode.HETEROGENEOUS, mu=0.4, seed=5
+            (NetworkConfig(n=3000, alpha=0.8, beta=0.9, seed=5), False),
+            (
+                NetworkConfig(
+                    n=3000, alpha=1.2, beta=0.9, mode=Mode.HETEROGENEOUS, mu=0.4,
+                    seed=5,
+                ),
+                False,
+            ),
+            # 70 stations: the station ring search
+            (
+                NetworkConfig(
+                    n=3000, alpha=1.2, beta=0.9, mode=Mode.HETEROGENEOUS, f=70.0,
+                    seed=5,
+                ),
+                True,
             ),
         ],
-        ids=["adhoc", "heterogeneous"],
+        ids=["adhoc", "heterogeneous", "station-ring"],
     )
-    def test_single_requests_match_the_batch(self, cfg):
-        # Every node's request, traced alone, takes the hops and charges the
-        # cells that measure() gives it, including requests for a content
-        # nobody caches.
+    def test_single_requests_match_the_batch(self, cfg, station_ring):
+        # Every node's request, traced alone by the reference, takes the
+        # hops and charges the cells that measure() gives it in the active
+        # backend, including requests for a content nobody caches.
         prob = cfg.problem()
         allocation = round_to_integers(solve(prob), prob)
         allocation[-1] = 0
         inst = sim.build_instance(cfg, allocation, seed=11)
+        ring = len(inst.base_stations) > _kernels.RING_MIN_HOLDERS
+        assert ring == station_ring
         reqs = sim.draw_requests(inst, cfg.popularity(), seed=13)
         reqs[::7] = cfg.M - 1
         with warnings.catch_warnings(record=True) as caught:
