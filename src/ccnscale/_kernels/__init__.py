@@ -25,9 +25,10 @@ The helpers (``segment_cells``, ``nearest_linear``, ``nearest_ring``,
 ``grid_sides``, ``grid_cells``, ``bucket_table``, ``station_layout``)
 are exposed only by ``_ref``.  The compiled backend is preferred when it
 loads; otherwise the dispatcher falls back to ``_ref`` and records why in
-:data:`BACKEND_REASON` (``""`` while the compiled backend is active).  Set the environment variable
-``CCNSCALE_BACKEND`` to ``python`` or ``compiled`` to force one (forcing
-``compiled`` raises ImportError with the reason if it cannot load).
+:data:`BACKEND_REASON` (``""`` while the compiled backend is active).  Set
+the environment variable ``CCNSCALE_BACKEND`` to ``python`` or
+``compiled`` to force one (forcing ``compiled`` raises ImportError with
+the reason if it cannot load).
 """
 
 from __future__ import annotations

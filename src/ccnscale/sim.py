@@ -9,10 +9,12 @@ throughput and delay of the slotted fluid model.
 
 An instance stores each content's holder set once, in the CSR arrays
 that the kernel reads (one index array, content-major, and one offset
-per content), and the node coordinates once, as one (2, n) array.  Only
-the contents the kernel searches ring by ring (more than
-``RING_MIN_HOLDERS`` holders) have their holders sorted into buckets, a
-group of contents at a time.  Requests are drawn by inverting the
+per content), the node coordinates once, as one (2, n) array, the
+station coordinates as one (2, b) array, and the node count per cell.
+Within a content the holders ascend, unless the content has more than
+``RING_MIN_HOLDERS`` holders: the kernel searches those ring by ring, and
+the constructor sorts their holders into buckets in place, a group of
+contents at a time.  Requests are drawn by inverting the
 popularity CDF on sorted blocks of uniforms, bit-identical to
 ``Generator.choice``.  Both keep their transient arrays to a few blocks
 beyond what they return.
@@ -74,24 +76,30 @@ class NetworkInstance:
     """One realization of node/base-station positions and holder sets.
 
     The holder sets are stored once, in the kernel's CSR form: content
-    m's holders are ``_h_idx[_h_start[m]:_h_start[m + 1]]``, node indices
-    strictly ascending; a node may hold several contents.  The
-    constructor takes that pair as ``holder_idx`` and ``holder_start``;
+    m's holders are ``_h_idx[_h_start[m]:_h_start[m + 1]]``; a node may
+    hold several contents.  The constructor takes that pair as
+    ``holder_idx`` and ``holder_start``, each list strictly ascending, and
     :meth:`from_holders` builds it from per-content lists.  ``holders``
-    gives read-only per-content views of ``_h_idx``.  Base stations hold
+    gives the lists back, ascending and read-only.  Base stations hold
     every content and are indexed ``n + b`` where routing needs a single
     index space.  The node coordinates are stored once, as the rows
-    ``_xs`` and ``_ys`` of one (2, n) array; ``nodes`` is its (n, 2)
-    transposed view.  ``_hc_idx`` holds the holders sorted by content,
-    then bucket, then node, and ``_hc_cell`` their buckets: each content
-    has a bucket grid of its own, of the side ``_kernels._ref.grid_sides``
-    gives its holder count (about one holder per bucket for a content
-    searched ring by ring, one bucket for a smaller one), and
+    ``_xs`` and ``_ys`` of one (2, n) array, and ``nodes`` is its (n, 2)
+    transposed view; ``base_stations`` is likewise the (b, 2) view of one
+    (2, b) array, so each of its columns is contiguous.  ``_occupancy``
+    holds the node count per cell.
+
+    Each content has a bucket grid of its own, of the side
+    ``_kernels._ref.grid_sides`` gives its holder count: about one holder
+    per bucket for a content searched ring by ring (more than
+    ``RING_MIN_HOLDERS`` holders), one bucket for a smaller one.
     ``_hc_cell[j]`` is the flat bucket id ``row * side + col`` of node
-    ``_hc_idx[j]`` on that grid.  The kernel turns these ids into its
-    bucket table (``_kernels._ref.bucket_table``).  A content with one
-    bucket keeps its holders in node order, so only the contents searched
-    ring by ring are sorted, in groups of about ``_SORT_BLOCK`` holders.
+    ``_h_idx[j]`` on its content's grid, and the kernel turns these ids
+    into its bucket table (``_kernels._ref.bucket_table``).  A content with
+    one bucket keeps its holders in node order; the holders of a content
+    searched ring by ring are sorted by bucket, then node, in place, in
+    groups of about ``_SORT_BLOCK`` holders.  The kernel reads both the
+    linear scan's and the ring search's holders from this one array, and
+    ``_hc_idx`` is the same object as ``_h_idx``.
     """
 
     nodes: np.ndarray  # (n, 2) float64 positions
@@ -103,7 +111,7 @@ class NetworkInstance:
 
     _xs: np.ndarray = field(init=False, repr=False)
     _ys: np.ndarray = field(init=False, repr=False)
-    _node_cell: np.ndarray = field(init=False, repr=False)
+    _occupancy: np.ndarray = field(init=False, repr=False)
     _h_idx: np.ndarray = field(init=False, repr=False)
     _h_start: np.ndarray = field(init=False, repr=False)
     _hc_idx: np.ndarray = field(init=False, repr=False)
@@ -122,7 +130,8 @@ class NetworkInstance:
 
         coords = np.ascontiguousarray(nodes.T)
         xs, ys = coords
-        node_cell = _ref.grid_cells(xs, ys, g)
+        occupancy = np.bincount(_ref.grid_cells(xs, ys, g), minlength=g * g)
+        occupancy.flags.writeable = False
 
         h_idx = np.asarray(holder_idx)
         h_start = np.asarray(holder_start)
@@ -131,7 +140,8 @@ class NetworkInstance:
         int_start = h_start.ndim == 1 and h_start.dtype.kind in "iu"
         if not (int_start and h_start[:1].tolist() == [0]):
             raise ValueError("holder_start must be a 1-d integer array starting at 0")
-        h_idx = h_idx.astype(np.int64, copy=False)
+        # A copy: the bucket order is written into it below.
+        h_idx = h_idx.astype(np.int64)
         h_start = h_start.astype(np.int64, copy=False)
         sizes = np.diff(h_start)
         if sizes.size and sizes.min() < 0:
@@ -153,22 +163,21 @@ class NetworkInstance:
         # keeps its node order, all in bucket 0; only the larger ones sort,
         # in groups that end where their running holder count passes a
         # multiple of _SORT_BLOCK.
-        hc_idx = h_idx.copy()
         hc_cell = np.zeros_like(h_idx)
         ring = np.flatnonzero(sizes > _ref.RING_MIN_HOLDERS)
         ends = np.cumsum(sizes[ring])
         for group in np.split(ring, np.flatnonzero(np.diff(ends // _SORT_BLOCK)) + 1):
             if group.size:
-                _sort_buckets(xs, ys, h_idx, h_start, sizes, group, hc_idx, hc_cell)
+                _sort_buckets(xs, ys, h_idx, h_start, sizes, group, hc_cell)
 
         object.__setattr__(self, "nodes", coords.T)
-        object.__setattr__(self, "base_stations", bs)
+        object.__setattr__(self, "base_stations", np.ascontiguousarray(bs.T).T)
         object.__setattr__(self, "_xs", xs)
         object.__setattr__(self, "_ys", ys)
-        object.__setattr__(self, "_node_cell", node_cell)
+        object.__setattr__(self, "_occupancy", occupancy)
         object.__setattr__(self, "_h_idx", h_idx)
         object.__setattr__(self, "_h_start", h_start)
-        object.__setattr__(self, "_hc_idx", hc_idx)
+        object.__setattr__(self, "_hc_idx", h_idx)
         object.__setattr__(self, "_hc_cell", hc_cell)
 
     @classmethod
@@ -193,11 +202,20 @@ class NetworkInstance:
 
     @cached_property
     def holders(self) -> tuple[np.ndarray, ...]:
-        """Per-content holder lists, as read-only views of ``_h_idx``."""
-        idx = self._h_idx.view()
-        idx.flags.writeable = False
+        """Per-content holder lists, ascending, as read-only views of one array.
+
+        ``_h_idx`` keeps a ring-searched content in bucket order, so the
+        keys ``content·n + node`` are sorted once, as in
+        :func:`_draw_holder_sets`, and taken mod n.
+        """
+        sizes = np.diff(self._h_start)
+        key = np.repeat(np.arange(sizes.size, dtype=np.int64) * self.n, sizes)
+        key += self._h_idx
+        key.sort()
+        key %= self.n
+        key.flags.writeable = False
         bounds = self._h_start.tolist()
-        return tuple(idx[lo:hi] for lo, hi in zip(bounds, bounds[1:]))
+        return tuple(key[lo:hi] for lo, hi in zip(bounds, bounds[1:]))
 
     @property
     def n(self) -> int:
@@ -208,8 +226,8 @@ class NetworkInstance:
         return self._h_start.size - 1
 
     def cell_occupancy(self) -> np.ndarray:
-        """Node count per cell (length g², row-major)."""
-        return np.bincount(self._node_cell, minlength=self.grid.side**2)
+        """Node count per cell (length g², row-major), read-only."""
+        return self._occupancy
 
 
 # The constructor sorts the holders of the ring-searched contents in groups
@@ -217,16 +235,17 @@ class NetworkInstance:
 _SORT_BLOCK = 1 << 14
 
 
-def _sort_buckets(xs, ys, h_idx, h_start, sizes, group, hc_idx, hc_cell) -> None:
-    """Write the bucket order of the contents ``group`` into ``hc_idx``/``hc_cell``.
+def _sort_buckets(xs, ys, h_idx, h_start, sizes, group, hc_cell) -> None:
+    """Sort the holders of the contents ``group`` into bucket order, in place
+    in ``h_idx``, and write their buckets into ``hc_cell``.
 
     Each holder's bucket lies on its content's own grid (side
     ``_ref.grid_sides``).  One ``np.sort`` of the packed key ``(grid offset
     + bucket) * total + j``, ``j`` the holder's place in the group, orders
-    the group by content, then bucket, then node: a holder list ascends, so
-    ``j`` breaks ties in node order, as a stable sort would.  The grids lie
-    one after another and hold at most ``total`` buckets, so each content
-    keeps its own span of places.
+    the group by content, then bucket, then node: a holder list ascends on
+    entry, so ``j`` breaks ties in node order, as a stable sort would.  The
+    grids lie one after another and hold at most ``total`` buckets, so each
+    content keeps its own span of places.
     """
     k = sizes[group]
     side = _ref.grid_sides(k)
@@ -241,7 +260,7 @@ def _sort_buckets(xs, ys, h_idx, h_start, sizes, group, hc_idx, hc_cell) -> None
     key *= total
     key += np.arange(total)
     key.sort()
-    hc_idx[pos] = node[key % total]
+    h_idx[pos] = node[key % total]
     key //= total
     key -= grid0
     hc_cell[pos] = key

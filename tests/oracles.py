@@ -351,7 +351,8 @@ def bucket_order_by_argsort(xs, ys, h_idx, h_start):
     """``(hc_idx, hc_cell)`` as ``NetworkInstance`` built them before it
     sorted only the ring-searched contents: each holder's bucket on its
     content's own grid, every content's, and one stable argsort of the key
-    ``grid offset + bucket``, which keeps each bucket in node order."""
+    ``grid offset + bucket``, which keeps each bucket in node order when
+    ``h_idx`` ascends within each content."""
     from ccnscale._kernels import _ref
 
     h_idx = np.asarray(h_idx, dtype=np.int64)

@@ -449,16 +449,19 @@ class TestTraceBatchParity:
         _assert_trace_equal(inst, req)
 
     def test_strided_views_accepted(self):
-        # base_stations[:, 0] is a strided column view; the compiled
-        # backend must copy it rather than reinterpret the buffer.
+        # The columns of a row-major (b, 2) array are strided views; the
+        # compiled backend must copy them rather than reinterpret the buffer.
         cfg = NetworkConfig(
             n=500, alpha=0.8, beta=0.8, mode=Mode.HETEROGENEOUS, f=9.0, seed=5
         )
         allocation = np.zeros(cfg.M, dtype=np.int64)  # BS-only service
         inst = sim.build_instance(cfg, allocation, seed=6)
         req = sim.draw_requests(inst, cfg.popularity(), seed=7)
-        hf, lf, sf = _fast.trace_batch(*sim._trace_args(inst, req))
-        hr, lr, sr = _ref.trace_batch(*sim._trace_args(inst, req))
+        bs = np.ascontiguousarray(inst.base_stations)
+        assert not bs[:, 0].flags.c_contiguous
+        args = (*sim._trace_args(inst, req)[:-2], bs[:, 0], bs[:, 1])
+        hf, lf, sf = _fast.trace_batch(*args)
+        hr, lr, sr = _ref.trace_batch(*args)
         np.testing.assert_array_equal(hf, hr)
         np.testing.assert_array_equal(lf, lr)
         np.testing.assert_array_equal(sf, sr)

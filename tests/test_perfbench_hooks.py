@@ -11,6 +11,7 @@ from __future__ import annotations
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from ccnscale import _kernels, sim
@@ -55,6 +56,43 @@ def test_backend_parity(bench):
     status, detail = run.backend_parity()
     want = "unchecked" if _kernels.get_backend() == "python" else "passed"
     assert status == want, detail
+
+
+def test_backend_parity_passes_the_package_kernel_arguments(bench, monkeypatch):
+    # run.py builds the kernel's argument tuple itself; it must stay the one
+    # sim._trace_args builds from the same instance and requests.
+    run, _ = bench
+    if _kernels.get_backend() == "python":
+        pytest.skip("parity compares nothing with only the python backend")
+    made, calls = [], []
+
+    def build_instance(*args, **kwargs):
+        made.append(build(*args, **kwargs))
+        return made[-1]
+
+    def draw_requests(*args, **kwargs):
+        made.append(draw(*args, **kwargs))
+        return made[-1]
+
+    def trace_batch(*args):
+        calls.append(args)
+        return trace(*args)
+
+    build, draw, trace = sim.build_instance, sim.draw_requests, _kernels.trace_batch
+    monkeypatch.setattr(sim, "build_instance", build_instance)
+    monkeypatch.setattr(sim, "draw_requests", draw_requests)
+    monkeypatch.setattr(_kernels, "trace_batch", trace_batch)
+    assert run.backend_parity()[0] == "passed"
+    assert len(calls) == 2 and len(made) == 4
+    for got, inst, req in zip(calls, made[::2], made[1::2]):
+        want = sim._trace_args(inst, req)
+        assert len(got) == len(want)
+        assert got[2] == want[2]  # the grid side
+        for k in (0, 1, 3, 4, 5, 6, 7):
+            assert got[k] is want[k], k
+        # The station columns are views made on each call.
+        for a, b in zip(got[8:], want[8:]):
+            assert a.flags.c_contiguous and np.array_equal(a, b)
 
 
 def test_probe_checks_pass_on_a_small_trial(bench):

@@ -246,20 +246,38 @@ class TestBuildInstance:
                 _manual_instance(nodes, holders, g=2)
 
     def test_drawn_arrays_equal_those_of_the_holder_lists(self):
-        # Contents on more than half the nodes (50, 40, 26), on none, and
-        # on exactly half (25, drawn directly).
-        cfg = NetworkConfig(n=50, alpha=1.0, beta=0.5)
-        counts = [50, 40, 0, 26, 25, 3, 0, 1]
+        # Contents on more than half the nodes (200, 160, 101), on none, and
+        # on exactly half (100, drawn directly); those of more than 64
+        # holders are stored in bucket order, and ``holders`` gives them
+        # back ascending.
+        cfg = NetworkConfig(n=200, alpha=1.0, beta=0.5)
+        counts = [200, 160, 0, 101, 100, 65, 64, 3, 0, 1]
+        counts += [0] * (cfg.M - len(counts))
         inst = sim.build_instance(cfg, counts, seed=4)
+        assert inst._hc_idx is inst._h_idx
         assert [len(h) for h in inst.holders] == counts
+        for h in inst.holders:
+            assert not h.flags.writeable and (np.diff(h) > 0).all()
         ref = sim.NetworkInstance.from_holders(
             inst.nodes, inst.base_stations, inst.holders, inst.grid, inst.schedule
         )
-        names = ("_xs", "_ys", "_node_cell", "_h_idx", "_h_start", "_hc_idx", "_hc_cell")
-        for name in names:
+        for name in ("_xs", "_ys", "_occupancy", "_h_idx", "_h_start", "_hc_cell"):
             np.testing.assert_array_equal(getattr(ref, name), getattr(inst, name))
+        assert all(np.array_equal(x, y) for x, y in zip(ref.holders, inst.holders))
         with pytest.raises(ValueError, match="read-only"):
             inst.holders[0][0] = 1
+
+    def test_station_columns_are_contiguous(self):
+        cfg = NetworkConfig(
+            n=300, alpha=0.8, beta=0.6, mode=Mode.HETEROGENEOUS, mu=0.5
+        )
+        inst = sim.build_instance(cfg, np.ones(cfg.M, dtype=np.int64), seed=2)
+        rng = np.random.default_rng(2)  # the nodes are drawn first
+        rng.random((cfg.n, 2))
+        drawn = rng.random((cfg.base_station_count, 2))
+        np.testing.assert_array_equal(inst.base_stations, drawn)
+        assert inst.base_stations.T.flags.c_contiguous
+        assert inst.base_stations[:, 0].flags.c_contiguous
 
     @pytest.mark.parametrize(
         "start, match",
@@ -317,25 +335,29 @@ class TestBuildInstance:
         inst = _manual_instance(nodes, holders, g=g)
 
         sizes = [len(h) for h in holders]
-        flat = [i for h in holders for i in h]
         assert inst._h_start.tolist() == np.cumsum([0, *sizes]).tolist()
-        assert inst._h_idx.tolist() == flat
-        cell = np.array([r * g + c for r, c in map(inst.grid.cell_of, nodes)])
-        np.testing.assert_array_equal(inst._node_cell, cell)
+        assert inst._hc_idx is inst._h_idx
+        assert [h.tolist() for h in inst.holders] == holders
+        cell = [r * g + c for r, c in map(inst.grid.cell_of, nodes)]
+        occ = inst.cell_occupancy()
+        assert not occ.flags.writeable and occ.sum() == n
+        np.testing.assert_array_equal(occ, np.bincount(cell, minlength=g * g))
         for m, held in enumerate(holders):
-            # Content m's own grid: side floor(sqrt(k)) for k > 64 holders.
+            # Content m's own grid: side floor(sqrt(k)) for k > 64 holders,
+            # whose holders are sorted by bucket, then node; a smaller
+            # content's stay ascending, all in bucket 0.
             side = math.isqrt(len(held)) if len(held) > 64 else 1
             rc = {i: CellGrid(side).cell_of(nodes[i]) for i in held}
             lo, hi = inst._h_start[m], inst._h_start[m + 1]
-            seg = inst._hc_idx[lo:hi].tolist()
-            assert sorted(seg) == held
+            seg = inst._h_idx[lo:hi].tolist()
             assert seg == sorted(held, key=lambda i: (rc[i], i))
             buckets = [r * side + c for r, c in map(rc.get, seg)]
             assert inst._hc_cell[lo:hi].tolist() == buckets
 
 
 def _assert_bucket_order_of_argsort(inst):
-    hc_idx, hc_cell = bucket_order_by_argsort(inst._xs, inst._ys, inst._h_idx, inst._h_start)
+    held = np.concatenate((np.zeros(0, dtype=np.int64), *inst.holders))
+    hc_idx, hc_cell = bucket_order_by_argsort(inst._xs, inst._ys, held, inst._h_start)
     for name, want in (("_hc_idx", hc_idx), ("_hc_cell", hc_cell)):
         got = getattr(inst, name)
         assert got.dtype == np.int64
@@ -512,15 +534,17 @@ class TestMemory:
         peak = self._peak(
             lambda: sim.NetworkInstance(nodes, np.zeros((0, 2)), idx, start, grid, schedule)
         )
-        # What the instance keeps beyond its inputs: the coordinates and
-        # node cells (3n), the holders in bucket order with their buckets
-        # (2H).  Then the holder counts (M), and one sort group at a time:
-        # about ten int64 arrays of its holders, at most _SORT_BLOCK plus
-        # the largest content's.  The all-holder argsort peaked at about
-        # 10n here, 74.4 MiB.
+        # The coordinates (2n) and, while the nodes are counted per cell,
+        # the three n-sized temporaries of grid_cells (3n).  Or, while the
+        # holders sort, what the instance keeps beyond its inputs: the
+        # coordinates (2n), the holders in bucket order with their buckets
+        # (2H), the holder counts (M), and one sort group at a time: about
+        # ten int64 arrays of its holders, at most _SORT_BLOCK plus the
+        # largest content's.  The all-holder argsort peaked at about 10n
+        # here, 74.4 MiB.
         n, h, m = cfg.n, int(counts.sum()), cfg.M
         group = 10 * (sim._SORT_BLOCK + int(counts.max()))
-        assert peak <= 8 * (3 * n + 2 * h + m) + 8 * group + self._SLACK
+        assert peak <= 8 * max(5 * n, 2 * n + 2 * h + m + group) + self._SLACK
 
     def test_request_draw_peak(self):
         cfg = NetworkConfig(n=10**6, alpha=0.8, beta=0.9)
@@ -545,11 +569,11 @@ class TestMemory:
             held = tracemalloc.get_traced_memory()[0] - start
         finally:
             tracemalloc.stop()
-        # The coordinates and node cells (3n), the holders in node and in
-        # bucket order with their buckets (3H), the offsets (M + 1) and the
-        # schedule's slot per cell (g²), each 8 bytes.
+        # The coordinates (2n), one holder array with the holders' buckets
+        # (2H), the offsets (M + 1), each 8 bytes, and the node count and
+        # the schedule's slot per cell (2g², 16 bytes per cell).
         n, h, g = cfg.n, int(counts.sum()), inst.grid.side
-        assert held <= 8 * (3 * n + 3 * h + cfg.M + 1) + 8 * g * g + self._SLACK
+        assert held <= 8 * (2 * n + 2 * h + cfg.M + 1) + 16 * g * g + self._SLACK
 
 
 # More requests than three blocks of the sampler, the last block partial.
