@@ -11,36 +11,36 @@ Two interchangeable implementations of the routing kernel exist:
 Both perform identical floating-point arithmetic and return identical
 results.  The routing rules live only there, in ``trace_one``, which
 routes one request; ``trace_batch`` runs it for every node.  Holders and
-base stations go through one search, ``nearest``, which scans a set of at
-most ``RING_MIN_HOLDERS`` members and searches a larger one ring by ring,
-on a bucket grid of the set's own with about one member per bucket.  Both
-backends read the buckets from one CSR table, built in numpy by
-``_ref.bucket_table`` (holders, from the per-content bucket ids in
-``hc_cell``) and ``_ref.station_layout`` (stations), so a bucket is one
-slice of the member array.  This module exports ``trace_batch`` and
-``RING_MIN_HOLDERS``; the compiled library exports only its entry point,
-``ccn_trace_batch``, and the constant.  A single request is routed by
+base stations go through one search, ``nearest``, on a layout that
+``_ref`` alone builds in numpy (``grid_sides``, ``sort_buckets``,
+``bucket_table``, ``station_layout``): each candidate set has a bucket
+grid of its own, a bucket is one slice of the member array, and a set
+whose grid side is above 1 is searched ring by ring, a smaller one
+scanned.  This module exports ``trace_batch``, and ``_ref``'s
+``RING_MIN_HOLDERS`` for the benchmark; the compiled library exports only
+its entry point, ``ccn_trace_batch``.  A single request is routed by
 ``_ref.trace_one`` whichever backend is active (``sim.trace_request``).
 The helpers (``segment_cells``, ``nearest_linear``, ``nearest_ring``,
-``grid_sides``, ``grid_cells``, ``bucket_table``, ``station_layout``)
-are exposed only by ``_ref``.  The compiled backend is preferred when it
-loads; otherwise the dispatcher falls back to ``_ref`` and records why in
-:data:`BACKEND_REASON` (``""`` while the compiled backend is active).  Set
-the environment variable ``CCNSCALE_BACKEND`` to ``python`` or
-``compiled`` to force one (forcing ``compiled`` raises ImportError with
-the reason if it cannot load).
+``grid_cells`` and the layout functions) are exposed only by ``_ref``.
+
+The compiled backend is preferred when it loads; otherwise the dispatcher
+falls back to ``_ref`` and records why in :data:`BACKEND_REASON` (``""``
+while the compiled backend is active).  Set the environment variable
+``CCNSCALE_BACKEND`` to ``python`` or ``compiled`` to force one (forcing
+``compiled`` raises ImportError with the reason if it cannot load).
 """
 
 from __future__ import annotations
 
 import os
 
+from . import _ref
+
 _forced = os.environ.get("CCNSCALE_BACKEND", "").strip().lower()
 
 BACKEND_REASON: str = ""
 if _forced == "python":
-    from . import _ref as _impl
-
+    _impl = _ref
     BACKEND_REASON = "forced by CCNSCALE_BACKEND=python"
 elif _forced in ("", "compiled"):
     try:
@@ -48,8 +48,7 @@ elif _forced in ("", "compiled"):
     except ImportError as exc:
         if _forced == "compiled":
             raise ImportError(f"CCNSCALE_BACKEND=compiled: {exc}") from exc
-        from . import _ref as _impl  # type: ignore[no-redef]
-
+        _impl = _ref  # type: ignore[assignment]
         BACKEND_REASON = str(exc)
 else:
     raise RuntimeError(
@@ -57,7 +56,7 @@ else:
     )
 
 BACKEND_NAME: str = _impl.BACKEND_NAME
-RING_MIN_HOLDERS: int = _impl.RING_MIN_HOLDERS
+RING_MIN_HOLDERS: int = _ref.RING_MIN_HOLDERS
 trace_batch = _impl.trace_batch
 
 

@@ -3,18 +3,17 @@
 ``trace.c`` is a C99 port of ``_ref.py`` that performs the same IEEE-754
 double arithmetic in the same order, so both backends return bit-identical
 results.  Every routing rule lives there.  The library exports one entry
-point, ``ccn_trace_batch``, behind :func:`trace_batch`, and the constant
-:data:`RING_MIN_HOLDERS`; the helpers it is built from are static in C,
-and only ``_ref`` exposes them.  A single request is routed by
-``_ref.trace_one`` (``sim.trace_request``).  The wrapper below only
-converts arguments to contiguous int64/float64 arrays, checks lengths,
-index ranges and coordinates so that the C code never reads or writes out
-of bounds, and allocates every buffer the kernel uses: the outputs, the
-path buffer and the bucket tables of holders and stations, which
-``_ref.bucket_table`` and ``_ref.station_layout`` build in numpy for both
-backends on each call (``bucket_table`` also rejects a bucket id off its
-content's grid).  The kernel allocates nothing, so a call cannot fail
-once its inputs pass the checks.
+point, ``ccn_trace_batch``, behind :func:`trace_batch`; the helpers it is
+built from are static in C, and only ``_ref`` exposes them.  A single
+request is routed by ``_ref.trace_one`` (``sim.trace_request``).  The
+wrapper below only converts arguments to contiguous int64/float64 arrays,
+checks lengths, index ranges and coordinates so that the C code never
+reads or writes out of bounds, and allocates every buffer the kernel uses:
+the outputs, the path buffer and the bucket tables of holders and
+stations, which ``_ref.bucket_table`` and ``_ref.station_layout`` build in
+numpy for both backends on each call (``bucket_table`` also rejects a
+bucket id off its content's grid).  The kernel allocates nothing, so a
+call cannot fail once its inputs pass the checks.
 
 The shared library lives at ``${XDG_CACHE_HOME:-~/.cache}/ccnscale/<key>/
 trace.so``, where ``key`` is the sha256 of the source, the compile command
@@ -25,7 +24,7 @@ through a temporary file moved into place with ``os.replace``, so
 concurrent first imports are safe.
 
 Nothing is ever written next to the sources.  Any failure, including a
-library that lacks one of the kernel's symbols, raises :class:`ImportError`
+library that lacks the kernel's entry point, raises :class:`ImportError`
 with the reason, and the dispatcher in ``ccnscale._kernels`` falls back to
 the pure-Python backend.
 """
@@ -102,22 +101,7 @@ _F64 = ndpointer(np.float64, ndim=1, flags="C_CONTIGUOUS")
 _I64 = ndpointer(np.int64, ndim=1, flags="C_CONTIGUOUS")
 
 
-def _bind(lib: ctypes.CDLL) -> int:
-    """Declare the kernel's signatures; return ``ccn_ring_min_holders``."""
-    # The holders and their bucket_table, then the stations and their
-    # station_layout.
-    tables = [
-        _I64, _I64, _I64, _I64, _I64, _I64, c_int64, _F64, _F64, c_int64,
-        _I64, _I64,
-    ]
-    lib.ccn_trace_batch.argtypes = [
-        c_int64, _F64, _F64, c_int64, _I64, *tables, _I64, _I64, _I64, _I64,
-    ]
-    lib.ccn_trace_batch.restype = None
-    return c_int64.in_dll(lib, "ccn_ring_min_holders").value
-
-
-def _load() -> tuple[ctypes.CDLL, int]:
+def _load() -> ctypes.CDLL:
     try:
         cc = shlex.split(os.environ.get("CC", "")) or ["cc"]
         source = SOURCE.read_bytes()
@@ -128,13 +112,21 @@ def _load() -> tuple[ctypes.CDLL, int]:
         _build(cc, path)
     try:
         lib = ctypes.CDLL(str(path))
-        return lib, _bind(lib)
-    except (OSError, AttributeError, ValueError) as exc:
-        # AttributeError/ValueError: a library without a kernel symbol.
+        kernel = lib.ccn_trace_batch
+    except (OSError, AttributeError) as exc:
+        # AttributeError: a library without the kernel's entry point.
         raise ImportError(f"cannot load {path}: {exc}") from None
+    # The nodes and requests; the holders and their bucket_table; the
+    # stations and their station_layout; the path buffer and the outputs.
+    kernel.argtypes = [
+        c_int64, _F64, _F64, c_int64, _I64, _I64, _I64, _I64, _I64, _I64, _I64,
+        c_int64, _F64, _F64, c_int64, _I64, _I64, _I64, _I64, _I64, _I64,
+    ]
+    kernel.restype = None
+    return lib
 
 
-_lib, RING_MIN_HOLDERS = _load()
+_lib = _load()
 
 
 def _coords(values, name: str) -> np.ndarray:

@@ -1,10 +1,16 @@
 """Pure-Python kernel backend, and the reference for the compiled one.
 
-``trace.c`` (loaded by ``_fast``) ports this file operation for operation:
-both backends perform the same IEEE-754 double arithmetic in the same
-order, so results (cell lists, nearest indices, hop counts, per-cell loads)
-are bit-identical whichever backend is active.  Keep the two files in
-lockstep.
+``trace.c`` (loaded by ``_fast``) ports the routing in this file operation
+for operation: both backends perform the same IEEE-754 double arithmetic
+in the same order, so results (cell lists, nearest indices, hop counts,
+per-cell loads) are bit-identical whichever backend is active.  Keep the
+two files in lockstep.
+
+This module alone builds the layout of every candidate set the kernels
+search, holders and stations (:func:`grid_sides`, :func:`sort_buckets`,
+:func:`bucket_table`, :func:`station_layout`).  Both kernels read only its
+grid side: a set whose grid side is above 1 is searched ring by ring, and
+a set of one bucket is scanned.
 """
 
 from __future__ import annotations
@@ -15,10 +21,12 @@ import numpy as np
 
 BACKEND_NAME = "python"
 
-# Contents with more holders than this are looked up via expanding-ring
-# search over grid buckets; smaller sets are scanned linearly.  Both
-# strategies return identical results; this only trades speed.
+# A set of more members than this gets a grid side above 1 (grid_sides).
+# The ring search and the scan give the same winner; this trades speed.
 RING_MIN_HOLDERS = 64
+# sort_buckets sorts groups of about this many members, and the instance
+# counts its nodes per cell in blocks of this many, to bound temporaries.
+BLOCK = 1 << 14
 
 # The walk works in cell units with FIX_BITS fraction bits, as integers:
 # a coordinate x becomes floor(x * g * 2**FIX_BITS).  Grid sides stay below
@@ -215,13 +223,12 @@ def nearest(
 ):
     """Nearest member of one candidate set, seeded with ``(best_i, best_d2)``.
 
-    A set with more than ``RING_MIN_HOLDERS`` members is searched by
-    :func:`nearest_ring` over its buckets ``idx``/``tab`` from ``base``, on
-    its grid of side ``g``; a smaller one is scanned by
-    :func:`nearest_linear` over ``cand[lo:hi]``, which holds the same
-    members.  Both give the same winner.
+    A set on a grid of side ``g > 1`` is searched by :func:`nearest_ring`
+    over its buckets ``idx``/``tab`` from ``base``; a set of one bucket is
+    scanned by :func:`nearest_linear` over ``cand[lo:hi]``, which holds
+    the same members.  Both give the same winner.
     """
-    if hi - lo > RING_MIN_HOLDERS:
+    if g > 1:
         return nearest_ring(
             px, py, xs, ys, idx, tab, base, g, exclude, best_i, best_d2, offset,
         )
@@ -233,10 +240,10 @@ def nearest(
 def grid_sides(sizes) -> np.ndarray:
     """Side of each candidate set's bucket grid, as int64.
 
-    A set of ``k > RING_MIN_HOLDERS`` members, which :func:`nearest`
-    searches ring by ring, gets a grid of side ``floor(sqrt(k))``, so that
-    a bucket holds about one member (the cell size of Bentley, Weide &
-    Yao); a smaller set, which is scanned, gets side 1.
+    A set of ``k > RING_MIN_HOLDERS`` members gets a grid of side
+    ``floor(sqrt(k))``, at least 8, so that a bucket holds about one
+    member (the cell size of Bentley, Weide & Yao), and :func:`nearest`
+    searches it ring by ring; a smaller set gets side 1 and is scanned.
     """
     sizes = np.asarray(sizes, dtype=np.int64)
     # The float square root floors exactly for sizes below 2**52.
@@ -298,18 +305,59 @@ def bucket_table(start, cell):
     return side, base, tab
 
 
+def sort_buckets(xs, ys, idx, start) -> np.ndarray:
+    """Sort every set's members into bucket order, in place in ``idx``, and
+    return their bucket ids, int64 and aligned with ``idx``.
+
+    Set ``m`` is ``idx[start[m]:start[m + 1]]``, ascending indices into
+    ``xs``/``ys``, on its grid of the side :func:`grid_sides` gives.  A set
+    of one bucket keeps its order, all in bucket 0.  The others sort in
+    groups that end where their running member count passes a multiple of
+    ``BLOCK``, by one ``np.sort`` of the key ``(grid offset + bucket) *
+    total + j``, ``j`` the member's place in the group: by set, bucket and
+    index, as a stable sort by bucket would order them.  The grids hold at
+    most ``total`` buckets, so each set keeps its own span of keys.
+    """
+    xs, ys = np.asarray(xs, dtype=np.float64), np.asarray(ys, dtype=np.float64)
+    start = np.asarray(start, dtype=np.int64)
+    sizes = np.diff(start)
+    sets = np.flatnonzero(grid_sides(sizes) > 1)
+    cell = np.zeros(len(idx), dtype=np.int64)
+    ends = np.cumsum(sizes[sets])
+    for group in np.split(sets, np.flatnonzero(np.diff(ends // BLOCK)) + 1):
+        if not group.size:
+            continue
+        k = sizes[group]
+        side = grid_sides(k)
+        total = int(k.sum())
+        pos = np.repeat(start[group] - (np.cumsum(k) - k), k)
+        pos += np.arange(total)
+        member = idx[pos]
+        key = grid_cells(xs[member], ys[member], np.repeat(side, k))
+        grid0 = np.repeat(np.cumsum(side * side) - side * side, k)
+        key += grid0
+        key *= total
+        key += np.arange(total)
+        key.sort()
+        idx[pos] = member[key % total]
+        key //= total
+        key -= grid0
+        cell[pos] = key
+    return cell
+
+
 def station_layout(bs_x, bs_y):
     """The stations' bucket layout, which both backends search.
 
-    Returns ``(side, idx, tab)``: the grid side that :func:`grid_sides`
-    gives ``b`` stations, the station indices sorted by (bucket, index) as
-    int64, and the :func:`bucket_table` of that one set, so bucket ``c``
-    holds the stations ``idx[tab[c]:tab[c + 1]]``.
+    The stations form one set, laid out by :func:`sort_buckets`.  Returns
+    ``(side, idx, tab)``: its grid side, the station indices sorted by
+    (bucket, index) as int64, and the :func:`bucket_table` of that set, so
+    bucket ``c`` holds the stations ``idx[tab[c]:tab[c + 1]]``.
     """
-    side = int(grid_sides([len(bs_x)])[0])
-    cells = grid_cells(bs_x, bs_y, side)
-    idx = np.argsort(cells, kind="stable").astype(np.int64, copy=False)
-    return side, idx, bucket_table([0, len(idx)], cells[idx])[2]
+    idx = np.arange(len(bs_x), dtype=np.int64)
+    start = [0, idx.size]
+    side, _, tab = bucket_table(start, sort_buckets(bs_x, bs_y, idx, start))
+    return int(side[0]), idx, tab
 
 
 def trace_one(xs, ys, g, requester, m, h_idx, h_start, hc_idx, hc_cell, bs_x, bs_y):

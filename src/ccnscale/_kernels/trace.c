@@ -12,15 +12,16 @@
  * _ref.bucket_table: each candidate set has a grid of its own, of side
  * side[m], and its bucket c is the slice idx[tab[base[m] + c] ..
  * tab[base[m] + c + 1]), so a ring search reads each bucket it visits as
- * one slice.
+ * one slice.  _ref lays out every set; the kernel reads only the grid
+ * side, and searches a set ring by ring when its side is above 1.
  *
- * The library exports one entry point, ccn_trace_batch, and the constant
- * ccn_ring_min_holders; every helper is static.  sim.trace_request routes
- * a single request with _ref.trace_one.  Inputs are trusted: the ctypes
- * binding in _fast.py checks array lengths, index ranges and coordinates
- * before calling in.  The binding passes every buffer, the bucket tables
- * of holders and stations (_ref.bucket_table, _ref.station_layout) and
- * the path buffer included; the kernel allocates nothing.
+ * The library exports one entry point, ccn_trace_batch; every helper is
+ * static.  sim.trace_request routes a single request with _ref.trace_one.
+ * Inputs are trusted: the ctypes binding in _fast.py checks array lengths,
+ * index ranges and coordinates before calling in.  The binding passes
+ * every buffer, the bucket tables of holders and stations
+ * (_ref.bucket_table, _ref.station_layout) and the path buffer included;
+ * the kernel allocates nothing.
  */
 
 #include <math.h>
@@ -28,11 +29,6 @@
 
 typedef int64_t i64;
 typedef __int128 i128;
-
-/* Contents with more holders than this are looked up via expanding-ring
- * search over grid buckets; smaller sets are scanned linearly.  Both
- * strategies return identical results; this only trades speed. */
-const i64 ccn_ring_min_holders = 64;
 
 /* The walk works in cell units with FIX_BITS fraction bits, as integers
  * (see _ref.FIX_BITS).  The binding keeps g below _ref.MAX_GRID_SIDE =
@@ -200,16 +196,15 @@ static inline void nearest_ring(double px, double py, const double *xs,
 }
 
 /* Nearest member of one candidate set (see _ref.nearest): the ring search
- * over its buckets idx/tab from base, on its grid of side g, when the set
- * has more than ccn_ring_min_holders members, else a linear scan of
- * cand[lo:hi], which holds the same members. */
+ * over its buckets idx/tab from base when its grid side g is above 1, else
+ * a linear scan of cand[lo:hi], which holds the same members. */
 static inline void nearest(double px, double py, const double *xs,
                            const double *ys, const i64 *cand, const i64 *idx,
                            const i64 *tab, i64 base, i64 lo, i64 hi, i64 g,
                            i64 exclude, i64 offset, i64 *best_i,
                            double *best_d2, int *saw)
 {
-    if (hi - lo > ccn_ring_min_holders)
+    if (g > 1)
         nearest_ring(px, py, xs, ys, idx, tab, base, g, exclude, offset,
                      best_i, best_d2, saw);
     else
@@ -263,12 +258,13 @@ static inline i64 trace_one(i64 n, const double *xs, const double *ys,
  *
  * A holder search starts with a chain of dependent loads from scattered
  * places: h_start[m], then the holder slice, h_side[m] and h_base[m], then
- * the coordinates of the holders a linear scan reads.  The loop requests
- * each link a few requests ahead (group prefetching, Chen, Ailamaki,
- * Gibbons & Mowry, ICDE 2004), once the link before it has had time to
- * arrive.  __builtin_prefetch is a cache hint only: it does no arithmetic
- * and changes no result, so _ref.py has nothing to mirror, and it never
- * faults (h_idx + h_start[m] may point one past the end of h_idx). */
+ * the coordinates of the holders a linear scan reads (a content of one
+ * bucket, h_side[m] == 1).  The loop requests each link a few requests
+ * ahead (group prefetching, Chen, Ailamaki, Gibbons & Mowry, ICDE 2004),
+ * once the link before it has had time to arrive.  __builtin_prefetch is
+ * a cache hint only: it does no arithmetic and changes no result, so
+ * _ref.py has nothing to mirror, and it never faults (h_idx + h_start[m]
+ * may point one past the end of h_idx). */
 void ccn_trace_batch(i64 n, const double *xs, const double *ys, i64 g,
                      const i64 *req, const i64 *h_idx, const i64 *h_start,
                      const i64 *hc_idx, const i64 *h_side, const i64 *h_base,
@@ -287,9 +283,9 @@ void ccn_trace_batch(i64 n, const double *xs, const double *ys, i64 g,
             __builtin_prefetch(&h_base[m]);
         }
         if (i + 4 < n) {
-            i64 m = req[i + 4], lo = h_start[m], hi = h_start[m + 1];
-            if (hi - lo <= ccn_ring_min_holders) {
-                for (i64 k = lo; k < hi; k++) {
+            i64 m = req[i + 4];
+            if (h_side[m] == 1) {
+                for (i64 k = h_start[m], hi = h_start[m + 1]; k < hi; k++) {
                     __builtin_prefetch(&xs[h_idx[k]]);
                     __builtin_prefetch(&ys[h_idx[k]]);
                 }

@@ -752,7 +752,7 @@ def _self_checks() -> list[tuple[str, bool, str]]:
     else:
         if _kernels.BACKEND_REASON:
             active += f": {_kernels.BACKEND_REASON}"
-        # 20 and 95 base stations, on either side of RING_MIN_HOLDERS: the
+        # 20 and 95 base stations, on one bucket and on a grid of side 9: the
         # linear and the ring station search.  The other instances hold at
         # most 40 copies of a content; n = 910 is the smallest ad hoc one
         # whose requests reach a content with more: the holder ring search.

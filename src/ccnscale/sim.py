@@ -11,13 +11,12 @@ An instance stores each content's holder set once, in the CSR arrays
 that the kernel reads (one index array, content-major, and one offset
 per content), the node coordinates once, as one (2, n) array, the
 station coordinates as one (2, b) array, and the node count per cell.
-Within a content the holders ascend, unless the content has more than
-``RING_MIN_HOLDERS`` holders: the kernel searches those ring by ring, and
-the constructor sorts their holders into buckets in place, a group of
-contents at a time.  Requests are drawn by inverting the
-popularity CDF on sorted blocks of uniforms, bit-identical to
-``Generator.choice``.  Both keep their transient arrays to a few blocks
-beyond what they return.
+The kernel's reference, ``_kernels._ref``, lays out each content's holders
+(``sort_buckets``): they stay ascending in a content of one bucket and
+are sorted into buckets, in place, in a content searched ring by ring.
+Requests are drawn by inverting the popularity CDF on sorted blocks of
+uniforms, bit-identical to ``Generator.choice``.  Both keep their
+transient arrays to a few blocks beyond what they return.
 
 Routing and load accounting run in a kernel backend (compiled when
 available, pure Python otherwise; bit-identical results), which holds
@@ -89,16 +88,13 @@ class NetworkInstance:
     holds the node count per cell.
 
     Each content has a bucket grid of its own, of the side
-    ``_kernels._ref.grid_sides`` gives its holder count: about one holder
-    per bucket for a content searched ring by ring (more than
-    ``RING_MIN_HOLDERS`` holders), one bucket for a smaller one.
-    ``_hc_cell[j]`` is the flat bucket id ``row * side + col`` of node
-    ``_h_idx[j]`` on its content's grid, and the kernel turns these ids
-    into its bucket table (``_kernels._ref.bucket_table``).  A content with
-    one bucket keeps its holders in node order; the holders of a content
-    searched ring by ring are sorted by bucket, then node, in place, in
-    groups of about ``_SORT_BLOCK`` holders.  The kernel reads both the
-    linear scan's and the ring search's holders from this one array, and
+    ``_kernels._ref.grid_sides`` gives its holder count, and
+    ``_kernels._ref.sort_buckets`` sorts its holders by bucket, then node,
+    in place; a content of one bucket keeps its node order.  ``_hc_cell[j]``
+    is the flat bucket id ``row * side + col`` of node ``_h_idx[j]`` on its
+    content's grid, and the kernel turns these ids into its bucket table
+    (``_kernels._ref.bucket_table``).  The kernel reads both the linear
+    scan's and the ring search's holders from this one array, and
     ``_hc_idx`` is the same object as ``_h_idx``.
     """
 
@@ -130,7 +126,11 @@ class NetworkInstance:
 
         coords = np.ascontiguousarray(nodes.T)
         xs, ys = coords
-        occupancy = np.bincount(_ref.grid_cells(xs, ys, g), minlength=g * g)
+        # Counted a block of nodes at a time, so the cell ids stay small.
+        occupancy = np.zeros(g * g, dtype=np.int64)
+        for lo in range(0, n, _ref.BLOCK):
+            cell = _ref.grid_cells(*coords[:, lo:lo + _ref.BLOCK], g)
+            occupancy += np.bincount(cell, minlength=g * g)
         occupancy.flags.writeable = False
 
         h_idx = np.asarray(holder_idx)
@@ -157,18 +157,8 @@ class NetworkInstance:
         if not ok.all():
             m = np.searchsorted(h_start, ok.argmin(), side="right") - 1
             raise ValueError(f"content {m}: holders must strictly ascend in [0, {n})")
-        del ok
-
-        # A content of at most RING_MIN_HOLDERS holders has one bucket, so it
-        # keeps its node order, all in bucket 0; only the larger ones sort,
-        # in groups that end where their running holder count passes a
-        # multiple of _SORT_BLOCK.
-        hc_cell = np.zeros_like(h_idx)
-        ring = np.flatnonzero(sizes > _ref.RING_MIN_HOLDERS)
-        ends = np.cumsum(sizes[ring])
-        for group in np.split(ring, np.flatnonzero(np.diff(ends // _SORT_BLOCK)) + 1):
-            if group.size:
-                _sort_buckets(xs, ys, h_idx, h_start, sizes, group, hc_cell)
+        del ok, sizes
+        hc_cell = _ref.sort_buckets(xs, ys, h_idx, h_start)
 
         object.__setattr__(self, "nodes", coords.T)
         object.__setattr__(self, "base_stations", np.ascontiguousarray(bs.T).T)
@@ -228,42 +218,6 @@ class NetworkInstance:
     def cell_occupancy(self) -> np.ndarray:
         """Node count per cell (length g², row-major), read-only."""
         return self._occupancy
-
-
-# The constructor sorts the holders of the ring-searched contents in groups
-# of about this many, so its transient arrays stay a few blocks in size.
-_SORT_BLOCK = 1 << 14
-
-
-def _sort_buckets(xs, ys, h_idx, h_start, sizes, group, hc_cell) -> None:
-    """Sort the holders of the contents ``group`` into bucket order, in place
-    in ``h_idx``, and write their buckets into ``hc_cell``.
-
-    Each holder's bucket lies on its content's own grid (side
-    ``_ref.grid_sides``).  One ``np.sort`` of the packed key ``(grid offset
-    + bucket) * total + j``, ``j`` the holder's place in the group, orders
-    the group by content, then bucket, then node: a holder list ascends on
-    entry, so ``j`` breaks ties in node order, as a stable sort would.  The
-    grids lie one after another and hold at most ``total`` buckets, so each
-    content keeps its own span of places.
-    """
-    k = sizes[group]
-    side = _ref.grid_sides(k)
-    total = int(k.sum())
-    first = np.cumsum(k) - k
-    pos = np.repeat(h_start[group] - first, k)
-    pos += np.arange(total)
-    node = h_idx[pos]
-    key = _ref.grid_cells(xs[node], ys[node], np.repeat(side, k))
-    grid0 = np.repeat(np.cumsum(side * side) - side * side, k)
-    key += grid0
-    key *= total
-    key += np.arange(total)
-    key.sort()
-    h_idx[pos] = node[key % total]
-    key //= total
-    key -= grid0
-    hc_cell[pos] = key
 
 
 def _holder_arrays(holders) -> tuple[np.ndarray, ...]:
@@ -365,9 +319,8 @@ def build_instance(
     instead).  Each holder set is a uniform ``allocation[m]``-subset,
     independent across contents.  A seed replay is bit-identical, and a
     heterogeneous run with zero base stations consumes exactly the same
-    stream as an ad hoc one.  The instance then sorts the holders of each
-    content with more than ``RING_MIN_HOLDERS`` of them into buckets (see
-    :class:`NetworkInstance`); the rest keep their node order.
+    stream as an ad hoc one.  The instance then sorts each content's
+    holders into its buckets (see :class:`NetworkInstance`).
     """
     allocation = np.asarray(allocation, dtype=np.int64)
     if allocation.shape != (cfg.M,):
@@ -643,6 +596,8 @@ def run_trials(
                 concentration_factor=cfg.concentration_factor,
             )
         )
+        # Released before the next trial builds, so one instance is alive at a time.
+        del inst, reqs
 
     return TrialStats(
         trials=trials,

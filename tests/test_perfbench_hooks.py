@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from ccnscale import _kernels, sim
+from ccnscale._kernels import _ref
 from ccnscale.alloc import round_to_integers, solve
 from ccnscale.config import NetworkConfig
 
@@ -93,6 +94,17 @@ def test_backend_parity_passes_the_package_kernel_arguments(bench, monkeypatch):
         # The station columns are views made on each call.
         for a, b in zip(got[8:], want[8:]):
             assert a.flags.c_contiguous and np.array_equal(a, b)
+
+
+def test_probe_counts_searches_by_the_package_rule():
+    # probe.kernel_counts counts a ring search for a content of more than
+    # _kernels.RING_MIN_HOLDERS holders; the kernels search a set ring by
+    # ring when _ref.grid_sides gives it a side above 1.
+    assert _kernels.RING_MIN_HOLDERS is _ref.RING_MIN_HOLDERS
+    sizes = np.arange(10**4 + 1)
+    np.testing.assert_array_equal(
+        sizes > _kernels.RING_MIN_HOLDERS, _ref.grid_sides(sizes) > 1
+    )
 
 
 def test_probe_checks_pass_on_a_small_trial(bench):

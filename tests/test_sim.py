@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ccnscale import _kernels, sim
+from ccnscale._kernels import _ref
 from ccnscale.alloc import round_to_integers, solve
 from ccnscale.config import Mode, NetworkConfig
 from ccnscale.errors import NoHolderError
@@ -376,8 +377,8 @@ class TestBucketOrder:
     @pytest.mark.parametrize("block", [None, 50], ids=["default-groups", "tiny-groups"])
     def test_hand_built_contents(self, monkeypatch, block):
         if block is not None:
-            monkeypatch.setattr(sim, "_SORT_BLOCK", block)
-        assert sum(k for k in self._SIZES if k > 64) > sim._SORT_BLOCK
+            monkeypatch.setattr(_ref, "BLOCK", block)
+        assert sum(k for k in self._SIZES if k > 64) > _ref.BLOCK
         rng = np.random.default_rng(12)
         holders = [np.sort(rng.choice(self._N, size=k, replace=False)) for k in self._SIZES]
         inst = _manual_instance(rng.random((self._N, 2)), holders, g=20)
@@ -496,10 +497,11 @@ class TestHolderDraw:
 
 
 class TestMemory:
-    """Bytes one instance holds, and the transient peaks of the constructor
-    and of the request draw, at the largest sample-config size: n = 10**6,
-    M = 251,189, ad hoc at alpha = 0.8 and heterogeneous at alpha = 1.2,
-    where nearly every holder belongs to a content searched ring by ring."""
+    """Bytes one instance holds, and the transient peaks of the constructor,
+    the request draw and a run of trials, at the largest sample-config
+    size: n = 10**6, M = 251,189, ad hoc at alpha = 0.8 and heterogeneous at
+    alpha = 1.2, where nearly every holder belongs to a content searched
+    ring by ring."""
 
     # Interpreter objects (the instance, its grid and schedule) on top of
     # the arrays; an n-sized int64 array is 8 MB.
@@ -534,17 +536,16 @@ class TestMemory:
         peak = self._peak(
             lambda: sim.NetworkInstance(nodes, np.zeros((0, 2)), idx, start, grid, schedule)
         )
-        # The coordinates (2n) and, while the nodes are counted per cell,
-        # the three n-sized temporaries of grid_cells (3n).  Or, while the
-        # holders sort, what the instance keeps beyond its inputs: the
-        # coordinates (2n), the holders in bucket order with their buckets
-        # (2H), the holder counts (M), and one sort group at a time: about
-        # ten int64 arrays of its holders, at most _SORT_BLOCK plus the
-        # largest content's.  The all-holder argsort peaked at about 10n
-        # here, 74.4 MiB.
-        n, h, m = cfg.n, int(counts.sum()), cfg.M
-        group = 10 * (sim._SORT_BLOCK + int(counts.max()))
-        assert peak <= 8 * max(5 * n, 2 * n + 2 * h + m + group) + self._SLACK
+        # The sort phase holds the most: what the instance keeps beyond its
+        # inputs, the coordinates (2n), the holders in bucket order with
+        # their buckets (2H), the node count per cell (g²), the holder
+        # counts (M), and one sort group at a time, about ten int64 arrays
+        # of its holders, at most _ref.BLOCK plus the largest content's.
+        # The count per cell before it holds 2n + g² and a few blocks of
+        # nodes.
+        n, h, m, g = cfg.n, int(counts.sum()), cfg.M, grid.side
+        group = 10 * (_ref.BLOCK + int(counts.max()))
+        assert peak <= 8 * (2 * n + 2 * h + g * g + m + group) + self._SLACK
 
     def test_request_draw_peak(self):
         cfg = NetworkConfig(n=10**6, alpha=0.8, beta=0.9)
@@ -574,6 +575,20 @@ class TestMemory:
         # the schedule's slot per cell (2g², 16 bytes per cell).
         n, h, g = cfg.n, int(counts.sum()), inst.grid.side
         assert held <= 8 * (2 * n + 2 * h + cfg.M + 1) + 16 * g * g + self._SLACK
+
+    def test_trials_hold_one_instance_at_a_time(self):
+        # Two trials on one seed, so the second repeats the first: it may
+        # add only the first trial's measurement, its hops (n) and loads
+        # (g²), and not the first trial's instance and requests.
+        cfg = NetworkConfig(n=10**6, alpha=0.8, beta=0.9)
+        prob = cfg.problem()
+        counts = round_to_integers(solve(prob), prob)
+        one, two = (
+            self._peak(lambda: sim.run_trials(cfg, counts, seeds=[5] * k))
+            for k in (1, 2)
+        )
+        n, g = cfg.n, CellGrid.from_area(cfg.a).side
+        assert two <= one + 8 * (n + g * g) + self._SLACK
 
 
 # More requests than three blocks of the sampler, the last block partial.
