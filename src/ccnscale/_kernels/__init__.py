@@ -14,13 +14,13 @@ routes one request; ``trace_batch`` runs it for every node.  Holders and
 base stations go through one search, ``nearest``, on a layout that
 ``_ref`` alone builds in numpy (``grid_sides``, ``sort_buckets``,
 ``bucket_table``, ``station_layout``): each candidate set has a bucket
-grid of its own, a bucket is one slice of the member array, and a set
-whose grid side is above 1 is searched ring by ring, a smaller one
-scanned.  This module exports ``trace_batch``, and ``_ref``'s
+grid of its own, a bucket is one slice of the member array, and the
+search visits the buckets ring by ring; a set of one bucket is ring 0 of
+its own grid.  This module exports ``trace_batch``, and ``_ref``'s
 ``RING_MIN_HOLDERS`` for the benchmark; the compiled library exports only
 its entry point, ``ccn_trace_batch``.  A single request is routed by
 ``_ref.trace_one`` whichever backend is active (``sim.trace_request``).
-The helpers (``segment_cells``, ``nearest_linear``, ``nearest_ring``,
+The helpers (``segment_cells``, ``nearest_linear``, ``nearest``,
 ``grid_cells`` and the layout functions) are exposed only by ``_ref``.
 
 The compiled backend is preferred when it loads; otherwise the dispatcher

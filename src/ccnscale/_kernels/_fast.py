@@ -12,7 +12,10 @@ reads or writes out of bounds, and allocates every buffer the kernel uses:
 the outputs, the path buffer and the bucket tables of holders and
 stations, which ``_ref.bucket_table`` and ``_ref.station_layout`` build in
 numpy for both backends on each call (``bucket_table`` also rejects a
-bucket id off its content's grid).  The kernel allocates nothing, so a
+bucket id off its content's grid).  The kernel reads the holders only as
+``hc_idx`` and that table, with one search for every set; ``h_idx`` keeps
+its slot in :func:`trace_batch`'s arguments, which the benchmark builds,
+and is checked but not passed on.  The kernel allocates nothing, so a
 call cannot fail once its inputs pass the checks.
 
 The shared library lives at ``${XDG_CACHE_HOME:-~/.cache}/ccnscale/<key>/
@@ -119,8 +122,8 @@ def _load() -> ctypes.CDLL:
     # The nodes and requests; the holders and their bucket_table; the
     # stations and their station_layout; the path buffer and the outputs.
     kernel.argtypes = [
-        c_int64, _F64, _F64, c_int64, _I64, _I64, _I64, _I64, _I64, _I64, _I64,
-        c_int64, _F64, _F64, c_int64, _I64, _I64, _I64, _I64, _I64, _I64,
+        c_int64, _F64, _F64, c_int64, _I64, _I64, _I64, _I64, _I64, _F64, _F64,
+        c_int64, _I64, _I64, _I64, _I64, _I64, _I64,
     ]
     kernel.restype = None
     return lib
@@ -187,7 +190,7 @@ def trace_batch(xs, ys, g, req, h_idx, h_start, hc_idx, hc_cell, bs_x, bs_y):
     # Any walk takes fewer than g steps per axis, so at most 2g - 1 cells.
     path = np.empty(2 * g - 1, dtype=np.int64)
     _lib.ccn_trace_batch(
-        n, xs, ys, g, req, h_idx, h_start, hc_idx, *table, len(bs_x), bs_x,
-        bs_y, *stations, path, hops, loads, status,
+        n, xs, ys, g, req, hc_idx, *table, bs_x, bs_y, *stations, path, hops,
+        loads, status,
     )
     return hops, loads, status

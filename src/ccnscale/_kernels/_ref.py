@@ -8,9 +8,9 @@ two files in lockstep.
 
 This module alone builds the layout of every candidate set the kernels
 search, holders and stations (:func:`grid_sides`, :func:`sort_buckets`,
-:func:`bucket_table`, :func:`station_layout`).  Both kernels read only its
-grid side: a set whose grid side is above 1 is searched ring by ring, and
-a set of one bucket is scanned.
+:func:`bucket_table`, :func:`station_layout`).  Both kernels search every
+set one way, ring by ring over its buckets (:func:`nearest`); a set of one
+bucket is ring 0 of its own grid.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import numpy as np
 BACKEND_NAME = "python"
 
 # A set of more members than this gets a grid side above 1 (grid_sides).
-# The ring search and the scan give the same winner; this trades speed.
+# Any side gives the same winner; this trades speed.
 RING_MIN_HOLDERS = 64
 # sort_buckets sorts groups of about this many members, and the instance
 # counts its nodes per cell in blocks of this many, to bound temporaries.
@@ -146,18 +146,18 @@ def _wrap(v: int, g: int) -> int:
 
 
 def nearest_linear(
-    px, py, xs, ys, cand, exclude, best_i=-1, best_d2=inf, offset=0,
+    px, py, xs, ys, members, exclude, best_i=-1, best_d2=inf, offset=0,
 ):
-    """Scan the candidate indices ``cand`` into ``xs``/``ys``.
+    """Scan the member indices ``members`` into ``xs``/``ys``.
 
-    Candidate ``k`` competes as ``offset + k`` against the best so far,
+    Member ``k`` competes as ``offset + k`` against the best so far,
     ``(best_i, best_d2)``: it wins when closer, or as close with a lower
     id.  The winner is the lexicographic minimum of (d2, id), so the order
-    of ``cand`` does not matter.  Returns ``(best_i, best_d2,
+    of ``members`` does not matter.  Returns ``(best_i, best_d2,
     saw_excluded)``.
     """
     saw_excluded = False
-    for idx in cand:
+    for idx in members:
         if idx == exclude:
             saw_excluded = True
             continue
@@ -168,16 +168,19 @@ def nearest_linear(
     return best_i, best_d2, saw_excluded
 
 
-def nearest_ring(
+def nearest(
     px, py, xs, ys, idx, tab, base, g, exclude, best_i=-1, best_d2=inf, offset=0,
 ):
-    """Expanding-ring search over the buckets of one candidate set.
+    """Nearest member of one candidate set, seeded with ``(best_i, best_d2)``.
 
-    The set lies on a grid of side ``g`` of its own.  Its bucket ``c``
-    (flat id ``row * g + col``) holds the indices into ``xs``/``ys`` at
-    ``idx[tab[base + c]:tab[base + c + 1]]``, the layout of
-    :func:`bucket_table`.  Each bucket is one slice, scanned by
-    :func:`nearest_linear`, so candidates compete as there.  Once a best
+    The set lies on a grid of side ``g`` of its own (:func:`grid_sides`).
+    Its bucket ``c`` (flat id ``row * g + col``) holds the indices into
+    ``xs``/``ys`` at ``idx[tab[base + c]:tab[base + c + 1]]``, the layout
+    of :func:`bucket_table`.  The search visits the buckets ring by ring
+    around the query's and scans each, one slice, by
+    :func:`nearest_linear`, so candidates compete as there.  Ring ``g //
+    2`` reaches every bucket, so the search ends there; a set of one
+    bucket is ring 0 alone, ``idx[tab[base]:tab[base + 1]]``.  Once a best
     exists, the search stops at the first ring that lies beyond its
     distance.  Equivalent to a linear scan seeded with the same best,
     including ties-to-lowest-id.
@@ -186,8 +189,7 @@ def nearest_ring(
     qrow = _cell_index(py, g)
     saw_excluded = False
     s = 1.0 / g
-    rmax = g // 2 + 1
-    for ring in range(rmax + 1):
+    for ring in range(g // 2 + 1):
         if best_i >= 0 and ring >= 2:
             reach = (ring - 1) * s
             if reach * reach > best_d2:
@@ -217,33 +219,13 @@ def _ring_offsets(r: int):
     return out
 
 
-def nearest(
-    px, py, xs, ys, cand, idx, tab, base, lo, hi, g, exclude,
-    best_i=-1, best_d2=inf, offset=0,
-):
-    """Nearest member of one candidate set, seeded with ``(best_i, best_d2)``.
-
-    A set on a grid of side ``g > 1`` is searched by :func:`nearest_ring`
-    over its buckets ``idx``/``tab`` from ``base``; a set of one bucket is
-    scanned by :func:`nearest_linear` over ``cand[lo:hi]``, which holds
-    the same members.  Both give the same winner.
-    """
-    if g > 1:
-        return nearest_ring(
-            px, py, xs, ys, idx, tab, base, g, exclude, best_i, best_d2, offset,
-        )
-    return nearest_linear(
-        px, py, xs, ys, cand[lo:hi], exclude, best_i, best_d2, offset
-    )
-
-
 def grid_sides(sizes) -> np.ndarray:
     """Side of each candidate set's bucket grid, as int64.
 
     A set of ``k > RING_MIN_HOLDERS`` members gets a grid of side
     ``floor(sqrt(k))``, at least 8, so that a bucket holds about one
-    member (the cell size of Bentley, Weide & Yao), and :func:`nearest`
-    searches it ring by ring; a smaller set gets side 1 and is scanned.
+    member (the cell size of Bentley, Weide & Yao); a smaller set gets
+    side 1, one bucket, which :func:`nearest` scans as its ring 0.
     """
     sizes = np.asarray(sizes, dtype=np.int64)
     # The float square root floors exactly for sizes below 2**52.
@@ -363,10 +345,11 @@ def station_layout(bs_x, bs_y):
 def trace_one(xs, ys, g, requester, m, h_idx, h_start, hc_idx, hc_cell, bs_x, bs_y):
     """Route node ``requester``'s request for content ``m``; returns (status, cells).
 
-    Content ``m``'s holders are ``h_idx[h_start[m]:h_start[m + 1]]``, and
-    ``hc_idx`` holds the same slice sorted by bucket on the content's own
-    grid, with the bucket ids in ``hc_cell`` (see :func:`bucket_table` and
-    ``sim.NetworkInstance``).  Find the nearest holder excluding the
+    Content ``m``'s holders are ``hc_idx[h_start[m]:h_start[m + 1]]``,
+    sorted by bucket on the content's own grid, with the bucket ids in
+    ``hc_cell`` (see :func:`bucket_table` and ``sim.NetworkInstance``).
+    ``h_idx`` is not read: it keeps its place in the kernels' argument
+    list, which the benchmark builds.  Find the nearest holder excluding the
     requester itself, then let base stations compete as extra candidates,
     never excluded: station ``b`` is candidate ``n + b``, so a node wins a
     distance tie against a station and the lowest station index wins among
@@ -382,29 +365,25 @@ def trace_one(xs, ys, g, requester, m, h_idx, h_start, hc_idx, hc_cell, bs_x, bs
     2 routing failure (no holder, no base station).
     """
     # Only content m's bucket table is built; the search sees it as content 0.
-    one = h_start[m:m + 2]
+    table = bucket_table(h_start[m:m + 2], hc_cell)
     return _route(
-        xs, ys, g, requester, 0, h_idx, one, hc_idx, bucket_table(one, hc_cell),
-        bs_x, bs_y, station_layout(bs_x, bs_y),
+        xs, ys, g, requester, 0, hc_idx, table, bs_x, bs_y,
+        station_layout(bs_x, bs_y),
     )
 
 
-def _route(
-    xs, ys, g, requester, m, h_idx, h_start, hc_idx, holders, bs_x, bs_y, stations
-):
+def _route(xs, ys, g, requester, m, hc_idx, holders, bs_x, bs_y, stations):
     """:func:`trace_one` with the holders' :func:`bucket_table` and the
     stations' :func:`station_layout`."""
     n = len(xs)
     px, py = xs[requester], ys[requester]
     h_side, h_base, h_tab = holders
     best_i, best_d2, saw_self = nearest(
-        px, py, xs, ys, h_idx, hc_idx, h_tab, h_base[m], h_start[m],
-        h_start[m + 1], h_side[m], requester,
+        px, py, xs, ys, hc_idx, h_tab, h_base[m], h_side[m], requester,
     )
     side, bs_idx, bs_tab = stations
     best_i, best_d2, _ = nearest(
-        px, py, bs_x, bs_y, bs_idx, bs_idx, bs_tab, 0, 0, len(bs_idx), side, -1,
-        best_i, best_d2, n,
+        px, py, bs_x, bs_y, bs_idx, bs_tab, 0, side, -1, best_i, best_d2, n,
     )
 
     if best_i < 0:
@@ -419,9 +398,10 @@ def _route(
 def trace_batch(xs, ys, g, req, h_idx, h_start, hc_idx, hc_cell, bs_x, bs_y):
     """Trace one request per node; returns (hops, loads, status).
 
-    Node ``i`` requests content ``req[i]``, routed by :func:`trace_one`.
-    Every transmitting cell of its walk is charged (all but the last cell;
-    a single-cell walk charges it once); hops are cells minus one, at least 1.
+    Node ``i`` requests content ``req[i]``, routed by :func:`trace_one`;
+    ``h_idx`` is not read (see there).  Every transmitting cell of its walk
+    is charged (all but the last cell; a single-cell walk charges it
+    once); hops are cells minus one, at least 1.
     """
     n = len(xs)
     holders = [a.tolist() for a in bucket_table(h_start, hc_cell)]
@@ -430,9 +410,7 @@ def trace_batch(xs, ys, g, req, h_idx, h_start, hc_idx, hc_cell, bs_x, bs_y):
     xs, ys, bs_x, bs_y = (
         np.asarray(a, dtype=np.float64).tolist() for a in (xs, ys, bs_x, bs_y)
     )
-    req, h_idx, h_start, hc_idx = (
-        np.asarray(a, dtype=np.int64).tolist() for a in (req, h_idx, h_start, hc_idx)
-    )
+    req, hc_idx = (np.asarray(a, dtype=np.int64).tolist() for a in (req, hc_idx))
 
     hops = np.zeros(n, dtype=np.int64)
     loads = np.zeros(g * g, dtype=np.int64)
@@ -441,8 +419,7 @@ def trace_batch(xs, ys, g, req, h_idx, h_start, hc_idx, hc_cell, bs_x, bs_y):
 
     for i in range(n):
         status[i], cells = _route(
-            xs, ys, g, i, req[i], h_idx, h_start, hc_idx, holders, bs_x, bs_y,
-            stations,
+            xs, ys, g, i, req[i], hc_idx, holders, bs_x, bs_y, stations
         )
         if len(cells) == 1:
             loads_l[cells[0]] += 1

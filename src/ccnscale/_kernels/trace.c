@@ -11,9 +11,11 @@
  * Holders and stations are searched in one bucket format, the CSR table of
  * _ref.bucket_table: each candidate set has a grid of its own, of side
  * side[m], and its bucket c is the slice idx[tab[base[m] + c] ..
- * tab[base[m] + c + 1]), so a ring search reads each bucket it visits as
- * one slice.  _ref lays out every set; the kernel reads only the grid
- * side, and searches a set ring by ring when its side is above 1.
+ * tab[base[m] + c + 1]), so the search reads each bucket it visits as one
+ * slice.  _ref lays out every set.  One search, nearest, serves every set
+ * ring by ring over its buckets; a set of one bucket (side 1) is ring 0 of
+ * its own grid.  The holders are passed only as hc_idx and their bucket
+ * table.
  *
  * The library exports one entry point, ccn_trace_batch; every helper is
  * static.  sim.trace_request routes a single request with _ref.trace_one.
@@ -124,19 +126,19 @@ static inline i64 segment_cells(double x0, double y0, double x1, double y1,
     return count;
 }
 
-/* Linear scan of cand[0:n_cand] (see _ref.nearest_linear): candidate
- * cand[k] competes as offset + cand[k] against the best so far, which
- * *best_i and *best_d2 hold on entry and on return; distance ties resolve
- * to the lowest id.  Sets *saw when cand holds exclude. */
+/* Linear scan of members[0:count] (see _ref.nearest_linear): member
+ * members[k] competes as offset + members[k] against the best so far,
+ * which *best_i and *best_d2 hold on entry and on return; distance ties
+ * resolve to the lowest id.  Sets *saw when members holds exclude. */
 static inline void nearest_linear(double px, double py, const double *xs,
-                                  const double *ys, const i64 *cand,
-                                  i64 n_cand, i64 exclude, i64 offset,
+                                  const double *ys, const i64 *members,
+                                  i64 count, i64 exclude, i64 offset,
                                   i64 *best_i, double *best_d2, int *saw)
 {
     i64 bi = *best_i;
     double bd2 = *best_d2;
-    for (i64 k = 0; k < n_cand; k++) {
-        i64 idx = cand[k];
+    for (i64 k = 0; k < count; k++) {
+        i64 idx = members[k];
         double d2;
         if (idx == exclude) {
             *saw = 1;
@@ -152,21 +154,27 @@ static inline void nearest_linear(double px, double py, const double *xs,
     *best_d2 = bd2;
 }
 
-/* Expanding-ring search over the buckets of one candidate set on its grid
- * of side g (see _ref.nearest_ring): bucket c is the slice
- * idx[tab[base + c] .. tab[base + c + 1]), scanned by nearest_linear, so
- * candidates compete as there.  Once a best exists, the search stops at
- * the first ring that lies beyond its distance.  Sets *saw when a visited
- * bucket holds exclude. */
-static inline void nearest_ring(double px, double py, const double *xs,
-                                const double *ys, const i64 *idx,
-                                const i64 *tab, i64 base, i64 g, i64 exclude,
-                                i64 offset, i64 *best_i, double *best_d2,
-                                int *saw)
+/* Nearest member of one candidate set on its grid of side g (see
+ * _ref.nearest): bucket c is the slice idx[tab[base + c] ..
+ * tab[base + c + 1]), scanned by nearest_linear, so candidates compete as
+ * there.  Buckets are visited ring by ring up to ring g / 2, which reaches
+ * every bucket; a set of one bucket is ring 0 alone, scanned without the
+ * ring set-up.  Once a best exists, the search stops at the first ring
+ * that lies beyond its distance.  Sets *saw when a visited bucket holds
+ * exclude. */
+static inline void nearest(double px, double py, const double *xs,
+                           const double *ys, const i64 *idx, const i64 *tab,
+                           i64 base, i64 g, i64 exclude, i64 offset,
+                           i64 *best_i, double *best_d2, int *saw)
 {
-    i64 qcol = cell_index(px, g), qrow = cell_index(py, g), rmax = g / 2 + 1;
-    double s = 1.0 / g;
     tab += base;
+    if (g == 1) {
+        nearest_linear(px, py, xs, ys, idx + tab[0], tab[1] - tab[0], exclude,
+                       offset, best_i, best_d2, saw);
+        return;
+    }
+    i64 qcol = cell_index(px, g), qrow = cell_index(py, g), rmax = g / 2;
+    double s = 1.0 / g;
 #define SCAN(r, c) do { \
         i64 cid_ = wrap(r, g) * g + wrap(c, g); \
         nearest_linear(px, py, xs, ys, idx + tab[cid_], \
@@ -195,36 +203,18 @@ static inline void nearest_ring(double px, double py, const double *xs,
 #undef SCAN
 }
 
-/* Nearest member of one candidate set (see _ref.nearest): the ring search
- * over its buckets idx/tab from base when its grid side g is above 1, else
- * a linear scan of cand[lo:hi], which holds the same members. */
-static inline void nearest(double px, double py, const double *xs,
-                           const double *ys, const i64 *cand, const i64 *idx,
-                           const i64 *tab, i64 base, i64 lo, i64 hi, i64 g,
-                           i64 exclude, i64 offset, i64 *best_i,
-                           double *best_d2, int *saw)
-{
-    if (g > 1)
-        nearest_ring(px, py, xs, ys, idx, tab, base, g, exclude, offset,
-                     best_i, best_d2, saw);
-    else
-        nearest_linear(px, py, xs, ys, cand + lo, hi - lo, exclude, offset,
-                       best_i, best_d2, saw);
-}
-
 /* Routes one request (see _ref.trace_one): writes its walk's cell ids to
  * buf, which holds 2g - 1 cells, and a nonzero status to *status (callers
  * zero it, so a routed request touches no page of it); returns the cell
  * count.  Content m's holders are searched on the bucket table h_side,
- * h_base, h_tab of _ref.bucket_table over hc_idx; the nbs stations on the
+ * h_base, h_tab of _ref.bucket_table over hc_idx; the stations on the
  * layout of _ref.station_layout: a grid of side bs_side, the station
  * indices bs_idx sorted by bucket, and their table bs_tab.  Inlined into
  * ccn_trace_batch's loop. */
 static inline i64 trace_one(i64 n, const double *xs, const double *ys,
-                            i64 g, i64 requester, i64 m, const i64 *h_idx,
-                            const i64 *h_start, const i64 *hc_idx,
+                            i64 g, i64 requester, i64 m, const i64 *hc_idx,
                             const i64 *h_side, const i64 *h_base,
-                            const i64 *h_tab, i64 nbs, const double *bs_x,
+                            const i64 *h_tab, const double *bs_x,
                             const double *bs_y, i64 bs_side,
                             const i64 *bs_idx, const i64 *bs_tab, i64 *buf,
                             i64 *status)
@@ -232,15 +222,14 @@ static inline i64 trace_one(i64 n, const double *xs, const double *ys,
     i64 best_i = -1;
     double px = xs[requester], py = ys[requester], best_d2 = INFINITY, hx, hy;
     int saw_self = 0, saw_none = 0;
-    nearest(px, py, xs, ys, h_idx, hc_idx, h_tab, h_base[m], h_start[m],
-            h_start[m + 1], h_side[m], requester, 0, &best_i, &best_d2,
-            &saw_self);
+    nearest(px, py, xs, ys, hc_idx, h_tab, h_base[m], h_side[m], requester, 0,
+            &best_i, &best_d2, &saw_self);
     /* Station b competes as n + b, after every node: a node wins a distance
      * tie, and the lowest station index wins among stations.  The search
      * starts from the node winner, so a ring search stops at the first
      * ring beyond that node. */
-    nearest(px, py, bs_x, bs_y, bs_idx, bs_idx, bs_tab, 0, 0, nbs, bs_side, -1,
-            n, &best_i, &best_d2, &saw_none);
+    nearest(px, py, bs_x, bs_y, bs_idx, bs_tab, 0, bs_side, -1, n, &best_i,
+            &best_d2, &saw_none);
 
     if (best_i < 0) {
         buf[0] = cell_index(py, g) * g + cell_index(px, g);
@@ -257,43 +246,45 @@ static inline i64 trace_one(i64 n, const double *xs, const double *ys,
  * _ref.trace_batch for the rules.
  *
  * A holder search starts with a chain of dependent loads from scattered
- * places: h_start[m], then the holder slice, h_side[m] and h_base[m], then
- * the coordinates of the holders a linear scan reads (a content of one
- * bucket, h_side[m] == 1).  The loop requests each link a few requests
- * ahead (group prefetching, Chen, Ailamaki, Gibbons & Mowry, ICDE 2004),
- * once the link before it has had time to arrive.  __builtin_prefetch is
- * a cache hint only: it does no arithmetic and changes no result, so
- * _ref.py has nothing to mirror, and it never faults (h_idx + h_start[m]
- * may point one past the end of h_idx). */
+ * places: h_side[m] and h_base[m], then the content's bucket bounds from
+ * h_tab[h_base[m]], then the first holders in hc_idx, then the
+ * coordinates of the holders of a content of one bucket (h_side[m] == 1),
+ * which nearest scans at once.  The loop requests each link a few
+ * requests ahead (group prefetching, Chen, Ailamaki, Gibbons & Mowry, ICDE
+ * 2004), once the link before it has had time to arrive.
+ * __builtin_prefetch is a cache hint only: it does no arithmetic and
+ * changes no result, so _ref.py has nothing to mirror, and it never
+ * faults (an entry of h_tab may point one past the end of hc_idx). */
 void ccn_trace_batch(i64 n, const double *xs, const double *ys, i64 g,
-                     const i64 *req, const i64 *h_idx, const i64 *h_start,
-                     const i64 *hc_idx, const i64 *h_side, const i64 *h_base,
-                     const i64 *h_tab, i64 nbs, const double *bs_x,
+                     const i64 *req, const i64 *hc_idx, const i64 *h_side,
+                     const i64 *h_base, const i64 *h_tab, const double *bs_x,
                      const double *bs_y, i64 bs_side, const i64 *bs_idx,
                      const i64 *bs_tab, i64 *buf, i64 *hops, i64 *loads,
                      i64 *status)
 {
     for (i64 i = 0; i < n; i++) {
-        if (i + 16 < n)
-            __builtin_prefetch(&h_start[req[i + 16]]);
-        if (i + 8 < n) {
-            i64 m = req[i + 8];
-            __builtin_prefetch(&h_idx[h_start[m]]);
+        if (i + 16 < n) {
+            i64 m = req[i + 16];
             __builtin_prefetch(&h_side[m]);
             __builtin_prefetch(&h_base[m]);
         }
-        if (i + 4 < n) {
-            i64 m = req[i + 4];
+        if (i + 8 < n)
+            __builtin_prefetch(&h_tab[h_base[req[i + 8]]]);
+        if (i + 6 < n)
+            __builtin_prefetch(&hc_idx[h_tab[h_base[req[i + 6]]]]);
+        if (i + 3 < n) {
+            i64 m = req[i + 3];
             if (h_side[m] == 1) {
-                for (i64 k = h_start[m], hi = h_start[m + 1]; k < hi; k++) {
-                    __builtin_prefetch(&xs[h_idx[k]]);
-                    __builtin_prefetch(&ys[h_idx[k]]);
+                const i64 *t = h_tab + h_base[m];
+                for (i64 k = t[0], hi = t[1]; k < hi; k++) {
+                    __builtin_prefetch(&xs[hc_idx[k]]);
+                    __builtin_prefetch(&ys[hc_idx[k]]);
                 }
             }
         }
-        i64 ncells = trace_one(n, xs, ys, g, i, req[i], h_idx, h_start,
-                               hc_idx, h_side, h_base, h_tab, nbs, bs_x, bs_y,
-                               bs_side, bs_idx, bs_tab, buf, &status[i]);
+        i64 ncells = trace_one(n, xs, ys, g, i, req[i], hc_idx, h_side,
+                               h_base, h_tab, bs_x, bs_y, bs_side, bs_idx,
+                               bs_tab, buf, &status[i]);
         if (ncells == 1) {
             loads[buf[0]] += 1;
             hops[i] = 1;

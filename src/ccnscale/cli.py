@@ -185,15 +185,17 @@ class SweepConfig:
 def parse_config(path: str, overrides: dict | None = None) -> SweepConfig:
     """Parse a key-value sweep config file.
 
-    Unknown keys, unparsable values, and repeated keys raise
-    :class:`ConfigError` carrying the offending line number.
+    Unknown keys, unparsable values, numbers that are not finite, and
+    repeated keys raise :class:`ConfigError` carrying the offending line
+    number.
     ``overrides`` (already-typed values from the command line) replace
     file values after parsing and are checked the same way, without a
     line number.
     """
     values: dict[str, tuple] = {}
     seen: dict[str, int] = {}
-    with open(path, encoding="utf-8") as fh:
+    # utf-8-sig: a byte-order mark some editors write is not part of a key.
+    with open(path, encoding="utf-8-sig") as fh:
         for lineno, raw in enumerate(fh, start=1):
             text = raw.split("#", 1)[0].strip()
             if not text:
@@ -249,6 +251,8 @@ def _check_key_types(key, value, line: int | None) -> None:
             v is not None and not isinstance(v, (int, float))
         ):
             raise ConfigError(f"key {key!r} needs a number", line)
+        elif isinstance(v, float) and not math.isfinite(v):
+            raise ConfigError(f"key {key!r} needs a finite number, got {v}", line)
         elif key in _POSITIVE_KEYS and not (v is not None and v > 0):
             raise ConfigError(f"key {key!r} needs a positive number, got {v}", line)
 
@@ -752,10 +756,10 @@ def _self_checks() -> list[tuple[str, bool, str]]:
     else:
         if _kernels.BACKEND_REASON:
             active += f": {_kernels.BACKEND_REASON}"
-        # 20 and 95 base stations, on one bucket and on a grid of side 9: the
-        # linear and the ring station search.  The other instances hold at
-        # most 40 copies of a content; n = 910 is the smallest ad hoc one
-        # whose requests reach a content with more: the holder ring search.
+        # 20 and 95 base stations, in one bucket and on a grid of side 9.
+        # The other instances hold at most 40 copies of a content; n = 910
+        # is the smallest ad hoc one whose requests reach a content with
+        # more, which is searched on a grid above one bucket.
         het = [
             NetworkConfig(
                 n=2000, alpha=0.8, beta=0.9, mode=Mode.HETEROGENEOUS, mu=mu, seed=1

@@ -93,9 +93,10 @@ class NetworkInstance:
     in place; a content of one bucket keeps its node order.  ``_hc_cell[j]``
     is the flat bucket id ``row * side + col`` of node ``_h_idx[j]`` on its
     content's grid, and the kernel turns these ids into its bucket table
-    (``_kernels._ref.bucket_table``).  The kernel reads both the linear
-    scan's and the ring search's holders from this one array, and
-    ``_hc_idx`` is the same object as ``_h_idx``.
+    (``_kernels._ref.bucket_table``).  The kernels read the holders only
+    as ``_hc_idx``, through that table, with one search whether a content
+    has one bucket or many; ``_hc_idx`` is the same object as ``_h_idx``,
+    which the kernels' argument list still carries but neither reads.
     """
 
     nodes: np.ndarray  # (n, 2) float64 positions
@@ -400,7 +401,10 @@ def _invert_sorted(rng: np.random.Generator, p: np.ndarray, size: int) -> np.nda
 
 
 def _trace_args(inst: NetworkInstance, *request) -> tuple:
-    """Kernel arguments; ``request`` is ``req`` or ``requester, m``."""
+    """Kernel arguments; ``request`` is ``req`` or ``requester, m``.
+
+    ``_h_idx`` keeps its slot, which the benchmark's copy of this tuple
+    has, though the kernels search ``_hc_idx`` alone."""
     return (
         inst._xs, inst._ys, inst.grid.side, *request,
         inst._h_idx, inst._h_start, inst._hc_idx, inst._hc_cell,

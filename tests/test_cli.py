@@ -183,6 +183,36 @@ class TestParseConfig:
             parse_config(path)
         assert err.value.line == 3
 
+    @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+    @pytest.mark.parametrize(
+        "key",
+        [k for k in (*cli._SWEEP_KEYS, *cli._SCALAR_KEYS) if k not in ("mode", "sim")],
+    )
+    def test_non_finite_number_reports_its_line(self, tmp_path, key, value):
+        # A sweep key's list holds it as its second value.
+        if key in cli._SWEEP_KEYS:
+            value = f"{400 if key == 'n' else 0.5}, {value}"
+        text = f"mode = adhoc\nsim = true\n{key} = {value}\n"
+        path = _write(tmp_path, "inf.conf", text)
+        with pytest.raises(ConfigError, match=repr(key)) as err:
+            parse_config(path)
+        assert err.value.line == 3
+
+    @pytest.mark.parametrize("key", ["trials", "seed", "max_sim_n"])
+    def test_non_finite_override_rejected(self, tmp_path, key):
+        path = _write(tmp_path, "ok.conf", "mode = adhoc\nn = 400\n")
+        for value in (math.inf, math.nan):
+            with pytest.raises(ConfigError, match=key) as err:
+                parse_config(path, {key: value})
+            assert err.value.line is None
+
+    def test_config_with_a_byte_order_mark_parses(self, tmp_path):
+        path = tmp_path / "bom.conf"
+        path.write_bytes("mode = heterogeneous\nmu = 0.4\n".encode("utf-8-sig"))
+        cfg = parse_config(str(path))
+        assert cfg.values["mode"] == (Mode.HETEROGENEOUS,)
+        assert cfg.values["mu"] == (0.4,)
+
     def test_bad_scalar_override_rejected(self, tmp_path):
         path = _write(tmp_path, "ok.conf", "mode = adhoc\nn = 400\n")
         with pytest.raises(ConfigError, match="max_sim_n") as err:
@@ -543,6 +573,13 @@ class TestCommandLine:
         proc = _run_cli("sweep", conf, "--out", str(tmp_path))
         assert proc.returncode == 2
         assert "line 2" in proc.stderr
+
+    def test_non_finite_delta_exit_code_2(self, tmp_path, capsys):
+        # Without the check, the schedule's reuse distance overflowed.
+        text = "mode = adhoc\nn = 400\nsim = true\ndelta = inf\n"
+        conf = _write(tmp_path, "d.conf", text)
+        assert cli.main(["sweep", conf, "--out", str(tmp_path)]) == 2
+        assert "line 4: key 'delta' needs a finite number" in capsys.readouterr().err
 
     def test_missing_file_exit_code_2(self, tmp_path):
         proc = _run_cli("sweep", str(tmp_path / "absent.conf"))

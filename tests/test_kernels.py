@@ -295,12 +295,13 @@ class TestNearestParity:
             _assert_routes_to_scan_winner(inst, requester, m)
 
     def test_linear_accepts_range_candidates(self):
-        # The binding takes any integer sequence, here the holders as a range.
+        # The binding takes any integer sequence, here the holders as a range
+        # in the slot the kernels search.
         rng = np.random.default_rng(3)
         inst = _instance(rng.random((11, 2)), [range(1, 11)], 4)
         req = np.zeros(11, dtype=np.int64)
         args = list(sim._trace_args(inst, req))
-        args[4] = range(1, 11)  # h_idx
+        args[6] = range(1, 11)  # hc_idx
         got = _fast.trace_batch(*args)
         want = _ref.trace_batch(*sim._trace_args(inst, req))
         for a, b in zip(got, want):
@@ -609,7 +610,7 @@ def test_station_ring_search_finds_the_scan_winner(backend, case, g):
         for i, want in enumerate(winners if backend is _ref else ()):
             px, py = xs[i], ys[i]
             node = _ref.nearest_linear(px, py, xs, ys, inst.holders[m], i)
-            got = _ref.nearest_ring(
+            got = _ref.nearest(
                 px, py, bs_x, bs_y, bs_idx, bs_tab, 0, side, -1,
                 node[0], node[1], n,
             )
@@ -786,7 +787,7 @@ def test_holder_ring_search_finds_the_scan_winner(backend, case, g):
     assert big and all(side[m] == math.isqrt(len(inst.holders[m])) for m in big)
     for m, winners, walks in _scan_winners(inst):
         for i, want in enumerate(winners if backend is _ref and m in big else ()):
-            got = _ref.nearest_ring(
+            got = _ref.nearest(
                 xs[i], ys[i], xs, ys, inst._hc_idx, tab, base[m], side[m], i
             )
             assert got[0] == want, (m, i)
@@ -816,6 +817,30 @@ def test_holder_grid_side_breakpoints(backend, k, side):
         _assert_routes(backend, inst, np.full(n, m), walks)
     if backend is _fast:
         _assert_trace_equal(inst, np.arange(n) % 2)
+
+
+@pytest.mark.parametrize("g", [1, 2, 3, 8, 10])
+def test_ring_search_ends_at_ring_half_the_side(monkeypatch, g):
+    # Five members share bucket 0, and the query sits in bucket
+    # (g // 2, g // 2), across the torus, so the winner lies in ring g // 2.
+    # That ring reaches every bucket: the search scans rings 0 to g // 2,
+    # (2 * (g // 2) + 1)**2 bucket slices, and none beyond.
+    rng = np.random.default_rng(g)
+    xs, ys = ((0.5 + rng.uniform(-0.4, 0.4, size=(2, 5))) / g).tolist()
+    tab = [0] + [5] * (g * g)
+    scans = []
+    nearest_linear = _ref.nearest_linear
+
+    def scan(*args):
+        scans.append(args[4])
+        return nearest_linear(*args)
+
+    monkeypatch.setattr(_ref, "nearest_linear", scan)
+    q = (g // 2 + 0.5) / g
+    got = _ref.nearest(q, q, xs, ys, list(range(5)), tab, 0, g, -1)
+    assert len(scans) == (2 * (g // 2) + 1) ** 2
+    d2, k = min((_ref._dist2(q, q, x, y), k) for k, (x, y) in enumerate(zip(xs, ys)))
+    assert got == (k, d2, False)
 
 
 def test_bucket_table_is_csr_of_the_bucket_ids():
@@ -864,17 +889,32 @@ def kernel_object(tmp_path_factory):
     and never an unused static inline one, so the object is built at -O0,
     which inlines nothing: every static function that an entry point
     reaches is emitted, and one that none reaches is missing."""
+    return _compile_with_warnings(tmp_path_factory.mktemp("kernel"), "-O0")
+
+
+def _compile_with_warnings(tmp_dir, level):
+    """``trace.c`` compiled to an object at optimisation ``level`` with
+    -Wall -Wextra -Werror; returns its path."""
     if not _compiler_on_path():
         pytest.skip("no C compiler on PATH")
     cc = shlex.split(os.environ.get("CC", "")) or ["cc"]
-    obj = tmp_path_factory.mktemp("kernel") / "trace.o"
-    flags = ["-std=c99", "-Wall", "-Wextra", "-Werror", "-ffp-contract=off", "-O0"]
+    obj = Path(tmp_dir) / "trace.o"
+    flags = ["-std=c99", "-Wall", "-Wextra", "-Werror", "-ffp-contract=off", level]
     proc = subprocess.run(
         [*cc, *flags, "-c", "-o", str(obj), str(_SOURCE)],
         capture_output=True, text=True,
     )
     assert proc.returncode == 0, proc.stderr
     return obj
+
+
+@needs_fast
+def test_kernel_source_compiles_clean_at_the_package_level(tmp_path):
+    # GCC reports some warnings, such as -Wmaybe-uninitialized, only when
+    # it optimises, so the source is also built at the level of the
+    # package's own build.
+    (level,) = [flag for flag in _fast.CFLAGS if flag.startswith("-O")]
+    _compile_with_warnings(tmp_path, level)
 
 
 def _nm(obj, *flags) -> str:
@@ -891,7 +931,7 @@ def test_compiled_library_exports_only_the_entry_points(kernel_object):
     listed = _nm(kernel_object, "-g", "--defined-only").splitlines()
     defined = {line.split()[-1] for line in listed}
     assert defined == {"ccn_trace_batch"}
-    for name in ("segment_cells", "nearest_linear", "nearest_ring", "trace_one"):
+    for name in ("segment_cells", "nearest_linear", "nearest", "trace_one"):
         assert not hasattr(_fast, name)
     assert not hasattr(_kernels, "trace_one")
 
