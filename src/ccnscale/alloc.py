@@ -21,10 +21,13 @@ then classifies the three regimes (saturated / interior / floored,
 thresholds m1 and m2), snaps the interior to the closed form driven by
 the residual budget K', and verifies the KKT conditions before
 returning.  Sums that must be exact use :func:`_fsum`, a vectorised,
-correctly rounded sum.  Apart from the allocation it returns, a solve
+correctly rounded sum: it adds the integer mantissas of each run of
+equal exponent, and the non-increasing arrays the solver sums hold a
+few long runs per block.  Apart from the allocation it returns, a solve
 holds at most two catalog-sized arrays at once (p^(2/3) and its prefix
 sum, then p^(2/3) and X); :func:`_fsum` and :func:`kkt_residual` work in
-blocks of :data:`_BLOCK` elements.
+blocks of :data:`_BLOCK` elements, the certificate in three block-sized
+scratch arrays.
 """
 
 from __future__ import annotations
@@ -54,8 +57,9 @@ _KKT_TOL = 1e-8
 
 # Elements per block of _fsum and kkt_residual: their temporaries stay
 # small while per-block overhead stays a small share of the work.  _fsum
-# adds 27-bit mantissa halves in float64 buckets, which is exact while a
-# bucket sum stays below 2**53, that is for blocks of up to 2**26.
+# adds 27-bit mantissa halves in float64 run sums and buckets, which is
+# exact while a block's sum stays below 2**53, that is for blocks of up
+# to 2**26; at 2**15 it stays below 2**42.
 _BLOCK = 1 << 15
 
 
@@ -142,21 +146,31 @@ def _fsum(x: np.ndarray) -> float:
 
     Each element is split by ``frexp`` into a 53-bit integer mantissa and
     an exponent, and the mantissa into 27- and 26-bit halves.  Block by
-    block, the halves are summed per exponent with ``bincount``; every
-    partial sum is an integer below 2**53, so these sums are exact.  The
-    buckets of all blocks are combined into one Python integer and divided
-    by a power of two, which rounds once, to nearest even.
+    block, each half is summed over every run of equal exponent with
+    ``np.add.reduceat``, and the run sums are then added per exponent with
+    ``bincount``.  Every partial sum is an integer below 2**42, so these
+    sums are exact.  On the non-increasing arrays the solver sums, equal
+    exponents are adjacent and a block holds a few long runs; any other
+    array takes the same path with shorter runs.  The buckets of all blocks
+    are combined into one Python integer and divided by a power of two,
+    which rounds once, to nearest even.
     """
     if len(x) == 0:
         return 0.0
     partials = []  # (integer sum, exponent of its unit bit)
     for start in range(0, len(x), _BLOCK):
         mant, exp = np.frexp(x[start : start + _BLOCK])
+        runs = np.flatnonzero(exp[1:] != exp[:-1])  # each run's start, less one
+        runs += 1
+        runs = np.concatenate(([0], runs))
         mant *= 2.0**27
         high = np.floor(mant)
         with np.errstate(invalid="ignore"):  # inf - inf: fsum reports it below
             mant -= high  # the low 26 bits, as a fraction
-        mant *= 2.0**26
+            mant *= 2.0**26
+            high = np.add.reduceat(high, runs)
+            mant = np.add.reduceat(mant, runs)
+        exp = exp[runs]
         base = int(exp.min())
         exp = exp.astype(np.intp)  # bincount's index type, converted once
         exp -= base
@@ -176,11 +190,6 @@ def _fsum(x: np.ndarray) -> float:
     if shift >= 0:
         return float(total << shift)
     return total / (1 << -shift)
-
-
-def _grad_magnitude(p: np.ndarray, x: np.ndarray, a: float, f: float) -> np.ndarray:
-    """|d objective / dX_m| = p_m / (2 sqrt(a) (X_m + f)^{3/2})."""
-    return p / (2.0 * math.sqrt(a) * (x + f) ** 1.5)
 
 
 def _objective(p: np.ndarray, x: np.ndarray, a: float, f: float, out: np.ndarray) -> float:
@@ -368,30 +377,40 @@ def kkt_residual(alloc: Allocation, prob: AllocationProblem) -> float:
     """
     p = prob.pop.p
     x = alloc.X
-    lower, upper = prob.lower, prob.upper
+    lower, upper, f = prob.lower, prob.upper, prob.f
     lam = alloc.multiplier
     tol_up = _LOWER_TOL * max(1.0, abs(upper))
+    scale = 2.0 * math.sqrt(prob.a)
     worst = 0.0
     if len(x):
+        # Three block-sized scratch arrays: g, g - lam and lam - g.
+        size = min(len(x), _BLOCK)
+        g_buf, d_buf, e_buf = np.empty(size), np.empty(size), np.empty(size)
         block_worst = []
         for start in range(0, len(x), _BLOCK):
             xb = x[start : start + _BLOCK]
+            g, d, e = g_buf[: len(xb)], d_buf[: len(xb)], e_buf[: len(xb)]
+            # g = p / (2 sqrt(a) (X + f)^1.5), in place and in that order.
             # (X + f)^1.5 is undefined below -f, where only the box term applies.
-            below = xb < -prob.f
-            g = _grad_magnitude(
-                p[start : start + _BLOCK], np.where(below, lower, xb), prob.a, prob.f
-            )
-            at_upper = xb >= upper - tol_up
-            at_lower = xb <= lower + tol_up
-            res = np.where(
-                at_upper,
-                np.maximum(0.0, lam - g),
-                np.where(at_lower, np.maximum(0.0, g - lam), np.abs(g - lam)),
-            )
-            # Fixed by a point box, or below -f: no stationarity condition.
-            res[(at_upper & at_lower) | below] = 0.0
-            res /= np.maximum(g, lam)
-            block_worst.append(np.max(res))
+            np.add(xb, f, out=g)
+            below = g < 0.0  # exactly where X < -f: a float sum is 0 only if exact
+            np.copyto(g, lower + f, where=below)
+            g **= 1.5
+            g *= scale
+            np.divide(p[start : start + _BLOCK], g, out=g)
+            # max(g - lam, lam - g) with the first zeroed at the upper bound
+            # and the second at the lower one: |g - lam| in the interior,
+            # max(0, lam - g) and max(0, g - lam) at one bound, 0 at both.
+            # lam - g is exactly -(g - lam).
+            np.subtract(g, lam, out=d)
+            np.negative(d, out=e)
+            np.copyto(d, 0.0, where=xb >= upper - tol_up)
+            np.copyto(e, 0.0, where=xb <= lower + tol_up)
+            np.maximum(e, d, out=d)
+            np.copyto(d, 0.0, where=below)  # below -f: no stationarity condition
+            np.maximum(g, lam, out=g)
+            d /= g
+            block_worst.append(np.max(d))
         box = max(lower - float(x.min()), float(x.max()) - upper)
         # np.max, not max(): a nan in any block must reach the result.
         worst = max(float(np.max(block_worst)), box / max(1.0, abs(upper)))

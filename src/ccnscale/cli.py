@@ -190,7 +190,9 @@ def parse_config(path: str, overrides: dict | None = None) -> SweepConfig:
     number.
     ``overrides`` (already-typed values from the command line) replace
     file values after parsing and are checked the same way, without a
-    line number.
+    line number: a key must be known, a scalar key takes one value, and
+    a sweep key takes a tuple or one value, stored as a 1-tuple.  A
+    ``None`` value keeps the file's value.
     """
     values: dict[str, tuple] = {}
     seen: dict[str, int] = {}
@@ -221,10 +223,21 @@ def parse_config(path: str, overrides: dict | None = None) -> SweepConfig:
             else:
                 values[key] = atoms
             _check_key_types(key, values[key], lineno)
-    for key, value in (overrides or {}).items():
-        if value is not None:
-            _check_key_types(key, value, None)
-            values[key] = value
+    for name, value in (overrides or {}).items():
+        if value is None:
+            continue
+        key = _CANON.get(str(name).lower())
+        if key is None:
+            raise ConfigError(f"unknown config key {name!r}")
+        if key in _SCALAR_KEYS:
+            if isinstance(value, tuple):
+                raise ConfigError(f"key {key!r} takes a single value")
+        elif not isinstance(value, tuple):
+            value = (value,)  # as a one-value line of the file
+        elif not value:
+            raise ConfigError(f"key {key!r} needs at least one value")
+        _check_key_types(key, value, None)
+        values[key] = value
     cfg = SweepConfig(values=values, source=path)
     _validate_config(cfg, seen)
     return cfg

@@ -326,7 +326,9 @@ def kkt_residual_by_masks(alloc, prob) -> float:
     x = alloc.X
     lower, upper = prob.lower, prob.upper
     lam = alloc.multiplier
-    g = p / (2.0 * math.sqrt(prob.a) * (x + prob.f) ** 1.5)
+    # Below -f the gradient is undefined and only the box term applies.
+    below = x < -prob.f
+    g = p / (2.0 * math.sqrt(prob.a) * (np.where(below, lower, x) + prob.f) ** 1.5)
     scale = np.maximum(g, lam)
     tol_up = 1e-12 * max(1.0, abs(upper))
     at_upper = x >= upper - tol_up
@@ -337,6 +339,7 @@ def kkt_residual_by_masks(alloc, prob) -> float:
     res[at_lower] = np.maximum(0.0, g[at_lower] - lam)
     res[at_upper & at_lower] = 0.0
     res[interior] = np.abs(g[interior] - lam)
+    res[below] = 0.0
     worst = 0.0
     if len(x):
         box = max(lower - float(x.min()), float(x.max()) - upper)

@@ -195,6 +195,19 @@ def _kkt_hand_built():
     big_off[2**15 + 3] = big.upper + 1.0  # above upper, in the second block
     big_off[-1] = 0.25  # below lower, in the last block
     lam = solved.multiplier
+    # Uniform popularity: g depends on X alone, so X = 2 with the multiplier
+    # g(2) meets stationarity and a block's residual comes from its own
+    # entries.  upper = 4, lower = 1; the second block is set by hand.
+    flat = AllocationProblem(pop=zipf(3 * 2**15 + 7, 0.0), n=200_000, K=1.0, a=1 / 4)
+    flat_lam = float(flat.pop.p[0] / (2.0 * math.sqrt(flat.a) * 2.0**1.5))
+
+    def flat_x(second_block):
+        x = np.full(flat.pop.m_count, 2.0)
+        x[2**15 : 2**16] = second_block
+        return x
+
+    mixed = flat_x(np.resize([flat.lower, 2.0, flat.upper], 2**15))
+    mixed[2**15 + 4] = -0.5  # below -f = 0, between entries at both bounds
     return {
         "solved": (adhoc, solved),
         "point box": (point_box, _allocation(np.zeros(6))),
@@ -208,6 +221,16 @@ def _kkt_hand_built():
         "empty X, positive multiplier": (one_content, _allocation([], 0.5)),
         "solved, several blocks": (big, big_solved),
         "several blocks, off the box": (big, _allocation(big_off, big_solved.multiplier)),
+        "a block entirely interior": (
+            flat, _allocation(flat_x(np.linspace(1.5, 3.5, 2**15)), flat_lam)
+        ),
+        "a block entirely at the lower bound": (
+            flat, _allocation(flat_x(flat.lower), flat_lam)
+        ),
+        "a block entirely at the upper bound": (
+            flat, _allocation(flat_x(flat.upper), flat_lam)
+        ),
+        "below -f beside entries at both bounds": (flat, _allocation(mixed, flat_lam)),
     }
 
 
@@ -225,6 +248,14 @@ class TestKkt:
         want = kkt_residual_by_masks(allocation, prob)
         assert math.isfinite(want)
         assert alloc.kkt_residual(allocation, prob) == want
+
+    def test_nan_in_a_later_block_gives_nan(self):
+        prob, solved = _kkt_hand_built()["solved, several blocks"]
+        x = solved.X.copy()
+        x[2**15 + 3] = math.nan  # in the second block
+        bad = _allocation(x, solved.multiplier)
+        assert math.isnan(kkt_residual_by_masks(bad, prob))
+        assert math.isnan(alloc.kkt_residual(bad, prob))
 
     def test_over_budget_allocation_fails_certificate(self):
         # Every content at upper = 25 with multiplier 0 meets every
@@ -247,7 +278,7 @@ class TestKkt:
         # below lower = 1 with a smaller gradient, the budget of 10 met.
         prob = AllocationProblem(pop=zipf(2, 10.0), n=10, K=1.0, a=1 / 25)
         x = np.array([9.5, 0.5])
-        lam = float(alloc._grad_magnitude(prob.pop.p, x, prob.a, prob.f)[0])
+        lam = float(prob.pop.p[0] / (2.0 * math.sqrt(prob.a) * (x[0] + prob.f) ** 1.5))
         assert alloc.kkt_residual(_allocation(x, lam), prob) == 0.5 / 25
 
     def test_allocation_below_minus_f_fails_certificate(self):
@@ -642,6 +673,42 @@ _SPREAD_FLOATS = st.one_of(
 )
 
 
+def _exponent_runs():
+    """Arrays whose runs of equal exponent probe ``_fsum``'s run sums."""
+    block = alloc._BLOCK
+    rng = np.random.default_rng(23)
+    # Full 53-bit mantissas in [1, 2), so every run sum carries both halves.
+    ones = np.sort(rng.uniform(1.0, 2.0, size=3 * block + 11))[::-1]
+    across = np.concatenate([
+        np.ldexp(ones[: block - 50], 4),
+        ones[:100],  # one exponent from block - 50 to block + 50
+        np.ldexp(ones[:block], -3),
+    ])
+    every = np.ldexp(
+        rng.uniform(0.5, 1.0, size=block + 5), np.arange(block + 5) % 7 - 3
+    )
+    subnormal = np.concatenate([
+        np.ldexp(
+            rng.uniform(-1.0, 1.0, size=5000), rng.integers(-1100, -1015, size=5000)
+        ),
+        np.full(300, 5e-324),
+        np.geomspace(2.0**-1022, 5e-324, 2000),  # every subnormal binade, in order
+    ])
+    half = rng.uniform(-1.0, 1.0, size=block + 9) * 2.0 ** rng.integers(
+        -40, 40, size=block + 9
+    )
+    cancel = np.concatenate([half, -half])
+    rng.shuffle(cancel)
+    return {
+        "run across a block boundary": across,
+        "run longer than a block": ones,
+        "new exponent on every element": every,
+        "one element per exponent": np.ldexp(0.75, np.arange(-1000, 1001)),
+        "subnormals": subnormal,
+        "mixed signs summing to zero": cancel,
+    }
+
+
 class TestFsum:
     """``_fsum`` is correctly rounded, so it returns math.fsum's bits."""
 
@@ -703,6 +770,25 @@ class TestFsum:
         # Cancellation across blocks: the exact sum is the last element.
         mirrored = np.concatenate([xs, -xs[::-1], [0.75]])
         assert alloc._fsum(mirrored) == math.fsum(mirrored) == 0.75
+
+    @pytest.mark.parametrize("name", list(_exponent_runs()))
+    def test_exponent_runs(self, name):
+        xs = _exponent_runs()[name]
+        assert alloc._fsum(xs) == math.fsum(xs)
+        if name == "mixed signs summing to zero":
+            assert alloc._fsum(xs) == 0.0
+
+    def test_largest_sample_catalog(self):
+        # p and p^(2/3) at the largest sample catalog, n = 10**6 and
+        # beta = 0.9, for each alpha of the sample configs.
+        alphas = set()
+        for path in _CONFIGS.glob("*.conf"):
+            alphas.update(cli.parse_config(str(path)).values["alpha"])
+        assert len(alphas) >= 5
+        for alpha in sorted(alphas):
+            p = zipf(251_189, alpha).p
+            for xs in (p, p ** (2.0 / 3.0)):
+                assert alloc._fsum(xs) == math.fsum(xs)
 
     def test_non_finite_value_in_a_later_block(self):
         xs = np.linspace(1.0, 2.0, 3 * alloc._BLOCK)

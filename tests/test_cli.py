@@ -228,6 +228,30 @@ class TestParseConfig:
         assert cfg.values["sim"] is True
         assert cfg.values["trials"] == 3  # None override = keep file value
 
+    def test_unknown_override_key_rejected(self, tmp_path):
+        path = _write(tmp_path, "m.conf", BASIC)
+        with pytest.raises(ConfigError, match="'bogus'") as err:
+            parse_config(path, {"bogus": 3})
+        assert err.value.line is None
+
+    def test_scalar_override_of_a_sweep_key_is_one_value(self, tmp_path):
+        path = _write(tmp_path, "m.conf", BASIC)
+        cfg = parse_config(path, {"alpha": 0.5, "n": (400, 900)})
+        one_line = parse_config(
+            _write(tmp_path, "one.conf", BASIC.replace("alpha = 0.8", "alpha = 0.5"))
+        )
+        assert cfg.values["alpha"] == one_line.values["alpha"] == (0.5,)
+        assert cfg.values["n"] == (400, 900)
+        assert [p["alpha"] for p in cfg.points()] == [0.5, 0.5]
+        with pytest.raises(ConfigError, match="'alpha'"):
+            parse_config(path, {"alpha": ()})
+
+    def test_tuple_override_of_a_scalar_key_rejected(self, tmp_path):
+        path = _write(tmp_path, "m.conf", BASIC)
+        with pytest.raises(ConfigError, match="'trials' takes a single value") as err:
+            parse_config(path, {"trials": (2, 3)})
+        assert err.value.line is None
+
     def test_negative_seed_rejected_with_its_line(self, tmp_path):
         path = _write(tmp_path, "neg.conf", "mode = adhoc\nseed = -1\n")
         with pytest.raises(ConfigError, match="seed") as err:
