@@ -22,6 +22,8 @@ its entry point, ``ccn_trace_batch``.  A single request is routed by
 ``_ref.trace_one`` whichever backend is active (``sim.trace_request``).
 The helpers (``segment_cells``, ``nearest_linear``, ``nearest``,
 ``grid_cells`` and the layout functions) are exposed only by ``_ref``.
+Both ``trace_batch``es check their arguments with ``_ref.checked_args``
+and raise ValueError on the same malformed ones.
 
 The compiled backend is preferred when it loads; otherwise the dispatcher
 falls back to ``_ref`` and records why in :data:`BACKEND_REASON` (``""``

@@ -6,9 +6,10 @@ results.  Every routing rule lives there.  The library exports one entry
 point, ``ccn_trace_batch``, behind :func:`trace_batch`; the helpers it is
 built from are static in C, and only ``_ref`` exposes them.  A single
 request is routed by ``_ref.trace_one`` (``sim.trace_request``).  The
-wrapper below only converts arguments to contiguous int64/float64 arrays,
-checks lengths, index ranges and coordinates so that the C code never
-reads or writes out of bounds, and allocates every buffer the kernel uses:
+wrapper below only checks its arguments and converts them to contiguous
+int64/float64 arrays, through ``_ref.checked_args``, the checks the
+reference backend makes too, so that the C code never reads or writes out
+of bounds, and allocates every buffer the kernel uses:
 the outputs, the path buffer and the bucket tables of holders and
 stations, which ``_ref.bucket_table`` and ``_ref.station_layout`` build in
 numpy for both backends on each call (``bucket_table`` also rejects a
@@ -45,7 +46,7 @@ from pathlib import Path
 import numpy as np
 from numpy.ctypeslib import ndpointer
 
-from ._ref import MAX_GRID_SIDE, bucket_table, station_layout
+from ._ref import bucket_table, checked_args, station_layout
 
 BACKEND_NAME = "compiled"
 
@@ -132,56 +133,17 @@ def _load() -> ctypes.CDLL:
 _lib = _load()
 
 
-def _coords(values, name: str) -> np.ndarray:
-    """Contiguous float64 coordinates, which must lie in [0, 1): the kernel
-    turns them into cell ids that index its outputs."""
-    a = np.ascontiguousarray(values, dtype=np.float64)
-    if a.size and not ((a >= 0.0) & (a < 1.0)).all():
-        raise ValueError(f"{name}: coordinates must lie in [0, 1)")
-    return a
-
-
-def _indices(values, bound: int, name: str) -> np.ndarray:
-    """Contiguous int64 indices, which must lie in [0, bound)."""
-    a = np.ascontiguousarray(values, dtype=np.int64)
-    if a.size and (a.min() < 0 or a.max() >= bound):
-        raise ValueError(f"{name}: index outside [0, {bound})")
-    return a
-
-
-def _grid(g) -> int:
-    """The grid side, which the walk's fixed-point arithmetic bounds."""
-    if not 1 <= g < MAX_GRID_SIDE:
-        raise ValueError(f"grid side must lie in [1, {MAX_GRID_SIDE}), got {g}")
-    return int(g)
-
-
-def _same_length(*arrays: np.ndarray) -> None:
-    if len({len(a) for a in arrays}) > 1:
-        raise ValueError(f"array lengths differ: {[len(a) for a in arrays]}")
-
-
 def trace_batch(xs, ys, g, req, h_idx, h_start, hc_idx, hc_cell, bs_x, bs_y):
     """Trace one request per node; returns (hops, loads, status).
 
-    See ``_ref.trace_batch`` for the routing rules and status codes.
+    See ``_ref.trace_batch`` for the routing rules and status codes, and
+    ``_ref.checked_args`` for the arguments it rejects.
     """
-    g = _grid(g)
-    xs, ys = _coords(xs, "xs"), _coords(ys, "ys")
-    bs_x, bs_y = _coords(bs_x, "bs_x"), _coords(bs_y, "bs_y")
-    _same_length(xs, ys)
-    _same_length(bs_x, bs_y)
+    xs, ys, g, req, _, h_start, hc_idx, hc_cell, bs_x, bs_y = checked_args(
+        xs, ys, g, req, h_idx, h_start, hc_idx, hc_cell, bs_x, bs_y
+    )
     n = len(xs)
-    h_idx = _indices(h_idx, n, "h_idx")
-    hc_idx = _indices(hc_idx, n, "hc_idx")
-    hc_cell = np.ascontiguousarray(hc_cell, dtype=np.int64)
-    _same_length(h_idx, hc_idx, hc_cell)
-    h_start = _indices(h_start, len(h_idx) + 1, "h_start")
-    if len(h_start) == 0:
-        raise ValueError("h_start must hold at least one offset")
     stations = station_layout(bs_x, bs_y)
-    req = _indices(req, len(h_start) - 1, "req")
-    _same_length(xs, req)
     # Built before the outputs, so its temporaries are freed first.
     table = bucket_table(h_start, hc_cell)
     hops = np.zeros(n, dtype=np.int64)

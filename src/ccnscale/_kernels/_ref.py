@@ -10,7 +10,9 @@ This module alone builds the layout of every candidate set the kernels
 search, holders and stations (:func:`grid_sides`, :func:`sort_buckets`,
 :func:`bucket_table`, :func:`station_layout`).  Both kernels search every
 set one way, ring by ring over its buckets (:func:`nearest`); a set of one
-bucket is ring 0 of its own grid.
+bucket is ring 0 of its own grid.  Both backends' ``trace_batch`` check
+their arguments with :func:`checked_args`, so they reject the same
+malformed inputs.
 """
 
 from __future__ import annotations
@@ -395,22 +397,79 @@ def _route(xs, ys, g, requester, m, hc_idx, holders, bs_x, bs_y, stations):
     return 0, segment_cells(px, py, hx, hy, g)
 
 
+def _coords(values, name: str) -> np.ndarray:
+    """Contiguous float64 coordinates, which must lie in [0, 1): the kernels
+    turn them into cell ids that index their outputs."""
+    a = np.ascontiguousarray(values, dtype=np.float64)
+    if a.size and not ((a >= 0.0) & (a < 1.0)).all():
+        raise ValueError(f"{name}: coordinates must lie in [0, 1)")
+    return a
+
+
+def _indices(values, bound: int, name: str) -> np.ndarray:
+    """Contiguous int64 indices, which must lie in [0, bound)."""
+    a = np.ascontiguousarray(values, dtype=np.int64)
+    if a.size and (a.min() < 0 or a.max() >= bound):
+        raise ValueError(f"{name}: index outside [0, {bound})")
+    return a
+
+
+def _same_length(*arrays: np.ndarray) -> None:
+    if len({len(a) for a in arrays}) > 1:
+        raise ValueError(f"array lengths differ: {[len(a) for a in arrays]}")
+
+
+def checked_args(xs, ys, g, req, h_idx, h_start, hc_idx, hc_cell, bs_x, bs_y):
+    """The arguments of :func:`trace_batch`, checked, in the same order.
+
+    Both backends' ``trace_batch`` call this first, so they reject the same
+    inputs.  Arrays become contiguous float64 coordinates or int64 indices.
+    Raises ValueError unless the grid side lies in [1, MAX_GRID_SIDE)
+    (which bounds the walk's fixed-point arithmetic), every coordinate in
+    [0, 1), every index in its range, ``h_start`` holds at least one
+    offset, and paired arrays have equal lengths.  ``bucket_table`` checks
+    the bucket ids in ``hc_cell``.  With these checks the compiled kernel
+    never reads or writes out of bounds.
+    """
+    if not 1 <= g < MAX_GRID_SIDE:
+        raise ValueError(f"grid side must lie in [1, {MAX_GRID_SIDE}), got {g}")
+    g = int(g)
+    xs, ys = _coords(xs, "xs"), _coords(ys, "ys")
+    bs_x, bs_y = _coords(bs_x, "bs_x"), _coords(bs_y, "bs_y")
+    _same_length(xs, ys)
+    _same_length(bs_x, bs_y)
+    n = len(xs)
+    h_idx = _indices(h_idx, n, "h_idx")
+    hc_idx = _indices(hc_idx, n, "hc_idx")
+    hc_cell = np.ascontiguousarray(hc_cell, dtype=np.int64)
+    _same_length(h_idx, hc_idx, hc_cell)
+    h_start = _indices(h_start, len(h_idx) + 1, "h_start")
+    if len(h_start) == 0:
+        raise ValueError("h_start must hold at least one offset")
+    req = _indices(req, len(h_start) - 1, "req")
+    _same_length(xs, req)
+    return xs, ys, g, req, h_idx, h_start, hc_idx, hc_cell, bs_x, bs_y
+
+
 def trace_batch(xs, ys, g, req, h_idx, h_start, hc_idx, hc_cell, bs_x, bs_y):
     """Trace one request per node; returns (hops, loads, status).
 
     Node ``i`` requests content ``req[i]``, routed by :func:`trace_one`;
     ``h_idx`` is not read (see there).  Every transmitting cell of its walk
     is charged (all but the last cell; a single-cell walk charges it
-    once); hops are cells minus one, at least 1.
+    once); hops are cells minus one, at least 1.  Malformed arguments
+    raise ValueError (:func:`checked_args`).
     """
+    xs, ys, g, req, _, h_start, hc_idx, hc_cell, bs_x, bs_y = checked_args(
+        xs, ys, g, req, h_idx, h_start, hc_idx, hc_cell, bs_x, bs_y
+    )
     n = len(xs)
     holders = [a.tolist() for a in bucket_table(h_start, hc_cell)]
     side, bs_idx, bs_tab = station_layout(bs_x, bs_y)
     stations = side, bs_idx.tolist(), bs_tab.tolist()
-    xs, ys, bs_x, bs_y = (
-        np.asarray(a, dtype=np.float64).tolist() for a in (xs, ys, bs_x, bs_y)
+    xs, ys, bs_x, bs_y, req, hc_idx = (
+        a.tolist() for a in (xs, ys, bs_x, bs_y, req, hc_idx)
     )
-    req, hc_idx = (np.asarray(a, dtype=np.int64).tolist() for a in (req, hc_idx))
 
     hops = np.zeros(n, dtype=np.int64)
     loads = np.zeros(g * g, dtype=np.int64)

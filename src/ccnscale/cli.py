@@ -62,37 +62,42 @@ __all__ = [
 
 CSV_SCHEMA_HEADER = f"# ccn-scale v{__version__} schema=1"
 
-# Keys that may hold comma-separated lists; their order fixes the row
-# order of the sweep (cross product, last key fastest).
-_SWEEP_KEYS = ("mode", "n", "alpha", "beta", "K", "delta", "mu", "f", "cell_area")
-# Keys that must be single-valued.
-_SCALAR_KEYS = ("W", "trials", "seed", "concentration_factor", "sim", "max_sim_n")
 
-_DEFAULTS: dict[str, tuple] = {
-    "mode": (Mode.ADHOC,),
-    "n": (10_000,),
-    "alpha": (0.8,),
-    "beta": (0.9,),
-    "K": (1.0,),
-    "delta": (1.0,),
-    "mu": (None,),
-    "f": (None,),
-    "cell_area": (None,),
-    "W": 1.0,
-    "trials": 4,
-    "seed": 0,
-    "concentration_factor": 4.0,
-    "sim": False,
-    "max_sim_n": 100_000,
+class _Key(NamedTuple):
+    """How a config key is set: its default, a tuple for a sweep key; the
+    kind of value it takes (``mode``, ``int``, ``bool``, ``number`` or
+    ``positive``); the least value of an integer; and how an unset value
+    in a sweep key's list is written in the CSV headers."""
+
+    default: object
+    kind: str
+    least: int | None = None
+    unset: str = "none"
+
+
+# Every config key.  Sweep keys come first and may hold comma-separated
+# lists; their order fixes the row order of the sweep (cross product, last
+# key fastest).  The others must be single-valued.
+_KEYS = {
+    "mode": _Key((Mode.ADHOC,), "mode"),
+    "n": _Key((10_000,), "int"),
+    "alpha": _Key((0.8,), "number"),
+    "beta": _Key((0.9,), "number"),
+    "K": _Key((1.0,), "number"),
+    "delta": _Key((1.0,), "number"),
+    "mu": _Key((None,), "number"),
+    "f": _Key((None,), "number"),
+    "cell_area": _Key((None,), "number", unset="auto"),
+    "W": _Key(1.0, "positive"),
+    "trials": _Key(4, "int", least=1),
+    "seed": _Key(0, "int", least=0),
+    "concentration_factor": _Key(4.0, "positive"),
+    "sim": _Key(False, "bool"),
+    "max_sim_n": _Key(100_000, "int", least=1),
 }
-
-_CANON = {k.lower(): k for k in (*_SWEEP_KEYS, *_SCALAR_KEYS)}
-
-# Keys whose values must be integers, and the least value of some.
-_INT_KEYS = frozenset({"n", "trials", "seed", "max_sim_n"})
-_INT_MIN = {"trials": 1, "seed": 0, "max_sim_n": 1}
-# Scalar settings that must be positive numbers.
-_POSITIVE_KEYS = frozenset({"W", "concentration_factor"})
+_SWEEP_KEYS = tuple(k for k, spec in _KEYS.items() if isinstance(spec.default, tuple))
+_SCALAR_KEYS = tuple(k for k in _KEYS if k not in _SWEEP_KEYS)
+_CANON = {k.lower(): k for k in _KEYS}
 
 
 # ---------------------------------------------------------------------------
@@ -109,7 +114,8 @@ def _parse_atom(token: str, key: str, line: int):
         return True
     if low == "false":
         return False
-    if key == "mode":
+    kind = _KEYS[key].kind
+    if kind == "mode":
         try:
             return Mode(low)
         except ValueError:
@@ -124,7 +130,7 @@ def _parse_atom(token: str, key: str, line: int):
         value = float(t)
     except ValueError:
         raise ConfigError(f"cannot parse value {t!r} for key {key!r}", line) from None
-    if key in _INT_KEYS:
+    if kind == "int":
         if not value.is_integer():
             raise ConfigError(f"key {key!r} needs an integer, got {t!r}", line)
         return int(value)
@@ -136,10 +142,9 @@ class SweepConfig:
     """Parsed sweep configuration: sweep lists plus scalar settings."""
 
     values: dict[str, tuple]
-    source: str = "<memory>"
 
     def __post_init__(self) -> None:
-        merged = dict(_DEFAULTS)
+        merged = {key: spec.default for key, spec in _KEYS.items()}
         merged.update(self.values)
         object.__setattr__(self, "values", merged)
 
@@ -171,11 +176,10 @@ class SweepConfig:
     def header_lines(self) -> list[str]:
         """Effective settings, defaults included, echoed into CSV headers."""
         lines = []
-        empty = {"cell_area": "auto"}
-        for key in (*_SWEEP_KEYS, *_SCALAR_KEYS):
+        for key, spec in _KEYS.items():
             v = self.values[key]
             if key in _SWEEP_KEYS:
-                text = ", ".join(_fmt(x) or empty.get(key, "none") for x in v)
+                text = ", ".join(_fmt(x) or spec.unset for x in v)
             else:
                 text = _fmt(v)
             lines.append(f"# {key} = {text}")
@@ -205,9 +209,7 @@ def parse_config(path: str, overrides: dict | None = None) -> SweepConfig:
             if "=" not in text:
                 raise ConfigError(f"expected 'key = value', got {raw.strip()!r}", lineno)
             key_raw, _, value_raw = text.partition("=")
-            key = _CANON.get(key_raw.strip().lower())
-            if key is None:
-                raise ConfigError(f"unknown config key {key_raw.strip()!r}", lineno)
+            key = _lookup(key_raw.strip(), lineno)
             if key in seen:
                 raise ConfigError(
                     f"key {key!r} already set on line {seen[key]}", lineno
@@ -216,58 +218,61 @@ def parse_config(path: str, overrides: dict | None = None) -> SweepConfig:
             atoms = tuple(
                 _parse_atom(tok, key, lineno) for tok in value_raw.split(",")
             )
-            if key in _SCALAR_KEYS:
-                if len(atoms) != 1:
-                    raise ConfigError(f"key {key!r} takes a single value", lineno)
-                values[key] = atoms[0]
-            else:
-                values[key] = atoms
-            _check_key_types(key, values[key], lineno)
+            _store(values, key, atoms if len(atoms) > 1 else atoms[0], lineno)
     for name, value in (overrides or {}).items():
-        if value is None:
-            continue
-        key = _CANON.get(str(name).lower())
-        if key is None:
-            raise ConfigError(f"unknown config key {name!r}")
-        if key in _SCALAR_KEYS:
-            if isinstance(value, tuple):
-                raise ConfigError(f"key {key!r} takes a single value")
-        elif not isinstance(value, tuple):
-            value = (value,)  # as a one-value line of the file
-        elif not value:
-            raise ConfigError(f"key {key!r} needs at least one value")
-        _check_key_types(key, value, None)
-        values[key] = value
-    cfg = SweepConfig(values=values, source=path)
+        if value is not None:
+            _store(values, name, value, None)
+    cfg = SweepConfig(values=values)
     _validate_config(cfg, seen)
     return cfg
 
 
-def _check_key_types(key, value, line: int | None) -> None:
-    atoms = value if isinstance(value, tuple) else (value,)
-    for v in atoms:
-        if key == "mode":
+def _lookup(name, line: int | None) -> str:
+    """The config key ``name`` names, whatever its case."""
+    key = _CANON.get(str(name).lower())
+    if key is None:
+        raise ConfigError(f"unknown config key {name!r}", line)
+    return key
+
+
+def _store(values: dict, name, value, line: int | None) -> None:
+    """Check a value of key ``name`` and store it in ``values``.
+
+    ``value`` is one value, or a tuple of them: a scalar key takes one, and
+    one value for a sweep key is stored as a 1-tuple.
+    """
+    key = _lookup(name, line)
+    spec = _KEYS[key]
+    if key in _SCALAR_KEYS:
+        if isinstance(value, tuple):
+            raise ConfigError(f"key {key!r} takes a single value", line)
+    elif not isinstance(value, tuple):
+        value = (value,)
+    elif not value:
+        raise ConfigError(f"key {key!r} needs at least one value", line)
+    for v in value if isinstance(value, tuple) else (value,):
+        if spec.kind == "mode":
             if not isinstance(v, Mode):
                 raise ConfigError("mode must be 'adhoc' or 'heterogeneous'", line)
-        elif key in _INT_KEYS:
+        elif spec.kind == "int":
             if not isinstance(v, int) or isinstance(v, bool):
                 raise ConfigError(f"key {key!r} needs an integer", line)
-            least = _INT_MIN.get(key)
-            if least is not None and v < least:
+            if spec.least is not None and v < spec.least:
                 raise ConfigError(
-                    f"key {key!r} needs an integer >= {least}, got {v}", line
+                    f"key {key!r} needs an integer >= {spec.least}, got {v}", line
                 )
-        elif key == "sim":
+        elif spec.kind == "bool":
             if not isinstance(v, bool):
-                raise ConfigError("key 'sim' needs true or false", line)
+                raise ConfigError(f"key {key!r} needs true or false", line)
         elif isinstance(v, bool) or (
             v is not None and not isinstance(v, (int, float))
         ):
             raise ConfigError(f"key {key!r} needs a number", line)
         elif isinstance(v, float) and not math.isfinite(v):
             raise ConfigError(f"key {key!r} needs a finite number, got {v}", line)
-        elif key in _POSITIVE_KEYS and not (v is not None and v > 0):
+        elif spec.kind == "positive" and not (v is not None and v > 0):
             raise ConfigError(f"key {key!r} needs a positive number, got {v}", line)
+    values[key] = value
 
 
 def _validate_config(cfg: SweepConfig, seen: dict[str, int]) -> None:
@@ -483,23 +488,16 @@ def _compute_row(
 def slope_regression(rows, x: str = "n", y: str = "optimizer_delay") -> RegressionResult:
     """Ordinary least squares of ln(y) on ln(x) over sweep rows.
 
-    ``rows`` may hold :class:`SweepRow` instances, mappings, or plain
-    ``(x, y)`` pairs.  Points with missing or nonpositive values are
-    excluded with a warning.  Requires >= 4 usable points.
+    ``rows`` may hold :class:`SweepRow` instances or plain ``(x, y)``
+    pairs.  Points with missing or nonpositive values are excluded with a
+    warning.  Requires >= 4 usable points.
     """
-
-    def get(row, name, position):
-        if isinstance(row, SweepRow):
-            return getattr(row, name)
-        if isinstance(row, dict):
-            return row[name]
-        return row[position]
-
     xs, ys = [], []
     dropped = 0
     for row in rows:
-        xv = get(row, x, 0)
-        yv = get(row, y, 1)
+        if isinstance(row, SweepRow):
+            row = getattr(row, x), getattr(row, y)
+        xv, yv = row
         if xv is None or yv is None or xv <= 0 or yv <= 0:
             dropped += 1
             continue

@@ -34,8 +34,8 @@ _ALPHA_TOL = 1e-12
 # pairwise-summed by numpy and the chunk totals are combined exactly with
 # math.fsum, keeping the relative error at or below 1e-12 up to M = 1e8
 # without materializing the full term array.  With one chunk the sum is
-# numpy's pairwise sum of the term array alone, so zipf() takes it from
-# the array it has already built for M up to this size.
+# numpy's pairwise sum of the term array alone: the normalizer zipf()
+# takes from the array it has built, bit for bit, for M up to this size.
 _HARMONIC_CHUNK = 1 << 22
 
 
@@ -149,10 +149,7 @@ def zipf(m_count: int, alpha: float) -> PopularityModel:
     # One array, transformed in place: the ranks, their powers, p.
     p = np.arange(1, m_count + 1, dtype=np.float64)
     p **= -alpha
-    if m_count <= _HARMONIC_CHUNK:
-        p /= p.sum()  # harmonic(m_count, alpha), from the terms at hand
-    else:
-        p /= harmonic(m_count, alpha)
+    p /= p.sum()  # H_alpha(M), from the terms at hand
     # One exact renormalization pass so the sum lands within 1e-12 of 1.
     p /= p.sum()
     return PopularityModel(p=p, alpha=float(alpha))

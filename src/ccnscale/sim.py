@@ -451,7 +451,8 @@ def measure(
     Never raises on routing: a request nobody can serve is charged one
     hop in its own cell, keeping the load/hop identity intact (the
     feasibility of the allocation is the caller's contract), and one
-    ``RuntimeWarning`` gives the number of such requests.
+    ``RuntimeWarning`` gives the number of such requests.  Raises
+    ``RuntimeError`` if the kernel's cell loads do not sum to its hops.
     """
     requests = np.asarray(requests, dtype=np.int64)
     if requests.shape != (inst.n,):
@@ -474,6 +475,11 @@ def measure(
             "was charged one hop in its own cell", RuntimeWarning, stacklevel=2,
         )
     hops_total = int(hops.sum())
+    # Not an assert, which -O strips: a kernel fault must not pass silently.
+    if (charged := int(loads.sum())) != hops_total:
+        raise RuntimeError(
+            f"kernel charged {charged} cell loads for {hops_total} hops"
+        )
     n = inst.n
     mean_hops = hops_total / n
     max_load = float(loads.max())

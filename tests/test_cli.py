@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import os
+import re
 import subprocess
 import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,6 +25,9 @@ from ccnscale.cli import (
     slope_regression,
 )
 from ccnscale.errors import SolverError
+
+
+_ROOT = Path(__file__).resolve().parents[1]
 
 
 def _write(tmp_path, name, text):
@@ -271,6 +277,30 @@ class TestParseConfig:
         assert keys == set(cli._SWEEP_KEYS) | set(cli._SCALAR_KEYS)
 
 
+class TestKeyTable:
+    """What the one table of config keys, ``cli._KEYS``, must agree with."""
+
+    @pytest.mark.parametrize(
+        "conf", sorted((_ROOT / "configs").glob("*.conf")), ids=lambda p: p.name
+    )
+    def test_header_lines_parse_back(self, tmp_path, conf):
+        cfg = parse_config(str(conf))
+        text = "".join(line.removeprefix("# ") + "\n" for line in cfg.header_lines())
+        again = parse_config(_write(tmp_path, conf.name, text))
+        assert again.values == cfg.values
+        assert again.points() == cfg.points()
+
+    def test_sweep_row_point_fields_are_the_sweep_keys(self):
+        # The CSV columns come from SweepRow's fields, the points from the table.
+        names = tuple(f.name for f in dataclasses.fields(SweepRow))
+        assert names[1 : 1 + len(cli._SWEEP_KEYS)] == cli._SWEEP_KEYS
+
+    def test_readme_key_table_lists_every_key(self):
+        readme = (_ROOT / "README.md").read_text(encoding="utf-8")
+        listed = re.findall(r"^\| `(\w+)` \|", readme, flags=re.M)
+        assert listed == list(cli._KEYS)
+
+
 # ---------------------------------------------------------------------------
 # slope regression
 # ---------------------------------------------------------------------------
@@ -296,8 +326,7 @@ class TestSlopeRegression:
         rng = np.random.default_rng(5)
         ns = np.geomspace(1e3, 1e6, 12)
         rows = [
-            {"n": float(n), "y": float(n**0.3 * math.exp(rng.normal(0, 0.05)))}
-            for n in ns
+            (float(n), float(n**0.3 * math.exp(rng.normal(0, 0.05)))) for n in ns
         ]
         res = slope_regression(rows, "n", "y")
         assert abs(res.slope - 0.3) < 0.05

@@ -962,6 +962,26 @@ def _tiny_trace_args(**override):
     return args
 
 
+# Arguments that would make the C kernel read or write out of bounds.
+_MALFORMED = [
+    {"req": np.array([0, 1])},  # content 1 does not exist
+    {"req": np.array([0])},  # one request for two nodes
+    {"h_idx": np.array([2])},
+    {"hc_idx": np.array([-1])},
+    {"h_start": np.array([0, 2])},
+    {"xs": np.array([-0.1, 0.6])},
+    {"ys": np.array([float("nan"), 0.7])},
+    {"bs_x": np.array([0.5]), "bs_y": np.array([])},
+    {"hc_cell": np.array([1])},  # one holder has one bucket, 0
+    {"hc_cell": np.array([-1])},
+    {"g": 0},
+    {"g": _ref.MAX_GRID_SIDE},  # the walk's fixed point would overflow
+    {"xs": np.array([1.0, 0.6])},  # coordinates lie in [0, 1)
+    {"xs": np.array([1.5, 0.6])},
+    {"req": np.array([-1, 0])},
+]
+
+
 @needs_fast
 class TestCompiledInputChecks:
     """The C kernel trusts its inputs, so the binding rejects any that would
@@ -973,27 +993,20 @@ class TestCompiledInputChecks:
         for a, b in zip(got, want):
             np.testing.assert_array_equal(a, b)
 
-    @pytest.mark.parametrize(
-        "override",
-        [
-            {"req": np.array([0, 1])},  # content 1 does not exist
-            {"req": np.array([0])},  # one request for two nodes
-            {"h_idx": np.array([2])},
-            {"hc_idx": np.array([-1])},
-            {"h_start": np.array([0, 2])},
-            {"xs": np.array([-0.1, 0.6])},
-            {"ys": np.array([float("nan"), 0.7])},
-            {"bs_x": np.array([0.5]), "bs_y": np.array([])},
-            {"hc_cell": np.array([1])},  # one holder has one bucket, 0
-            {"hc_cell": np.array([-1])},
-            {"g": 0},
-            {"g": _ref.MAX_GRID_SIDE},  # the walk's fixed point would overflow
-            {"xs": np.array([1.0, 0.6])},  # coordinates lie in [0, 1)
-        ],
-    )
+    @pytest.mark.parametrize("override", _MALFORMED)
     def test_trace_batch_rejects(self, override):
         with pytest.raises(ValueError):
             _fast.trace_batch(**_tiny_trace_args(**override))
+
+
+class TestReferenceInputChecks:
+    """The reference rejects what the compiled binding rejects, so the two
+    backends accept the same inputs; no compiler is needed."""
+
+    @pytest.mark.parametrize("override", _MALFORMED)
+    def test_trace_batch_rejects(self, override):
+        with pytest.raises(ValueError):
+            _ref.trace_batch(**_tiny_trace_args(**override))
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Popularity models: Zipf construction, harmonic normalizer, regimes."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -130,6 +131,23 @@ class TestZipf:
     @pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0, 1.2, 2.0])
     def test_same_bits_as_harmonic_form(self, m, alpha):
         assert np.array_equal(pop.zipf(m, alpha).p, zipf_by_harmonic(m, alpha))
+
+    def test_past_one_harmonic_chunk_holds_p_alone(self):
+        # p, the one-byte-per-content mask of the model's monotonicity
+        # check, and no chunked rebuild of the terms for the normalizer.
+        m, alpha = pop._HARMONIC_CHUNK + 1, 0.8
+        assert not tracemalloc.is_tracing()
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            p = pop.zipf(m, alpha).p
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * p.nbytes
+        assert abs(float(p.sum()) - 1.0) <= 1e-12
+        k = np.array([1, 2, 999, 2**20, m - 1])
+        np.testing.assert_allclose(p[k] / p[0], (k + 1.0) ** -alpha, rtol=1e-12)
 
     def test_explicit_ratio_follows_power_law(self):
         model = pop.zipf(50, 1.3)

@@ -1025,6 +1025,19 @@ class TestMeasure:
         assert meas.request_hops.tolist() == [1, 1, 1, 1]
         assert int(meas.lines_per_cell.sum()) == meas.hops_total == 4
 
+    def test_lost_charge_raises(self, monkeypatch):
+        # A kernel that drops one cell charge breaks load = hops.
+        real = _kernels.trace_batch
+
+        def dropping(*args):
+            hops, loads, status = real(*args)
+            loads[np.flatnonzero(loads)[0]] -= 1
+            return hops, loads, status
+
+        monkeypatch.setattr(sim._kernels, "trace_batch", dropping)
+        with pytest.raises(RuntimeError, match="charged 3 cell loads for 4 hops"):
+            sim.measure(self._four_node_instance(), [0, 0, 0, 0])
+
     def test_routable_trials_do_not_warn(self):
         cfg = NetworkConfig(n=500, alpha=0.8, beta=0.6, seed=2)
         prob = cfg.problem()
