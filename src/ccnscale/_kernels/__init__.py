@@ -15,11 +15,13 @@ base stations go through one search, ``nearest``, on a layout that
 ``_ref`` alone builds in numpy (``grid_sides``, ``sort_buckets``,
 ``bucket_table``, ``station_layout``): each candidate set has a bucket
 grid of its own, a bucket is one slice of the member array, and the
-search visits the buckets ring by ring; a set of one bucket is ring 0 of
-its own grid.  This module exports ``trace_batch``, and ``_ref``'s
-``RING_MIN_HOLDERS`` for the benchmark; the compiled library exports only
-its entry point, ``ccn_trace_batch``.  A single request is routed by
-``_ref.trace_one`` whichever backend is active (``sim.trace_request``).
+search visits the buckets ring by ring, each row of a ring one slice; a
+set of one bucket is ring 0 of its own grid.  With base stations,
+``trace_batch`` visits the requesters in cell order.  This module exports
+``trace_batch``, and ``_ref``'s ``RING_MIN_HOLDERS`` for the benchmark;
+the compiled library exports only its entry point, ``ccn_trace_batch``.
+A single request is routed by ``_ref.trace_one`` whichever backend is
+active (``sim.trace_request``).
 The helpers (``segment_cells``, ``nearest_linear``, ``nearest``,
 ``grid_cells`` and the layout functions) are exposed only by ``_ref``.
 Both ``trace_batch``es check their arguments with ``_ref.checked_args``

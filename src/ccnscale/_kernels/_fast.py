@@ -10,7 +10,9 @@ wrapper below only checks its arguments and converts them to contiguous
 int64/float64 arrays, through ``_ref.checked_args``, the checks the
 reference backend makes too, so that the C code never reads or writes out
 of bounds, and allocates every buffer the kernel uses:
-the outputs, the path buffer and the bucket tables of holders and
+the outputs, the path buffer, the int32 buffer into which the kernel
+sorts the requesters by cell when the instance has base stations (empty
+without them), and the bucket tables of holders and
 stations, which ``_ref.bucket_table`` and ``_ref.station_layout`` build in
 numpy for both backends on each call (``bucket_table`` also rejects a
 bucket id off its content's grid).  The kernel reads the holders only as
@@ -103,6 +105,7 @@ def _build(cc: list[str], out: Path) -> None:
 
 _F64 = ndpointer(np.float64, ndim=1, flags="C_CONTIGUOUS")
 _I64 = ndpointer(np.int64, ndim=1, flags="C_CONTIGUOUS")
+_I32 = ndpointer(np.int32, ndim=1, flags="C_CONTIGUOUS")
 
 
 def _load() -> ctypes.CDLL:
@@ -121,10 +124,11 @@ def _load() -> ctypes.CDLL:
         # AttributeError: a library without the kernel's entry point.
         raise ImportError(f"cannot load {path}: {exc}") from None
     # The nodes and requests; the holders and their bucket_table; the
-    # stations and their station_layout; the path buffer and the outputs.
+    # stations and their station_layout; the visit-order buffer, the path
+    # buffer and the outputs.
     kernel.argtypes = [
         c_int64, _F64, _F64, c_int64, _I64, _I64, _I64, _I64, _I64, _F64, _F64,
-        c_int64, _I64, _I64, _I64, _I64, _I64, _I64,
+        c_int64, _I64, _I64, _I32, _I64, _I64, _I64, _I64,
     ]
     kernel.restype = None
     return lib
@@ -149,10 +153,13 @@ def trace_batch(xs, ys, g, req, h_idx, h_start, hc_idx, hc_cell, bs_x, bs_y):
     hops = np.zeros(n, dtype=np.int64)
     loads = np.zeros(g * g, dtype=np.int64)
     status = np.zeros(n, dtype=np.int64)
+    # With stations the kernel visits the requesters in cell order, which
+    # it writes here; checked_args keeps n within int32.
+    order = np.empty(n if len(bs_x) else 0, dtype=np.int32)
     # Any walk takes fewer than g steps per axis, so at most 2g - 1 cells.
     path = np.empty(2 * g - 1, dtype=np.int64)
     _lib.ccn_trace_batch(
-        n, xs, ys, g, req, hc_idx, *table, bs_x, bs_y, *stations, path, hops,
-        loads, status,
+        n, xs, ys, g, req, hc_idx, *table, bs_x, bs_y, *stations, order, path,
+        hops, loads, status,
     )
     return hops, loads, status

@@ -9,10 +9,13 @@ two files in lockstep.
 This module alone builds the layout of every candidate set the kernels
 search, holders and stations (:func:`grid_sides`, :func:`sort_buckets`,
 :func:`bucket_table`, :func:`station_layout`).  Both kernels search every
-set one way, ring by ring over its buckets (:func:`nearest`); a set of one
-bucket is ring 0 of its own grid.  Both backends' ``trace_batch`` check
-their arguments with :func:`checked_args`, so they reject the same
-malformed inputs.
+set one way, ring by ring over its buckets (:func:`nearest`), each row of
+a ring one slice of the bucket table, and ring 1 only on the sides of the
+query's bucket that its edges do not rule out; a set of one bucket is ring
+0 of its own grid.  With base stations both ``trace_batch``es visit the
+requesters in cell order, which changes no output.  Both backends'
+``trace_batch`` check their arguments with :func:`checked_args`, so they
+reject the same malformed inputs.
 """
 
 from __future__ import annotations
@@ -36,6 +39,8 @@ BLOCK = 1 << 14
 # order crossings below 2**125 (the compiled kernel's __int128).
 FIX_BITS = 40
 MAX_GRID_SIDE = 1 << 22
+# Node indices fit the compiled kernel's int32 visit order (trace_batch).
+MAX_NODES = (1 << 31) - 1
 _FIX_SCALE = float(1 << FIX_BITS)
 
 
@@ -178,47 +183,104 @@ def nearest(
     The set lies on a grid of side ``g`` of its own (:func:`grid_sides`).
     Its bucket ``c`` (flat id ``row * g + col``) holds the indices into
     ``xs``/``ys`` at ``idx[tab[base + c]:tab[base + c + 1]]``, the layout
-    of :func:`bucket_table`.  The search visits the buckets ring by ring
-    around the query's and scans each, one slice, by
-    :func:`nearest_linear`, so candidates compete as there.  Ring ``g //
-    2`` reaches every bucket, so the search ends there; a set of one
-    bucket is ring 0 alone, ``idx[tab[base]:tab[base + 1]]``.  Once a best
-    exists, the search stops at the first ring that lies beyond its
-    distance.  Equivalent to a linear scan seeded with the same best,
-    including ties-to-lowest-id.
+    of :func:`bucket_table`, so the buckets of one row are one slice.  The
+    search visits the buckets ring by ring around the query's, up to ring
+    ``g // 2``, which reaches every bucket, and scans each row of a ring
+    that it visits as one slice (two where the row crosses the torus seam)
+    by :func:`nearest_linear`, so candidates compete as there.  A set of
+    one bucket is ring 0 alone, ``idx[tab[base]:tab[base + 1]]``.
+
+    Ring 1 drops the column (or row) of buckets on a side of the query's
+    bucket whose edge lies beyond the best distance found in ring 0 (see
+    :data:`GAP_EPS`).  From ring 2 on, the search stops at the first ring
+    that lies beyond the best distance.  The winner is the lexicographic
+    minimum of (d2, id) over the scanned members and the seed, which does
+    not depend on the scan order, and a bucket is skipped only when every
+    member's computed d2 exceeds the best one, so the result equals a
+    linear scan seeded with the same best, including ties-to-lowest-id.
     """
     qcol = _cell_index(px, g)
     qrow = _cell_index(py, g)
     saw_excluded = False
     s = 1.0 / g
     for ring in range(g // 2 + 1):
-        if best_i >= 0 and ring >= 2:
-            reach = (ring - 1) * s
-            if reach * reach > best_d2:
-                break
         if ring == 0:
-            offsets = ((0, 0),)
+            rows = ((qrow, qcol, qcol),)
+        elif ring == 1:
+            rows = _ring1_rows(px, py, qrow, qcol, s, best_d2)
         else:
-            offsets = _ring_offsets(ring)
-        for dr, dc in offsets:
-            cid = base + _wrap(qrow + dr, g) * g + _wrap(qcol + dc, g)
-            best_i, best_d2, saw = nearest_linear(
-                px, py, xs, ys, idx[tab[cid]:tab[cid + 1]], exclude,
-                best_i, best_d2, offset,
-            )
-            saw_excluded |= saw
+            if best_i >= 0:
+                reach = (ring - 1) * s
+                if reach * reach > best_d2:
+                    break
+            rows = _ring_rows(qrow, qcol, ring)
+        for row, c0, c1 in rows:
+            for first, last in _row_slices(row, c0, c1, g):
+                best_i, best_d2, saw = nearest_linear(
+                    px, py, xs, ys, idx[tab[base + first]:tab[base + last + 1]],
+                    exclude, best_i, best_d2, offset,
+                )
+                saw_excluded |= saw
     return best_i, best_d2, saw_excluded
 
 
-def _ring_offsets(r: int):
-    out = []
-    for dc in range(-r, r + 1):
-        out.append((-r, dc))
-        out.append((r, dc))
+# Ring 1 drops the buckets on a side of the query's bucket when the gap to
+# that edge, less GAP_EPS, squares to more than the best d2.  The edge is
+# (qcol + 1) * s with s = 1 / g, and a member sits in a bucket by
+# int(x * g); each of these roundings, and those of the gap and of _dist2,
+# moves a distance by at most a few units of 2**-53 on the unit torus.
+# So every member beyond the edge has a computed |dx| (or |dy|) at least
+# the gap less GAP_EPS, and its d2 exceeds the best: ties are never dropped.
+GAP_EPS = 1e-12
+
+
+def _beyond(gap: float, best_d2: float) -> bool:
+    """Whether every member past an edge ``gap`` away lies beyond ``best_d2``."""
+    return gap > 0.0 and gap * gap > best_d2
+
+
+def _ring1_rows(px, py, qrow, qcol, s, best_d2):
+    """Ring 1 around bucket (qrow, qcol) as ``(row, c0, c1)`` spans, less the
+    columns and rows on a side whose edge lies beyond ``best_d2``.
+
+    On a grid of side 2 the buckets on both sides of the query are one, and
+    it is scanned when either side is kept."""
+    left = not _beyond(px - qcol * s - GAP_EPS, best_d2)
+    right = not _beyond((qcol + 1) * s - px - GAP_EPS, best_d2)
+    below = not _beyond(py - qrow * s - GAP_EPS, best_d2)
+    above = not _beyond((qrow + 1) * s - py - GAP_EPS, best_d2)
+    c0, c1 = qcol - left, qcol + right
+    rows = []
+    if below:
+        rows.append((qrow - 1, c0, c1))
+    if above:
+        rows.append((qrow + 1, c0, c1))
+    if left:
+        rows.append((qrow, qcol - 1, qcol - 1))
+    if right:
+        rows.append((qrow, qcol + 1, qcol + 1))
+    return rows
+
+
+def _ring_rows(qrow, qcol, r):
+    """Ring ``r >= 1`` around bucket (qrow, qcol) as ``(row, c0, c1)`` spans:
+    its bottom and top rows whole, then one bucket on each side per row."""
+    rows = [(qrow - r, qcol - r, qcol + r), (qrow + r, qcol - r, qcol + r)]
     for dr in range(-r + 1, r):
-        out.append((dr, -r))
-        out.append((dr, r))
-    return out
+        rows.append((qrow + dr, qcol - r, qcol - r))
+        rows.append((qrow + dr, qcol + r, qcol + r))
+    return rows
+
+
+def _row_slices(row, c0, c1, g):
+    """Columns ``c0..c1`` of ``row`` (unwrapped, ``c0 <= c1 <= c0 + g``) as
+    ``(first, last)`` flat bucket ids on the grid of side ``g``: one run,
+    or two where the span crosses the torus seam."""
+    r = _wrap(row, g) * g
+    a, b = _wrap(c0, g), _wrap(c1, g)
+    if a <= b and c1 - c0 < g:
+        return ((r + a, r + b),)
+    return ((r + a, r + g - 1), (r, r + b))
 
 
 def grid_sides(sizes) -> np.ndarray:
@@ -425,7 +487,8 @@ def checked_args(xs, ys, g, req, h_idx, h_start, hc_idx, hc_cell, bs_x, bs_y):
     Both backends' ``trace_batch`` call this first, so they reject the same
     inputs.  Arrays become contiguous float64 coordinates or int64 indices.
     Raises ValueError unless the grid side lies in [1, MAX_GRID_SIDE)
-    (which bounds the walk's fixed-point arithmetic), every coordinate in
+    (which bounds the walk's fixed-point arithmetic), there are at most
+    MAX_NODES nodes (the kernel's visit order is int32), every coordinate in
     [0, 1), every index in its range, ``h_start`` holds at least one
     offset, and paired arrays have equal lengths.  ``bucket_table`` checks
     the bucket ids in ``hc_cell``.  With these checks the compiled kernel
@@ -439,6 +502,8 @@ def checked_args(xs, ys, g, req, h_idx, h_start, hc_idx, hc_cell, bs_x, bs_y):
     _same_length(xs, ys)
     _same_length(bs_x, bs_y)
     n = len(xs)
+    if n > MAX_NODES:
+        raise ValueError(f"at most {MAX_NODES} nodes, got {n}")
     h_idx = _indices(h_idx, n, "h_idx")
     hc_idx = _indices(hc_idx, n, "hc_idx")
     hc_cell = np.ascontiguousarray(hc_cell, dtype=np.int64)
@@ -457,13 +522,21 @@ def trace_batch(xs, ys, g, req, h_idx, h_start, hc_idx, hc_cell, bs_x, bs_y):
     Node ``i`` requests content ``req[i]``, routed by :func:`trace_one`;
     ``h_idx`` is not read (see there).  Every transmitting cell of its walk
     is charged (all but the last cell; a single-cell walk charges it
-    once); hops are cells minus one, at least 1.  Malformed arguments
-    raise ValueError (:func:`checked_args`).
+    once); hops are cells minus one, at least 1.  With base stations the
+    requesters are visited in cell order on the node grid, stably (the
+    compiled kernel's counting sort), without them in index order; a
+    request writes only its own hops and status and adds to the loads, so
+    the order changes no output.  Malformed arguments raise ValueError
+    (:func:`checked_args`).
     """
     xs, ys, g, req, _, h_start, hc_idx, hc_cell, bs_x, bs_y = checked_args(
         xs, ys, g, req, h_idx, h_start, hc_idx, hc_cell, bs_x, bs_y
     )
     n = len(xs)
+    order = (
+        np.argsort(grid_cells(xs, ys, g), kind="stable").tolist()
+        if len(bs_x) else range(n)
+    )
     holders = [a.tolist() for a in bucket_table(h_start, hc_cell)]
     side, bs_idx, bs_tab = station_layout(bs_x, bs_y)
     stations = side, bs_idx.tolist(), bs_tab.tolist()
@@ -476,7 +549,7 @@ def trace_batch(xs, ys, g, req, h_idx, h_start, hc_idx, hc_cell, bs_x, bs_y):
     loads_l = [0] * (g * g)
     status = np.zeros(n, dtype=np.int64)
 
-    for i in range(n):
+    for i in order:
         status[i], cells = _route(
             xs, ys, g, i, req[i], hc_idx, holders, bs_x, bs_y, stations
         )

@@ -11,19 +11,25 @@
  * Holders and stations are searched in one bucket format, the CSR table of
  * _ref.bucket_table: each candidate set has a grid of its own, of side
  * side[m], and its bucket c is the slice idx[tab[base[m] + c] ..
- * tab[base[m] + c + 1]), so the search reads each bucket it visits as one
- * slice.  _ref lays out every set.  One search, nearest, serves every set
- * ring by ring over its buckets; a set of one bucket (side 1) is ring 0 of
- * its own grid.  The holders are passed only as hc_idx and their bucket
- * table.
+ * tab[base[m] + c + 1]), so the buckets of one grid row are one slice.
+ * _ref lays out every set.  One search, nearest, serves every set ring by
+ * ring over its buckets and reads each row of a ring as one slice (two
+ * across the torus seam); ring 1 leaves out the buckets on a side whose
+ * edge lies beyond the best distance found in ring 0.  A set of one
+ * bucket (side 1) is ring 0 of its own grid.  The holders are passed only
+ * as hc_idx and their bucket table.
+ *
+ * With base stations, ccn_trace_batch visits the requesters in cell order
+ * (cell_order); without them, in index order.  No output depends on the
+ * order.
  *
  * The library exports one entry point, ccn_trace_batch; every helper is
  * static.  sim.trace_request routes a single request with _ref.trace_one.
  * Inputs are trusted: the ctypes binding in _fast.py checks array lengths,
  * index ranges and coordinates before calling in.  The binding passes
  * every buffer, the bucket tables of holders and stations
- * (_ref.bucket_table, _ref.station_layout) and the path buffer included;
- * the kernel allocates nothing.
+ * (_ref.bucket_table, _ref.station_layout), the visit-order buffer and the
+ * path buffer included; the kernel allocates nothing.
  */
 
 #include <math.h>
@@ -154,14 +160,26 @@ static inline void nearest_linear(double px, double py, const double *xs,
     *best_d2 = bd2;
 }
 
+/* Ring 1 drops the buckets on a side whose edge, GAP_EPS nearer, lies
+ * beyond the best d2 (see _ref.GAP_EPS, which states why no tie is lost). */
+#define GAP_EPS 1e-12
+
+static inline int beyond(double gap, double best_d2)
+{
+    return gap > 0.0 && gap * gap > best_d2;
+}
+
 /* Nearest member of one candidate set on its grid of side g (see
  * _ref.nearest): bucket c is the slice idx[tab[base + c] ..
- * tab[base + c + 1]), scanned by nearest_linear, so candidates compete as
- * there.  Buckets are visited ring by ring up to ring g / 2, which reaches
- * every bucket; a set of one bucket is ring 0 alone, scanned without the
- * ring set-up.  Once a best exists, the search stops at the first ring
- * that lies beyond its distance.  Sets *saw when a visited bucket holds
- * exclude. */
+ * tab[base + c + 1]), and the buckets of a row form one slice, which
+ * nearest_linear scans, so candidates compete as there.  Buckets are visited
+ * ring by ring up to ring g / 2, which reaches every bucket, each row of a
+ * ring as one slice, or two across the torus seam; a set of one bucket is
+ * ring 0 alone, scanned without the ring set-up.  Ring 1 drops the column
+ * (or row) on a side whose edge lies beyond the best d2 after ring 0
+ * (_ref._ring1_rows); from ring 2 on, the search stops at the first ring
+ * that lies beyond the best distance.  Sets *saw when a visited bucket
+ * holds exclude. */
 static inline void nearest(double px, double py, const double *xs,
                            const double *ys, const i64 *idx, const i64 *tab,
                            i64 base, i64 g, i64 exclude, i64 offset,
@@ -175,31 +193,46 @@ static inline void nearest(double px, double py, const double *xs,
     }
     i64 qcol = cell_index(px, g), qrow = cell_index(py, g), rmax = g / 2;
     double s = 1.0 / g;
-#define SCAN(r, c) do { \
-        i64 cid_ = wrap(r, g) * g + wrap(c, g); \
-        nearest_linear(px, py, xs, ys, idx + tab[cid_], \
-                       tab[cid_ + 1] - tab[cid_], exclude, offset, best_i, \
-                       best_d2, saw); \
+/* Buckets first .. last, flat ids of one row: one slice. */
+#define SCAN(first, last) \
+    nearest_linear(px, py, xs, ys, idx + tab[first], \
+                   tab[(last) + 1] - tab[first], exclude, offset, best_i, \
+                   best_d2, saw)
+/* Columns c0 .. c1 of a row, unwrapped (see _ref._row_slices). */
+#define SCAN_ROW(row, c0, c1) do { \
+        i64 r_ = wrap(row, g) * g, a_ = wrap(c0, g), b_ = wrap(c1, g); \
+        if (a_ <= b_ && (c1) - (c0) < g) { \
+            SCAN(r_ + a_, r_ + b_); \
+        } else { \
+            SCAN(r_ + a_, r_ + g - 1); \
+            SCAN(r_, r_ + b_); \
+        } \
     } while (0)
-    for (i64 ring = 0; ring <= rmax; ring++) {
-        if (*best_i >= 0 && ring >= 2) {
+    SCAN_ROW(qrow, qcol, qcol);
+    /* Ring 1, less the sides beyond the best (see _ref._ring1_rows). */
+    int left = !beyond(px - qcol * s - GAP_EPS, *best_d2);
+    int right = !beyond((qcol + 1) * s - px - GAP_EPS, *best_d2);
+    int below = !beyond(py - qrow * s - GAP_EPS, *best_d2);
+    int above = !beyond((qrow + 1) * s - py - GAP_EPS, *best_d2);
+    i64 c0 = qcol - left, c1 = qcol + right;
+    if (below) SCAN_ROW(qrow - 1, c0, c1);
+    if (above) SCAN_ROW(qrow + 1, c0, c1);
+    if (left) SCAN_ROW(qrow, qcol - 1, qcol - 1);
+    if (right) SCAN_ROW(qrow, qcol + 1, qcol + 1);
+    /* Same spans as _ref._ring_rows. */
+    for (i64 ring = 2; ring <= rmax; ring++) {
+        if (*best_i >= 0) {
             double reach = (ring - 1) * s;
             if (reach * reach > *best_d2) break;
         }
-        if (ring == 0) {
-            SCAN(qrow, qcol);
-            continue;
-        }
-        /* Same bucket visit order as _ref._ring_offsets(). */
-        for (i64 dc = -ring; dc <= ring; dc++) {
-            SCAN(qrow - ring, qcol + dc);
-            SCAN(qrow + ring, qcol + dc);
-        }
+        SCAN_ROW(qrow - ring, qcol - ring, qcol + ring);
+        SCAN_ROW(qrow + ring, qcol - ring, qcol + ring);
         for (i64 dr = -ring + 1; dr < ring; dr++) {
-            SCAN(qrow + dr, qcol - ring);
-            SCAN(qrow + dr, qcol + ring);
+            SCAN_ROW(qrow + dr, qcol - ring, qcol - ring);
+            SCAN_ROW(qrow + dr, qcol + ring, qcol + ring);
         }
     }
+#undef SCAN_ROW
 #undef SCAN
 }
 
@@ -241,47 +274,94 @@ static inline i64 trace_one(i64 n, const double *xs, const double *ys,
     return segment_cells(px, py, hx, hy, g, buf);
 }
 
+/* Writes to order the nodes 0 .. n-1 sorted by their cell on the node grid
+ * of side g, row * g + col, stably: np.argsort(_ref.grid_cells(xs, ys, g),
+ * kind="stable").  A counting sort that counts in count, g * g entries,
+ * zero on entry and again on return.  The binding keeps n below 2^31. */
+static void cell_order(i64 n, const double *xs, const double *ys, i64 g,
+                       i64 *count, int32_t *order)
+{
+    i64 cells = g * g, sum = 0;
+    for (i64 i = 0; i < n; i++)
+        count[cell_index(ys[i], g) * g + cell_index(xs[i], g)] += 1;
+    for (i64 c = 0; c < cells; c++) {
+        i64 k = count[c];
+        count[c] = sum;
+        sum += k;
+    }
+    for (i64 i = 0; i < n; i++)
+        order[count[cell_index(ys[i], g) * g + cell_index(xs[i], g)]++] =
+            (int32_t)i;
+    for (i64 c = 0; c < cells; c++) count[c] = 0;
+}
+
 /* Traces one request per node into hops, loads and status (all zeroed by
  * the caller), with buf as the path buffer of trace_one; see
  * _ref.trace_batch for the rules.
+ *
+ * With stations (bs_tab's last entry, the station count, above 0), the
+ * requesters are visited in cell order (cell_order, into order, which
+ * holds n entries; loads serves as its count before any load is added):
+ * neighbouring requesters then search the same station buckets, which
+ * stay in cache (Mellor-Crummey, Whalley & Kennedy, IJPP 29(3), 2001).
+ * A request writes only its own hops and status and adds integers to
+ * loads, so the order changes no output.  Without stations, the nodes are
+ * visited in index order and order is not read: there the holder
+ * searches of consecutive requesters scatter over the contents anyway,
+ * and the order gained nothing.
  *
  * A holder search starts with a chain of dependent loads from scattered
  * places: h_side[m] and h_base[m], then the content's bucket bounds from
  * h_tab[h_base[m]], then the first holders in hc_idx, then the
  * coordinates of the holders of a content of one bucket (h_side[m] == 1),
- * which nearest scans at once.  The loop requests each link a few
- * requests ahead (group prefetching, Chen, Ailamaki, Gibbons & Mowry, ICDE
- * 2004), once the link before it has had time to arrive.
- * __builtin_prefetch is a cache hint only: it does no arithmetic and
- * changes no result, so _ref.py has nothing to mirror, and it never
- * faults (an entry of h_tab may point one past the end of hc_idx). */
+ * which nearest scans at once.  In cell order the requesters' own entries
+ * of req, xs and ys are scattered as well.  The loop requests each link a
+ * few requests ahead in the visit order (group prefetching, Chen,
+ * Ailamaki, Gibbons & Mowry, ICDE 2004), once the link before it has had
+ * time to arrive.  __builtin_prefetch is a cache hint only: it does no
+ * arithmetic and changes no result, so _ref.py has nothing to mirror, and
+ * it never faults (an entry of h_tab may point one past the end of
+ * hc_idx). */
 void ccn_trace_batch(i64 n, const double *xs, const double *ys, i64 g,
                      const i64 *req, const i64 *hc_idx, const i64 *h_side,
                      const i64 *h_base, const i64 *h_tab, const double *bs_x,
                      const double *bs_y, i64 bs_side, const i64 *bs_idx,
-                     const i64 *bs_tab, i64 *buf, i64 *hops, i64 *loads,
-                     i64 *status)
+                     const i64 *bs_tab, int32_t *order, i64 *buf, i64 *hops,
+                     i64 *loads, i64 *status)
 {
-    for (i64 i = 0; i < n; i++) {
-        if (i + 16 < n) {
-            i64 m = req[i + 16];
+    int by_cell = bs_tab[bs_side * bs_side] > 0;
+    if (by_cell) cell_order(n, xs, ys, g, loads, order);
+/* The k-th requester in the visit order. */
+#define NODE(k) (by_cell ? (i64)order[k] : (k))
+    for (i64 k = 0; k < n; k++) {
+        if (by_cell) {
+            if (k + 24 < n) __builtin_prefetch(&req[order[k + 24]]);
+            if (k + 8 < n) {
+                i64 j = order[k + 8];
+                __builtin_prefetch(&xs[j]);
+                __builtin_prefetch(&ys[j]);
+            }
+        }
+        if (k + 16 < n) {
+            i64 m = req[NODE(k + 16)];
             __builtin_prefetch(&h_side[m]);
             __builtin_prefetch(&h_base[m]);
         }
-        if (i + 8 < n)
-            __builtin_prefetch(&h_tab[h_base[req[i + 8]]]);
-        if (i + 6 < n)
-            __builtin_prefetch(&hc_idx[h_tab[h_base[req[i + 6]]]]);
-        if (i + 3 < n) {
-            i64 m = req[i + 3];
+        if (k + 8 < n)
+            __builtin_prefetch(&h_tab[h_base[req[NODE(k + 8)]]]);
+        if (k + 6 < n)
+            __builtin_prefetch(&hc_idx[h_tab[h_base[req[NODE(k + 6)]]]]);
+        if (k + 3 < n) {
+            i64 m = req[NODE(k + 3)];
             if (h_side[m] == 1) {
                 const i64 *t = h_tab + h_base[m];
-                for (i64 k = t[0], hi = t[1]; k < hi; k++) {
-                    __builtin_prefetch(&xs[hc_idx[k]]);
-                    __builtin_prefetch(&ys[hc_idx[k]]);
+                for (i64 j = t[0], hi = t[1]; j < hi; j++) {
+                    __builtin_prefetch(&xs[hc_idx[j]]);
+                    __builtin_prefetch(&ys[hc_idx[j]]);
                 }
             }
         }
+        i64 i = NODE(k);
         i64 ncells = trace_one(n, xs, ys, g, i, req[i], hc_idx, h_side,
                                h_base, h_tab, bs_x, bs_y, bs_side, bs_idx,
                                bs_tab, buf, &status[i]);
@@ -293,4 +373,5 @@ void ccn_trace_batch(i64 n, const double *xs, const double *ys, i64 g,
             hops[i] = ncells - 1;
         }
     }
+#undef NODE
 }

@@ -65,9 +65,10 @@ CSV_SCHEMA_HEADER = f"# ccn-scale v{__version__} schema=1"
 
 class _Key(NamedTuple):
     """How a config key is set: its default, a tuple for a sweep key; the
-    kind of value it takes (``mode``, ``int``, ``bool``, ``number`` or
-    ``positive``); the least value of an integer; and how an unset value
-    in a sweep key's list is written in the CSV headers."""
+    kind of value it takes (``mode``, ``int``, ``bool``, ``real``,
+    ``number``, which is a real or unset, or ``positive``); the least value
+    of an integer; and how an unset value in a sweep key's list is written
+    in the CSV headers."""
 
     default: object
     kind: str
@@ -81,10 +82,10 @@ class _Key(NamedTuple):
 _KEYS = {
     "mode": _Key((Mode.ADHOC,), "mode"),
     "n": _Key((10_000,), "int"),
-    "alpha": _Key((0.8,), "number"),
-    "beta": _Key((0.9,), "number"),
-    "K": _Key((1.0,), "number"),
-    "delta": _Key((1.0,), "number"),
+    "alpha": _Key((0.8,), "real"),
+    "beta": _Key((0.9,), "real"),
+    "K": _Key((1.0,), "real"),
+    "delta": _Key((1.0,), "real"),
     "mu": _Key((None,), "number"),
     "f": _Key((None,), "number"),
     "cell_area": _Key((None,), "number", unset="auto"),
@@ -270,6 +271,8 @@ def _store(values: dict, name, value, line: int | None) -> None:
             raise ConfigError(f"key {key!r} needs a number", line)
         elif isinstance(v, float) and not math.isfinite(v):
             raise ConfigError(f"key {key!r} needs a finite number, got {v}", line)
+        elif spec.kind == "real" and v is None:
+            raise ConfigError(f"key {key!r} needs a number, got none", line)
         elif spec.kind == "positive" and not (v is not None and v > 0):
             raise ConfigError(f"key {key!r} needs a positive number, got {v}", line)
     values[key] = value

@@ -634,6 +634,18 @@ class TestCommandLine:
         assert cli.main(["sweep", conf, "--out", str(tmp_path)]) == 2
         assert "line 4: key 'delta' needs a finite number" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key", ["alpha", "beta", "K", "delta"])
+    def test_unset_required_number_exit_code_2(self, tmp_path, capsys, key):
+        # These keys take a number in every row; mu, f and cell_area may be
+        # none.  Without the check, NetworkConfig raised a TypeError.
+        conf = _write(tmp_path, "none.conf", f"n = 1000\n{key} = none\nsim = false\n")
+        assert cli.main(["sweep", conf, "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err == f"config error: line 2: key {key!r} needs a number, got none\n"
+        with pytest.raises(ConfigError, match=f"key {key!r} needs a number") as exc:
+            parse_config(_write(tmp_path, "ok.conf", "n = 1000\n"), {key: (0.5, None)})
+        assert exc.value.line is None
+
     def test_missing_file_exit_code_2(self, tmp_path):
         proc = _run_cli("sweep", str(tmp_path / "absent.conf"))
         assert proc.returncode == 2

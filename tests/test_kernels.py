@@ -819,28 +819,303 @@ def test_holder_grid_side_breakpoints(backend, k, side):
         _assert_trace_equal(inst, np.arange(n) % 2)
 
 
+class _ReadLog(list):
+    """A bucket table that logs the positions the search reads."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.reads = []
+
+    def __getitem__(self, k):
+        self.reads.append(k)
+        return super().__getitem__(k)
+
+
+def _count_slices(monkeypatch, tab):
+    """Log each slice that ``_ref.nearest`` scans through ``nearest_linear``
+    as the buckets it covers: the search reads its bounds ``tab[first]``
+    and ``tab[last + 1]`` just before the call, so it covers ``last + 1 -
+    first`` buckets.  Returns the list the counts go to."""
+    covered = []
+    nearest_linear = _ref.nearest_linear
+
+    def scan(*args):
+        first, end = tab.reads[-2:]
+        covered.append(end - first)
+        return nearest_linear(*args)
+
+    monkeypatch.setattr(_ref, "nearest_linear", scan)
+    return covered
+
+
 @pytest.mark.parametrize("g", [1, 2, 3, 8, 10])
 def test_ring_search_ends_at_ring_half_the_side(monkeypatch, g):
     # Five members share bucket 0, and the query sits in bucket
     # (g // 2, g // 2), across the torus, so the winner lies in ring g // 2.
-    # That ring reaches every bucket: the search scans rings 0 to g // 2,
-    # (2 * (g // 2) + 1)**2 bucket slices, and none beyond.
+    # That ring reaches every bucket: the search's slices cover the
+    # (2 * (g // 2) + 1)**2 buckets of rings 0 to g // 2, and none beyond.
     rng = np.random.default_rng(g)
     xs, ys = ((0.5 + rng.uniform(-0.4, 0.4, size=(2, 5))) / g).tolist()
-    tab = [0] + [5] * (g * g)
-    scans = []
-    nearest_linear = _ref.nearest_linear
-
-    def scan(*args):
-        scans.append(args[4])
-        return nearest_linear(*args)
-
-    monkeypatch.setattr(_ref, "nearest_linear", scan)
+    tab = _ReadLog([0] + [5] * (g * g))
+    covered = _count_slices(monkeypatch, tab)
     q = (g // 2 + 0.5) / g
     got = _ref.nearest(q, q, xs, ys, list(range(5)), tab, 0, g, -1)
-    assert len(scans) == (2 * (g // 2) + 1) ** 2
+    assert sum(covered) == (2 * (g // 2) + 1) ** 2
     d2, k = min((_ref._dist2(q, q, x, y), k) for k, (x, y) in enumerate(zip(xs, ys)))
     assert got == (k, d2, False)
+
+
+def _grid_layout(xs, ys, g):
+    """``(idx, tab)``: the points sorted stably by bucket on a grid of side
+    g, and the CSR table of their buckets, as ``_ref.nearest`` reads them."""
+    cell = _ref.grid_cells(xs, ys, g)
+    idx = np.argsort(cell, kind="stable")
+    return idx.tolist(), np.searchsorted(cell[idx], np.arange(g * g + 1)).tolist()
+
+
+@pytest.mark.parametrize("g", [2, 3, 8, 9])
+def test_ring_search_prunes_ring_one_by_the_bucket_edges(monkeypatch, g):
+    # Member 0 sits near the centre of the query's bucket, nearer than all
+    # four of its edges, and wins in ring 0: ring 1 drops all four sides
+    # and ring 2 lies beyond, so the search scans one slice, ring 0.  Each
+    # ring-1 neighbour holds a member just past the shared edge, too far
+    # to win.  A query near its bucket's top edge keeps that side, and the
+    # search scans more.  Buckets in the first and last rows and columns
+    # have neighbours across the torus seam.
+    s = 1 / g
+    for row, col in ((0, 0), (g - 1, g - 1), (g // 2, 0), (0, g - 1)):
+        centre = ((col + 0.5) * s, (row + 0.5) * s)
+        pts = [(centre[0] + 0.05 * s, centre[1] - 0.05 * s)]
+        for dr, dc in ((-1, 0), (1, 0), (0, -1), (0, 1)):
+            pts.append((((col + dc) % g + 0.5 - 0.45 * dc) * s,
+                        ((row + dr) % g + 0.5 - 0.45 * dr) * s))
+        xs, ys = np.array(pts).T
+        idx, tab = _grid_layout(xs, ys, g)
+        for query, pruned in ((centre, True), ((centre[0], (row + 0.98) * s), False)):
+            log = _ReadLog(tab)
+            covered = _count_slices(monkeypatch, log)
+            got = _ref.nearest(*query, xs.tolist(), ys.tolist(), idx, log, 0, g, -1)
+            monkeypatch.undo()
+            assert got[0] == nearest_by_scan(*query, xs, ys)[0]
+            if pruned:
+                assert got[0] == 0 and covered == [1], (row, col)
+            else:
+                assert sum(covered) > 1, (row, col)
+
+
+def _line_pool(side, rng):
+    """Coordinates on and next to the bucket lines k / side of a grid of
+    side ``side``, at the torus seam (0 and just below 1), on the bucket
+    centres, and at random."""
+    lines = np.arange(side) / side
+    return np.concatenate([
+        lines, np.nextafter(lines[1:], 0.0), np.nextafter(lines, 1.0),
+        (np.arange(side) + 0.5) / side, [0.0, np.nextafter(1.0, 0.0)],
+        rng.random(8),
+    ])
+
+
+def _exact_scan(px, py, xs, ys, exclude=-1, seed=(-1, math.inf)):
+    """``(id, d2)``: the lexicographic minimum of (d2, id) over the points
+    other than ``exclude`` and the seed ``(id, d2)``, in the kernels' own
+    arithmetic (``_ref._dist2``), which a linear scan returns."""
+    best = min(
+        [(_ref._dist2(px, py, x, y), k) for k, (x, y) in enumerate(zip(xs, ys))
+         if k != exclude] + [seed[::-1]]
+    )
+    return best[1], best[0]
+
+
+@pytest.mark.parametrize("g", [2, 3, 8, 9])
+def test_pruned_search_on_bucket_lines_matches_a_linear_scan(g):
+    # Members and queries on and next to the bucket lines, in the first and
+    # last rows and columns: the search, unseeded or seeded with the
+    # winner's own distance under a higher id (so a ring-1 member that ties
+    # it must still win), returns the linear scan's (id, d2).  Members on
+    # the 1/16 lattice, on bucket lines at sides 2 and 8, have exact
+    # distances, and there the scan oracle picks the same winner.
+    rng = np.random.default_rng(900 + g)
+    pool = _line_pool(g, rng)
+    edge = [0.0, 1 / g, (g - 1) / g, np.nextafter(1.0, 0.0), np.nextafter(1 / g, 0.0)]
+    queries = [(x, y) for x in edge + list(pool[:6]) for y in edge + list(pool[-6:])]
+    lattice = rng.integers(0, 16, size=(70, 2)) / 16
+    for pts, exact in ((rng.choice(pool, size=(70, 2)), False), (lattice, True)):
+        xs, ys = pts[:, 0].tolist(), pts[:, 1].tolist()
+        idx, tab = _grid_layout(pts[:, 0], pts[:, 1], g)
+        for k, (px, py) in enumerate(queries):
+            exclude = k % len(xs) if k % 3 == 0 else -1
+            want = _exact_scan(px, py, xs, ys, exclude)
+            got = _ref.nearest(px, py, xs, ys, idx, tab, 0, g, exclude)
+            assert got[:2] == want, (px, py)
+            seed = (len(xs), want[1])
+            got = _ref.nearest(px, py, xs, ys, idx, tab, 0, g, exclude, *seed)
+            assert got[:2] == want, (px, py)
+            if exact:
+                assert want[0] == nearest_by_scan(px, py, xs, ys, exclude)[0]
+
+
+def _tie_instance(side):
+    """Nodes whose requests tie, at one distance, between a candidate in
+    their own bucket and one of lower id on the next bucket's line across
+    a gap test: on a grid of side ``side``, the right edge 3 / side, the
+    top edge 7 / side, and the torus seam on each axis.  At side 10 both
+    edges, computed as 3 * (1 / 10) and 7 * (1 / 10), round above the
+    lines 3 / 10 and 7 / 10 on which the winners sit, so the gap test
+    needs its margin GAP_EPS to keep them.
+
+    Node layout: the four ring-1 winners (B), then their four ring-0 rivals
+    (A), the four requesters (Q), and far fillers up to ``side**2 + 1``
+    candidates.  Content 0 is held by the B, A and fillers, so its grid has
+    side ``side``; the stations stand where those nodes stand, in the same
+    order, so they share that grid; content 1 has no holder and is served
+    by the stations alone.  B and A lie 2**-6 from their Q along one axis;
+    each subtraction is exact, so the tie is exact."""
+    d = 2.0 ** -6
+    x3, y7 = 3 / side, 7 / side
+    b = [(x3, 0.2), (0.2, y7), (0.0, 0.4), (0.6, 0.0)]
+    q = [(x3 - d, 0.2), (0.2, y7 - d), (1 - d, 0.4), (0.6, 1 - d)]
+    a = [(x3 - 2 * d, 0.2), (0.2, y7 - 2 * d), (1 - 2 * d, 0.4), (0.6, 1 - 2 * d)]
+    rng = np.random.default_rng(side)
+    fill = rng.uniform([0.7, 0.55], [0.9, 0.85], size=(side * side + 1 - 8, 2))
+    nodes = np.vstack([b, a, q, fill])
+    cands = np.vstack([b, a, fill])
+    holders = [[*range(8), *range(12, len(nodes))], []]
+    # On a node grid of side 128, a walk to B and one to A charge different
+    # cells, so the outputs tell the two winners apart.
+    return _instance(nodes, holders, 128, cands), len(b)
+
+
+@pytest.mark.parametrize("side", [8, 9, 10])
+@pytest.mark.parametrize(
+    "backend",
+    [_ref, pytest.param(_fast, marks=needs_fast)],
+    ids=["python", "compiled"],
+)
+def test_ties_across_a_gap_test_go_to_the_lower_id(backend, side):
+    # Node B (lower id) wins content 0 for its Q over A; for content 1,
+    # station B (lower station index) wins over station A.  Both sit on
+    # their grids' lines, and the stations put the batch in cell order.
+    inst, k = _tie_instance(side)
+    grids = _ref.bucket_table(inst._h_start, inst._hc_cell)[0].tolist()
+    assert grids == [side, 1] and _ref.station_layout(*inst.base_stations.T)[0] == side
+    for m in (0, 1):
+        walks = _exact_walks(inst, m)
+        for j in range(k):
+            q, b, a = 2 * k + j, inst.base_stations[j], inst.base_stations[k + j]
+            assert walks[q] == _walk(inst, q, m, b) != _walk(inst, q, m, a)
+        _assert_routes(backend, inst, np.full(inst.n, m), walks)
+    if backend is _fast:
+        _assert_trace_equal(inst, np.arange(inst.n) % 2)
+
+
+@pytest.mark.parametrize("g", [2, 3, 8, 9])
+def test_query_on_a_bucket_line_keeps_the_side_an_ulp_away(g):
+    # A query on the line k / g, a member one ulp to one side (lower id) and
+    # one two ulps to the other: the query's own gap to the line is about
+    # 0, below the margin, so the side is kept whatever the best distance.
+    for k in range(1, g):
+        v = k / g
+        near, far = np.nextafter(v, 0.0), np.nextafter(np.nextafter(v, 1.0), 1.0)
+        for xs, ys, q in (([near, far], [0.3, 0.3], (v, 0.3)),
+                          ([0.3, 0.3], [near, far], (0.3, v))):
+            idx, tab = _grid_layout(np.array(xs), np.array(ys), g)
+            got = _ref.nearest(*q, xs, ys, idx, tab, 0, g, -1)
+            assert got[:2] == _exact_scan(*q, xs, ys) and got[0] == 0, (k, q)
+
+
+def _exact_walks(inst, m):
+    """Each node's request for content m as ``(status, cells)``, routed to
+    the candidate that :func:`_exact_scan` picks: holders by node id, then
+    station b as n + b."""
+    n, xs, ys = inst.n, inst._xs, inst._ys
+    held = [int(c) for c in inst.holders[m]]
+    assert held == sorted(held)  # so list order is id order
+    cx = np.concatenate([xs[held], inst.base_stations[:, 0]]).tolist()
+    cy = np.concatenate([ys[held], inst.base_stations[:, 1]]).tolist()
+    walks = {}
+    for i in range(n):
+        k, _ = _exact_scan(xs[i], ys[i], cx, cy, held.index(i) if i in held else -1)
+        walks[i] = _walk(inst, i, m, None if k < 0 else (cx[k], cy[k]))
+    return walks
+
+
+@pytest.mark.parametrize("side", [8, 9])
+@pytest.mark.parametrize(
+    "backend",
+    [_ref, pytest.param(_fast, marks=needs_fast)],
+    ids=["python", "compiled"],
+)
+def test_search_on_bucket_lines_finds_the_exact_winner(backend, side):
+    # Nodes, holders and stations on and next to the bucket lines of their
+    # grid of side `side`, and at the seam: every request goes to the
+    # candidate a linear scan in the kernels' arithmetic picks, and the
+    # backends agree on every output.
+    rng = np.random.default_rng(950 + side)
+    pool = _line_pool(side, rng)
+    k = side * side + 1
+    nodes = rng.choice(pool, size=(150, 2))
+    stations = rng.choice(pool, size=(k, 2))
+    holders = [np.sort(rng.choice(150, size=k, replace=False)), [4, 77]]
+    inst = _instance(nodes, holders, 6, stations)
+    assert _ref.station_layout(*stations.T)[0] == side
+    for m in range(2):
+        _assert_routes(backend, inst, np.full(inst.n, m), _exact_walks(inst, m))
+    if backend is _fast:
+        _assert_trace_equal(inst, np.arange(inst.n) % 2)
+
+
+class _Recorder:
+    """Stands in for the compiled library and records each call's arguments."""
+
+    def __init__(self, lib):
+        self.lib = lib
+        self.calls = []
+
+    def ccn_trace_batch(self, *args):
+        self.calls.append(args)
+        return self.lib.ccn_trace_batch(*args)
+
+
+@needs_fast
+@pytest.mark.parametrize("nbs", [0, 3])
+def test_compiled_kernel_visits_requesters_in_cell_order(monkeypatch, nbs):
+    # With stations, the kernel writes its visit order to the int32 buffer
+    # the binding passes: the nodes by cell on the node grid, stably, as a
+    # stable argsort of their cells gives.  It counts the cells in the loads
+    # buffer, which must come back holding the loads alone.  Without
+    # stations it visits in index order and gets an empty buffer.
+    rng = np.random.default_rng(nbs)
+    nodes = rng.integers(0, 16, size=(400, 2)) / 16
+    holders = [np.sort(rng.choice(400, size=k, replace=False)) for k in (1, 30, 90)]
+    inst = _instance(nodes, holders, 7, rng.random((nbs, 2)))
+    req = rng.integers(0, 3, size=400)
+    recorder = _Recorder(_fast._lib)
+    monkeypatch.setattr(_fast, "_lib", recorder)
+    got = _fast.trace_batch(*sim._trace_args(inst, req))
+    (args,) = recorder.calls
+    order = args[14]
+    assert order.dtype == np.int32
+    if nbs:
+        cells = _ref.grid_cells(nodes[:, 0], nodes[:, 1], 7)
+        np.testing.assert_array_equal(order, np.argsort(cells, kind="stable"))
+    else:
+        assert order.size == 0
+    want = _ref.trace_batch(*sim._trace_args(inst, req))
+    for a, b in zip(got, want):
+        np.testing.assert_array_equal(a, b)
+
+
+@pytest.mark.parametrize(
+    "backend",
+    [_ref, pytest.param(_fast, marks=needs_fast)],
+    ids=["python", "compiled"],
+)
+def test_trace_batch_rejects_more_nodes_than_an_int32_indexes(monkeypatch, backend):
+    # The compiled kernel's visit order is int32; the bound is lowered here
+    # so that two nodes pass it.
+    monkeypatch.setattr(_ref, "MAX_NODES", 1)
+    with pytest.raises(ValueError, match="at most 1 nodes"):
+        backend.trace_batch(**_tiny_trace_args())
 
 
 def test_bucket_table_is_csr_of_the_bucket_ids():
