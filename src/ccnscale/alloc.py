@@ -8,7 +8,9 @@ One parametric problem covers both network modes:
 with ``f = 0, lower = 1`` for the pure ad hoc network (every content
 keeps at least one wireless copy) and ``f >= 1, lower = 0`` when f base
 stations hold every content.  ``upper = 1/a - f`` caps holders at one
-per cell, where the hop count floors at one.
+per cell.  Content m costs max(1, 1/sqrt(a (X_m + f))) hops, and
+X_m <= upper gives a (X_m + f) <= 1, so the max never binds: the optimal
+value is the mean hop count, the network's delay in hop units.
 
 The optimum is a water-filling: interior contents share a single level
 c with X_m + f = c * p_m^(2/3), clipped to the box.  The clipped budget
@@ -19,15 +21,17 @@ contents, so the solver bisects over the breakpoint indices to find the
 linear piece holding the budget and takes c in closed form on it.  It
 then classifies the three regimes (saturated / interior / floored,
 thresholds m1 and m2), snaps the interior to the closed form driven by
-the residual budget K', and verifies the KKT conditions before
+the residual budget K', sums the optimal value exactly in three terms
+(saturated, interior, floored), and verifies the KKT conditions before
 returning.  Sums that must be exact use :func:`_fsum`, a vectorised,
 correctly rounded sum: it adds the integer mantissas of each run of
 equal exponent, and the non-increasing arrays the solver sums hold a
 few long runs per block.  Apart from the allocation it returns, a solve
 holds at most two catalog-sized arrays at once (p^(2/3) and its prefix
-sum, then p^(2/3) and X); :func:`_fsum` and :func:`kkt_residual` work in
-blocks of :data:`_BLOCK` elements, the certificate in three block-sized
-scratch arrays.
+sum, then p^(2/3) and X).  p^(2/3) is freed before the exact sums of
+the optimal value; :func:`_fsum` and :func:`kkt_residual` work in blocks
+of :data:`_BLOCK` elements, the certificate in three block-sized scratch
+arrays.
 """
 
 from __future__ import annotations
@@ -127,8 +131,8 @@ class Allocation:
     1-based; m1 = M+1 means no saturated content, m2 = M+1 no floored
     content).  ``Kprime`` is the residual per-node budget feeding the
     interior regime; ``multiplier`` the budget-constraint scalar;
-    ``s_interior`` the correctly rounded sum of p_m^(2/3) over the
-    interior (0 when it is empty).
+    ``objective`` the optimal value, the mean hop count (see the module
+    docstring), correctly rounded term by term.
     """
 
     X: np.ndarray = field(repr=False)
@@ -137,7 +141,6 @@ class Allocation:
     Kprime: float
     multiplier: float
     objective: float
-    s_interior: float
     degenerate: bool = False
 
 
@@ -192,15 +195,6 @@ def _fsum(x: np.ndarray) -> float:
     return total / (1 << -shift)
 
 
-def _objective(p: np.ndarray, x: np.ndarray, a: float, f: float, out: np.ndarray) -> float:
-    """sum_m p_m / sqrt(a (X_m + f)), evaluated in the scratch array ``out``."""
-    np.add(x, f, out=out)
-    out *= a
-    np.sqrt(out, out=out)
-    np.divide(p, out, out=out)
-    return float(np.sum(out))
-
-
 def _residual_budget(prob: AllocationProblem, m1: int, m2: int) -> float:
     """Interior budget n*K' implied by the regime thresholds.
 
@@ -253,110 +247,108 @@ def solve(prob: AllocationProblem) -> Allocation:
         # X = upper everywhere: a point box (upper = lower) fixes it, all
         # floored; an over-provisioned budget leaves slack, all saturated.
         # Either way the multiplier is 0.
-        m1 = 1 if prob.degenerate else m_count + 1
+        m1 = m2 = 1 if prob.degenerate else m_count + 1
         x = np.full(m_count, upper)
-        alloc = Allocation(
-            X=x,
-            m1=m1,
-            m2=m1,
-            Kprime=_residual_budget(prob, m1, m1) / prob.n,
-            multiplier=0.0,
-            objective=_objective(p, x, a, f, np.empty(m_count)),
-            s_interior=0.0,
-            degenerate=prob.degenerate,
-        )
-        _verify_kkt(alloc, prob)
-        return alloc
-
-    p23 = p ** (2.0 / 3.0)
-    # Python-float views: bisect indexes them without making numpy scalars.
-    q = memoryview(p23)
-    cum = memoryview(np.cumsum(p23))
-
-    def first(seq, pred) -> int:
-        """First index where ``pred`` holds; it must hold on a suffix."""
-        return bisect_left(seq, True, key=pred)
-
-    def clipped_budget(c: float) -> float:
-        # k1 contents clip to upper, the k2 - k1 after them are interior.
-        k1 = first(q, lambda v: c * v - f < upper)
-        k2 = first(q, lambda v: c * v - f <= lower)
-        interior = (cum[k2 - 1] if k2 else 0.0) - (cum[k1 - 1] if k1 else 0.0)
-        return k1 * upper + (m_count - k2) * lower + c * interior - (k2 - k1) * f
-
-    def level_at(bound: float, m: int) -> float:
-        """Breakpoint: the level c at which content m reaches ``bound``."""
-        return (bound + f) / q[m]
-
-    def first_over_budget(bound: float) -> int:
-        # The breakpoints rise with m, and S rises with c.
-        return first(
-            range(m_count), lambda m: clipped_budget(level_at(bound, m)) > budget
-        )
-
-    # On the piece of S that holds the budget, contents [0, j) are
-    # saturated and [i, M) floored.  S at the last content's upper
-    # breakpoint is M*upper > budget, so j < M.
-    j = first_over_budget(upper)
-    i = first_over_budget(lower)
-    cum.release()
-    if i > j:
-        s_interior = _fsum(p23[j:i])
-        c = _residual_budget(prob, j + 1, i + 1) / s_interior
+        multiplier = s_interior = 0.0
     else:
-        # Flat piece (a tie): every c on it meets the budget; take the middle.
-        s_interior = 0.0
-        c_lo = max(
-            level_at(upper, j - 1) if j else 0.0,
-            level_at(lower, i - 1) if i else 0.0,
-        )
-        c = 0.5 * (c_lo + min(level_at(upper, j), level_at(lower, i)))
+        p23 = p ** (2.0 / 3.0)
+        # Python-float views: bisect indexes them without making numpy scalars.
+        q = memoryview(p23)
+        cum = memoryview(np.cumsum(p23))
 
-    # Classify at c as the clipped water level would be.  A content that
-    # the piece puts at a bound stays there: at a tie, c sits on that
-    # content's breakpoint and rounding must not make it interior.
-    floor_tol = lower + _LOWER_TOL * max(1.0, upper)
-    m1 = first(q, lambda v: c * v - f < upper) + 1
-    m2 = first(q, lambda v: min(max(c * v - f, lower), upper) <= floor_tol) + 1
-    m1 = max(m1, j + 1)
-    m2 = max(m1, min(m2, i + 1))
-    q.release()
-    if (m1, m2) != (j + 1, i + 1):
-        s_interior = _fsum(p23[m1 - 1 : m2 - 1])
+        def first(seq, pred) -> int:
+            """First index where ``pred`` holds; it must hold on a suffix."""
+            return bisect_left(seq, True, key=pred)
 
-    # Snap the interior to the closed form: X_m = (p_m^{2/3}/S) nK' - f.
-    # This lands the budget exactly.  Without an interior, or if the
-    # snapped values stray outside the box (classification edge case),
-    # keep the clipped water level, which also keeps values within the
-    # classification tolerance of a bound.
-    x = np.full(m_count, lower)
-    snapped = False
+        def clipped_budget(c: float) -> float:
+            # k1 contents clip to upper, the k2 - k1 after them are interior.
+            k1 = first(q, lambda v: c * v - f < upper)
+            k2 = first(q, lambda v: c * v - f <= lower)
+            interior = (cum[k2 - 1] if k2 else 0.0) - (cum[k1 - 1] if k1 else 0.0)
+            return k1 * upper + (m_count - k2) * lower + c * interior - (k2 - k1) * f
+
+        def level_at(bound: float, m: int) -> float:
+            """Breakpoint: the level c at which content m reaches ``bound``."""
+            return (bound + f) / q[m]
+
+        def first_over_budget(bound: float) -> int:
+            # The breakpoints rise with m, and S rises with c.
+            return first(
+                range(m_count), lambda m: clipped_budget(level_at(bound, m)) > budget
+            )
+
+        # On the piece of S that holds the budget, contents [0, j) are
+        # saturated and [i, M) floored.  S at the last content's upper
+        # breakpoint is M*upper > budget, so j < M.
+        j = first_over_budget(upper)
+        i = first_over_budget(lower)
+        cum.release()
+        if i > j:
+            s_interior = _fsum(p23[j:i])
+            c = _residual_budget(prob, j + 1, i + 1) / s_interior
+        else:
+            # Flat piece (a tie): every c on it meets the budget; take the middle.
+            s_interior = 0.0
+            c_lo = max(
+                level_at(upper, j - 1) if j else 0.0,
+                level_at(lower, i - 1) if i else 0.0,
+            )
+            c = 0.5 * (c_lo + min(level_at(upper, j), level_at(lower, i)))
+
+        # Classify at c as the clipped water level would be.  A content that
+        # the piece puts at a bound stays there: at a tie, c sits on that
+        # content's breakpoint and rounding must not make it interior.
+        floor_tol = lower + _LOWER_TOL * max(1.0, upper)
+        m1 = first(q, lambda v: c * v - f < upper) + 1
+        m2 = first(q, lambda v: min(max(c * v - f, lower), upper) <= floor_tol) + 1
+        m1 = max(m1, j + 1)
+        m2 = max(m1, min(m2, i + 1))
+        q.release()
+        if (m1, m2) != (j + 1, i + 1):
+            s_interior = _fsum(p23[m1 - 1 : m2 - 1])
+
+        # Snap the interior to the closed form: X_m = (p_m^{2/3}/S) nK' - f.
+        # This lands the budget exactly.  Without an interior, or if the
+        # snapped values stray outside the box (classification edge case),
+        # keep the clipped water level, which also keeps values within the
+        # classification tolerance of a bound.
+        x = np.full(m_count, lower)
+        snapped = False
+        if m2 > m1:
+            n_kprime = _residual_budget(prob, m1, m2)
+            c_exact = n_kprime / s_interior
+            interior = x[m1 - 1 : m2 - 1]
+            np.multiply(p23[m1 - 1 : m2 - 1], c_exact, out=interior)
+            interior -= f
+            if interior.min() > lower and interior.max() < upper:
+                x[: m1 - 1] = upper
+                c = c_exact
+                snapped = True
+        if not snapped:
+            np.multiply(p23, c, out=x)
+            x -= f
+            np.clip(x, lower, upper, out=x)
+
+        multiplier = 1.0 / (2.0 * math.sqrt(a) * c**1.5)
+        del p23  # before the exact sums
+
+    kprime = _residual_budget(prob, m1, m2) / prob.n
+    # The mean hop count, exactly, in three terms: a saturated content
+    # costs one hop, the interior S^{3/2}/sqrt(n K' a) with S its sum of
+    # p^(2/3), and a floored content 1/sqrt(a (lower + f)).
+    objective = _fsum(p[: m1 - 1])
     if m2 > m1:
-        n_kprime = _residual_budget(prob, m1, m2)
-        c_exact = n_kprime / s_interior
-        interior = x[m1 - 1 : m2 - 1]
-        np.multiply(p23[m1 - 1 : m2 - 1], c_exact, out=interior)
-        interior -= f
-        if interior.min() > lower and interior.max() < upper:
-            x[: m1 - 1] = upper
-            c = c_exact
-            snapped = True
-    if not snapped:
-        np.multiply(p23, c, out=x)
-        x -= f
-        np.clip(x, lower, upper, out=x)
-
-    multiplier = 1.0 / (2.0 * math.sqrt(a) * c**1.5)
+        objective += s_interior**1.5 / math.sqrt(prob.n * kprime * a)
+    objective += _fsum(p[m2 - 1 :]) / math.sqrt(a * (lower + f))
     alloc = Allocation(
         X=x,
         m1=m1,
         m2=m2,
-        Kprime=_residual_budget(prob, m1, m2) / prob.n,
+        Kprime=kprime,
         multiplier=multiplier,
-        objective=_objective(p, x, a, f, p23),  # p23 is dead: reuse its memory
-        s_interior=s_interior,
+        objective=objective,
+        degenerate=prob.degenerate,
     )
-    del p23  # before the KKT check
     _verify_kkt(alloc, prob)
     return alloc
 
@@ -453,27 +445,12 @@ def interior_ratio(prob: AllocationProblem) -> float:
 
 
 def optimized_delay(alloc: Allocation, prob: AllocationProblem) -> float:
-    """Mean delay of the optimal allocation, in mean-hop units.
-
-    Exact three-term form: saturated contents cost one hop each,
-    interior contents S^{3/2}/sqrt(n K' a) with S the interior sum of
-    p^{2/3} that :func:`solve` carries, floored contents
-    p_m/sqrt(a (lower+f)).  Equals the direct
-    sum over p_m * max(1, 1/sqrt(a (X_m+f))) for non-degenerate
-    problems.
-    """
+    """Mean delay of the optimal allocation, in mean-hop units: the optimal
+    value ``alloc.objective`` that :func:`solve` computes exactly (the
+    module docstring shows why the two are one number)."""
     if len(alloc.X) != prob.pop.m_count:
         raise ValueError("allocation does not match the problem's catalog size")
-    p = prob.pop.p
-    m1, m2 = alloc.m1, alloc.m2
-    term_saturated = _fsum(p[: m1 - 1])
-    if m2 > m1:
-        n_kprime = prob.n * alloc.Kprime
-        term_interior = alloc.s_interior**1.5 / math.sqrt(n_kprime * prob.a)
-    else:
-        term_interior = 0.0
-    term_floor = _fsum(p[m2 - 1 :]) / math.sqrt(prob.a * (prob.lower + prob.f))
-    return term_saturated + term_interior + term_floor
+    return alloc.objective
 
 
 def round_to_integers(alloc: Allocation, prob: AllocationProblem) -> np.ndarray:

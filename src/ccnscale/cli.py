@@ -222,7 +222,7 @@ def parse_config(path: str, overrides: dict | None = None) -> SweepConfig:
             _store(values, key, atoms if len(atoms) > 1 else atoms[0], lineno)
     for name, value in (overrides or {}).items():
         if value is not None:
-            _store(values, name, value, None)
+            seen.pop(_store(values, name, value, None), None)  # no line holds it
     cfg = SweepConfig(values=values)
     _validate_config(cfg, seen)
     return cfg
@@ -236,8 +236,8 @@ def _lookup(name, line: int | None) -> str:
     return key
 
 
-def _store(values: dict, name, value, line: int | None) -> None:
-    """Check a value of key ``name`` and store it in ``values``.
+def _store(values: dict, name, value, line: int | None) -> str:
+    """Check a value of key ``name``, store it in ``values`` and return the key.
 
     ``value`` is one value, or a tuple of them: a scalar key takes one, and
     one value for a sweep key is stored as a 1-tuple.
@@ -276,6 +276,7 @@ def _store(values: dict, name, value, line: int | None) -> None:
         elif spec.kind == "positive" and not (v is not None and v > 0):
             raise ConfigError(f"key {key!r} needs a positive number, got {v}", line)
     values[key] = value
+    return key
 
 
 def _validate_config(cfg: SweepConfig, seen: dict[str, int]) -> None:
@@ -300,8 +301,9 @@ def _validate_config(cfg: SweepConfig, seen: dict[str, int]) -> None:
         )
         if not het:
             raise ConfigError(why, seen.get("beta"))
+        where = f"line {seen['beta']}: " if "beta" in seen else ""
         print(
-            f"note: line {seen['beta']}: adhoc points at beta = "
+            f"note: {where}adhoc points at beta = "
             f"{', '.join(_fmt(b) for b in too_big)} left out: {why}",
             file=sys.stderr,
         )
@@ -536,18 +538,13 @@ def slope_regression(rows, x: str = "n", y: str = "optimizer_delay") -> Regressi
 
 
 def _curve_label(key: tuple) -> str:
-    mode, alpha, beta, K, delta, mu, f, cell_area = key
-    parts = [mode.value, f"alpha={_fmt(alpha)}", f"beta={_fmt(beta)}"]
-    if K != 1.0:
-        parts.append(f"K={_fmt(K)}")
-    if delta != 1.0:
-        parts.append(f"delta={_fmt(delta)}")
-    if mu is not None:
-        parts.append(f"mu={_fmt(mu)}")
-    if f is not None:
-        parts.append(f"f={_fmt(f)}")
-    if cell_area is not None:
-        parts.append(f"a={_fmt(cell_area)}")
+    """The mode, alpha and beta of a curve, then each other sweep key that
+    is off its default; ``cell_area`` is written ``a``."""
+    point = dict(zip((k for k in _SWEEP_KEYS if k != "n"), key))
+    parts = [point.pop("mode").value]
+    for name, value in point.items():
+        if name in ("alpha", "beta") or value != _KEYS[name].default[0]:
+            parts.append(f"{'a' if name == 'cell_area' else name}={_fmt(value)}")
     return " ".join(parts)
 
 

@@ -166,7 +166,7 @@ def _allocation(x, multiplier=0.0):
     residual."""
     return alloc.Allocation(
         X=np.array(x, dtype=np.float64), m1=1, m2=1, Kprime=0.0,
-        multiplier=multiplier, objective=0.0, s_interior=0.0,
+        multiplier=multiplier, objective=0.0,
     )
 
 
@@ -645,9 +645,22 @@ class TestMatchesBisection:
         )
 
     def test_optimized_delay_equals_three_fsum_form(self):
+        # The optimum's value and the delay are one number, bit for bit.
         problems = list(random_instances(seed=5150, count=100))
         problems += list(_sample_config_problems())
         problems += [prob for prob, _ in _TIES.values()]
+        point_box = AllocationProblem.heterogeneous(
+            zipf(6, 1.2), n=40, K=1.0, a=1 / 25, f=25.0
+        )
+        problems += [
+            point_box,
+            AllocationProblem(pop=zipf(10, 1.0), n=100, K=50.0, a=1 / 16),
+            AllocationProblem.heterogeneous(
+                zipf(10, 1.0), n=100, K=50.0, a=1 / 16, f=3.0
+            ),
+        ]
+        assert point_box.degenerate
+        assert not any(_bisection_path(prob) for prob in problems[-2:])
         for prob in problems:
             res = solve(prob)
             p = prob.pop.p
@@ -659,6 +672,7 @@ class TestMatchesBisection:
             want += math.fsum(p[m2 - 1 :]) / math.sqrt(
                 prob.a * (prob.lower + prob.f)
             )
+            assert res.objective == want
             assert alloc.optimized_delay(res, prob) == want
 
 

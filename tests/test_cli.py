@@ -170,6 +170,26 @@ class TestParseConfig:
             ["heterogeneous", "400", "0.8", "1.2"],
         ]
 
+    def test_beta_from_an_override_gets_a_note_without_a_line(self, tmp_path, capsys):
+        text = "mode = adhoc, heterogeneous\nn = 1000\nalpha = 0.8\nmu = 0.4\n"
+        path = _write(tmp_path, "override.conf", text)
+        cfg = parse_config(path, {"beta": (0.9, 1.2)})
+        assert capsys.readouterr().err == (
+            "note: adhoc points at beta = 1.2 left out: beta must be < 1 "
+            "in adhoc mode (caches must be able to hold one copy of everything)\n"
+        )
+        assert [(p["mode"], p["beta"]) for p in cfg.points()] == [
+            (Mode.ADHOC, 0.9),
+            (Mode.HETEROGENEOUS, 0.9),
+            (Mode.HETEROGENEOUS, 1.2),
+        ]
+
+    def test_override_replaces_the_line_of_a_file_value(self, tmp_path, capsys):
+        text = "mode = adhoc, heterogeneous\nbeta = 0.5\nmu = 0.4\n"
+        path = _write(tmp_path, "m.conf", text)
+        parse_config(path, {"beta": (0.9, 1.2)})
+        assert capsys.readouterr().err.startswith("note: adhoc points at beta = 1.2")
+
     @pytest.mark.parametrize(
         "setting, message",
         [
@@ -294,6 +314,21 @@ class TestKeyTable:
         # The CSV columns come from SweepRow's fields, the points from the table.
         names = tuple(f.name for f in dataclasses.fields(SweepRow))
         assert names[1 : 1 + len(cli._SWEEP_KEYS)] == cli._SWEEP_KEYS
+
+    def test_curve_labels_name_keys_off_their_defaults(self, tmp_path):
+        # The sample configs leave K, delta, f and cell_area at their defaults.
+        text = (
+            "mode = adhoc, heterogeneous\nn = 1000, 2000, 4000, 8000\n"
+            "alpha = 0.8\nbeta = 0.5\nK = 2, 1\ndelta = 1.5\nf = 3\n"
+            "cell_area = 0.01\n"
+        )
+        result = run_sweep(_write(tmp_path, "labels.conf", text), out_dir=None)
+        assert sorted({reg.curve for reg in result.regressions}) == [
+            "adhoc alpha=0.8 beta=0.5 K=2 delta=1.5 a=0.01",
+            "adhoc alpha=0.8 beta=0.5 delta=1.5 a=0.01",
+            "heterogeneous alpha=0.8 beta=0.5 K=2 delta=1.5 f=3 a=0.01",
+            "heterogeneous alpha=0.8 beta=0.5 delta=1.5 f=3 a=0.01",
+        ]
 
     def test_readme_key_table_lists_every_key(self):
         readme = (_ROOT / "README.md").read_text(encoding="utf-8")
@@ -776,6 +811,9 @@ class TestCommandLine:
         proc = _run_cli("alloc", conf)
         assert proc.returncode == 0
         assert "m,p_m,X_m,X_m_rounded" in proc.stdout
+        # The optimum's value is the delay: one number, printed twice.
+        fields = dict(kv.split("=") for kv in proc.stdout.splitlines()[1].split())
+        assert fields["objective"] == fields["expected_delay"]
         # table has M = ceil(50^0.6) = 11 content rows
         rows = [ln for ln in proc.stdout.splitlines() if ln and ln[0].isdigit()]
         assert len(rows) == 11
