@@ -10,9 +10,9 @@ wrapper below only checks its arguments and converts them to contiguous
 int64/float64 arrays, through ``_ref.checked_args``, the checks the
 reference backend makes too, so that the C code never reads or writes out
 of bounds, and allocates every buffer the kernel uses:
-the outputs, the path buffer, the int32 buffer into which the kernel
-sorts the requesters by cell when the instance has base stations (empty
-without them), and the bucket tables of holders and
+the outputs, the int32 buffer into which the kernel sorts the requesters
+by cell when the instance has base stations (empty without them), the
+loads of the extra parts (below), and the bucket tables of holders and
 stations, which ``_ref.bucket_table`` and ``_ref.station_layout`` build in
 numpy for both backends on each call (``bucket_table`` also rejects a
 bucket id off its content's grid).  The kernel reads the holders only as
@@ -20,6 +20,17 @@ bucket id off its content's grid).  The kernel reads the holders only as
 its slot in :func:`trace_batch`'s arguments, which the benchmark builds,
 and is checked but not passed on.  The kernel allocates nothing, so a
 call cannot fail once its inputs pass the checks.
+
+The kernel traces a batch in :func:`_parts` parts, contiguous ranges of
+its visit order, one POSIX thread each beyond the first (on Linux queued
+on another CPU than the caller's; see ``start_part`` in ``trace.c``), and
+adds up their loads.  ``ctypes`` releases the GIL for the call, and the
+threads touch no Python object.  A request writes only its own hops and
+status, and loads are integer counts, so the split changes no output.
+Each part beyond the first adds its own ``g * g`` int64 loads,
+``(parts - 1) * g * g * 8`` bytes a call.  With one part the kernel
+starts no thread.  The split was measured on 2 CPUs only; how it scales
+beyond them is unknown.
 
 The shared library lives at ``${XDG_CACHE_HOME:-~/.cache}/ccnscale/<key>/
 trace.so``, where ``key`` is the sha256 of the source, the compile command
@@ -54,7 +65,16 @@ BACKEND_NAME = "compiled"
 
 # -ffp-contract=off: no FMA fusion, so float results stay bit-identical to
 # the pure-Python backend.  Never add -ffast-math.
-CFLAGS = ("-O3", "-std=c99", "-ffp-contract=off", "-fPIC", "-shared")
+CFLAGS = ("-O3", "-std=c99", "-ffp-contract=off", "-fPIC", "-pthread", "-shared")
+
+# The fewest requests a part holds.  Two parts against one ran 0.64-0.79x
+# at n = 1000 and 0.49-0.54x from n = 10^4 (BENCH_29.json, kernel_ab),
+# but where no second CPU was free they cost 1.04-1.13x at n = 1000 and
+# 1.03-1.05x at n = 2000: a thread costs tens of microseconds, and a part
+# of 1000 requests a few hundred.
+MIN_PART = 1000
+# trace.c's MAX_PARTS: the kernel never splits a batch into more parts.
+MAX_PARTS = 8
 
 _HERE = Path(__file__).resolve().parent
 SOURCE = _HERE / "trace.c"
@@ -124,17 +144,28 @@ def _load() -> ctypes.CDLL:
         # AttributeError: a library without the kernel's entry point.
         raise ImportError(f"cannot load {path}: {exc}") from None
     # The nodes and requests; the holders and their bucket_table; the
-    # stations and their station_layout; the visit-order buffer, the path
-    # buffer and the outputs.
+    # stations and their station_layout; the visit-order buffer, the
+    # outputs, and the part count with the loads of the extra parts.
     kernel.argtypes = [
         c_int64, _F64, _F64, c_int64, _I64, _I64, _I64, _I64, _I64, _F64, _F64,
-        c_int64, _I64, _I64, _I32, _I64, _I64, _I64, _I64,
+        c_int64, _I64, _I64, _I32, _I64, _I64, _I64, c_int64, _I64,
     ]
     kernel.restype = None
     return lib
 
 
 _lib = _load()
+
+
+def _parts(n: int) -> int:
+    """Parts to split a batch of ``n`` requests into: one per CPU this
+    process may run on, at most one per ``MIN_PART`` requests and at most
+    ``MAX_PARTS``, and at least 1."""
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:  # no affinity masks on this platform
+        cpus = os.cpu_count() or 1
+    return max(1, min(cpus, n // MIN_PART, MAX_PARTS))
 
 
 def trace_batch(xs, ys, g, req, h_idx, h_start, hc_idx, hc_cell, bs_x, bs_y):
@@ -156,10 +187,10 @@ def trace_batch(xs, ys, g, req, h_idx, h_start, hc_idx, hc_cell, bs_x, bs_y):
     # With stations the kernel visits the requesters in cell order, which
     # it writes here; checked_args keeps n within int32.
     order = np.empty(n if len(bs_x) else 0, dtype=np.int32)
-    # Any walk takes fewer than g steps per axis, so at most 2g - 1 cells.
-    path = np.empty(2 * g - 1, dtype=np.int64)
+    parts = _parts(n)
+    spare = np.zeros((parts - 1) * g * g, dtype=np.int64)
     _lib.ccn_trace_batch(
-        n, xs, ys, g, req, hc_idx, *table, bs_x, bs_y, *stations, order, path,
-        hops, loads, status,
+        n, xs, ys, g, req, hc_idx, *table, bs_x, bs_y, *stations, order, hops,
+        loads, status, parts, spare,
     )
     return hops, loads, status

@@ -20,8 +20,16 @@
  * as hc_idx and their bucket table.
  *
  * With base stations, ccn_trace_batch visits the requesters in cell order
- * (cell_order); without them, in index order.  No output depends on the
- * order.
+ * (cell_order); without them, in index order.  It splits the visit order
+ * into contiguous parts, traces each in a POSIX thread of its own (the
+ * first in the calling thread; start_part queues the others on other
+ * CPUs) and adds up their loads.  No output depends on the order or on
+ * the split.
+ *
+ * The two files differ in form in one place: the walk.  _ref.segment_cells
+ * returns the list of cells, which _ref.trace_one returns and
+ * _ref.trace_batch charges; here segment_cells charges each cell to loads
+ * as it walks, the same cells, so no path buffer is kept.
  *
  * The library exports one entry point, ccn_trace_batch; every helper is
  * static.  sim.trace_request routes a single request with _ref.trace_one.
@@ -29,10 +37,17 @@
  * index ranges and coordinates before calling in.  The binding passes
  * every buffer, the bucket tables of holders and stations
  * (_ref.bucket_table, _ref.station_layout), the visit-order buffer and the
- * path buffer included; the kernel allocates nothing.
+ * loads of the extra parts included; the kernel allocates no memory.  A
+ * thread that pthread_create cannot start runs its part inline, so a call
+ * cannot fail.  Build with -pthread.
  */
 
+#ifdef __linux__
+#define _GNU_SOURCE /* sched_getcpu, CPU_CLR, pthread_setaffinity_np */
+#include <sched.h>
+#endif
 #include <math.h>
+#include <pthread.h>
 #include <stdint.h>
 
 typedef int64_t i64;
@@ -92,14 +107,14 @@ static inline double dist2(double ax, double ay, double bx, double by)
     return dx * dx + dy * dy;
 }
 
-/* Writes the flat ids of the cells crossed by the geodesic segment from
- * (x0, y0) to (x1, y1) to buf and returns their count (see
- * _ref.segment_cells).  Each axis takes fewer than g steps, so the walk has
- * at most 2g - 1 cells and buf must hold that many.  The walk carries the
- * wrapped row and column, so no step divides.  Crossings are ordered
+/* Walks the cells crossed by the geodesic segment from (x0, y0) to
+ * (x1, y1) (see _ref.segment_cells) and returns their count.  It charges
+ * the walk as it goes: 1 to loads[cell] for every cell but the last, the
+ * holder's, or for the only cell when the walk has one.  The walk carries
+ * the wrapped row and column, so no step divides.  Crossings are ordered
  * exactly, in integers: the endpoints in fixed-point cell units. */
 static inline i64 segment_cells(double x0, double y0, double x1, double y1,
-                                i64 g, i64 *buf)
+                                i64 g, i64 *loads)
 {
     i64 col = cell_index(x0, g), row = cell_index(y0, g), count = 1;
     double dx = wrap_delta(x0, x1), dy = wrap_delta(y0, y1);
@@ -117,8 +132,8 @@ static inline i64 segment_cells(double x0, double y0, double x1, double y1,
      * by lx * ly, and its changes when a step passes an x or a y line. */
     i128 d = (i128)ex * ly - (i128)ey * lx;
     i128 dkx = (i128)ly << FIX_BITS, dky = (i128)lx << FIX_BITS;
-    buf[0] = row * g + col;
     while (nx > 0 || ny > 0) {
+        loads[row * g + col] += 1;
         if (ny == 0 || (nx > 0 && d < 0)) {
             col = wrap(col + sx, g); d += dkx; nx -= 1;
         } else if (nx == 0 || d > 0) {
@@ -127,8 +142,9 @@ static inline i64 segment_cells(double x0, double y0, double x1, double y1,
             col = wrap(col + sx, g); row = wrap(row + sy, g);
             d += dkx - dky; nx -= 1; ny -= 1;
         }
-        buf[count++] = row * g + col;
+        count += 1;
     }
+    if (count == 1) loads[row * g + col] += 1;
     return count;
 }
 
@@ -236,20 +252,22 @@ static inline void nearest(double px, double py, const double *xs,
 #undef SCAN
 }
 
-/* Routes one request (see _ref.trace_one): writes its walk's cell ids to
- * buf, which holds 2g - 1 cells, and a nonzero status to *status (callers
- * zero it, so a routed request touches no page of it); returns the cell
- * count.  Content m's holders are searched on the bucket table h_side,
- * h_base, h_tab of _ref.bucket_table over hc_idx; the stations on the
- * layout of _ref.station_layout: a grid of side bs_side, the station
- * indices bs_idx sorted by bucket, and their table bs_tab.  Inlined into
- * ccn_trace_batch's loop. */
+/* Routes one request (see _ref.trace_one): charges its walk to loads
+ * (segment_cells), writes a nonzero status to *status (callers zero it,
+ * so a routed request touches no page of it) and returns its hop count:
+ * the walk's cells less one, or 1 for a walk of one cell and for a
+ * request that finds no holder, which charges the requester's own cell.
+ * Content m's holders are searched on the bucket table h_side, h_base,
+ * h_tab of _ref.bucket_table over hc_idx; the stations on the layout of
+ * _ref.station_layout: a grid of side bs_side, the station indices bs_idx
+ * sorted by bucket, and their table bs_tab.  Inlined into trace_range's
+ * loop. */
 static inline i64 trace_one(i64 n, const double *xs, const double *ys,
                             i64 g, i64 requester, i64 m, const i64 *hc_idx,
                             const i64 *h_side, const i64 *h_base,
                             const i64 *h_tab, const double *bs_x,
                             const double *bs_y, i64 bs_side,
-                            const i64 *bs_idx, const i64 *bs_tab, i64 *buf,
+                            const i64 *bs_idx, const i64 *bs_tab, i64 *loads,
                             i64 *status)
 {
     i64 best_i = -1;
@@ -265,13 +283,14 @@ static inline i64 trace_one(i64 n, const double *xs, const double *ys,
             &best_d2, &saw_none);
 
     if (best_i < 0) {
-        buf[0] = cell_index(py, g) * g + cell_index(px, g);
+        loads[cell_index(py, g) * g + cell_index(px, g)] += 1;
         *status = saw_self ? 1 : 2;
         return 1;
     }
     hx = best_i < n ? xs[best_i] : bs_x[best_i - n];
     hy = best_i < n ? ys[best_i] : bs_y[best_i - n];
-    return segment_cells(px, py, hx, hy, g, buf);
+    i64 cells = segment_cells(px, py, hx, hy, g, loads);
+    return cells > 1 ? cells - 1 : 1;
 }
 
 /* Writes to order the nodes 0 .. n-1 sorted by their cell on the node grid
@@ -295,20 +314,18 @@ static void cell_order(i64 n, const double *xs, const double *ys, i64 g,
     for (i64 c = 0; c < cells; c++) count[c] = 0;
 }
 
-/* Traces one request per node into hops, loads and status (all zeroed by
- * the caller), with buf as the path buffer of trace_one; see
- * _ref.trace_batch for the rules.
- *
- * With stations (bs_tab's last entry, the station count, above 0), the
- * requesters are visited in cell order (cell_order, into order, which
- * holds n entries; loads serves as its count before any load is added):
- * neighbouring requesters then search the same station buckets, which
- * stay in cache (Mellor-Crummey, Whalley & Kennedy, IJPP 29(3), 2001).
- * A request writes only its own hops and status and adds integers to
- * loads, so the order changes no output.  Without stations, the nodes are
- * visited in index order and order is not read: there the holder
- * searches of consecutive requesters scatter over the contents anyway,
- * and the order gained nothing.
+/* One call's inputs and per-request outputs, which its parts share; order
+ * is the visit order, or NULL for index order. */
+struct batch {
+    i64 n, g, bs_side;
+    const double *xs, *ys, *bs_x, *bs_y;
+    const i64 *req, *hc_idx, *h_side, *h_base, *h_tab, *bs_idx, *bs_tab;
+    const int32_t *order;
+    i64 *hops, *status;
+};
+
+/* Traces the requesters at positions k0 .. k1-1 of the visit order into
+ * hops and status, and adds their walks to loads.
  *
  * A holder search starts with a chain of dependent loads from scattered
  * places: h_side[m] and h_base[m], then the content's bucket bounds from
@@ -318,40 +335,41 @@ static void cell_order(i64 n, const double *xs, const double *ys, i64 g,
  * of req, xs and ys are scattered as well.  The loop requests each link a
  * few requests ahead in the visit order (group prefetching, Chen,
  * Ailamaki, Gibbons & Mowry, ICDE 2004), once the link before it has had
- * time to arrive.  __builtin_prefetch is a cache hint only: it does no
- * arithmetic and changes no result, so _ref.py has nothing to mirror, and
- * it never faults (an entry of h_tab may point one past the end of
- * hc_idx). */
-void ccn_trace_batch(i64 n, const double *xs, const double *ys, i64 g,
-                     const i64 *req, const i64 *hc_idx, const i64 *h_side,
-                     const i64 *h_base, const i64 *h_tab, const double *bs_x,
-                     const double *bs_y, i64 bs_side, const i64 *bs_idx,
-                     const i64 *bs_tab, int32_t *order, i64 *buf, i64 *hops,
-                     i64 *loads, i64 *status)
+ * time to arrive, and never beyond its range.  __builtin_prefetch is a
+ * cache hint only: it does no arithmetic and changes no result, so _ref.py
+ * has nothing to mirror, and it never faults (an entry of h_tab may point
+ * one past the end of hc_idx). */
+static void trace_range(const struct batch *b, i64 k0, i64 k1, i64 *loads)
 {
-    int by_cell = bs_tab[bs_side * bs_side] > 0;
-    if (by_cell) cell_order(n, xs, ys, g, loads, order);
+    i64 n = b->n, g = b->g, bs_side = b->bs_side;
+    const double *xs = b->xs, *ys = b->ys, *bs_x = b->bs_x, *bs_y = b->bs_y;
+    const i64 *req = b->req, *hc_idx = b->hc_idx, *h_side = b->h_side;
+    const i64 *h_base = b->h_base, *h_tab = b->h_tab, *bs_idx = b->bs_idx;
+    const i64 *bs_tab = b->bs_tab;
+    const int32_t *order = b->order;
+    i64 *hops = b->hops, *status = b->status;
+    int by_cell = order != NULL;
 /* The k-th requester in the visit order. */
 #define NODE(k) (by_cell ? (i64)order[k] : (k))
-    for (i64 k = 0; k < n; k++) {
+    for (i64 k = k0; k < k1; k++) {
         if (by_cell) {
-            if (k + 24 < n) __builtin_prefetch(&req[order[k + 24]]);
-            if (k + 8 < n) {
+            if (k + 24 < k1) __builtin_prefetch(&req[order[k + 24]]);
+            if (k + 8 < k1) {
                 i64 j = order[k + 8];
                 __builtin_prefetch(&xs[j]);
                 __builtin_prefetch(&ys[j]);
             }
         }
-        if (k + 16 < n) {
+        if (k + 16 < k1) {
             i64 m = req[NODE(k + 16)];
             __builtin_prefetch(&h_side[m]);
             __builtin_prefetch(&h_base[m]);
         }
-        if (k + 8 < n)
+        if (k + 8 < k1)
             __builtin_prefetch(&h_tab[h_base[req[NODE(k + 8)]]]);
-        if (k + 6 < n)
+        if (k + 6 < k1)
             __builtin_prefetch(&hc_idx[h_tab[h_base[req[NODE(k + 6)]]]]);
-        if (k + 3 < n) {
+        if (k + 3 < k1) {
             i64 m = req[NODE(k + 3)];
             if (h_side[m] == 1) {
                 const i64 *t = h_tab + h_base[m];
@@ -362,16 +380,107 @@ void ccn_trace_batch(i64 n, const double *xs, const double *ys, i64 g,
             }
         }
         i64 i = NODE(k);
-        i64 ncells = trace_one(n, xs, ys, g, i, req[i], hc_idx, h_side,
-                               h_base, h_tab, bs_x, bs_y, bs_side, bs_idx,
-                               bs_tab, buf, &status[i]);
-        if (ncells == 1) {
-            loads[buf[0]] += 1;
-            hops[i] = 1;
-        } else {
-            for (i64 j = 0; j < ncells - 1; j++) loads[buf[j]] += 1;
-            hops[i] = ncells - 1;
-        }
+        hops[i] = trace_one(n, xs, ys, g, i, req[i], hc_idx, h_side, h_base,
+                            h_tab, bs_x, bs_y, bs_side, bs_idx, bs_tab, loads,
+                            &status[i]);
     }
 #undef NODE
+}
+
+/* One part of a split call: a range of the visit order and the loads it
+ * adds to. */
+struct part {
+    const struct batch *batch;
+    i64 k0, k1;
+    i64 *loads;
+};
+
+static void *trace_part(void *arg)
+{
+    const struct part *p = arg;
+    trace_range(p->batch, p->k0, p->k1, p->loads);
+    return NULL;
+}
+
+/* Starts part p in a thread of its own; returns 0 when it cannot.
+ *
+ * On Linux the new thread is then moved to a CPU other than the caller's,
+ * of those this thread may use, and at once allowed all of them again: a
+ * 2-vCPU guest left a new thread queued behind its creator on one CPU for
+ * most of a 40 ms call, so two parts ran no faster than one, while a
+ * thread moved away ran beside it (BENCH_29.json).  The mask is restored
+ * before the thread runs any length of time, so the scheduler can still
+ * move it back, as when the other CPUs are busy.  Should any of these
+ * calls fail, the thread stays where it was queued. */
+static int start_part(pthread_t *thread, struct part *p)
+{
+    if (pthread_create(thread, NULL, trace_part, p) != 0) return 0;
+#ifdef __linux__
+    cpu_set_t allowed, others;
+    int cpu = sched_getcpu();
+    if (cpu >= 0 && sched_getaffinity(0, sizeof allowed, &allowed) == 0) {
+        others = allowed;
+        CPU_CLR(cpu, &others);
+        if (CPU_COUNT(&others) > 0 &&
+            pthread_setaffinity_np(*thread, sizeof others, &others) == 0)
+            pthread_setaffinity_np(*thread, sizeof allowed, &allowed);
+    }
+#endif
+    return 1;
+}
+
+/* The most parts, and so threads, one call splits into. */
+#define MAX_PARTS 8
+
+/* Traces one request per node into hops, loads and status (all zeroed by
+ * the caller); see _ref.trace_batch for the rules.
+ *
+ * With stations (bs_tab's last entry, the station count, above 0), the
+ * requesters are visited in cell order (cell_order, into order, which
+ * holds n entries; loads serves as its count before any load is added):
+ * neighbouring requesters then search the same station buckets, which
+ * stay in cache (Mellor-Crummey, Whalley & Kennedy, IJPP 29(3), 2001).
+ * Without stations, the nodes are visited in index order and order is not
+ * read: there the holder searches of consecutive requesters scatter over
+ * the contents anyway, and the order gained nothing.
+ *
+ * The visit order is split into parts contiguous ranges, at most
+ * MAX_PARTS and at most n.  Part 0 runs in the calling thread into loads;
+ * part t >= 1 runs in a thread of its own into the t-th slice of g * g
+ * entries of spare, which holds parts - 1 slices zeroed by the caller,
+ * and after the join that slice is added to loads.  A request writes only
+ * its own hops and status, and the loads are integer counts, so neither
+ * the order nor the split changes any output.  A part whose thread cannot
+ * be started runs inline, so the call cannot fail; with one part, no
+ * thread is started. */
+void ccn_trace_batch(i64 n, const double *xs, const double *ys, i64 g,
+                     const i64 *req, const i64 *hc_idx, const i64 *h_side,
+                     const i64 *h_base, const i64 *h_tab, const double *bs_x,
+                     const double *bs_y, i64 bs_side, const i64 *bs_idx,
+                     const i64 *bs_tab, int32_t *order, i64 *hops,
+                     i64 *loads, i64 *status, i64 parts, i64 *spare)
+{
+    int by_cell = bs_tab[bs_side * bs_side] > 0;
+    if (by_cell) cell_order(n, xs, ys, g, loads, order);
+    struct batch b = {
+        n, g, bs_side, xs, ys, bs_x, bs_y, req, hc_idx, h_side, h_base,
+        h_tab, bs_idx, bs_tab, by_cell ? order : NULL, hops, status,
+    };
+    struct part part[MAX_PARTS];
+    pthread_t thread[MAX_PARTS];
+    int started[MAX_PARTS] = {0};
+    i64 cells = g * g;
+    if (parts > MAX_PARTS) parts = MAX_PARTS;
+    if (parts > n) parts = n;
+    for (i64 t = 1; t < parts; t++) {
+        part[t] = (struct part){&b, n * t / parts, n * (t + 1) / parts,
+                                spare + (t - 1) * cells};
+        started[t] = start_part(&thread[t], &part[t]);
+        if (!started[t]) trace_part(&part[t]);
+    }
+    trace_range(&b, 0, parts > 1 ? n / parts : n, loads);
+    for (i64 t = 1; t < parts; t++) {
+        if (started[t]) pthread_join(thread[t], NULL);
+        for (i64 c = 0; c < cells; c++) loads[c] += part[t].loads[c];
+    }
 }

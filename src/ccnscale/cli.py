@@ -770,7 +770,9 @@ def _self_checks() -> list[tuple[str, bool, str]]:
         # 20 and 95 base stations, in one bucket and on a grid of side 9.
         # The other instances hold at most 40 copies of a content; n = 910
         # is the smallest ad hoc one whose requests reach a content with
-        # more, which is searched on a grid above one bucket.
+        # more, which is searched on a grid above one bucket.  The compiled
+        # kernel splits each batch into the parts it takes in any run on
+        # this machine (_fast._parts), and the detail says how many.
         het = [
             NetworkConfig(
                 n=2000, alpha=0.8, beta=0.9, mode=Mode.HETEROGENEOUS, mu=mu, seed=1
@@ -782,8 +784,9 @@ def _self_checks() -> list[tuple[str, bool, str]]:
         for point in (*het, ring):
             point_prob = point.problem()
             points.append((point, round_to_integers(solve(point_prob), point_prob)))
-        same = True
+        same, parts = True, {}
         for point, alloc in points:
+            parts[point.n] = _fast._parts(point.n)
             inst = sim.build_instance(point, alloc, seed=3)
             req = sim.draw_requests(inst, point.popularity(), seed=4)
             held = int(np.diff(inst._h_start)[req].max())  # the ring one is last
@@ -793,7 +796,8 @@ def _self_checks() -> list[tuple[str, bool, str]]:
         few, many = (point.base_station_count for point in het)
         traced = (
             f"ad hoc, {few}-station and {many}-station instances; "
-            f"holder ring search on n={ring.n} ad hoc, up to {held} holders"
+            f"holder ring search on n={ring.n} ad hoc, up to {held} holders; "
+            "parts: " + ", ".join(f"{k} at n={n}" for n, k in sorted(parts.items()))
         )
         checks.append((name, bool(same), f"{active}; {traced}"))
 
@@ -869,10 +873,7 @@ def _cmd_alloc(args) -> int:
         f"mode={cfg.mode.value} n={cfg.n} M={cfg.M} alpha={cfg.alpha} "
         f"beta={cfg.beta} K={_fmt(cfg.K)} a={_fmt(cfg.a)} f={_fmt(cfg.f_count)}"
     )
-    print(
-        f"m1={alloc.m1} m2={alloc.m2} objective={_fmt(alloc.objective)} "
-        f"expected_delay={_fmt(optimized_delay(alloc, prob))}"
-    )
+    print(f"m1={alloc.m1} m2={alloc.m2} objective={_fmt(alloc.objective)}")
     print("m,p_m,X_m,X_m_rounded")
     pop = cfg.popularity()
     for m in range(cfg.M):

@@ -811,9 +811,9 @@ class TestCommandLine:
         proc = _run_cli("alloc", conf)
         assert proc.returncode == 0
         assert "m,p_m,X_m,X_m_rounded" in proc.stdout
-        # The optimum's value is the delay: one number, printed twice.
+        # The optimum's value is the delay: one number, printed once.
         fields = dict(kv.split("=") for kv in proc.stdout.splitlines()[1].split())
-        assert fields["objective"] == fields["expected_delay"]
+        assert "objective" in fields and "expected_delay" not in fields
         # table has M = ceil(50^0.6) = 11 content rows
         rows = [ln for ln in proc.stdout.splitlines() if ln and ln[0].isdigit()]
         assert len(rows) == 11
@@ -845,6 +845,18 @@ class TestCommandLine:
         monkeypatch.setattr(_fast, "trace_batch", wrong)
         (passed, _), = [c[1:] for c in cli._self_checks() if c[0] == name]
         assert not passed
+
+    def test_check_reports_the_parts_of_each_traced_batch(self, monkeypatch):
+        # The backend check runs the compiled kernel in the parts that
+        # _fast._parts gives each instance, and says how many.
+        _fast = pytest.importorskip("ccnscale._kernels._fast")
+        name = "kernel backends bit-identical"
+        want = {n: _fast._parts(n) for n in (910, 2000)}
+        (passed, detail), = [c[1:] for c in cli._self_checks() if c[0] == name]
+        assert passed and f"parts: {want[910]} at n=910, {want[2000]} at n=2000" in detail
+        monkeypatch.setattr(_fast, "_parts", lambda n: 3 if n == 2000 else 2)
+        (passed, detail), = [c[1:] for c in cli._self_checks() if c[0] == name]
+        assert passed and "parts: 2 at n=910, 3 at n=2000" in detail
 
     def test_check_compares_backends_on_the_station_ring_path(self, monkeypatch):
         # A compiled kernel that goes wrong only with more than

@@ -1105,6 +1105,98 @@ def test_compiled_kernel_visits_requesters_in_cell_order(monkeypatch, nbs):
         np.testing.assert_array_equal(a, b)
 
 
+# ---------------------------------------------------------------------------
+# a batch split into parts, one thread each
+# ---------------------------------------------------------------------------
+
+
+def _configured(n, alpha, **mode_kw):
+    from ccnscale.alloc import round_to_integers, solve
+
+    cfg = NetworkConfig(n=n, alpha=alpha, beta=0.9, seed=17, **mode_kw)
+    prob = cfg.problem()
+    inst = sim.build_instance(cfg, round_to_integers(solve(prob), prob), seed=99)
+    return inst, sim.draw_requests(inst, cfg.popularity(), seed=101)
+
+
+def _unserved_instance():
+    """97 nodes on a 5x5 grid and no stations: content 0 is held by node 3
+    alone, which serves its own request (status 1); content 1 by nobody,
+    which fails every request (status 2); content 2 by 40 nodes."""
+    rng = np.random.default_rng(29)
+    holders = [[3], [], np.sort(rng.choice(97, size=40, replace=False))]
+    inst = _instance(rng.random((97, 2)), holders, 5)
+    req = rng.integers(0, 3, size=97)
+    req[3] = 0
+    return inst, req
+
+
+# Request counts divisible by none of the part counts tested.
+_SPLIT_CASES = {
+    "adhoc-2003": lambda: _configured(2003, 0.8),
+    "hetero-2999": lambda: _configured(2999, 1.2, mode=Mode.HETEROGENEOUS, mu=0.4),
+    "status-1-and-2": _unserved_instance,
+}
+
+
+@needs_fast
+@pytest.mark.parametrize("parts", [1, 2, 3])
+@pytest.mark.parametrize("case", list(_SPLIT_CASES))
+def test_split_batch_matches_reference(monkeypatch, case, parts):
+    # Each part traces a contiguous range of the visit order into loads of
+    # its own, which the kernel adds up after the join.
+    inst, req = _SPLIT_CASES[case]()
+    args = sim._trace_args(inst, req)
+    want = _ref.trace_batch(*args)
+    if case == "status-1-and-2":
+        assert {0, 1, 2} <= set(want[2].tolist())
+    monkeypatch.setattr(_fast, "_parts", lambda n: parts)
+    for a, b in zip(_fast.trace_batch(*args), want):
+        np.testing.assert_array_equal(a, b)
+
+
+@needs_fast
+def test_split_into_more_parts_than_requests(monkeypatch):
+    # The kernel runs at most one part per request: 3 parts for 2 requests.
+    monkeypatch.setattr(_fast, "_parts", lambda n: 3)
+    got = _fast.trace_batch(**_tiny_trace_args())
+    want = _ref.trace_batch(**_tiny_trace_args())
+    for a, b in zip(got, want):
+        np.testing.assert_array_equal(a, b)
+
+
+@needs_fast
+@pytest.mark.parametrize("cpus", [1, 2, 3, 64])
+def test_part_count_rule(monkeypatch, cpus):
+    # One part per CPU the process may use, with MIN_PART requests at least
+    # in each part beyond the first, and never more than MAX_PARTS.
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                        raising=False)
+    low = _fast.MIN_PART
+    for n in (0, 1, low - 1, low, 2 * low - 1):
+        assert _fast._parts(n) == 1
+    for n in (2 * low, 3 * low + 1, 10 * low, 10**6):
+        parts = _fast._parts(n)
+        assert 1 <= parts <= min(cpus, n // low, _fast.MAX_PARTS)
+    assert _fast._parts(10**6) == min(cpus, _fast.MAX_PARTS)
+
+
+@needs_fast
+def test_part_count_falls_back_to_the_cpu_count(monkeypatch):
+    # Where os.sched_getaffinity does not exist, os.cpu_count bounds it.
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    assert _fast._parts(10**6) == 3
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert _fast._parts(10**6) == 1
+
+
+@needs_fast
+def test_binding_caps_parts_like_the_kernel():
+    (cap,) = re.findall(r"^#define MAX_PARTS (\d+)$", _SOURCE.read_text(), re.M)
+    assert _fast.MAX_PARTS == int(cap)
+
+
 @pytest.mark.parametrize(
     "backend",
     [_ref, pytest.param(_fast, marks=needs_fast)],
