@@ -22,15 +22,15 @@ and is checked but not passed on.  The kernel allocates nothing, so a
 call cannot fail once its inputs pass the checks.
 
 The kernel traces a batch in :func:`_parts` parts, contiguous ranges of
-its visit order, one POSIX thread each beyond the first (on Linux queued
+its visit order, one POSIX thread each beyond the first (on Linux started
 on another CPU than the caller's; see ``start_part`` in ``trace.c``), and
 adds up their loads.  ``ctypes`` releases the GIL for the call, and the
 threads touch no Python object.  A request writes only its own hops and
 status, and loads are integer counts, so the split changes no output.
 Each part beyond the first adds its own ``g * g`` int64 loads,
 ``(parts - 1) * g * g * 8`` bytes a call.  With one part the kernel
-starts no thread.  The split was measured on 2 CPUs only; how it scales
-beyond them is unknown.
+starts no thread.  The split was measured on 2 CPUs only, so it uses at
+most 2 (:data:`MAX_PARTS`); how it scales beyond them is unknown.
 
 The shared library lives at ``${XDG_CACHE_HOME:-~/.cache}/ccnscale/<key>/
 trace.so``, where ``key`` is the sha256 of the source, the compile command
@@ -67,14 +67,16 @@ BACKEND_NAME = "compiled"
 # the pure-Python backend.  Never add -ffast-math.
 CFLAGS = ("-O3", "-std=c99", "-ffp-contract=off", "-fPIC", "-pthread", "-shared")
 
-# The fewest requests a part holds.  Two parts against one ran 0.64-0.79x
-# at n = 1000 and 0.49-0.54x from n = 10^4 (BENCH_29.json, kernel_ab),
-# but where no second CPU was free they cost 1.04-1.13x at n = 1000 and
-# 1.03-1.05x at n = 2000: a thread costs tens of microseconds, and a part
-# of 1000 requests a few hundred.
+# The fewest requests a part holds.  Two parts against one ran 0.63-0.81x
+# at n = 1000, 0.64-0.71x at n = 2000-3162 and 0.51-0.65x from n = 10^4
+# (BENCH_29.json, kernel_ab), but where no second CPU was free they cost
+# 1.04-1.13x at n = 1000 and 1.03-1.05x at n = 2000: a thread costs tens
+# of microseconds, and a part of 1000 requests a few hundred.
 MIN_PART = 1000
-# trace.c's MAX_PARTS: the kernel never splits a batch into more parts.
-MAX_PARTS = 8
+# The most parts a batch is split into: the split was measured on 2 CPUs
+# only, so more CPUs than that are left unused until a run on them shows
+# what more parts gain.  (trace.c's PART_LIMIT only bounds the arrays.)
+MAX_PARTS = 2
 
 _HERE = Path(__file__).resolve().parent
 SOURCE = _HERE / "trace.c"

@@ -22,7 +22,7 @@
  * With base stations, ccn_trace_batch visits the requesters in cell order
  * (cell_order); without them, in index order.  It splits the visit order
  * into contiguous parts, traces each in a POSIX thread of its own (the
- * first in the calling thread; start_part queues the others on other
+ * first in the calling thread; start_part starts the others on other
  * CPUs) and adds up their loads.  No output depends on the order or on
  * the split.
  *
@@ -43,7 +43,7 @@
  */
 
 #ifdef __linux__
-#define _GNU_SOURCE /* sched_getcpu, CPU_CLR, pthread_setaffinity_np */
+#define _GNU_SOURCE /* sched_getcpu, CPU_CLR, pthread_*affinity_np */
 #include <sched.h>
 #endif
 #include <math.h>
@@ -388,49 +388,68 @@ static void trace_range(const struct batch *b, i64 k0, i64 k1, i64 *loads)
 }
 
 /* One part of a split call: a range of the visit order and the loads it
- * adds to. */
+ * adds to.  On Linux, placed marks a part whose thread start_part created
+ * on other CPUs than the caller's, and allowed is the mask it restores. */
 struct part {
     const struct batch *batch;
     i64 k0, k1;
     i64 *loads;
+#ifdef __linux__
+    int placed;
+    cpu_set_t allowed;
+#endif
 };
 
 static void *trace_part(void *arg)
 {
     const struct part *p = arg;
+#ifdef __linux__
+    if (p->placed)
+        pthread_setaffinity_np(pthread_self(), sizeof p->allowed, &p->allowed);
+#endif
     trace_range(p->batch, p->k0, p->k1, p->loads);
     return NULL;
 }
 
 /* Starts part p in a thread of its own; returns 0 when it cannot.
  *
- * On Linux the new thread is then moved to a CPU other than the caller's,
- * of those this thread may use, and at once allowed all of them again: a
- * 2-vCPU guest left a new thread queued behind its creator on one CPU for
- * most of a 40 ms call, so two parts ran no faster than one, while a
- * thread moved away ran beside it (BENCH_29.json).  The mask is restored
- * before the thread runs any length of time, so the scheduler can still
- * move it back, as when the other CPUs are busy.  Should any of these
- * calls fail, the thread stays where it was queued. */
+ * On Linux the thread is created on the CPUs, of those the caller may
+ * use, other than the caller's own, and trace_part first allows it all of
+ * them again: a 2-vCPU guest left a new thread queued behind its creator
+ * on one CPU for most of a 40 ms call, so two parts ran no faster than
+ * one, while a thread started elsewhere ran beside it (BENCH_29.json).
+ * The mask is restored before the part is traced, so the scheduler can
+ * still move the thread back, as when the other CPUs are busy.  Where no
+ * such mask can be set, the thread is created as usual. */
 static int start_part(pthread_t *thread, struct part *p)
 {
-    if (pthread_create(thread, NULL, trace_part, p) != 0) return 0;
+    pthread_attr_t *use = NULL;
 #ifdef __linux__
-    cpu_set_t allowed, others;
+    pthread_attr_t attr;
+    cpu_set_t others;
     int cpu = sched_getcpu();
-    if (cpu >= 0 && sched_getaffinity(0, sizeof allowed, &allowed) == 0) {
-        others = allowed;
+    p->placed = 0;
+    if (cpu >= 0 && sched_getaffinity(0, sizeof p->allowed, &p->allowed) == 0) {
+        others = p->allowed;
         CPU_CLR(cpu, &others);
-        if (CPU_COUNT(&others) > 0 &&
-            pthread_setaffinity_np(*thread, sizeof others, &others) == 0)
-            pthread_setaffinity_np(*thread, sizeof allowed, &allowed);
+        if (CPU_COUNT(&others) > 0 && pthread_attr_init(&attr) == 0) {
+            use = &attr;
+            p->placed =
+                pthread_attr_setaffinity_np(&attr, sizeof others, &others) == 0;
+        }
     }
 #endif
-    return 1;
+    int ok = pthread_create(thread, use, trace_part, p) == 0;
+    if (use) pthread_attr_destroy(use);
+#ifdef __linux__
+    if (!ok) p->placed = 0; /* traced inline, in the caller's thread */
+#endif
+    return ok;
 }
 
-/* The most parts, and so threads, one call splits into. */
-#define MAX_PARTS 8
+/* The most parts, and so threads, one call splits into, whatever parts
+ * the binding passes; _fast._parts picks the count. */
+#define PART_LIMIT 8
 
 /* Traces one request per node into hops, loads and status (all zeroed by
  * the caller); see _ref.trace_batch for the rules.
@@ -445,7 +464,7 @@ static int start_part(pthread_t *thread, struct part *p)
  * the contents anyway, and the order gained nothing.
  *
  * The visit order is split into parts contiguous ranges, at most
- * MAX_PARTS and at most n.  Part 0 runs in the calling thread into loads;
+ * PART_LIMIT and at most n.  Part 0 runs in the calling thread into loads;
  * part t >= 1 runs in a thread of its own into the t-th slice of g * g
  * entries of spare, which holds parts - 1 slices zeroed by the caller,
  * and after the join that slice is added to loads.  A request writes only
@@ -466,15 +485,16 @@ void ccn_trace_batch(i64 n, const double *xs, const double *ys, i64 g,
         n, g, bs_side, xs, ys, bs_x, bs_y, req, hc_idx, h_side, h_base,
         h_tab, bs_idx, bs_tab, by_cell ? order : NULL, hops, status,
     };
-    struct part part[MAX_PARTS];
-    pthread_t thread[MAX_PARTS];
-    int started[MAX_PARTS] = {0};
+    struct part part[PART_LIMIT];
+    pthread_t thread[PART_LIMIT];
+    int started[PART_LIMIT] = {0};
     i64 cells = g * g;
-    if (parts > MAX_PARTS) parts = MAX_PARTS;
+    if (parts > PART_LIMIT) parts = PART_LIMIT;
     if (parts > n) parts = n;
     for (i64 t = 1; t < parts; t++) {
-        part[t] = (struct part){&b, n * t / parts, n * (t + 1) / parts,
-                                spare + (t - 1) * cells};
+        part[t] = (struct part){.batch = &b, .k0 = n * t / parts,
+                                .k1 = n * (t + 1) / parts,
+                                .loads = spare + (t - 1) * cells};
         started[t] = start_part(&thread[t], &part[t]);
         if (!started[t]) trace_part(&part[t]);
     }

@@ -23,9 +23,9 @@ available, pure Python otherwise; bit-identical results), which holds
 the only copy of the routing rules: ``measure`` calls its
 ``trace_batch``, and ``trace_request`` routes one request with the
 reference's ``trace_one``.  The compiled backend splits a large batch
-of requests into parts, at most one thread per CPU the process may use,
-and adds up their loads, which are integer counts, so the results do not
-depend on the split.  Every hop
+of requests into parts, one thread each on up to two of the CPUs the
+process may use, and adds up their loads, which are integer counts, so
+the results do not depend on the split.  Every hop
 is charged to its transmitting cell, so the total cell load equals the
 total hop count exactly on every trial — the bookkeeping identity the
 tests pin.
