@@ -16,8 +16,9 @@ base stations go through one search, ``nearest``, on a layout that
 ``bucket_table``, ``station_layout``): each candidate set has a bucket
 grid of its own, a bucket is one slice of the member array, and the
 search visits the buckets ring by ring, each row of a ring one slice; a
-set of one bucket is ring 0 of its own grid.  With base stations,
-``trace_batch`` visits the requesters in cell order.  This module exports
+set of one bucket is ring 0 of its own grid.  With base stations, the
+compiled ``trace_batch`` visits the requesters in cell order and ``_ref``
+in index order, which changes no output.  This module exports
 ``trace_batch``, and ``_ref``'s ``RING_MIN_HOLDERS`` for the benchmark;
 the compiled library exports only its entry point, ``ccn_trace_batch``.
 A single request is routed by ``_ref.trace_one`` whichever backend is

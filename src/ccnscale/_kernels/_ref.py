@@ -12,10 +12,11 @@ search, holders and stations (:func:`grid_sides`, :func:`sort_buckets`,
 set one way, ring by ring over its buckets (:func:`nearest`), each row of
 a ring one slice of the bucket table, and ring 1 only on the sides of the
 query's bucket that its edges do not rule out; a set of one bucket is ring
-0 of its own grid.  With base stations both ``trace_batch``es visit the
-requesters in cell order, which changes no output.  Both backends'
-``trace_batch`` check their arguments with :func:`checked_args`, so they
-reject the same malformed inputs.
+0 of its own grid.  This ``trace_batch`` visits the requesters in index
+order, the compiled one in cell order when there are base stations; the
+order changes no output.  Both backends' ``trace_batch`` check their
+arguments with :func:`checked_args`, so they reject the same malformed
+inputs.
 """
 
 from __future__ import annotations
@@ -522,21 +523,17 @@ def trace_batch(xs, ys, g, req, h_idx, h_start, hc_idx, hc_cell, bs_x, bs_y):
     Node ``i`` requests content ``req[i]``, routed by :func:`trace_one`;
     ``h_idx`` is not read (see there).  Every transmitting cell of its walk
     is charged (all but the last cell; a single-cell walk charges it
-    once); hops are cells minus one, at least 1.  With base stations the
-    requesters are visited in cell order on the node grid, stably (the
-    compiled kernel's counting sort), without them in index order; a
-    request writes only its own hops and status and adds to the loads, so
-    the order changes no output.  Malformed arguments raise ValueError
+    once); hops are cells minus one, at least 1.  The requesters are
+    visited in index order.  The compiled kernel visits them in cell order
+    when there are base stations; a request writes only its own hops and
+    status and adds to the loads, so the order changes no output, and the
+    parity tests check that.  Malformed arguments raise ValueError
     (:func:`checked_args`).
     """
     xs, ys, g, req, _, h_start, hc_idx, hc_cell, bs_x, bs_y = checked_args(
         xs, ys, g, req, h_idx, h_start, hc_idx, hc_cell, bs_x, bs_y
     )
     n = len(xs)
-    order = (
-        np.argsort(grid_cells(xs, ys, g), kind="stable").tolist()
-        if len(bs_x) else range(n)
-    )
     holders = [a.tolist() for a in bucket_table(h_start, hc_cell)]
     side, bs_idx, bs_tab = station_layout(bs_x, bs_y)
     stations = side, bs_idx.tolist(), bs_tab.tolist()
@@ -549,7 +546,7 @@ def trace_batch(xs, ys, g, req, h_idx, h_start, hc_idx, hc_cell, bs_x, bs_y):
     loads_l = [0] * (g * g)
     status = np.zeros(n, dtype=np.int64)
 
-    for i in order:
+    for i in range(n):
         status[i], cells = _route(
             xs, ys, g, i, req[i], hc_idx, holders, bs_x, bs_y, stations
         )

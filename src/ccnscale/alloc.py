@@ -5,12 +5,14 @@ One parametric problem covers both network modes:
     minimize    sum_m  p_m / sqrt(a * (X_m + f))
     subject to  lower <= X_m <= upper,      sum_m X_m <= n*K
 
-with ``f = 0, lower = 1`` for the pure ad hoc network (every content
-keeps at least one wireless copy) and ``f >= 1, lower = 0`` when f base
-stations hold every content.  ``upper = 1/a - f`` caps holders at one
-per cell.  Content m costs max(1, 1/sqrt(a (X_m + f))) hops, and
-X_m <= upper gives a (X_m + f) <= 1, so the max never binds: the optimal
-value is the mean hop count, the network's delay in hop units.
+where f base stations hold every content.  The floor follows from f:
+``lower = 1`` in the pure ad hoc network (``f = 0``: every content keeps
+at least one wireless copy) and ``lower = 0`` with ``f >= 1`` stations;
+a fraction of a station, ``0 < f < 1``, is rejected.  ``upper = 1/a - f``
+caps holders at one per cell.  Content m costs max(1, 1/sqrt(a (X_m +
+f))) hops, and X_m <= upper gives a (X_m + f) <= 1, so the max never
+binds: the optimal value is the mean hop count, the network's delay in
+hop units.
 
 The optimum is a water-filling: interior contents share a single level
 c with X_m + f = c * p_m^(2/3), clipped to the box.  The clipped budget
@@ -69,14 +71,14 @@ _BLOCK = 1 << 15
 
 @dataclass(frozen=True)
 class AllocationProblem:
-    """One instance of the cache-allocation program."""
+    """One instance of the cache-allocation program: ``f = 0`` is the
+    ad hoc network, ``f >= 1`` the network with f base stations."""
 
     pop: PopularityModel
     n: int
     K: float
     a: float
     f: float = 0.0
-    lower: float = 1.0
 
     def __post_init__(self) -> None:
         if self.n < 1:
@@ -85,27 +87,13 @@ class AllocationProblem:
             raise ValueError(f"cache size must be positive, got K={self.K}")
         if not 0.0 < self.a <= 1.0:
             raise ValueError(f"cell area must be in (0, 1], got a={self.a}")
-        if self.f < 0:
-            raise ValueError(f"base-station count must be >= 0, got f={self.f}")
-        if self.lower < 0:
-            raise ValueError(f"lower bound must be >= 0, got {self.lower}")
-        if self.f == 0 and self.lower < 1:
-            raise ValueError(
-                "without base stations every content needs a holder: "
-                f"lower must be >= 1 when f = 0, got {self.lower}"
-            )
+        if not (self.f == 0 or self.f >= 1):
+            raise ValueError(f"base-station count must be 0 or >= 1, got f={self.f}")
 
-    @staticmethod
-    def ad_hoc(pop: PopularityModel, n: int, K: float, a: float) -> "AllocationProblem":
-        return AllocationProblem(pop=pop, n=n, K=K, a=a, f=0.0, lower=1.0)
-
-    @staticmethod
-    def heterogeneous(
-        pop: PopularityModel, n: int, K: float, a: float, f: float
-    ) -> "AllocationProblem":
-        if f < 1:
-            raise ValueError(f"heterogeneous mode needs f >= 1, got {f}")
-        return AllocationProblem(pop=pop, n=n, K=K, a=a, f=f, lower=0.0)
+    @property
+    def lower(self) -> float:
+        """Per-content holder floor: 1 without base stations, else 0."""
+        return 1.0 if self.f == 0 else 0.0
 
     @property
     def upper(self) -> float:

@@ -708,7 +708,7 @@ def _self_checks() -> list[tuple[str, bool, str]]:
         M = int(rng.integers(2, 20))
         pop = zipf(M, float(rng.uniform(0.2, 2.5)))
         n = int(rng.integers(max(M, 4), 200))
-        prob = AllocationProblem.ad_hoc(pop, n=n, K=1.0, a=1.0 / 16)
+        prob = AllocationProblem(pop, n=n, K=1.0, a=1.0 / 16)
         try:
             res.append(kkt_residual(solve(prob), prob))
         except InfeasibleError:

@@ -145,11 +145,7 @@ class NetworkConfig:
         Heterogeneous mode requires f_count >= 1 (the optimizer models
         base stations as full catalog copies in every cell's reach).
         """
-        if self.mode is Mode.ADHOC:
-            return AllocationProblem.ad_hoc(
-                pop=self.popularity(), n=self.n, K=self.K, a=self.a
-            )
-        return AllocationProblem.heterogeneous(
-            pop=self.popularity(), n=self.n, K=self.K, a=self.a,
-            f=self.f_count,
-        )
+        f = self.f_count
+        if self.mode is Mode.HETEROGENEOUS and f < 1:
+            raise ValueError(f"heterogeneous mode needs f >= 1, got {f}")
+        return AllocationProblem(self.popularity(), self.n, self.K, self.a, f)

@@ -4,8 +4,9 @@ Requests are drawn from a fixed catalog of ``M`` contents.  The canonical
 model is the Zipf law ``p_m = m^{-alpha} / H_alpha(M)``, whose normalizer
 ``H_alpha(M) = sum_m m^{-alpha}`` changes character at ``alpha = 1``:
 it stays bounded for ``alpha > 1``, grows like ``log M`` at ``alpha = 1``
-and like ``M^{1-alpha}`` below.  Several downstream closed forms branch on
-that regime, so the classification is exposed here as well.
+and like ``M^{1-alpha}`` below.  The paper states every scaling result per
+band of ``alpha``, with breakpoints at 1 and 3/2; :func:`zipf_regime` is the
+one classifier of those bands, and :mod:`ccnscale.scaling` branches on it.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -22,12 +22,11 @@ __all__ = [
     "zipf",
     "from_weights",
     "harmonic",
-    "harmonic_class",
-    "HarmonicClass",
-    "HarmonicRegime",
+    "zipf_regime",
+    "ZipfRegime",
 ]
 
-# Tolerance used when classifying alpha against the breakpoint at 1.
+# alpha within this distance of a breakpoint (1 or 3/2) counts as on it.
 _ALPHA_TOL = 1e-12
 
 # Chunk size for the generalized-harmonic accumulation.  Each chunk is
@@ -69,31 +68,37 @@ def harmonic(m_count: int, alpha: float) -> float:
     return math.fsum(partials)
 
 
-class HarmonicClass(enum.Enum):
-    """Growth regime of ``H_alpha(M)`` in ``M``."""
+class ZipfRegime(enum.IntEnum):
+    """Band of the Zipf exponent, ordered by ``alpha``.
 
-    CONSTANT = "constant"  # alpha > 1: bounded
-    LOG = "log"            # alpha = 1: Theta(log M)
-    POWER = "power"        # alpha < 1: Theta(M^(1-alpha))
-
-
-class HarmonicRegime(NamedTuple):
-    kind: HarmonicClass
-    exponent: float  # exponent of M in the growth rate (0 unless POWER)
-
-
-def harmonic_class(alpha: float, tol: float = _ALPHA_TOL) -> HarmonicRegime:
-    """Classify the growth of ``H_alpha(M)`` as M grows.
-
-    ``alpha`` within ``tol`` of 1 counts as the logarithmic boundary case.
+    ``H_alpha(M)`` grows like ``M^{1-alpha}`` in the first band, like
+    ``log M`` in the second, and stays bounded in the others.
     """
+
+    BELOW_ONE = 0           # alpha < 1
+    ONE = 1                 # alpha = 1
+    BETWEEN = 2             # 1 < alpha < 3/2
+    THREE_HALVES = 3        # alpha = 3/2
+    ABOVE_THREE_HALVES = 4  # alpha > 3/2
+
+    @property
+    def label(self) -> str:
+        return ("alpha<1", "alpha=1", "1<alpha<3/2", "alpha=3/2", "alpha>3/2")[self]
+
+
+def zipf_regime(alpha: float) -> ZipfRegime:
+    """The band of ``alpha``; within 1e-12 of 1 or 3/2 counts as on it."""
     if alpha < 0:
-        raise ValueError(f"harmonic_class() needs alpha >= 0, got {alpha}")
-    if alpha > 1 + tol:
-        return HarmonicRegime(HarmonicClass.CONSTANT, 0.0)
-    if alpha >= 1 - tol:
-        return HarmonicRegime(HarmonicClass.LOG, 0.0)
-    return HarmonicRegime(HarmonicClass.POWER, 1.0 - alpha)
+        raise ValueError(f"zipf_regime() needs alpha >= 0, got {alpha}")
+    if alpha > 1.5 + _ALPHA_TOL:
+        return ZipfRegime.ABOVE_THREE_HALVES
+    if alpha >= 1.5 - _ALPHA_TOL:
+        return ZipfRegime.THREE_HALVES
+    if alpha > 1.0 + _ALPHA_TOL:
+        return ZipfRegime.BETWEEN
+    if alpha >= 1.0 - _ALPHA_TOL:
+        return ZipfRegime.ONE
+    return ZipfRegime.BELOW_ONE
 
 
 @dataclass(frozen=True, eq=False)

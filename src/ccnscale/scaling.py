@@ -7,9 +7,9 @@ log-log slope regression and ratio checks, never as absolute values.
 The catalog size enters as the continuous power M = n^beta (no
 rounding: slopes stay exact), and the default cell-area rule is
 a(n) = 2 ln(n)/n, the smallest area keeping every cell occupied with
-high probability.  Breakpoints sit at alpha = 1 and alpha = 3/2
-(classified with 1e-12 tolerance) and, for the heterogeneous mode, at
-mu = 1 - beta.
+high probability.  Every formula branches on the band of alpha that
+:func:`ccnscale.popularity.zipf_regime` names (breakpoints at 1 and 3/2)
+and, for the heterogeneous mode, on mu = 1 - beta.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ from math import log, sqrt
 from typing import Callable
 
 from .errors import UnsupportedRegimeError
+from .popularity import ZipfRegime, zipf_regime
 
 __all__ = [
     "ScalingRegime",
@@ -30,8 +31,6 @@ __all__ = [
     "improvement_threshold",
     "improves_order",
 ]
-
-_BREAK_TOL = 1e-12
 
 
 def default_cell_area(n: int) -> float:
@@ -116,22 +115,12 @@ class ScalingRegime:
         """
         if self.mu is None:
             return True
-        if self.alpha <= 1.5 + _BREAK_TOL:
+        if zipf_regime(self.alpha) <= ZipfRegime.THREE_HALVES:
             return self.beta >= 1.0 - self.mu
         return self.beta > (3.0 / (2.0 * self.alpha)) * (1.0 - self.mu)
 
     def label(self, n: int = 10**6) -> str:
-        a = self.alpha
-        if a > 1.5 + _BREAK_TOL:
-            band = "alpha>3/2"
-        elif a >= 1.5 - _BREAK_TOL:
-            band = "alpha=3/2"
-        elif a > 1.0 + _BREAK_TOL:
-            band = "1<alpha<3/2"
-        elif a >= 1.0 - _BREAK_TOL:
-            band = "alpha=1"
-        else:
-            band = "alpha<1"
+        band = zipf_regime(self.alpha).label
         if self.mu is None:
             return f"adhoc:{band}"
         kind = "floored-tail" if self.tail_reaches_floor(n) else "adhoc-like"
@@ -139,23 +128,25 @@ class ScalingRegime:
 
 
 def _adhoc_delay(alpha: float, M: float, na: float) -> float:
-    if alpha > 1.5 + _BREAK_TOL:
+    band = zipf_regime(alpha)
+    if band is ZipfRegime.ABOVE_THREE_HALVES:
         return 1.0
-    if alpha >= 1.5 - _BREAK_TOL:
+    if band is ZipfRegime.THREE_HALVES:
         return max(1.0, log(M) ** 1.5 / sqrt(na))
-    if alpha > 1.0 + _BREAK_TOL:
+    if band is ZipfRegime.BETWEEN:
         return max(1.0, M ** (1.5 - alpha) / sqrt(na))
-    if alpha >= 1.0 - _BREAK_TOL:
+    if band is ZipfRegime.ONE:
         return max(1.0, sqrt(M) / (log(M) * sqrt(na)))
     return max(1.0, sqrt(M / na))
 
 
 def _het_delay(alpha: float, n: int, f: float) -> float:
-    if alpha > 1.5 + _BREAK_TOL:
+    band = zipf_regime(alpha)
+    if band is ZipfRegime.ABOVE_THREE_HALVES:
         return 1.0
-    if alpha >= 1.5 - _BREAK_TOL:
+    if band is ZipfRegime.THREE_HALVES:
         return log(n)
-    if alpha > 1.0 + _BREAK_TOL:
+    if band is ZipfRegime.BETWEEN:
         return (n / f) ** (1.5 - alpha) / sqrt(log(n))
     return sqrt(n / (f * log(n)))
 
@@ -196,17 +187,18 @@ def m1_m2_orders(reg: ScalingRegime, n: int) -> tuple[float, float]:
     if n < 3:
         raise ValueError(f"need n >= 3, got {n}")
     alpha = reg.alpha
+    band = zipf_regime(alpha)
     M = reg.M(n)
     a = reg.a(n)
     na = n * a
     if not reg.heterogeneous or not reg.tail_reaches_floor(n):
-        if alpha > 1.5 + _BREAK_TOL:
+        if band is ZipfRegime.ABOVE_THREE_HALVES:
             m1 = min(M, na)
             m2 = min(
                 M + 1.0,
                 (2.0 * alpha - 3.0) / (2.0 * alpha) * n * reg.K * a ** (1.0 - 1.5 / alpha),
             )
-        elif alpha >= 1.5 - _BREAK_TOL:
+        elif band is ZipfRegime.THREE_HALVES:
             m1 = min(M, na / log(n))
             m2 = M + 1.0
         else:
@@ -214,10 +206,10 @@ def m1_m2_orders(reg: ScalingRegime, n: int) -> tuple[float, float]:
             m2 = M + 1.0
         return m1, m2
     f = reg.f(n)
-    if alpha > 1.5 + _BREAK_TOL:
+    if band is ZipfRegime.ABOVE_THREE_HALVES:
         m1 = 1.0 + (2.0 * alpha - 3.0) / alpha * reg.K * log(n)
         m2 = (n / f) ** (1.5 / alpha) * log(n) ** (1.0 - 1.5 / alpha)
-    elif alpha >= 1.5 - _BREAK_TOL:
+    elif band is ZipfRegime.THREE_HALVES:
         m1 = 1.0
         m2 = n / (f * log(n))
     else:
@@ -240,4 +232,7 @@ def improvement_threshold(beta: float) -> float:
 
 def improves_order(alpha: float, beta: float, mu: float) -> bool:
     """Whether n^mu base stations beat the ad hoc order at this (alpha, beta)."""
-    return mu > improvement_threshold(beta) and alpha < 1.5 - _BREAK_TOL
+    return (
+        mu > improvement_threshold(beta)
+        and zipf_regime(alpha) < ZipfRegime.THREE_HALVES
+    )

@@ -91,7 +91,7 @@ def _axis_period(g: int, k: int) -> int:
 class TdmSchedule:
     """Periodic interference-free slot assignment for a cell grid.
 
-    ``colors[row, col]`` is the cell's slot in [0, n_slots); every cell
+    ``colors[row, col]`` is the cell's slot in [0, C); every cell
     is active exactly once per frame.  ``frame_ok`` records whether the
     frame length achieved the N + 1 bound (it cannot for small delta:
     the reuse period forces at least k² slots, and k² exceeds N + 1 for
@@ -103,14 +103,9 @@ class TdmSchedule:
     delta: float
     reuse: int  # reuse distance k in cells
     period: int  # seam-safe axis period p >= min(k, g)
-    n_slots: int  # frame length C = p²
+    C: int  # frame length in slots, p²
     colors: np.ndarray = field(repr=False)
     frame_ok: bool
-
-    @property
-    def C(self) -> int:
-        """Frame length (number of slots); alias of ``n_slots``."""
-        return self.n_slots
 
     @property
     def r(self) -> float:
@@ -146,7 +141,7 @@ def build_schedule(grid: CellGrid, delta: float) -> TdmSchedule:
         delta=delta,
         reuse=k,
         period=p,
-        n_slots=c,
+        C=c,
         colors=colors,
         frame_ok=c <= interference_bound(delta) + 1,
     )

@@ -215,7 +215,7 @@ def random_instances(seed: int, count: int, m_max: int = 30):
         if heterogeneous:
             f = float(rng.uniform(1.0, max(1.0, 1.0 / a - 0.5)))
             n = int(rng.integers(m, 2000))
-            yield AllocationProblem(pop=pop, n=n, K=K, a=a, f=f, lower=0.0)
+            yield AllocationProblem(pop=pop, n=n, K=K, a=a, f=f)
         else:
             n_min = max(m, int(math.ceil(m / K)) + 1)
             n = int(rng.integers(n_min, n_min + 2000))

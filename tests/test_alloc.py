@@ -1,6 +1,7 @@
 """Cache-allocation solver: exact water-filling against first-order
 oracles, KKT certificates, threshold structure, and rounding."""
 
+import dataclasses
 import math
 import tracemalloc
 from pathlib import Path
@@ -79,7 +80,7 @@ class TestSolveExamples:
     def test_infeasible_degenerate_ad_hoc_budget(self):
         # a = 1 collapses the box to X = 1, which 63 contents cannot get
         # from a budget of 10.
-        prob = AllocationProblem.ad_hoc(zipf(63, 0.8), n=100, K=0.1, a=1.0)
+        prob = AllocationProblem(zipf(63, 0.8), n=100, K=0.1, a=1.0)
         assert prob.degenerate
         with pytest.raises(InfeasibleError):
             solve(prob)
@@ -95,7 +96,7 @@ class TestSolveExamples:
     def test_degenerate_heterogeneous_box(self):
         # f = 1/a: base stations alone exceed one per cell, no room for
         # cached copies; all X at the floor, flagged.
-        prob = AllocationProblem.heterogeneous(
+        prob = AllocationProblem(
             pop=zipf(5, 1.0), n=100, K=1.0, a=1 / 16, f=16.0
         )
         assert prob.degenerate
@@ -110,7 +111,7 @@ class TestSolveExamples:
     def test_point_box_is_certified(self):
         # upper = lower = 0: every content sits at both bounds, which fix
         # it, so no stationarity condition applies.
-        prob = AllocationProblem.heterogeneous(
+        prob = AllocationProblem(
             pop=zipf(5, 1.0), n=100, K=1.0, a=1 / 16, f=16.0
         )
         assert prob.upper == prob.lower
@@ -174,7 +175,7 @@ def _kkt_hand_built():
     """(problem, allocation) pairs that probe each branch of the certificate."""
     adhoc = AllocationProblem(pop=zipf(12, 1.2), n=40, K=1.0, a=1 / 25)
     solved = solve(adhoc)
-    point_box = AllocationProblem.heterogeneous(
+    point_box = AllocationProblem(
         zipf(6, 1.2), n=40, K=1.0, a=1 / 25, f=25.0
     )
     one_content = AllocationProblem(pop=zipf(1, 1.0), n=4, K=1.0, a=1 / 4)
@@ -182,7 +183,7 @@ def _kkt_hand_built():
     # content counts as at both bounds although the box is not a point;
     # the budget is met, so only stationarity could make the residual
     # positive.
-    thin_box = AllocationProblem.heterogeneous(
+    thin_box = AllocationProblem(
         zipf(6, 1.2), n=1, K=6e-14, a=1 / 25, f=25.0 - 1e-13
     )
     below = solved.X.copy()
@@ -355,7 +356,7 @@ class TestStructure:
         pop = zipf(20, 1.1)
         objs = [
             solve(
-                AllocationProblem(pop=pop, n=100, K=1.0, a=1 / 36, f=f, lower=0.0)
+                AllocationProblem(pop=pop, n=100, K=1.0, a=1 / 36, f=f)
             ).objective
             for f in (1.0, 2.0, 5.0, 10.0)
         ]
@@ -392,7 +393,7 @@ class TestInteriorRatio:
         assert max(ratios) / min(ratios) < 2.0
 
     def test_degenerate_rejected(self):
-        prob = AllocationProblem.heterogeneous(
+        prob = AllocationProblem(
             pop=zipf(5, 1.5), n=100, K=1.0, a=1 / 16, f=16.0
         )
         with pytest.raises(UnsupportedRegimeError):
@@ -514,16 +515,21 @@ class TestRounding:
 
 
 class TestProblemValidation:
-    def test_ad_hoc_factory(self):
-        prob = AllocationProblem.ad_hoc(zipf(3, 1.0), n=10, K=1.0, a=1 / 9)
+    def test_floor_follows_base_stations(self):
+        prob = AllocationProblem(zipf(3, 1.0), n=10, K=1.0, a=1 / 9)
         assert prob.f == 0.0
         assert prob.lower == 1.0
         assert prob.upper == 9.0
         assert prob.budget == 10.0
+        for f in (1.0, 2.5):
+            assert AllocationProblem(zipf(3, 1.0), 10, 1.0, 1 / 9, f).lower == 0.0
+        with pytest.raises(AttributeError):
+            prob.lower = 0.0  # derived from f, not set
 
-    def test_heterogeneous_factory_requires_f_at_least_one(self):
-        with pytest.raises(ValueError):
-            AllocationProblem.heterogeneous(zipf(3, 1.0), n=10, K=1.0, a=1 / 9, f=0.5)
+    def test_rejects_a_fraction_of_a_base_station(self):
+        for f in (0.5, 1e-12, 1.0 - 1e-12, math.nan):
+            with pytest.raises(ValueError, match="must be 0 or >= 1"):
+                AllocationProblem(zipf(3, 1.0), n=10, K=1.0, a=1 / 9, f=f)
 
     def test_field_validation(self):
         pop = zipf(3, 1.0)
@@ -535,8 +541,8 @@ class TestProblemValidation:
             AllocationProblem(pop=pop, n=10, K=1.0, a=1.5)
         with pytest.raises(ValueError):
             AllocationProblem(pop=pop, n=10, K=1.0, a=1 / 9, f=-1.0)
-        with pytest.raises(ValueError):
-            # ad hoc mode must keep at least one copy available
+        with pytest.raises(TypeError):
+            # the floor follows from f and is not an argument
             AllocationProblem(pop=pop, n=10, K=1.0, a=1 / 9, lower=0.5)
 
 
@@ -561,13 +567,14 @@ def _assert_same_as_bisection(prob):
     assert np.array_equal(res.X, x)
 
 
-def _tie_problem(pop, n, a, f, lower, m, at_upper):
+def _tie_problem(pop, n, a, f, m, at_upper):
     """Budget at which content m (0-based) sits exactly on a bound."""
-    upper = 1.0 / a - f
+    box = AllocationProblem(pop=pop, n=n, K=1.0, a=a, f=f)
+    lower, upper = box.lower, box.upper
     q = pop.p ** (2.0 / 3.0)
     c = ((upper if at_upper else lower) + f) / q[m]
     budget = math.fsum(np.clip(c * q - f, lower, upper))
-    return AllocationProblem(pop=pop, n=n, K=budget / n, a=a, f=f, lower=lower)
+    return dataclasses.replace(box, K=budget / n)
 
 
 # (problem, new (m1, m2) where the bisection's differ, else None).  At an
@@ -576,31 +583,31 @@ def _tie_problem(pop, n, a, f, lower, m, at_upper):
 # the bound.  Both solutions carry a KKT certificate.
 _TIES = {
     "adhoc, content 1 at upper": (
-        _tie_problem(zipf(12, 1.2), 40, 1 / 25, 0.0, 1.0, 0, True),
+        _tie_problem(zipf(12, 1.2), 40, 1 / 25, 0.0, 0, True),
         None,
     ),
     "adhoc, content 3 at upper": (
-        _tie_problem(zipf(12, 1.2), 40, 1 / 25, 0.0, 1.0, 2, True),
+        _tie_problem(zipf(12, 1.2), 40, 1 / 25, 0.0, 2, True),
         (4, 13),
     ),
     "adhoc, content 10 at lower": (
-        _tie_problem(zipf(30, 2.0), 100, 1 / 36, 0.0, 1.0, 9, False),
+        _tie_problem(zipf(30, 2.0), 100, 1 / 36, 0.0, 9, False),
         (1, 10),
     ),
     "heterogeneous, content 5 at lower": (
-        _tie_problem(zipf(20, 1.1), 100, 1 / 36, 4.0, 0.0, 4, False),
+        _tie_problem(zipf(20, 1.1), 100, 1 / 36, 4.0, 4, False),
         None,
     ),
     "heterogeneous, content 2 at upper": (
-        _tie_problem(zipf(20, 1.1), 100, 1 / 36, 4.0, 0.0, 1, True),
+        _tie_problem(zipf(20, 1.1), 100, 1 / 36, 4.0, 1, True),
         None,
     ),
     "tied popularity, group at upper": (
-        _tie_problem(from_weights([3, 3, 3, 1, 1]), 10, 1 / 9, 0.0, 1.0, 2, True),
+        _tie_problem(from_weights([3, 3, 3, 1, 1]), 10, 1 / 9, 0.0, 2, True),
         None,
     ),
     "tied popularity, group at lower": (
-        _tie_problem(from_weights([4, 2, 2, 2, 1]), 10, 1 / 9, 2.0, 0.0, 3, False),
+        _tie_problem(from_weights([4, 2, 2, 2, 1]), 10, 1 / 9, 2.0, 3, False),
         None,
     ),
     "adhoc, budget exactly M * lower": (
@@ -649,13 +656,13 @@ class TestMatchesBisection:
         problems = list(random_instances(seed=5150, count=100))
         problems += list(_sample_config_problems())
         problems += [prob for prob, _ in _TIES.values()]
-        point_box = AllocationProblem.heterogeneous(
+        point_box = AllocationProblem(
             zipf(6, 1.2), n=40, K=1.0, a=1 / 25, f=25.0
         )
         problems += [
             point_box,
             AllocationProblem(pop=zipf(10, 1.0), n=100, K=50.0, a=1 / 16),
-            AllocationProblem.heterogeneous(
+            AllocationProblem(
                 zipf(10, 1.0), n=100, K=50.0, a=1 / 16, f=3.0
             ),
         ]

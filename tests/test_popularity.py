@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ccnscale import popularity as pop
-from ccnscale.popularity import HarmonicClass
+from ccnscale.popularity import ZipfRegime
 
 from oracles import harmonic_fsum, zipf_by_harmonic
 
@@ -67,23 +67,36 @@ class TestHarmonic:
             pop.harmonic(5, -0.2)
 
 
-class TestHarmonicClass:
-    def test_growth_class_per_exponent_band(self):
-        assert pop.harmonic_class(1.2).kind is HarmonicClass.CONSTANT
-        assert pop.harmonic_class(1.0).kind is HarmonicClass.LOG
-        reg = pop.harmonic_class(0.8)
-        assert reg.kind is HarmonicClass.POWER
-        assert reg.exponent == pytest.approx(0.2)
+class TestZipfRegime:
+    def test_band_per_exponent(self):
+        bands = [pop.zipf_regime(a) for a in (0.0, 0.8, 1.0, 1.2, 1.5, 2.0, 7.5)]
+        assert bands == [
+            ZipfRegime.BELOW_ONE,
+            ZipfRegime.BELOW_ONE,
+            ZipfRegime.ONE,
+            ZipfRegime.BETWEEN,
+            ZipfRegime.THREE_HALVES,
+            ZipfRegime.ABOVE_THREE_HALVES,
+            ZipfRegime.ABOVE_THREE_HALVES,
+        ]
+        assert bands == sorted(bands)  # ordered by alpha
+        assert [b.label for b in ZipfRegime] == [
+            "alpha<1", "alpha=1", "1<alpha<3/2", "alpha=3/2", "alpha>3/2"
+        ]
 
     def test_boundary_tolerance(self):
-        assert pop.harmonic_class(1.0 + 5e-13).kind is HarmonicClass.LOG
-        assert pop.harmonic_class(1.0 - 5e-13).kind is HarmonicClass.LOG
-        assert pop.harmonic_class(1.0 + 5e-12).kind is HarmonicClass.CONSTANT
-        assert pop.harmonic_class(1.0 - 5e-12).kind is HarmonicClass.POWER
+        assert pop.zipf_regime(1.0 + 5e-13) is ZipfRegime.ONE
+        assert pop.zipf_regime(1.0 - 5e-13) is ZipfRegime.ONE
+        assert pop.zipf_regime(1.0 + 5e-12) is ZipfRegime.BETWEEN
+        assert pop.zipf_regime(1.0 - 5e-12) is ZipfRegime.BELOW_ONE
+        assert pop.zipf_regime(1.5 + 5e-13) is ZipfRegime.THREE_HALVES
+        assert pop.zipf_regime(1.5 - 5e-13) is ZipfRegime.THREE_HALVES
+        assert pop.zipf_regime(1.5 + 5e-12) is ZipfRegime.ABOVE_THREE_HALVES
+        assert pop.zipf_regime(1.5 - 5e-12) is ZipfRegime.BETWEEN
 
     def test_negative_alpha_rejected(self):
         with pytest.raises(ValueError):
-            pop.harmonic_class(-0.1)
+            pop.zipf_regime(-0.1)
 
 
 class TestZipf:
@@ -182,14 +195,14 @@ class TestFromWeights:
 
 
 def test_harmonic_class_drives_growth_of_harmonic():
-    """Empirical growth of H matches the declared regime."""
-    # CONSTANT: bounded as M doubles.
+    """Empirical growth of H matches the growth ZipfRegime states per band."""
+    # Above 1: bounded as M doubles.
     assert pop.harmonic(2 * 10**5, 1.4) / pop.harmonic(10**5, 1.4) < 1.01
-    # LOG: H(M) - ln(M) converges to the Euler-Mascheroni constant.
+    # At 1: H(M) - ln(M) converges to the Euler-Mascheroni constant.
     gamma = 0.5772156649015329
     assert pop.harmonic(10**7, 1.0) - math.log(10**7) == pytest.approx(
         gamma, abs=1e-7
     )
-    # POWER: H(4M) ~ 4^(1-alpha) H(M).
+    # Below 1: H(4M) ~ 4^(1-alpha) H(M).
     grow = pop.harmonic(4 * 10**5, 0.5) / pop.harmonic(10**5, 0.5)
     assert grow == pytest.approx(2.0, rel=0.01)

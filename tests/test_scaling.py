@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from ccnscale.alloc import AllocationProblem, optimized_delay, solve
 from ccnscale.errors import UnsupportedRegimeError
-from ccnscale.popularity import zipf
+from ccnscale.popularity import ZipfRegime, zipf, zipf_regime
 from ccnscale.scaling import (
     ScalingRegime,
     default_cell_area,
@@ -410,3 +410,82 @@ class TestImprovement:
     def test_steep_popularity_never_improves(self):
         assert not improves_order(1.5, 0.5, 0.9)
         assert not improves_order(3.0, 0.5, 0.9)
+
+
+# alpha just inside (5e-13) and just outside (5e-12) the 1e-12 tolerance
+# of each breakpoint, on both sides.
+_EDGES = [
+    x + d for x in (1.0, 1.5) for d in (-5e-12, -5e-13, 5e-13, 5e-12)
+]
+
+
+@pytest.mark.parametrize("alpha", _EDGES)
+class TestBreakpointEdges:
+    """Near 1 and 3/2 every predictor takes the branch of ``zipf_regime``'s
+    band, checked against each branch's formula."""
+
+    n = 10**6
+
+    def test_adhoc_delay(self, alpha):
+        n = self.n
+        M, na = n**0.9, n * default_cell_area(n)
+        want = {
+            ZipfRegime.BELOW_ONE: math.sqrt(M / na),
+            ZipfRegime.ONE: math.sqrt(M) / (math.log(M) * math.sqrt(na)),
+            ZipfRegime.BETWEEN: M ** (1.5 - alpha) / math.sqrt(na),
+            ZipfRegime.THREE_HALVES: math.log(M) ** 1.5 / math.sqrt(na),
+            ZipfRegime.ABOVE_THREE_HALVES: 1.0,
+        }[zipf_regime(alpha)]
+        got = predicted_delay_order(ScalingRegime(alpha=alpha, beta=0.9), n)
+        assert got == pytest.approx(max(1.0, want), rel=1e-12)
+
+    def test_heterogeneous_delay(self, alpha):
+        n = self.n
+        f, ln = n**0.4, math.log(n)
+        want = {
+            ZipfRegime.BELOW_ONE: math.sqrt(n / (f * ln)),
+            ZipfRegime.ONE: math.sqrt(n / (f * ln)),
+            ZipfRegime.BETWEEN: (n / f) ** (1.5 - alpha) / math.sqrt(ln),
+            ZipfRegime.THREE_HALVES: ln,
+            ZipfRegime.ABOVE_THREE_HALVES: 1.0,
+        }[zipf_regime(alpha)]
+        reg = ScalingRegime(alpha=alpha, beta=0.9, mu=0.4)
+        assert predicted_delay_order(reg, n) == pytest.approx(want, rel=1e-12)
+
+    def test_m1_m2_orders(self, alpha):
+        n, band = self.n, zipf_regime(alpha)
+        M, a, ln = n**0.9, default_cell_area(n), math.log(n)
+        na, f = n * a, n**0.4
+        if band is ZipfRegime.ABOVE_THREE_HALVES:
+            steep = (2 * alpha - 3) / (2 * alpha) * n * a ** (1 - 1.5 / alpha)
+            adhoc = min(M, na), min(M + 1, steep)
+            het = (
+                1 + (2 * alpha - 3) / alpha * ln,
+                (n / f) ** (1.5 / alpha) * ln ** (1 - 1.5 / alpha),
+            )
+        elif band is ZipfRegime.THREE_HALVES:
+            adhoc, het = (min(M, na / ln), M + 1), (1.0, n / (f * ln))
+        else:
+            flat = na ** (1.5 / alpha) / M ** (1.5 / alpha - 1)
+            adhoc, het = (max(1.0, min(M, na, flat)), M + 1), (1.0, n / f)
+        reg = ScalingRegime(alpha=alpha, beta=0.9)
+        assert m1_m2_orders(reg, n) == pytest.approx(adhoc, rel=1e-12)
+        reg = ScalingRegime(alpha=alpha, beta=0.9, mu=0.4)
+        assert m1_m2_orders(reg, n) == pytest.approx(het, rel=1e-12)
+
+    def test_label(self, alpha):
+        band = zipf_regime(alpha).label
+        assert ScalingRegime(alpha=alpha, beta=0.9).label() == f"adhoc:{band}"
+        het = ScalingRegime(alpha=alpha, beta=0.9, mu=0.4)
+        assert het.label() == f"het:floored-tail:{band}"
+
+    def test_tail_reaches_floor(self, alpha):
+        # beta just below 1 - mu: the rule for alpha <= 3/2 says no, the
+        # rule for alpha > 3/2 says yes near 3/2.
+        reg = ScalingRegime(alpha=alpha, beta=0.5 - 1e-13, mu=0.5)
+        steep = zipf_regime(alpha) is ZipfRegime.ABOVE_THREE_HALVES
+        assert reg.tail_reaches_floor(self.n) is steep
+
+    def test_improves_order(self, alpha):
+        below = zipf_regime(alpha) < ZipfRegime.THREE_HALVES
+        assert improves_order(alpha, 0.9, 0.4) is below

@@ -150,7 +150,7 @@ class TestAudit:
         return dataclasses.replace(
             good,
             colors=np.zeros((g, g), dtype=np.int64),
-            n_slots=1,
+            C=1,
             period=1,
         )
 
