@@ -360,15 +360,20 @@ def sort_buckets(xs, ys, idx, start) -> np.ndarray:
     ``xs``/``ys``, on its grid of the side :func:`grid_sides` gives.  A set
     of one bucket keeps its order, all in bucket 0.  The others sort in
     groups that end where their running member count passes a multiple of
-    ``BLOCK``, by one ``np.sort`` of the key ``(grid offset + bucket) *
-    total + j``, ``j`` the member's place in the group: by set, bucket and
-    index, as a stable sort by bucket would order them.  The grids hold at
-    most ``total`` buckets, so each set keeps its own span of keys.
+    ``BLOCK``, by one ``np.sort`` of the key ``(grid offset + bucket) << s
+    | j``, ``j < 2**s`` the member's place in the group and ``s =
+    total.bit_length()``: by set, bucket and index, as a stable sort by
+    bucket would order them.  Each set keeps its own span of keys, and
+    ``&`` and ``>>`` take the key apart.  With sets of at most
+    ``MAX_NODES`` members, a group holds fewer than ``MAX_NODES + BLOCK``,
+    so ``s <= 32``, and its grids fewer than 2**31 buckets (a grid of side
+    ``floor(sqrt(k))`` has at most ``k``, and a set of more than ``BLOCK``
+    members starts its group), so the keys stay below 2**63.
     """
     xs, ys = np.asarray(xs, dtype=np.float64), np.asarray(ys, dtype=np.float64)
     start = np.asarray(start, dtype=np.int64)
     sizes = np.diff(start)
-    sets = np.flatnonzero(grid_sides(sizes) > 1)
+    sets = np.flatnonzero(sizes > RING_MIN_HOLDERS)  # the sets of side > 1
     cell = np.zeros(len(idx), dtype=np.int64)
     ends = np.cumsum(sizes[sets])
     for group in np.split(sets, np.flatnonzero(np.diff(ends // BLOCK)) + 1):
@@ -383,11 +388,12 @@ def sort_buckets(xs, ys, idx, start) -> np.ndarray:
         key = grid_cells(xs[member], ys[member], np.repeat(side, k))
         grid0 = np.repeat(np.cumsum(side * side) - side * side, k)
         key += grid0
-        key *= total
-        key += np.arange(total)
+        s = total.bit_length()
+        key <<= s
+        key |= np.arange(total)
         key.sort()
-        idx[pos] = member[key % total]
-        key //= total
+        idx[pos] = member[key & ((1 << s) - 1)]
+        key >>= s
         key -= grid0
         cell[pos] = key
     return cell

@@ -35,8 +35,11 @@ class NetworkConfig:
     The catalog size is the continuous rule M = ceil(n^beta).  Without
     base stations beta must stay below 1 so the combined cache space
     can hold the catalog.  Base-station count comes from ``f`` when
-    given, else n^mu; ``f = 0`` in heterogeneous mode degenerates to
-    the pure ad hoc network.  ``cell_area`` fixes the cell size a, at
+    given, else n^mu.  A heterogeneous point with fewer than one base
+    station (``f < 1``) is accepted here, but :meth:`problem` refuses it:
+    the optimizer models the stations as full catalog copies.  Such a
+    point places no station, so ``sim.build_instance`` draws it as the
+    ad hoc network.  ``cell_area`` fixes the cell size a, at
     least 1/n; when omitted the occupancy rule a = 2 ln(n)/n applies
     (requires n >= 2).
     """

@@ -14,9 +14,9 @@ station coordinates as one (2, b) array, and the node count per cell.
 The kernel's reference, ``_kernels._ref``, lays out each content's holders
 (``sort_buckets``): they stay ascending in a content of one bucket and
 are sorted into buckets, in place, in a content searched ring by ring.
-Requests are drawn by inverting the popularity CDF on sorted blocks of
-uniforms, bit-identical to ``Generator.choice``.  Both keep their
-transient arrays to a few blocks beyond what they return.
+Requests are drawn by inverting the popularity CDF through a guide table,
+bit-identical to ``Generator.choice``.  Both keep their transient arrays
+to a few blocks beyond what they return.
 
 Routing and load accounting run in a kernel backend (compiled when
 available, pure Python otherwise; bit-identical results), which holds
@@ -279,21 +279,27 @@ def _draw_holder_sets(
     each set is a uniform subset and the contents are independent.  A
     content on more than half the nodes draws the nodes it leaves out and
     keeps the rest, so no content redraws more than half its slots in a
-    round and the rounds fall off geometrically.  The sorted keys mod n
-    are already content-major and ascending; only those left-out draws
-    are replaced by their complements.
+    round and the rounds fall off geometrically.  The keys are sorted once;
+    a round writes its fresh nodes into the repeated slots and re-sorts
+    in place with a stable sort, a timsort, which takes about linear time
+    on the nearly sorted keys.  Sorted integers do not depend on the
+    algorithm, so the rounds and the stream are those of a full sort per
+    round.  The sorted keys mod n are already content-major and
+    ascending; only those left-out draws are replaced by their
+    complements.
     """
     dense = 2 * counts > n
     drawn = np.where(dense, n - counts, counts)
     key = rng.integers(0, n, size=drawn.sum(), dtype=np.int64)
     key += np.repeat(np.arange(counts.size, dtype=np.int64) * n, drawn)
+    key.sort()
     while True:
-        key.sort()
         dup = np.flatnonzero(key[1:] == key[:-1]) + 1
         if not dup.size:
             break
         # Swap the node part of each repeated key for a fresh node.
         key[dup] += rng.integers(0, n, size=dup.size, dtype=np.int64) - key[dup] % n
+        key.sort(kind="stable")
     key %= n
     start = np.zeros(counts.size + 1, dtype=np.int64)
     np.cumsum(counts, out=start[1:])
@@ -355,39 +361,72 @@ def draw_requests(
     """One popularity-weighted content index per node, deterministic.
 
     The requests, as int64, are those of ``default_rng(seed).choice(M,
-    size=n, p=pop.p)``, bit for bit: see :func:`_invert_sorted`.
+    size=n, p=pop.p)``, bit for bit: see :func:`_invert_guided`.
     """
     if pop.m_count != inst.m_count:
         raise ValueError(
             f"popularity covers {pop.m_count} contents, instance has "
             f"{inst.m_count}"
         )
-    return _invert_sorted(np.random.default_rng(seed), pop.p, inst.n)
+    return _invert_guided(np.random.default_rng(seed), pop.p, inst.n)
 
 
-# Requests are drawn in blocks of this many uniforms (see _invert_sorted).
+# Requests are drawn, and the guide table built, in blocks of this many
+# uniforms or CDF entries (see _invert_guided).
 _REQUEST_BLOCK = 1 << 14
+# The guide table has at most this many buckets, and a uniform walks at
+# most _GUIDE_STEPS entries forward from its bucket's before a binary
+# search takes over.
+_GUIDE_MAX = 1 << 16
+_GUIDE_STEPS = 8
 # Generator.choice's tolerance on the sum of p.
 _P_SUM_TOL = math.sqrt(np.finfo(np.float64).eps)
 
 
-def _invert_sorted(rng: np.random.Generator, p: np.ndarray, size: int) -> np.ndarray:
-    """``rng.choice(p.size, size=size, p=p)`` as int64, by inversion on
-    sorted uniforms (Devroye, *Non-Uniform Random Variate Generation*,
-    §III.2), leaving ``rng`` in the same state.
+def _guide_table(cdf: np.ndarray) -> np.ndarray:
+    """``guide[j] = #{i : cdf[i] < j / G}`` for j in [0, G], as int32.
+
+    ``G`` is the smallest power of two at least ``cdf.size``, at most
+    ``_GUIDE_MAX``.  ``cdf`` ascends to ``cdf[-1] = 1``, so ``cdf[i] * G``
+    is exact and ``cdf[i] < j / G`` exactly when ``floor(cdf[i] * G) <
+    j``: entry i is the guide's value on ``(floor(cdf[i - 1] * G),
+    floor(cdf[i] * G)]``.  Built a block of ``cdf`` at a time.
+    """
+    G = min(1 << (cdf.size - 1).bit_length(), _GUIDE_MAX)
+    guide = np.empty(G + 1, dtype=np.int32)
+    prev = -1
+    for lo in range(0, cdf.size, _REQUEST_BLOCK):
+        f = (cdf[lo:lo + _REQUEST_BLOCK] * G).astype(np.int64)
+        top = int(f[-1])
+        if top > prev:
+            entries = np.arange(lo, lo + f.size, dtype=np.int32)
+            guide[prev + 1:top + 1] = entries.repeat(np.diff(f, prepend=prev))
+            prev = top
+    return guide
+
+
+def _invert_guided(rng: np.random.Generator, p: np.ndarray, size: int) -> np.ndarray:
+    """``rng.choice(p.size, size=size, p=p)`` as int64, by inversion with a
+    guide table (Chen & Asau, *AIIE Trans.* 6(2), 1974; Devroye,
+    *Non-Uniform Random Variate Generation*, §III.2.4), leaving ``rng`` in
+    the same state.
 
     ``choice`` inverts the CDF ``cdf = p.cumsum(); cdf /= cdf[-1]`` at each
     uniform ``u`` of ``rng.random(size)``: the request is the number of
-    entries of ``cdf`` at most ``u``, found by a binary search whose
-    branches a random ``u`` makes unpredictable.  Here each block of
-    ``_REQUEST_BLOCK`` uniforms of that stream is sorted, the same search
-    runs on the sorted block, where consecutive searches take nearly the
-    same path, and the results go back to their places.  The draw holds
-    the output and ``cdf`` (n + M int64s) and four blocks; ``choice`` and
-    the cast held 2n + M.  ``PopularityModel`` checks ``p`` at construction
-    as ``choice`` does (1-d, non-empty, no NaN, none negative, sum near 1);
-    the signs and the sum are checked again here, as ``choice`` checks them
-    on every call, so a vector changed after construction is refused.
+    entries of ``cdf`` at most ``u``, ``cdf.searchsorted(u, "right")``.
+    Here the guide table (:func:`_guide_table`) has ``G + 1`` entries,
+    ``G`` a power of two, so ``u * G`` is exact, and for ``j = floor(u *
+    G)`` it bounds the request exactly: ``guide[j] <= request <=
+    guide[j + 1]``.  Each block of ``_REQUEST_BLOCK`` uniforms starts at
+    ``guide[j]`` and steps forward, vectorised, while ``cdf[i] <= u``, for
+    at most ``_GUIDE_STEPS`` steps; the binary search finds the few
+    requests still short.  Zero weights make the CDF flat, and the walk
+    steps over the plateau as the search would.  The draw holds the output
+    and ``cdf`` (n + M int64s), the guide (G + 1 int32s) and a few blocks.
+    ``PopularityModel`` checks ``p`` at construction as ``choice`` does
+    (1-d, non-empty, no NaN, none negative, sum near 1); the signs and the
+    sum are checked again here, as ``choice`` checks them on every call,
+    so a vector changed after construction is refused.
     """
     if (p < 0).any():
         raise ValueError("popularity weights must not be negative")
@@ -395,11 +434,27 @@ def _invert_sorted(rng: np.random.Generator, p: np.ndarray, size: int) -> np.nda
     if not abs(cdf[-1] - 1.0) <= _P_SUM_TOL:
         raise ValueError(f"popularity vector sums to {cdf[-1]}, not 1")
     cdf /= cdf[-1]
+    guide = _guide_table(cdf)
+    G = guide.size - 1
     out = np.empty(size, dtype=np.int64)
     for lo in range(0, size, _REQUEST_BLOCK):
-        u = rng.random(min(_REQUEST_BLOCK, size - lo))
-        order = u.argsort()
-        out[lo:lo + u.size][order] = cdf.searchsorted(u[order], "right")
+        o = out[lo:lo + _REQUEST_BLOCK]
+        u = rng.random(o.size)
+        np.multiply(u, G, out=o, casting="unsafe")  # floor(u * G)
+        o[...] = guide[o]
+        act = np.flatnonzero(cdf[o] <= u)
+        if not act.size:
+            continue
+        i, ua = o[act] + 1, u[act]
+        for _ in range(_GUIDE_STEPS):
+            step = cdf[i] <= ua
+            if not step.any():
+                break
+            i += step
+        else:
+            short = np.flatnonzero(cdf[i] <= ua)
+            i[short] = cdf.searchsorted(ua[short], "right")
+        o[act] = i
     return out
 
 

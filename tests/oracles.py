@@ -34,6 +34,14 @@ so that agreement is meaningful:
                              order: bucket ids for every holder and one
                              stable argsort over all of them.  The
                              instance's grouped sort must return its arrays.
+* ``invert_by_sorted_blocks`` — the package's earlier request draw: the
+                             binary search on sorted blocks of uniforms.
+                             The guide-table draw must return its bits and
+                             leave the generator in its state.
+* ``holder_sets_by_full_sorts`` — the package's earlier holder draw: a
+                             full sort of the keys in every redraw round.
+                             The draw that re-sorts in place must return
+                             its arrays and leave the generator in its state.
 """
 
 from __future__ import annotations
@@ -366,3 +374,48 @@ def bucket_order_by_argsort(xs, ys, h_idx, h_start):
     key = np.repeat(np.cumsum(grid_size) - grid_size, sizes) + cell
     order = np.argsort(key, kind="stable")
     return h_idx[order], cell[order]
+
+
+def invert_by_sorted_blocks(rng, p, size, block=1 << 14):
+    """``rng.choice(p.size, size=size, p=p)`` as int64, as the package drew
+    requests before its guide table: each block of uniforms sorted, the
+    CDF searched at the sorted block, and the results put back in place."""
+    cdf = p.cumsum()
+    cdf /= cdf[-1]
+    out = np.empty(size, dtype=np.int64)
+    for lo in range(0, size, block):
+        u = rng.random(min(block, size - lo))
+        order = u.argsort()
+        out[lo:lo + u.size][order] = cdf.searchsorted(u[order], "right")
+    return out
+
+
+def holder_sets_by_full_sorts(rng, n, counts):
+    """``(idx, start)`` as the package drew holder sets before it re-sorted
+    the keys in place: the keys ``content·n + node`` sorted in full in
+    every round, each repeated key redrawn, the dense contents' left-out
+    draws replaced by their complements."""
+    counts = np.asarray(counts, dtype=np.int64)
+    dense = 2 * counts > n
+    drawn = np.where(dense, n - counts, counts)
+    key = rng.integers(0, n, size=drawn.sum(), dtype=np.int64)
+    key += np.repeat(np.arange(counts.size, dtype=np.int64) * n, drawn)
+    while True:
+        key.sort()
+        dup = np.flatnonzero(key[1:] == key[:-1]) + 1
+        if not dup.size:
+            break
+        key[dup] += rng.integers(0, n, size=dup.size, dtype=np.int64) - key[dup] % n
+    key %= n
+    start = np.zeros(counts.size + 1, dtype=np.int64)
+    np.cumsum(counts, out=start[1:])
+    sets, at = [], 0
+    for m in range(counts.size):
+        s = key[at:at + drawn[m]]
+        at += drawn[m]
+        if dense[m]:
+            keep = np.ones(n, dtype=bool)
+            keep[s] = False
+            s = np.flatnonzero(keep)
+        sets.append(s)
+    return np.concatenate((np.zeros(0, dtype=np.int64), *sets)), start

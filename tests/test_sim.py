@@ -21,7 +21,12 @@ from ccnscale.popularity import from_weights, zipf
 from ccnscale.scaling import expected_hops
 from ccnscale.sched import build_schedule
 
-from oracles import bucket_order_by_argsort, sample_segment_cells
+from oracles import (
+    bucket_order_by_argsort,
+    holder_sets_by_full_sorts,
+    invert_by_sorted_blocks,
+    sample_segment_cells,
+)
 
 
 def _manual_instance(nodes, holders, g, base_stations=(), delta=1.0):
@@ -430,6 +435,17 @@ def _subset_codes(idx, n, x):
     return codes, [sum(1 << i for i in c) for c in itertools.combinations(range(n), x)]
 
 
+def _assert_draws_like_full_sorts(n, counts, seed):
+    """Holder sets of ``_draw_holder_sets`` against the draw that sorts in
+    full every round, which must also leave its generator in the same state."""
+    rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    idx, start = sim._draw_holder_sets(rng, n, counts)
+    want_idx, want_start = holder_sets_by_full_sorts(ref, n, counts)
+    np.testing.assert_array_equal(idx, want_idx)
+    np.testing.assert_array_equal(start, want_start)
+    assert rng.bit_generator.state == ref.bit_generator.state
+
+
 class TestHolderDraw:
     @given(data=st.data())
     @settings(max_examples=200, deadline=None, derandomize=True)
@@ -481,6 +497,25 @@ class TestHolderDraw:
         assert s[0] >= 0 and s[-1] < n
         if x == n:
             np.testing.assert_array_equal(s, np.arange(n))
+
+    @given(data=st.data())
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_equals_the_full_sort_per_round(self, data):
+        # Counts just above n/2 are dense and draw just under n/2 slots, and
+        # n/2 itself draws n/2: the cases with the most redraw rounds.
+        n = data.draw(st.integers(1, 300), label="n")
+        size = st.one_of(
+            st.sampled_from([0, n, n // 2, min(n, n // 2 + 1), min(n, n // 2 + 2)]),
+            st.integers(0, n),
+        )
+        counts = data.draw(st.lists(size, max_size=30), label="counts")
+        seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+        _assert_draws_like_full_sorts(n, np.array(counts, dtype=np.int64), seed)
+
+    @pytest.mark.parametrize("extra", [0, 1, 2], ids=["half", "half+1", "half+2"])
+    def test_many_rounds_equal_the_full_sort_per_round(self, extra):
+        n = 10_000
+        _assert_draws_like_full_sorts(n, np.full(40, n // 2 + extra, dtype=np.int64), extra)
 
     def test_heterogeneous_without_stations_draws_the_ad_hoc_instance(self):
         adhoc = NetworkConfig(n=400, alpha=0.8, beta=0.6)
@@ -547,13 +582,16 @@ class TestMemory:
         group = 10 * (_ref.BLOCK + int(counts.max()))
         assert peak <= 8 * (2 * n + 2 * h + g * g + m + group) + self._SLACK
 
-    def test_request_draw_peak(self):
-        cfg = NetworkConfig(n=10**6, alpha=0.8, beta=0.9)
+    @pytest.mark.parametrize("alpha", [0.8, 1.2, 1.8])
+    def test_request_draw_peak(self, alpha):
+        # At alpha = 1.8 most of the catalog sits in the guide's last buckets.
+        cfg = NetworkConfig(n=10**6, alpha=alpha, beta=0.9)
         inst = _holderless_instance(cfg.n, cfg.M)
         pop = cfg.popularity()
         peak = self._peak(lambda: sim.draw_requests(inst, pop, seed=2))
-        # The requests (n) and the CDF (M), and a few arrays of one block;
-        # choice and the cast to int64 held 2n + M.
+        # The requests (n) and the CDF (M), and a few arrays of one block,
+        # the guide table among them; choice and the cast to int64 held
+        # 2n + M.
         n, m = cfg.n, cfg.M
         assert peak <= 8 * (n + m) + 8 * 8 * sim._REQUEST_BLOCK + self._SLACK
 
@@ -599,12 +637,26 @@ def _assert_draws_like_choice(p, n, seed):
     """Requests of ``draw_requests`` against ``Generator.choice``, which must
     also leave its generator in the same state; returns the requests."""
     rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
-    got = sim._invert_sorted(rng, p, n)
+    got = sim._invert_guided(rng, p, n)
     want = ref.choice(p.size, size=n, p=p)
     assert got.dtype == np.int64
     np.testing.assert_array_equal(got, want)
     assert rng.bit_generator.state == ref.bit_generator.state
     return got
+
+
+class _StubRng:
+    """A generator whose ``random`` hands out the given uniforms in order."""
+
+    def __init__(self, u):
+        self._u = np.asarray(u, dtype=np.float64)
+        self._at = 0
+
+    def random(self, size):
+        out = self._u[self._at:self._at + size]
+        self._at += size
+        assert out.size == size, "more uniforms asked for than given"
+        return out.copy()
 
 
 def _holderless_instance(n, m_count):
@@ -683,6 +735,73 @@ class TestDrawRequests:
         assert cdf[0] > c > cdf[0] / cdf[-1]
         got = _assert_draws_like_choice(p, n, seed)
         assert got[u == c].tolist() == [1]
+
+    @given(data=st.data())
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    def test_equals_the_sorted_block_search(self, data):
+        # Zero weights make the CDF flat; a long run of them puts more
+        # entries in one bucket than the walk steps, so the search resolves
+        # the uniforms past it.
+        weight = st.one_of(st.just(0.0), st.floats(1e-6, 1.0), st.floats(1.0, 1e6))
+        runs = st.lists(st.tuples(weight, st.integers(1, 30)), min_size=1, max_size=60)
+        w, reps = map(np.array, zip(*data.draw(runs, label="runs of weights")))
+        w = w.repeat(reps)
+        if w.sum() == 0:
+            w[data.draw(st.integers(0, w.size - 1), label="nonzero")] = 1.0
+        p = w / w.sum()
+        n = data.draw(st.one_of(st.integers(0, 40), st.sampled_from([_MULTI_BLOCK])), label="n")
+        seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = sim._invert_guided(rng, p, n)
+        np.testing.assert_array_equal(got, invert_by_sorted_blocks(ref, p, n))
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+    @pytest.mark.parametrize(
+        "m_count, alpha", [(1, 0.8), (2, 0.8), (2, 1.8), (251_189, 1.8), (251_189, 0.8)]
+    )
+    def test_equals_the_sorted_block_search_on_zipf(self, m_count, alpha):
+        p = zipf(m_count, alpha).p
+        n = 200_000
+        rng, ref = np.random.default_rng(m_count), np.random.default_rng(m_count)
+        got = sim._invert_guided(rng, p, n)
+        np.testing.assert_array_equal(got, invert_by_sorted_blocks(ref, p, n))
+        assert rng.bit_generator.state == ref.bit_generator.state
+        if alpha == 1.8 and m_count > 2:
+            # The tail buckets hold more entries than the first check and
+            # the walk's steps reach, so the binary search ran.
+            cdf = p.cumsum()
+            cdf /= cdf[-1]
+            guide = sim._guide_table(cdf)
+            u = np.random.default_rng(m_count).random(n)
+            start = guide[(u * (guide.size - 1)).astype(np.int64)]
+            assert (got - start > 1 + sim._GUIDE_STEPS).any()
+
+    @pytest.mark.parametrize(
+        "weights",
+        [
+            [1.0],
+            [1.0, 3.0],
+            [0.0, 1.0, 0.0, 0.0, 2.0, 0.0],
+            zipf(3982, 1.2).p,
+            zipf(70_000, 0.8).p,
+        ],
+        ids=["M=1", "M=2", "zero-weights", "zipf-3982", "zipf-70000-capped"],
+    )
+    def test_uniforms_on_bucket_edges_and_cut_offs(self, weights):
+        # Uniforms exactly on each bucket edge j/G, on each cut-off of the
+        # CDF, one ulp to either side of both, and at 0 and 1 - 2**-53.
+        p = np.array(weights) / math.fsum(weights)
+        cdf = p.cumsum()
+        cdf /= cdf[-1]
+        G = sim._guide_table(cdf).size - 1
+        assert G == min(1 << (p.size - 1).bit_length(), 1 << 16)
+        edges = np.arange(G) / G
+        cuts = cdf[cdf < 1.0]
+        u = np.concatenate((edges, cuts, [0.0, 1.0 - 2.0**-53]))
+        u = np.concatenate((u, np.nextafter(u, 0.0), np.nextafter(u, 1.0)))
+        u = u[(u >= 0.0) & (u < 1.0)]
+        got = sim._invert_guided(_StubRng(u), p, u.size)
+        np.testing.assert_array_equal(got, cdf.searchsorted(u, "right"))
 
     @pytest.mark.parametrize(
         "shift, theirs, ours",
