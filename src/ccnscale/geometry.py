@@ -1,25 +1,23 @@
-"""Geometry on the unit torus: the metric, grid cells, and the exact
-mean nearest-holder distance.
+"""Geometry on the unit torus: the cell grid, and the exact mean
+nearest-holder distance.
 
 All positions live in the half-open unit square [0, 1) x [0, 1) with
 wrap-around (torus) metric.  The square is partitioned into g x g equal
 cells; cell (row, col) covers [col/g, (col+1)/g) x [row/g, (row+1)/g).
+The cell of a point and the metric are the routing kernel's rules
+(``_kernels._ref._cell_index``, ``grid_cells`` and ``_dist2``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import exp, hypot, lgamma, log, pi, sqrt
-from typing import NamedTuple
+from math import exp, lgamma, log, pi, sqrt
 
 __all__ = [
-    "TorusPoint",
     "CellGrid",
-    "torus_distance",
     "grid_side",
     "expected_nearest_distance_exact",
-    "asymptotic_nearest_distance",
     "double_factorial_ratio_bounds",
 ]
 
@@ -27,29 +25,6 @@ __all__ = [
 # nearest-holder distance is evaluated in log space to avoid underflow
 # of the individual factors.
 _LGAMMA_SWITCH = 100_000
-
-
-class TorusPoint(NamedTuple):
-    """A point of the unit torus; coordinates wrapped into [0, 1)."""
-
-    x: float
-    y: float
-
-    @staticmethod
-    def wrap(x: float, y: float) -> "TorusPoint":
-        return TorusPoint(x % 1.0, y % 1.0)
-
-
-def torus_distance(p: "TorusPoint | tuple[float, float]",
-                   q: "TorusPoint | tuple[float, float]") -> float:
-    """Geodesic (wrap-around) distance between two points."""
-    dx = abs(p[0] - q[0])
-    if dx > 0.5:
-        dx = 1.0 - dx
-    dy = abs(p[1] - q[1])
-    if dy > 0.5:
-        dy = 1.0 - dy
-    return hypot(dx, dy)
 
 
 def grid_side(cell_area: float) -> int:
@@ -73,43 +48,14 @@ class CellGrid:
         if self.side < 1:
             raise ValueError(f"grid side must be >= 1, got {self.side}")
 
-    # Short aliases used throughout the numerical formulas.
-    @property
-    def g(self) -> int:
-        return self.side
-
-    @property
-    def s(self) -> float:
-        """Cell side length, 1/g."""
-        return 1.0 / self.side
-
     @property
     def a(self) -> float:
         """Cell area, 1/g²."""
         return 1.0 / (self.side * self.side)
 
-    @property
-    def n_cells(self) -> int:
-        return self.side * self.side
-
     @staticmethod
     def from_area(cell_area: float) -> "CellGrid":
         return CellGrid(grid_side(cell_area))
-
-    def cell_of(self, p: "TorusPoint | tuple[float, float]") -> tuple[int, int]:
-        """(row, col) of the cell containing a point of [0, 1)^2."""
-        g = self.side
-        col = int(p[0] * g)
-        if col >= g:  # guard the x*g == g float-rounding corner
-            col = g - 1
-        row = int(p[1] * g)
-        if row >= g:
-            row = g - 1
-        return row, col
-
-    def cell_center(self, row: int, col: int) -> TorusPoint:
-        g = self.side
-        return TorusPoint(((col % g) + 0.5) / g, ((row % g) + 0.5) / g)
 
 
 @lru_cache(maxsize=4096)
@@ -135,13 +81,6 @@ def expected_nearest_distance_exact(X: int) -> float:
         return prod / sqrt(pi)
     log_val = X * log(4.0) + 2.0 * lgamma(X + 1.0) - lgamma(2.0 * X + 2.0)
     return exp(log_val) / sqrt(pi)
-
-
-def asymptotic_nearest_distance(X: float) -> float:
-    """Leading-order approximation 1 / (2 sqrt(X)) of the mean distance."""
-    if not X > 0:
-        raise ValueError(f"holder count must be positive, got {X}")
-    return 0.5 / sqrt(X)
 
 
 def double_factorial_ratio_bounds(n1: int, n2: int) -> tuple[float, float, float]:

@@ -119,13 +119,6 @@ class ScalingRegime:
             return self.beta >= 1.0 - self.mu
         return self.beta > (3.0 / (2.0 * self.alpha)) * (1.0 - self.mu)
 
-    def label(self, n: int = 10**6) -> str:
-        band = zipf_regime(self.alpha).label
-        if self.mu is None:
-            return f"adhoc:{band}"
-        kind = "floored-tail" if self.tail_reaches_floor(n) else "adhoc-like"
-        return f"het:{kind}:{band}"
-
 
 def _adhoc_delay(alpha: float, M: float, na: float) -> float:
     band = zipf_regime(alpha)

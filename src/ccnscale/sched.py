@@ -10,6 +10,8 @@ gets slot ``(row mod p) * p + (col mod p)`` for a reuse period p chosen
 so that any two same-slot cells are far enough apart that no placement
 of transmitters and receivers (receivers may sit anywhere in the
 transmitting cell's 8-neighborhood) violates the rule above.
+:func:`audit_schedule` checks that, and ``_offset_violates`` is the one
+place the rule is written, on the lattice of cell corners.
 """
 
 from __future__ import annotations
@@ -19,33 +21,15 @@ from math import ceil, sqrt
 
 import numpy as np
 
-from .geometry import CellGrid, TorusPoint, torus_distance
+from .geometry import CellGrid
 
 __all__ = [
-    "interferes",
     "interference_bound",
     "reuse_distance",
     "TdmSchedule",
     "build_schedule",
     "audit_schedule",
 ]
-
-
-def interferes(
-    tx1: "TorusPoint | tuple[float, float]",
-    rx1: "TorusPoint | tuple[float, float]",
-    tx2: "TorusPoint | tuple[float, float]",
-    delta: float,
-) -> bool:
-    """True when transmitter ``tx2`` disturbs the tx1 -> rx1 reception.
-
-    That is, when dist(tx2, rx1) < (1 + delta) * dist(tx1, rx1); the
-    comparison is done on squared distances.
-    """
-    guard = (1.0 + delta) * (1.0 + delta)
-    d1 = torus_distance(tx1, rx1)
-    d2 = torus_distance(tx2, rx1)
-    return d2 * d2 < guard * d1 * d1
 
 
 def interference_bound(delta: float) -> int:
@@ -108,18 +92,9 @@ class TdmSchedule:
     frame_ok: bool
 
     @property
-    def r(self) -> float:
-        """Transmission range sqrt(8 a): reaches the 8 neighboring cells."""
-        return sqrt(8.0 * self.grid.a)
-
-    @property
     def bound(self) -> int:
         """Interfering-cell bound N for this delta."""
         return interference_bound(self.delta)
-
-    def slot_of(self, row: int, col: int) -> int:
-        g = self.grid.side
-        return int(self.colors[row % g, col % g])
 
 
 def build_schedule(grid: CellGrid, delta: float) -> TdmSchedule:

@@ -619,34 +619,21 @@ def _trial_streams(trial_seed: int) -> tuple[int, int]:
     )
 
 
-def run_trials(
-    cfg: NetworkConfig,
-    allocation,
-    trials: int | None = None,
-    seeds=None,
-) -> TrialStats:
+def run_trials(cfg: NetworkConfig, allocation, seeds=None) -> TrialStats:
     """Measure independent realizations and aggregate their statistics.
 
-    Trial t uses the per-trial seed ``seeds[t]`` (default: derived from
-    ``cfg.seed``), split into one stream for the instance draw and one
-    for the request draw.  Trials share nothing, so they can run in any
-    order; the aggregation below is a commutative merge keyed by trial
-    index.
+    Trial t uses the per-trial seed ``seeds[t]`` (default: ``cfg.trials``
+    seeds derived from ``cfg.seed``), split into one stream for the
+    instance draw and one for the request draw.  Trials share nothing, so
+    they can run in any order; the aggregation below is a commutative
+    merge keyed by trial index.
     """
-    if seeds is not None:
-        seeds = [int(s) for s in seeds]
-        if trials is not None and trials != len(seeds):
-            raise ValueError(
-                f"{len(seeds)} seeds given for {trials} trials"
-            )
-        trials = len(seeds)
-    else:
-        if trials is None:
-            trials = cfg.trials
-        state = np.random.SeedSequence(cfg.seed).generate_state(
-            trials, dtype=np.uint64
+    if seeds is None:
+        seeds = np.random.SeedSequence(cfg.seed).generate_state(
+            cfg.trials, dtype=np.uint64
         )
-        seeds = [int(s) for s in state]
+    seeds = [int(s) for s in seeds]
+    trials = len(seeds)
     if trials < 1:
         raise ValueError(f"need trials >= 1, got {trials}")
 

@@ -15,9 +15,9 @@ from ccnscale import alloc, cli
 from ccnscale.alloc import AllocationProblem, solve
 from ccnscale.config import Mode, NetworkConfig
 from ccnscale.errors import InfeasibleError, SolverError, UnsupportedRegimeError
-from ccnscale.popularity import from_weights, zipf
+from ccnscale.popularity import zipf
 
-from oracles import kkt_residual_by_masks
+from oracles import from_weights, kkt_residual_by_masks
 from oracles import objective as oracle_objective
 from oracles import random_instances, round_by_loop, solve_bisect, solve_spg
 

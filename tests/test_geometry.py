@@ -1,8 +1,8 @@
-"""Torus geometry: the metric, the kernel's per-axis displacement rule
-and cell walk, the grid, and the exact mean nearest-holder distance with
-its sandwich bounds.  Whole routed walks and nearest-holder searches are
-tested where they run: through ``sim.trace_request`` (``test_sim``) and
-the kernel backends (``test_kernels``)."""
+"""Torus geometry: the kernel's metric, per-axis displacement rule, cell
+rule and cell walk, the grid, and the exact mean nearest-holder distance
+with its sandwich bounds.  Whole routed walks and nearest-holder searches
+are tested where they run: through ``sim.trace_request`` (``test_sim``)
+and the kernel backends (``test_kernels``)."""
 
 import math
 
@@ -14,33 +14,38 @@ from hypothesis import strategies as st
 from ccnscale import geometry as geo
 from ccnscale._kernels import _ref
 
-from oracles import sample_segment_cells
+from oracles import cell_of, sample_segment_cells, torus_dist
 
 units = st.floats(min_value=0.0, max_value=1.0, exclude_max=True, allow_nan=False)
 
 
+def _cell(x, y, g):
+    """(row, col) of a point by the kernel's scalar rule and by its
+    vectorised one, which must agree."""
+    row, col = _ref._cell_index(y, g), _ref._cell_index(x, g)
+    assert _ref.grid_cells([x], [y], g).tolist() == [row * g + col]
+    return row, col
+
+
 class TestTorusMetric:
     def test_spec_values(self):
-        assert geo.torus_distance((0.1, 0.1), (0.1, 0.1)) == 0.0
-        assert geo.torus_distance((0.05, 0.5), (0.95, 0.5)) == pytest.approx(0.1, rel=1e-12)
-        assert geo.torus_distance((0.0, 0.0), (0.5, 0.5)) == pytest.approx(
-            math.sqrt(0.5), rel=1e-12
-        )
+        assert _ref._dist2(0.1, 0.1, 0.1, 0.1) == 0.0
+        assert _ref._dist2(0.05, 0.5, 0.95, 0.5) == pytest.approx(0.01, rel=1e-12)
+        assert _ref._dist2(0.0, 0.0, 0.5, 0.5) == 0.5
 
     def test_metric_axioms_random_triples(self):
         rng = np.random.default_rng(2024)
-        p, q, r = rng.random((3, 100_000, 2))
+        p, q, r = rng.random((3, 2000, 2))
 
         def dist(u, v):
-            d = np.abs(u - v)
-            d = np.minimum(d, 1.0 - d)
-            return np.hypot(d[:, 0], d[:, 1])
+            return math.sqrt(_ref._dist2(*u, *v))
 
-        dpq, dqp = dist(p, q), dist(q, p)
-        np.testing.assert_array_equal(dpq, dqp)  # symmetry
-        assert dpq.max() <= math.sqrt(0.5) + 1e-15  # diameter of the torus
-        dpr, drq = dist(p, r), dist(r, q)
-        assert np.all(dpq <= dpr + drq + 1e-12)  # triangle inequality
+        for a, b, c in zip(p, q, r):
+            dab = dist(a, b)
+            assert dab == dist(b, a)  # symmetry
+            assert dab <= math.sqrt(0.5) + 1e-15  # diameter of the torus
+            assert dab <= dist(a, c) + dist(c, b) + 1e-12  # triangle inequality
+            assert dab == pytest.approx(torus_dist(*a, *b), rel=1e-15)
 
     @given(a=units, b=units)
     @settings(max_examples=200, deadline=None)
@@ -53,28 +58,21 @@ class TestTorusMetric:
         assert _ref._wrap_delta(0.75, 0.25) == 0.5
         assert _ref._wrap_delta(0.25, 0.75) == 0.5
 
-    def test_wrap_constructor(self):
-        p = geo.TorusPoint.wrap(1.25, -0.25)
-        assert p == (0.25, 0.75)
-
 
 class TestCellGrid:
     def test_spec_cells(self):
-        grid = geo.CellGrid(4)
-        assert grid.cell_of((0.0, 0.0)) == (0, 0)
-        assert grid.cell_of((0.999, 0.0)) == (0, 3)
-        assert grid.cell_of((0.26, 0.51)) == (2, 1)
+        assert _cell(0.0, 0.0, 4) == (0, 0)
+        assert _cell(0.999, 0.0, 4) == (0, 3)
+        assert _cell(0.26, 0.51, 4) == (2, 1)
 
     def test_out_of_range_coordinate_clamps(self):
         # x = 1.0 is outside [0,1) but must not index past the grid.
-        assert geo.CellGrid(4).cell_of((1.0, 1.0)) == (3, 3)
+        assert _cell(1.0, 1.0, 4) == (3, 3)
 
     def test_side_properties(self):
         grid = geo.CellGrid(5)
-        assert grid.g == 5
-        assert grid.s == 0.2
+        assert grid.side == 5
         assert grid.a == 0.04
-        assert grid.n_cells == 25
 
     def test_invalid_side(self):
         with pytest.raises(ValueError):
@@ -96,10 +94,10 @@ class TestCellGrid:
             geo.grid_side(1.5)
 
     def test_cell_center_roundtrip(self):
-        grid = geo.CellGrid(7)
-        for row in range(7):
-            for col in range(7):
-                assert grid.cell_of(grid.cell_center(row, col)) == (row, col)
+        g = 7
+        for row in range(g):
+            for col in range(g):
+                assert _cell((col + 0.5) / g, (row + 0.5) / g, g) == (row, col)
 
 
 class TestCellsOnSegment:
@@ -107,12 +105,11 @@ class TestCellsOnSegment:
     points, before any routing rule is applied."""
 
     def _check_one(self, start, end, g):
-        grid = geo.CellGrid(g)
         cells = [divmod(c, g) for c in _ref.segment_cells(*start, *end, g)]
-        assert cells[0] == grid.cell_of(start)
-        assert cells[-1] == grid.cell_of(end)
-        length = geo.torus_distance(start, end)
-        assert len(cells) <= 2 * (math.ceil(length / grid.s) + 2)
+        assert cells[0] == cell_of(*start, g)
+        assert cells[-1] == cell_of(*end, g)
+        length = torus_dist(*start, *end)
+        assert len(cells) <= 2 * (math.ceil(length * g) + 2)
         assert len(set(cells)) == len(cells)
         for (r0, c0), (r1, c1) in zip(cells, cells[1:]):
             assert (r0, c0) != (r1, c1)
@@ -166,12 +163,8 @@ class TestExpectedNearestDistance:
         assert abs(s5 / s4 - 1.0) < 0.01
 
     def test_asymptotic_form(self):
-        assert geo.asymptotic_nearest_distance(4.0) == 0.25
-        with pytest.raises(ValueError):
-            geo.asymptotic_nearest_distance(0.0)
-        ratio = geo.expected_nearest_distance_exact(
-            50_000
-        ) / geo.asymptotic_nearest_distance(50_000)
+        # The leading order 1 / (2 sqrt(X)).
+        ratio = geo.expected_nearest_distance_exact(50_000) * 2 * math.sqrt(50_000)
         assert ratio == pytest.approx(1.0, abs=1e-4)
 
     def test_monte_carlo_agreement_smoke(self):

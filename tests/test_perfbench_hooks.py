@@ -49,7 +49,7 @@ def _bindings() -> dict:
 def _small_trial() -> None:
     cfg = NetworkConfig(n=2000, alpha=0.8, beta=0.9, seed=3)
     prob = cfg.problem()
-    sim.run_trials(cfg, round_to_integers(solve(prob), prob), trials=1)
+    sim.run_trials(cfg, round_to_integers(solve(prob), prob))
 
 
 def test_backend_parity(bench):

@@ -1,4 +1,5 @@
-"""Popularity models: Zipf construction, harmonic normalizer, regimes."""
+"""Popularity models: Zipf construction, regimes, and the chunked harmonic
+normalizer of ``oracles`` that pins the Zipf construction's bits."""
 
 import math
 import tracemalloc
@@ -11,19 +12,27 @@ from hypothesis import strategies as st
 from ccnscale import popularity as pop
 from ccnscale.popularity import ZipfRegime
 
-from oracles import harmonic_fsum, zipf_by_harmonic
+from oracles import (
+    _HARMONIC_CHUNK,
+    from_weights,
+    harmonic,
+    harmonic_fsum,
+    zipf_by_harmonic,
+)
 
 
 class TestHarmonic:
+    """``oracles.harmonic``, the normalizer ``zipf_by_harmonic`` divides by."""
+
     def test_single_term_is_one(self):
         for alpha in (0.0, 0.5, 1.0, 2.0, 7.5):
-            assert pop.harmonic(1, alpha) == 1.0
+            assert harmonic(1, alpha) == 1.0
 
     def test_h1_of_3_is_11_sixths(self):
-        assert pop.harmonic(3, 1.0) == pytest.approx(11 / 6, rel=1e-15)
+        assert harmonic(3, 1.0) == pytest.approx(11 / 6, rel=1e-15)
 
     def test_alpha_zero_counts_terms(self):
-        assert pop.harmonic(10**6, 0.0) == 10**6
+        assert harmonic(10**6, 0.0) == 10**6
 
     @given(
         m=st.integers(min_value=1, max_value=5000),
@@ -31,7 +40,7 @@ class TestHarmonic:
     )
     @settings(max_examples=120, deadline=None)
     def test_matches_compensated_sum(self, m, alpha):
-        assert pop.harmonic(m, alpha) == pytest.approx(
+        assert harmonic(m, alpha) == pytest.approx(
             harmonic_fsum(m, alpha), rel=1e-13
         )
 
@@ -40,7 +49,7 @@ class TestHarmonic:
         # catalog sizes past the chunk boundary (2^22 terms).
         m = 4_300_000
         for alpha in (0.3, 1.0, 1.7):
-            assert pop.harmonic(m, alpha) == pytest.approx(
+            assert harmonic(m, alpha) == pytest.approx(
                 harmonic_fsum(m, alpha), rel=1e-12
             )
 
@@ -49,22 +58,22 @@ class TestHarmonic:
         for _ in range(50):
             m = int(rng.integers(1, 2000))
             alpha = float(rng.uniform(0, 3))
-            h = pop.harmonic(m, alpha)
-            assert pop.harmonic(m + int(rng.integers(1, 50)), alpha) >= h
-            assert pop.harmonic(m, alpha + float(rng.uniform(0.01, 1))) <= h
+            h = harmonic(m, alpha)
+            assert harmonic(m + int(rng.integers(1, 50)), alpha) >= h
+            assert harmonic(m, alpha + float(rng.uniform(0.01, 1))) <= h
 
     def test_convergent_regime_ratio_flattens(self):
         # alpha > 1: H(2M)/H(M) -> 1 within 1% once the M^(1-alpha) tail
         # has decayed; the slowest case tested (alpha=1.2) needs M = 1e6.
         for alpha in (1.2, 1.5, 2.0):
-            ratio = pop.harmonic(2 * 10**6, alpha) / pop.harmonic(10**6, alpha)
+            ratio = harmonic(2 * 10**6, alpha) / harmonic(10**6, alpha)
             assert abs(ratio - 1.0) < 0.01
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
-            pop.harmonic(0, 1.0)
+            harmonic(0, 1.0)
         with pytest.raises(ValueError):
-            pop.harmonic(5, -0.2)
+            harmonic(5, -0.2)
 
 
 class TestZipfRegime:
@@ -80,9 +89,6 @@ class TestZipfRegime:
             ZipfRegime.ABOVE_THREE_HALVES,
         ]
         assert bands == sorted(bands)  # ordered by alpha
-        assert [b.label for b in ZipfRegime] == [
-            "alpha<1", "alpha=1", "1<alpha<3/2", "alpha=3/2", "alpha>3/2"
-        ]
 
     def test_boundary_tolerance(self):
         assert pop.zipf_regime(1.0 + 5e-13) is ZipfRegime.ONE
@@ -139,7 +145,7 @@ class TestZipf:
     # chunk; exponents that take numpy's scalar-power fast paths (0, -1)
     # and the general one.
     @pytest.mark.parametrize(
-        "m", [1, 2, 2**15 - 1, 2**15 + 1, 251_189, pop._HARMONIC_CHUNK + 1]
+        "m", [1, 2, 2**15 - 1, 2**15 + 1, 251_189, _HARMONIC_CHUNK + 1]
     )
     @pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0, 1.2, 2.0])
     def test_same_bits_as_harmonic_form(self, m, alpha):
@@ -148,7 +154,7 @@ class TestZipf:
     def test_past_one_harmonic_chunk_holds_p_alone(self):
         # p, the one-byte-per-content mask of the model's monotonicity
         # check, and no chunked rebuild of the terms for the normalizer.
-        m, alpha = pop._HARMONIC_CHUNK + 1, 0.8
+        m, alpha = _HARMONIC_CHUNK + 1, 0.8
         assert not tracemalloc.is_tracing()
         tracemalloc.start()
         try:
@@ -169,21 +175,19 @@ class TestZipf:
 
 
 class TestFromWeights:
+    """The custom-weight models the tests build (``oracles.from_weights``)
+    and the checks every model passes."""
+
     def test_sorts_and_normalizes(self):
-        model = pop.from_weights([2.0, 6.0, 3.0, 1.0])
+        model = from_weights([2.0, 6.0, 3.0, 1.0])
         np.testing.assert_allclose(model.p, [0.5, 0.25, 1 / 6, 1 / 12], rtol=1e-14)
-        assert model.order.tolist() == [1, 2, 0, 3]
         assert model.alpha is None
 
-    def test_tied_weights_keep_caller_order(self):
-        model = pop.from_weights([1.0, 1.0, 1.0])
-        assert model.order.tolist() == [0, 1, 2]
-
     def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            pop.from_weights([1.0, 0.0])
-        with pytest.raises(ValueError):
-            pop.from_weights([])
+        with pytest.raises(ValueError, match="strictly positive"):
+            pop.PopularityModel(p=np.array([1.0, 0.0]))
+        with pytest.raises(ValueError, match="non-empty"):
+            pop.PopularityModel(p=np.array([]))
 
     def test_direct_construction_validates(self):
         with pytest.raises(ValueError):
@@ -191,18 +195,18 @@ class TestFromWeights:
         with pytest.raises(ValueError):
             pop.PopularityModel(p=np.array([0.6, 0.5]))  # sums to 1.1
         ok = pop.PopularityModel(p=np.array([0.5, 0.3, 0.2]))
-        assert ok.order is None  # the identity
+        assert ok.m_count == 3
 
 
 def test_harmonic_class_drives_growth_of_harmonic():
     """Empirical growth of H matches the growth ZipfRegime states per band."""
     # Above 1: bounded as M doubles.
-    assert pop.harmonic(2 * 10**5, 1.4) / pop.harmonic(10**5, 1.4) < 1.01
+    assert harmonic(2 * 10**5, 1.4) / harmonic(10**5, 1.4) < 1.01
     # At 1: H(M) - ln(M) converges to the Euler-Mascheroni constant.
     gamma = 0.5772156649015329
-    assert pop.harmonic(10**7, 1.0) - math.log(10**7) == pytest.approx(
+    assert harmonic(10**7, 1.0) - math.log(10**7) == pytest.approx(
         gamma, abs=1e-7
     )
     # Below 1: H(4M) ~ 4^(1-alpha) H(M).
-    grow = pop.harmonic(4 * 10**5, 0.5) / pop.harmonic(10**5, 0.5)
+    grow = harmonic(4 * 10**5, 0.5) / harmonic(10**5, 0.5)
     assert grow == pytest.approx(2.0, rel=0.01)

@@ -124,18 +124,6 @@ class TestScalingRegime:
             alpha=2.0, beta=0.7, mu=0.05
         ).tail_reaches_floor(n)
 
-    def test_labels(self):
-        assert ScalingRegime(alpha=0.8, beta=0.9).label() == "adhoc:alpha<1"
-        assert ScalingRegime(alpha=1.5, beta=0.9).label() == "adhoc:alpha=3/2"
-        assert (
-            ScalingRegime(alpha=0.8, beta=0.9, mu=0.4).label()
-            == "het:floored-tail:alpha<1"
-        )
-        assert (
-            ScalingRegime(alpha=0.8, beta=0.9, mu=0.05).label()
-            == "het:adhoc-like:alpha<1"
-        )
-
 
 class TestDelayBranches:
     def test_steep_popularity_is_constant(self):
@@ -472,12 +460,6 @@ class TestBreakpointEdges:
         assert m1_m2_orders(reg, n) == pytest.approx(adhoc, rel=1e-12)
         reg = ScalingRegime(alpha=alpha, beta=0.9, mu=0.4)
         assert m1_m2_orders(reg, n) == pytest.approx(het, rel=1e-12)
-
-    def test_label(self, alpha):
-        band = zipf_regime(alpha).label
-        assert ScalingRegime(alpha=alpha, beta=0.9).label() == f"adhoc:{band}"
-        het = ScalingRegime(alpha=alpha, beta=0.9, mu=0.4)
-        assert het.label() == f"het:floored-tail:{band}"
 
     def test_tail_reaches_floor(self, alpha):
         # beta just below 1 - mu: the rule for alpha <= 3/2 says no, the

@@ -1,8 +1,8 @@
-"""Interference predicate and TDM cell scheduling: frame structure,
+"""The protocol interference rule and TDM cell scheduling: frame structure,
 seam safety on awkward grid sizes, and the exhaustive placement audit."""
 
 import dataclasses
-import math
+import itertools
 
 import numpy as np
 import pytest
@@ -12,32 +12,49 @@ from ccnscale import sched
 
 
 class TestInterferes:
+    """The protocol rule, ``sched._offset_violates``: can a transmitter in
+    the cell at offset (dr, dc) disturb some link from the reference cell
+    to its 3x3 block?  Distances are in cell sides, so the guard factor
+    (1 + delta)² applies to squared lattice distances."""
+
     def test_competitor_on_top_of_receiver(self):
-        assert sched.interferes((0.1, 0.1), (0.2, 0.1), (0.2, 0.1), delta=0.5)
+        # A corner of the cell itself or of a neighbour can sit on the receiver.
+        for dr, dc in itertools.product((-1, 0, 1), repeat=2):
+            assert sched._offset_violates(dr, dc, 64, guard=2.25), (dr, dc)
 
     def test_zero_distance_transmission_is_unaffected(self):
-        # tx1 == rx1: guard radius is zero, nothing can violate it.
-        p = (0.4, 0.4)
-        assert not sched.interferes(p, p, (0.40001, 0.4), delta=1.0)
+        # On a one-cell torus every sender sits on its receiver: the guard
+        # radius is zero, and nothing can violate it.
+        for dr, dc in ((0, 0), (0, 1), (1, 1)):
+            assert not sched._offset_violates(dr, dc, 1, guard=4.0)
 
     def test_exactly_at_twice_guard_is_clear(self):
-        tx1, rx1 = (0.5, 0.5), (0.6, 0.5)  # d1 = 0.1
-        delta = 0.5
-        tx2 = (0.6 + 2 * (1 + delta) * 0.1, 0.5)  # d2 = 0.3
-        assert not sched.interferes(tx1, rx1, tx2, delta)
+        # delta = 0.5: at offset (8, 8) the closest competitor is exactly
+        # 2 (1 + delta) = 3 times its link's length from the receiver.
+        assert not sched._offset_violates(8, 8, 64, guard=2.25)
+        assert not sched._offset_violates(8, 8, 64, guard=9.0)
+        assert sched._offset_violates(8, 8, 64, guard=9.0 * (1 + 1e-12))
 
     def test_inside_guard_radius(self):
-        # delta=1: guard is 0.2; a competitor at 0.15 interferes.
-        assert sched.interferes((0.5, 0.5), (0.6, 0.5), (0.75, 0.5), delta=1.0)
+        # delta = 1: a competitor one cell inside the reuse distance 8
+        # reaches the longest link's guard zone.
+        assert sched.reuse_distance(1.0) == 8
+        assert sched._offset_violates(0, 7, 64, guard=4.0)
+        assert not sched._offset_violates(0, 8, 64, guard=4.0)
 
     def test_boundary_is_non_interfering(self):
-        # d2 == (1+delta) d1 exactly: the rule is strict "<".
-        assert not sched.interferes((0.5, 0.5), (0.6, 0.5), (0.8, 0.5), delta=1.0)
+        # delta = 1, offset (6, 6): the closest placement has
+        # dist(tx2, rx1) == (1 + delta) dist(tx1, rx1) exactly, and the
+        # rule is a strict "<".
+        assert not sched._offset_violates(6, 6, 64, guard=4.0)
+        assert sched._offset_violates(6, 6, 64, guard=4.0 * (1 + 1e-12))
 
     def test_wraparound_distances_are_used(self):
-        # Competitor close to rx only through the seam.
-        assert sched.interferes((0.5, 0.5), (0.45, 0.5), (0.99, 0.0), delta=1.0) is False
-        assert sched.interferes((0.02, 0.5), (0.98, 0.5), (0.94, 0.5), delta=1.0)
+        # Offset g - 1 is a neighbour through the seam; g / 2 is the
+        # farthest a cell can be.
+        assert sched._offset_violates(0, 63, 64, guard=4.0)
+        assert sched._offset_violates(63, 63, 64, guard=4.0)
+        assert not sched._offset_violates(0, 32, 64, guard=4.0)
 
 
 class TestBounds:
@@ -63,7 +80,7 @@ class TestBuildSchedule:
         s = sched.build_schedule(CellGrid(1), delta=1.0)
         assert s.C == 1
         assert s.frame_ok
-        assert s.slot_of(0, 0) == 0
+        assert s.colors.tolist() == [[0]]
 
     def test_delta_one_64_grid_meets_bound(self):
         s = sched.build_schedule(CellGrid(64), delta=1.0)
@@ -111,11 +128,6 @@ class TestBuildSchedule:
         counts = np.bincount(colors.ravel(), minlength=s.C)
         assert set(counts.tolist()) == {(24 // s.period) ** 2}
 
-    def test_slot_of_wraps(self):
-        s = sched.build_schedule(CellGrid(16), delta=1.0)
-        assert s.slot_of(16, 16) == s.slot_of(0, 0)
-        assert s.slot_of(-1, -1) == s.slot_of(15, 15)
-
     def test_awkward_grid_degenerates_to_unique_colors(self):
         # g=13 admits no period in [8, 13) without unsafe seams, so each
         # cell gets its own slot; soundness is preserved.
@@ -124,10 +136,6 @@ class TestBuildSchedule:
         assert s.C == 169
         assert not s.frame_ok
         assert sched.audit_schedule(s) == 0
-
-    def test_transmission_radius(self):
-        s = sched.build_schedule(CellGrid(10), delta=1.0)
-        assert s.r == pytest.approx(math.sqrt(8 * 0.01))
 
 
 class TestAudit:

@@ -16,17 +16,25 @@ from ccnscale._kernels import _ref
 from ccnscale.alloc import round_to_integers, solve
 from ccnscale.config import Mode, NetworkConfig
 from ccnscale.errors import NoHolderError
-from ccnscale.geometry import CellGrid, torus_distance
-from ccnscale.popularity import from_weights, zipf
+from ccnscale.geometry import CellGrid
+from ccnscale.popularity import zipf
 from ccnscale.scaling import expected_hops
 from ccnscale.sched import build_schedule
 
 from oracles import (
     bucket_order_by_argsort,
+    cell_of,
+    from_weights,
     holder_sets_by_full_sorts,
     invert_by_sorted_blocks,
     sample_segment_cells,
+    torus_dist,
 )
+
+# numpy imports its generator modules on first use; done here, the
+# tracemalloc peaks of TestMemory count only what the code under test
+# allocates, whichever test runs first.
+np.random.default_rng()
 
 
 def _manual_instance(nodes, holders, g, base_stations=(), delta=1.0):
@@ -344,7 +352,7 @@ class TestBuildInstance:
         assert inst._h_start.tolist() == np.cumsum([0, *sizes]).tolist()
         assert inst._hc_idx is inst._h_idx
         assert [h.tolist() for h in inst.holders] == holders
-        cell = [r * g + c for r, c in map(inst.grid.cell_of, nodes)]
+        cell = [r * g + c for r, c in (cell_of(x, y, g) for x, y in nodes)]
         occ = inst.cell_occupancy()
         assert not occ.flags.writeable and occ.sum() == n
         np.testing.assert_array_equal(occ, np.bincount(cell, minlength=g * g))
@@ -353,7 +361,7 @@ class TestBuildInstance:
             # whose holders are sorted by bucket, then node; a smaller
             # content's stay ascending, all in bucket 0.
             side = math.isqrt(len(held)) if len(held) > 64 else 1
-            rc = {i: CellGrid(side).cell_of(nodes[i]) for i in held}
+            rc = {i: cell_of(*nodes[i], side) for i in held}
             lo, hi = inst._h_start[m], inst._h_start[m + 1]
             seg = inst._h_idx[lo:hi].tolist()
             assert seg == sorted(held, key=lambda i: (rc[i], i))
@@ -907,13 +915,12 @@ class TestTraceRequest:
 
     def _check_walk(self, start, end, g):
         hops, cells = _walk(start, end, g)
-        grid = CellGrid(g)
-        length = torus_distance(start, end)
+        length = torus_dist(*start, *end)
         assert hops == max(1, len(cells) - 1)
-        assert hops >= max(1, math.floor(length / grid.s))
-        assert cells[0] == grid.cell_of(start)
-        assert cells[-1] == grid.cell_of(end)
-        assert len(cells) <= 2 * (math.ceil(length / grid.s) + 2)
+        assert hops >= max(1, math.floor(length * g))
+        assert cells[0] == cell_of(*start, g)
+        assert cells[-1] == cell_of(*end, g)
+        assert len(cells) <= 2 * (math.ceil(length * g) + 2)
         assert len(set(cells)) == len(cells)
         for (r0, c0), (r1, c1) in zip(cells, cells[1:]):
             assert (r0, c0) != (r1, c1)
@@ -945,12 +952,12 @@ class TestTraceRequest:
         for _ in range(200):
             nodes = rng.random((2, 2))
             inst = _manual_instance(nodes, [[1]], g=g)
-            d = torus_distance(tuple(nodes[0]), tuple(nodes[1]))
+            d = torus_dist(*nodes[0], *nodes[1])
             hops, cells = sim.trace_request(inst, 0, 0)
             assert max(1, math.floor(d / s)) <= hops <= 2 * (math.ceil(d / s) + 2)
             # walk starts at the requester's cell, ends at the holder's
-            assert cells[0] == inst.grid.cell_of(tuple(nodes[0]))
-            assert cells[-1] == inst.grid.cell_of(tuple(nodes[1]))
+            assert cells[0] == cell_of(*nodes[0], g)
+            assert cells[-1] == cell_of(*nodes[1], g)
 
     def test_rejects_bad_indices(self):
         inst = _manual_instance([[0.1, 0.1], [0.2, 0.2]], [[1]], g=4)
@@ -1005,7 +1012,7 @@ class TestTraceRequest:
             except NoHolderError:
                 # measure() charges it one hop in the requester's own cell
                 unroutable += 1
-                hops, cells = 1, [inst.grid.cell_of(tuple(inst.nodes[i]))]
+                hops, cells = 1, [cell_of(*inst.nodes[i], g)]
             assert hops == meas.request_hops[i]
             for row, col in cells[:-1] or cells:
                 loads[row * g + col] += 1
@@ -1117,14 +1124,14 @@ class TestMeasure:
         assert floor_checked + scaled_checked >= 3
 
     def test_heterogeneous_f_zero_matches_ad_hoc_bitwise(self):
-        adhoc = NetworkConfig(n=500, alpha=0.8, beta=0.6, seed=9)
+        adhoc = NetworkConfig(n=500, alpha=0.8, beta=0.6, trials=3, seed=9)
         het = NetworkConfig(
-            n=500, alpha=0.8, beta=0.6, seed=9,
+            n=500, alpha=0.8, beta=0.6, trials=3, seed=9,
             mode=Mode.HETEROGENEOUS, f=0.0,
         )
         counts = np.ones(adhoc.M, dtype=np.int64)
-        sa = sim.run_trials(adhoc, counts, trials=3)
-        sh = sim.run_trials(het, counts, trials=3)
+        sa = sim.run_trials(adhoc, counts)
+        sh = sim.run_trials(het, counts)
         for ma, mh in zip(sa.measurements, sh.measurements):
             assert np.array_equal(ma.lines_per_cell, mh.lines_per_cell)
             assert np.array_equal(ma.request_hops, mh.request_hops)
@@ -1158,11 +1165,11 @@ class TestMeasure:
             sim.measure(self._four_node_instance(), [0, 0, 0, 0])
 
     def test_routable_trials_do_not_warn(self):
-        cfg = NetworkConfig(n=500, alpha=0.8, beta=0.6, seed=2)
+        cfg = NetworkConfig(n=500, alpha=0.8, beta=0.6, trials=2, seed=2)
         prob = cfg.problem()
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            sim.run_trials(cfg, round_to_integers(solve(prob), prob), trials=2)
+            sim.run_trials(cfg, round_to_integers(solve(prob), prob))
 
     def test_validation(self):
         inst = self._four_node_instance()
@@ -1180,7 +1187,7 @@ class TestRunTrials:
     def test_single_trial_equals_measure(self):
         cfg = NetworkConfig(n=300, alpha=0.8, beta=0.6, seed=4)
         counts = np.ones(cfg.M, dtype=np.int64)
-        stats = sim.run_trials(cfg, counts, trials=1)
+        stats = sim.run_trials(cfg, counts)
         s = stats.seeds[0]
         inst_seed, req_seed = sim._trial_streams(s)
         inst = sim.build_instance(cfg, counts, inst_seed)
@@ -1202,9 +1209,9 @@ class TestRunTrials:
         assert s1.seeds == (11, 22, 33)
 
     def test_aggregate_consistency(self):
-        cfg = NetworkConfig(n=300, alpha=0.8, beta=0.6, seed=8)
+        cfg = NetworkConfig(n=300, alpha=0.8, beta=0.6, trials=5, seed=8)
         counts = np.ones(cfg.M, dtype=np.int64)
-        stats = sim.run_trials(cfg, counts, trials=5)
+        stats = sim.run_trials(cfg, counts)
         assert stats.trials == 5 and len(stats.measurements) == 5
         hops = [m.mean_hops for m in stats.measurements]
         assert stats.mean_hops.min == min(hops)
@@ -1218,15 +1225,19 @@ class TestRunTrials:
         ):
             assert 0.0 <= rate <= 1.0
 
-    def test_seed_count_mismatch_rejected(self):
-        cfg = NetworkConfig(n=300, alpha=0.8, beta=0.6)
+    def test_default_seeds_derive_from_cfg_seed(self):
+        cfg = NetworkConfig(n=300, alpha=0.8, beta=0.6, trials=3, seed=21)
         counts = np.ones(cfg.M, dtype=np.int64)
-        with pytest.raises(ValueError):
-            sim.run_trials(cfg, counts, trials=2, seeds=[1, 2, 3])
+        stats = sim.run_trials(cfg, counts)
+        want = np.random.SeedSequence(21).generate_state(3, dtype=np.uint64)
+        assert stats.seeds == tuple(int(s) for s in want)
+        assert stats.trials == 3
+        again = sim.run_trials(cfg, counts, seeds=stats.seeds)
+        assert again.mean_hops == stats.mean_hops
 
     def test_mean_hops_standard_error_is_small(self):
-        cfg = NetworkConfig(n=10**4, alpha=0.8, beta=0.9, seed=13)
+        cfg = NetworkConfig(n=10**4, alpha=0.8, beta=0.9, trials=32, seed=13)
         prob = cfg.problem()
         xi = round_to_integers(solve(prob), prob)
-        stats = sim.run_trials(cfg, xi, trials=32)
+        stats = sim.run_trials(cfg, xi)
         assert stats.mean_hops.stderr <= 0.05 * stats.mean_hops.mean
