@@ -7,15 +7,19 @@ point, ``ccn_trace_batch``, behind :func:`trace_batch`; the helpers it is
 built from are static in C, and only ``_ref`` exposes them.  A single
 request is routed by ``_ref.trace_one`` (``sim.trace_request``).  The
 wrapper below only checks its arguments and converts them to contiguous
-int64/float64 arrays, through ``_ref.checked_args``, the checks the
-reference backend makes too, so that the C code never reads or writes out
-of bounds, and allocates every buffer the kernel uses:
-the outputs, the int32 buffer into which the kernel sorts the requesters
+arrays, through ``_ref.checked_args``, the checks the reference backend
+makes too, so that the C code never reads or writes out of bounds: float64
+coordinates, int32 requests and holder indices (taken without a copy when
+they are int32 already, and range-checked before any wider input is
+narrowed) and int64 offsets.  It allocates every buffer the kernel uses:
+the outputs (int32 hops, int64 loads, int8 status, as the reference
+returns them), the int32 buffer into which the kernel sorts the requesters
 by cell when the instance has base stations (empty without them), the
 loads of the extra parts (below), and the bucket tables of holders and
-stations, which ``_ref.bucket_table`` and ``_ref.station_layout`` build in
-numpy for both backends on each call (``bucket_table`` also rejects a
-bucket id off its content's grid).  The kernel reads the holders only as
+stations (int32 grid sides and station indices, int64 offsets), which
+``_ref.bucket_table`` and ``_ref.station_layout`` build in numpy for both
+backends on each call (``bucket_table`` also rejects a bucket id off its
+content's grid).  The kernel reads the holders only as
 ``hc_idx`` and that table, with one search for every set; ``h_idx`` keeps
 its slot in :func:`trace_batch`'s arguments, which the benchmark builds,
 and is checked but not passed on.  The kernel allocates nothing, so a
@@ -128,6 +132,7 @@ def _build(cc: list[str], out: Path) -> None:
 _F64 = ndpointer(np.float64, ndim=1, flags="C_CONTIGUOUS")
 _I64 = ndpointer(np.int64, ndim=1, flags="C_CONTIGUOUS")
 _I32 = ndpointer(np.int32, ndim=1, flags="C_CONTIGUOUS")
+_I8 = ndpointer(np.int8, ndim=1, flags="C_CONTIGUOUS")
 
 
 def _load() -> ctypes.CDLL:
@@ -149,8 +154,8 @@ def _load() -> ctypes.CDLL:
     # stations and their station_layout; the visit-order buffer, the
     # outputs, and the part count with the loads of the extra parts.
     kernel.argtypes = [
-        c_int64, _F64, _F64, c_int64, _I64, _I64, _I64, _I64, _I64, _F64, _F64,
-        c_int64, _I64, _I64, _I32, _I64, _I64, _I64, c_int64, _I64,
+        c_int64, _F64, _F64, c_int64, _I32, _I32, _I32, _I64, _I64, _F64, _F64,
+        c_int64, _I32, _I64, _I32, _I32, _I64, _I8, c_int64, _I64,
     ]
     kernel.restype = None
     return lib
@@ -183,9 +188,9 @@ def trace_batch(xs, ys, g, req, h_idx, h_start, hc_idx, hc_cell, bs_x, bs_y):
     stations = station_layout(bs_x, bs_y)
     # Built before the outputs, so its temporaries are freed first.
     table = bucket_table(h_start, hc_cell)
-    hops = np.zeros(n, dtype=np.int64)
+    hops = np.zeros(n, dtype=np.int32)
     loads = np.zeros(g * g, dtype=np.int64)
-    status = np.zeros(n, dtype=np.int64)
+    status = np.zeros(n, dtype=np.int8)
     # With stations the kernel visits the requesters in cell order, which
     # it writes here; checked_args keeps n within int32.
     order = np.empty(n if len(bs_x) else 0, dtype=np.int32)

@@ -40,7 +40,8 @@ BLOCK = 1 << 14
 # order crossings below 2**125 (the compiled kernel's __int128).
 FIX_BITS = 40
 MAX_GRID_SIDE = 1 << 22
-# Node indices fit the compiled kernel's int32 visit order (trace_batch).
+# Node indices fit int32, the type of every per-node and per-holder index
+# both kernels take (checked_args).
 MAX_NODES = (1 << 31) - 1
 _FIX_SCALE = float(1 << FIX_BITS)
 
@@ -285,17 +286,21 @@ def _row_slices(row, c0, c1, g):
 
 
 def grid_sides(sizes) -> np.ndarray:
-    """Side of each candidate set's bucket grid, as int64.
+    """Side of each candidate set's bucket grid, as int32.
 
     A set of ``k > RING_MIN_HOLDERS`` members gets a grid of side
     ``floor(sqrt(k))``, at least 8, so that a bucket holds about one
     member (the cell size of Bentley, Weide & Yao); a smaller set gets
-    side 1, one bucket, which :func:`nearest` scans as its ring 0.
+    side 1, one bucket, which :func:`nearest` scans as its ring 0.  The
+    square root is taken of the larger sets only.  With ``k <= MAX_NODES``
+    a side and its square fit int32.
     """
     sizes = np.asarray(sizes, dtype=np.int64)
+    side = np.ones(sizes.shape, dtype=np.int32)
+    ring = np.flatnonzero(sizes > RING_MIN_HOLDERS)
     # The float square root floors exactly for sizes below 2**52.
-    side = np.sqrt(sizes).astype(np.int64)
-    return np.where(sizes > RING_MIN_HOLDERS, side, 1)
+    side[ring] = np.sqrt(sizes[ring]).astype(np.int32)
+    return side
 
 
 def grid_cells(x, y, side) -> np.ndarray:
@@ -321,12 +326,14 @@ def bucket_table(start, cell):
     Set ``m`` is the members ``[start[m], start[m + 1])`` of one member
     array, sorted by bucket within the set, and ``cell`` holds each
     member's bucket id on the set's own grid, whose side ``side[m]``
-    :func:`grid_sides` gives.  Returns ``(side, base, tab)``, all int64:
-    bucket ``c`` of set ``m`` holds the members ``[tab[base[m] + c],
-    tab[base[m] + c + 1])``.  ``base`` is the running sum of the grid
-    sizes ``side**2``, so ``tab`` has one entry per bucket plus one.
-    Raises ValueError when ``start`` descends or a bucket id lies off its
-    set's grid.
+    :func:`grid_sides` gives.  Returns ``(side, base, tab)``, the sides as
+    int32 and the offsets as int64: bucket ``c`` of set ``m`` holds the
+    members ``[tab[base[m] + c], tab[base[m] + c + 1])``.  ``base`` is the
+    running sum of the grid sizes ``side**2``, so ``tab`` has one entry per
+    bucket plus one.  Raises ValueError when ``start`` descends or a bucket
+    id lies off its set's grid.  The table is built, and the ids checked
+    as given, a block of members at a time, so no temporary holds one
+    entry per member.
     """
     start = np.asarray(start, dtype=np.int64)
     sizes = np.diff(start)
@@ -335,18 +342,25 @@ def bucket_table(start, cell):
     side = grid_sides(sizes)
     base = np.zeros(len(start), dtype=np.int64)
     np.cumsum(side * side, out=base[1:])
-    cell = np.asarray(cell, dtype=np.int64)[start[0]:start[-1]]
-    if cell.size:
-        held = sizes > 0
-        top = np.maximum.reduceat(cell, start[:-1][held] - start[0])
-        if cell.min() < 0 or (top >= (side * side)[held]).any():
-            raise ValueError("bucket id outside its set's grid")
+    cell = index_array(cell)
     # tab[k + 1] counts the members of bucket k, the set's base plus its
     # bucket id, and then becomes the running sum in place.
-    key = np.repeat(base[:-1] + 1, sizes)
-    key += cell
-    tab = np.bincount(key, minlength=base[-1] + 1).astype(np.int64, copy=False)
-    del key
+    tab = np.zeros(base[-1] + 1, dtype=np.int64)
+    for lo in range(start[0], start[-1], BLOCK):
+        hi = min(lo + BLOCK, start[-1])
+        # The sets first .. last - 1 hold the members [lo, hi); their
+        # grids span the buckets base[first] .. base[last] - 1.
+        first = int(np.searchsorted(start, lo, "right")) - 1
+        last = int(np.searchsorted(start, hi, "left"))
+        held = np.diff(np.clip(start[first:last + 1], lo, hi))
+        ids = cell[lo:hi]
+        grids = np.repeat(np.diff(base[first:last + 1]), held)
+        if ids.min() < 0 or (ids >= grids).any():
+            raise ValueError("bucket id outside its set's grid")
+        key = np.repeat(base[first:last] - base[first], held)
+        key += ids
+        counts = np.bincount(key)
+        tab[base[first] + 1:][:counts.size] += counts
     np.cumsum(tab, out=tab)
     tab += start[0]
     return side, base, tab
@@ -354,7 +368,7 @@ def bucket_table(start, cell):
 
 def sort_buckets(xs, ys, idx, start) -> np.ndarray:
     """Sort every set's members into bucket order, in place in ``idx``, and
-    return their bucket ids, int64 and aligned with ``idx``.
+    return their bucket ids, int32 and aligned with ``idx``.
 
     Set ``m`` is ``idx[start[m]:start[m + 1]]``, ascending indices into
     ``xs``/``ys``, on its grid of the side :func:`grid_sides` gives.  A set
@@ -374,7 +388,7 @@ def sort_buckets(xs, ys, idx, start) -> np.ndarray:
     start = np.asarray(start, dtype=np.int64)
     sizes = np.diff(start)
     sets = np.flatnonzero(sizes > RING_MIN_HOLDERS)  # the sets of side > 1
-    cell = np.zeros(len(idx), dtype=np.int64)
+    cell = np.zeros(len(idx), dtype=np.int32)
     ends = np.cumsum(sizes[sets])
     for group in np.split(sets, np.flatnonzero(np.diff(ends // BLOCK)) + 1):
         if not group.size:
@@ -404,10 +418,10 @@ def station_layout(bs_x, bs_y):
 
     The stations form one set, laid out by :func:`sort_buckets`.  Returns
     ``(side, idx, tab)``: its grid side, the station indices sorted by
-    (bucket, index) as int64, and the :func:`bucket_table` of that set, so
+    (bucket, index) as int32, and the :func:`bucket_table` of that set, so
     bucket ``c`` holds the stations ``idx[tab[c]:tab[c + 1]]``.
     """
-    idx = np.arange(len(bs_x), dtype=np.int64)
+    idx = np.arange(len(bs_x), dtype=np.int32)
     start = [0, idx.size]
     side, _, tab = bucket_table(start, sort_buckets(bs_x, bs_y, idx, start))
     return int(side[0]), idx, tab
@@ -475,12 +489,21 @@ def _coords(values, name: str) -> np.ndarray:
     return a
 
 
-def _indices(values, bound: int, name: str) -> np.ndarray:
-    """Contiguous int64 indices, which must lie in [0, bound)."""
-    a = np.ascontiguousarray(values, dtype=np.int64)
+def index_array(values) -> np.ndarray:
+    """``values`` as an int32 array if they are one, else as int64: a range
+    check on the result sees every value before it is narrowed to int32,
+    so no value wraps into range."""
+    a = np.asarray(values)
+    return a if a.dtype == np.int32 else a.astype(np.int64, copy=False)
+
+
+def _indices(values, bound: int, name: str, dtype=np.int32) -> np.ndarray:
+    """Contiguous indices of ``dtype``, which must lie in [0, bound); they
+    are checked before they are narrowed."""
+    a = index_array(values)
     if a.size and (a.min() < 0 or a.max() >= bound):
         raise ValueError(f"{name}: index outside [0, {bound})")
-    return a
+    return np.ascontiguousarray(a, dtype=dtype)
 
 
 def _same_length(*arrays: np.ndarray) -> None:
@@ -492,14 +515,18 @@ def checked_args(xs, ys, g, req, h_idx, h_start, hc_idx, hc_cell, bs_x, bs_y):
     """The arguments of :func:`trace_batch`, checked, in the same order.
 
     Both backends' ``trace_batch`` call this first, so they reject the same
-    inputs.  Arrays become contiguous float64 coordinates or int64 indices.
-    Raises ValueError unless the grid side lies in [1, MAX_GRID_SIDE)
-    (which bounds the walk's fixed-point arithmetic), there are at most
-    MAX_NODES nodes (the kernel's visit order is int32), every coordinate in
-    [0, 1), every index in its range, ``h_start`` holds at least one
-    offset, and paired arrays have equal lengths.  ``bucket_table`` checks
-    the bucket ids in ``hc_cell``.  With these checks the compiled kernel
-    never reads or writes out of bounds.
+    inputs.  Arrays become contiguous float64 coordinates, int32 node and
+    content indices (``req``, ``h_idx``, ``hc_idx``; int32 input is taken
+    without a copy) and int64 offsets (``h_start``); ``hc_cell`` stays
+    int32 or becomes int64, for ``bucket_table``.  Raises ValueError
+    unless the grid side lies in [1, MAX_GRID_SIDE) (which bounds the
+    walk's fixed-point arithmetic), there are at most MAX_NODES nodes (so
+    that every node index fits int32), every coordinate in [0, 1), every
+    index in its range, ``h_start`` holds at least one offset, and paired
+    arrays have equal lengths.  Every index is range-checked before it is
+    narrowed, so a wide value cannot wrap into range.  ``bucket_table``
+    checks the bucket ids in ``hc_cell``.  With these checks the compiled
+    kernel never reads or writes out of bounds.
     """
     if not 1 <= g < MAX_GRID_SIDE:
         raise ValueError(f"grid side must lie in [1, {MAX_GRID_SIDE}), got {g}")
@@ -513,9 +540,9 @@ def checked_args(xs, ys, g, req, h_idx, h_start, hc_idx, hc_cell, bs_x, bs_y):
         raise ValueError(f"at most {MAX_NODES} nodes, got {n}")
     h_idx = _indices(h_idx, n, "h_idx")
     hc_idx = _indices(hc_idx, n, "hc_idx")
-    hc_cell = np.ascontiguousarray(hc_cell, dtype=np.int64)
+    hc_cell = index_array(hc_cell)
     _same_length(h_idx, hc_idx, hc_cell)
-    h_start = _indices(h_start, len(h_idx) + 1, "h_start")
+    h_start = _indices(h_start, len(h_idx) + 1, "h_start", np.int64)
     if len(h_start) == 0:
         raise ValueError("h_start must hold at least one offset")
     req = _indices(req, len(h_start) - 1, "req")
@@ -529,7 +556,9 @@ def trace_batch(xs, ys, g, req, h_idx, h_start, hc_idx, hc_cell, bs_x, bs_y):
     Node ``i`` requests content ``req[i]``, routed by :func:`trace_one`;
     ``h_idx`` is not read (see there).  Every transmitting cell of its walk
     is charged (all but the last cell; a single-cell walk charges it
-    once); hops are cells minus one, at least 1.  The requesters are
+    once); hops are cells minus one, at least 1.  ``hops`` is int32,
+    ``loads`` int64 and ``status`` int8, as the compiled kernel writes
+    them.  The requesters are
     visited in index order.  The compiled kernel visits them in cell order
     when there are base stations; a request writes only its own hops and
     status and adds to the loads, so the order changes no output, and the
@@ -547,10 +576,10 @@ def trace_batch(xs, ys, g, req, h_idx, h_start, hc_idx, hc_cell, bs_x, bs_y):
         a.tolist() for a in (xs, ys, bs_x, bs_y, req, hc_idx)
     )
 
-    hops = np.zeros(n, dtype=np.int64)
+    hops = np.zeros(n, dtype=np.int32)
     loads = np.zeros(g * g, dtype=np.int64)
     loads_l = [0] * (g * g)
-    status = np.zeros(n, dtype=np.int64)
+    status = np.zeros(n, dtype=np.int8)
 
     for i in range(n):
         status[i], cells = _route(

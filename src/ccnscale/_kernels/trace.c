@@ -34,7 +34,11 @@
  * The library exports one entry point, ccn_trace_batch; every helper is
  * static.  sim.trace_request routes a single request with _ref.trace_one.
  * Inputs are trusted: the ctypes binding in _fast.py checks array lengths,
- * index ranges and coordinates before calling in.  The binding passes
+ * index ranges and coordinates before calling in.  Node, content and
+ * station indices (req, hc_idx, bs_idx, order), grid sides (h_side) and
+ * hop counts are int32, status int8, and offsets, bucket tables and loads
+ * int64; an int32 value is widened to i64 before any arithmetic, so the
+ * arithmetic is that of all-int64 arrays.  The binding passes
  * every buffer, the bucket tables of holders and stations
  * (_ref.bucket_table, _ref.station_layout), the visit-order buffer and the
  * loads of the extra parts included; the kernel allocates no memory.  A
@@ -51,6 +55,7 @@
 #include <stdint.h>
 
 typedef int64_t i64;
+typedef int32_t i32;
 typedef __int128 i128;
 
 /* The walk works in cell units with FIX_BITS fraction bits, as integers
@@ -153,7 +158,7 @@ static inline i64 segment_cells(double x0, double y0, double x1, double y1,
  * which *best_i and *best_d2 hold on entry and on return; distance ties
  * resolve to the lowest id.  Sets *saw when members holds exclude. */
 static inline void nearest_linear(double px, double py, const double *xs,
-                                  const double *ys, const i64 *members,
+                                  const double *ys, const i32 *members,
                                   i64 count, i64 exclude, i64 offset,
                                   i64 *best_i, double *best_d2, int *saw)
 {
@@ -197,7 +202,7 @@ static inline int beyond(double gap, double best_d2)
  * that lies beyond the best distance.  Sets *saw when a visited bucket
  * holds exclude. */
 static inline void nearest(double px, double py, const double *xs,
-                           const double *ys, const i64 *idx, const i64 *tab,
+                           const double *ys, const i32 *idx, const i64 *tab,
                            i64 base, i64 g, i64 exclude, i64 offset,
                            i64 *best_i, double *best_d2, int *saw)
 {
@@ -263,12 +268,12 @@ static inline void nearest(double px, double py, const double *xs,
  * sorted by bucket, and their table bs_tab.  Inlined into trace_range's
  * loop. */
 static inline i64 trace_one(i64 n, const double *xs, const double *ys,
-                            i64 g, i64 requester, i64 m, const i64 *hc_idx,
-                            const i64 *h_side, const i64 *h_base,
+                            i64 g, i64 requester, i64 m, const i32 *hc_idx,
+                            const i32 *h_side, const i64 *h_base,
                             const i64 *h_tab, const double *bs_x,
                             const double *bs_y, i64 bs_side,
-                            const i64 *bs_idx, const i64 *bs_tab, i64 *loads,
-                            i64 *status)
+                            const i32 *bs_idx, const i64 *bs_tab, i64 *loads,
+                            int8_t *status)
 {
     i64 best_i = -1;
     double px = xs[requester], py = ys[requester], best_d2 = INFINITY, hx, hy;
@@ -298,7 +303,7 @@ static inline i64 trace_one(i64 n, const double *xs, const double *ys,
  * kind="stable").  A counting sort that counts in count, g * g entries,
  * zero on entry and again on return.  The binding keeps n below 2^31. */
 static void cell_order(i64 n, const double *xs, const double *ys, i64 g,
-                       i64 *count, int32_t *order)
+                       i64 *count, i32 *order)
 {
     i64 cells = g * g, sum = 0;
     for (i64 i = 0; i < n; i++)
@@ -310,7 +315,7 @@ static void cell_order(i64 n, const double *xs, const double *ys, i64 g,
     }
     for (i64 i = 0; i < n; i++)
         order[count[cell_index(ys[i], g) * g + cell_index(xs[i], g)]++] =
-            (int32_t)i;
+            (i32)i;
     for (i64 c = 0; c < cells; c++) count[c] = 0;
 }
 
@@ -319,9 +324,14 @@ static void cell_order(i64 n, const double *xs, const double *ys, i64 g,
 struct batch {
     i64 n, g, bs_side;
     const double *xs, *ys, *bs_x, *bs_y;
-    const i64 *req, *hc_idx, *h_side, *h_base, *h_tab, *bs_idx, *bs_tab;
-    const int32_t *order;
-    i64 *hops, *status;
+    const i32 *req, *hc_idx;
+    const i32 *h_side;
+    const i64 *h_base, *h_tab;
+    const i32 *bs_idx;
+    const i64 *bs_tab;
+    const i32 *order;
+    i32 *hops;
+    int8_t *status;
 };
 
 /* Traces the requesters at positions k0 .. k1-1 of the visit order into
@@ -343,11 +353,13 @@ static void trace_range(const struct batch *b, i64 k0, i64 k1, i64 *loads)
 {
     i64 n = b->n, g = b->g, bs_side = b->bs_side;
     const double *xs = b->xs, *ys = b->ys, *bs_x = b->bs_x, *bs_y = b->bs_y;
-    const i64 *req = b->req, *hc_idx = b->hc_idx, *h_side = b->h_side;
-    const i64 *h_base = b->h_base, *h_tab = b->h_tab, *bs_idx = b->bs_idx;
+    const i32 *req = b->req, *hc_idx = b->hc_idx, *bs_idx = b->bs_idx;
+    const i32 *order = b->order;
+    const i32 *h_side = b->h_side;
+    const i64 *h_base = b->h_base, *h_tab = b->h_tab;
     const i64 *bs_tab = b->bs_tab;
-    const int32_t *order = b->order;
-    i64 *hops = b->hops, *status = b->status;
+    i32 *hops = b->hops;
+    int8_t *status = b->status;
     int by_cell = order != NULL;
 /* The k-th requester in the visit order. */
 #define NODE(k) (by_cell ? (i64)order[k] : (k))
@@ -380,9 +392,9 @@ static void trace_range(const struct batch *b, i64 k0, i64 k1, i64 *loads)
             }
         }
         i64 i = NODE(k);
-        hops[i] = trace_one(n, xs, ys, g, i, req[i], hc_idx, h_side, h_base,
-                            h_tab, bs_x, bs_y, bs_side, bs_idx, bs_tab, loads,
-                            &status[i]);
+        hops[i] = (i32)trace_one(n, xs, ys, g, i, req[i], hc_idx, h_side,
+                                 h_base, h_tab, bs_x, bs_y, bs_side, bs_idx,
+                                 bs_tab, loads, &status[i]);
     }
 #undef NODE
 }
@@ -473,11 +485,11 @@ static int start_part(pthread_t *thread, struct part *p)
  * be started runs inline, so the call cannot fail; with one part, no
  * thread is started. */
 void ccn_trace_batch(i64 n, const double *xs, const double *ys, i64 g,
-                     const i64 *req, const i64 *hc_idx, const i64 *h_side,
+                     const i32 *req, const i32 *hc_idx, const i32 *h_side,
                      const i64 *h_base, const i64 *h_tab, const double *bs_x,
-                     const double *bs_y, i64 bs_side, const i64 *bs_idx,
-                     const i64 *bs_tab, int32_t *order, i64 *hops,
-                     i64 *loads, i64 *status, i64 parts, i64 *spare)
+                     const double *bs_y, i64 bs_side, const i32 *bs_idx,
+                     const i64 *bs_tab, i32 *order, i32 *hops, i64 *loads,
+                     int8_t *status, i64 parts, i64 *spare)
 {
     int by_cell = bs_tab[bs_side * bs_side] > 0;
     if (by_cell) cell_order(n, xs, ys, g, loads, order);

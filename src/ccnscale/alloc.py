@@ -455,9 +455,10 @@ def round_to_integers(alloc: Allocation, prob: AllocationProblem) -> np.ndarray:
     room = int(budget_int - base.sum())
     out = base.copy()
     if room > 0:
-        # In order of largest remainder, then lowest index, the first
-        # ``room`` entries that can rise by one without passing ``upper``.
-        order = np.lexsort((np.arange(len(x)), -remainder))
+        # In order of largest remainder, then lowest index (a stable sort
+        # keeps tied entries in index order), the first ``room`` entries
+        # that can rise by one without passing ``upper``.
+        order = np.argsort(-remainder, kind="stable")
         ok = (remainder > 0.0) & (base + 1.0 <= prob.upper)
         out[order[ok[order]][:room]] += 1.0
     return out.astype(np.int64)

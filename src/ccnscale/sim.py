@@ -8,9 +8,12 @@ and measures per-cell line loads, hop counts, and the realized
 throughput and delay of the slotted fluid model.
 
 An instance stores each content's holder set once, in the CSR arrays
-that the kernel reads (one index array, content-major, and one offset
-per content), the node coordinates once, as one (2, n) array, the
-station coordinates as one (2, b) array, and the node count per cell.
+that the kernel reads (one int32 index array, content-major, and one
+int64 offset per content), the node coordinates once, as one (2, n)
+array, the station coordinates as one (2, b) array, and the node count
+per cell.  Every per-node and per-holder index is int32 from the draw to
+the kernel (``_kernels._ref.MAX_NODES`` keeps n below 2**31): the holder
+indices and their bucket ids, the requests, and the hop counts.
 The kernel's reference, ``_kernels._ref``, lays out each content's holders
 (``sort_buckets``): they stay ascending in a content of one bucket and
 are sorted into buckets, in place, in a content searched ring by ring.
@@ -86,7 +89,8 @@ class NetworkInstance:
     every content and are indexed ``n + b`` where routing needs a single
     index space.  The node coordinates are stored once, as the rows
     ``_xs`` and ``_ys`` of one (2, n) array, and ``nodes`` is its (n, 2)
-    transposed view; ``base_stations`` is likewise the (b, 2) view of one
+    transposed view; given such a view, the constructor keeps its array
+    without a copy.  ``base_stations`` is likewise the (b, 2) view of one
     (2, b) array, so each of its columns is contiguous.  ``_occupancy``
     holds the node count per cell.
 
@@ -100,6 +104,13 @@ class NetworkInstance:
     as ``_hc_idx``, through that table, with one search whether a content
     has one bucket or many; ``_hc_idx`` is the same object as ``_h_idx``,
     which the kernels' argument list still carries but neither reads.
+
+    ``_h_idx`` and ``_hc_cell`` are int32 (a grid has at most as many
+    buckets as its content has holders, so bucket ids fit too), and
+    ``_h_start`` is int64.  ``holder_idx`` may have any integer dtype: it
+    is range-checked before it is narrowed, so no index wraps into range.
+    At n = 10**6 an instance holds about 26 bytes per node: 16 of
+    coordinates and 8 per holder, at about one holder per node.
     """
 
     nodes: np.ndarray  # (n, 2) float64 positions
@@ -131,7 +142,7 @@ class NetworkInstance:
         coords = np.ascontiguousarray(nodes.T)
         xs, ys = coords
         # Counted a block of nodes at a time, so the cell ids stay small.
-        occupancy = np.zeros(g * g, dtype=np.int64)
+        occupancy = np.zeros(g * g, dtype=np.int32)
         for lo in range(0, n, _ref.BLOCK):
             cell = _ref.grid_cells(*coords[:, lo:lo + _ref.BLOCK], g)
             occupancy += np.bincount(cell, minlength=g * g)
@@ -144,8 +155,8 @@ class NetworkInstance:
         int_start = h_start.ndim == 1 and h_start.dtype.kind in "iu"
         if not (int_start and h_start[:1].tolist() == [0]):
             raise ValueError("holder_start must be a 1-d integer array starting at 0")
-        # A copy: the bucket order is written into it below.
-        h_idx = h_idx.astype(np.int64)
+        # Checked below as given (or as int64), and narrowed after.
+        h_idx = _ref.index_array(h_idx)
         h_start = h_start.astype(np.int64, copy=False)
         sizes = np.diff(h_start)
         if sizes.size and sizes.min() < 0:
@@ -162,6 +173,8 @@ class NetworkInstance:
             m = np.searchsorted(h_start, ok.argmin(), side="right") - 1
             raise ValueError(f"content {m}: holders must strictly ascend in [0, {n})")
         del ok, sizes
+        # A copy: the bucket order is written into it.
+        h_idx = h_idx.astype(np.int32)
         hc_cell = _ref.sort_buckets(xs, ys, h_idx, h_start)
 
         object.__setattr__(self, "nodes", coords.T)
@@ -220,7 +233,7 @@ class NetworkInstance:
         return self._h_start.size - 1
 
     def cell_occupancy(self) -> np.ndarray:
-        """Node count per cell (length g², row-major), read-only."""
+        """Node count per cell (length g², row-major, int32), read-only."""
         return self._occupancy
 
 
@@ -249,12 +262,13 @@ class Measurement:
     """Per-trial measurement of the slotted fluid model.
 
     ``lines_per_cell[j]`` counts the transmitting-cell charges of all
-    request lines in cell j; its sum equals ``hops_total`` exactly.
-    ``request_hops[i]`` is the hop count of node i's request.
+    request lines in cell j, as int64; its sum equals ``hops_total``
+    exactly.  ``request_hops[i]`` is the hop count of node i's request, as
+    int32, the kernels' output type.
     """
 
     lines_per_cell: np.ndarray
-    request_hops: np.ndarray
+    request_hops: np.ndarray  # (n,) int32
     hops_total: int
     max_load: float
     mean_load: float
@@ -271,9 +285,11 @@ def _draw_holder_sets(
 ) -> tuple[np.ndarray, np.ndarray]:
     """A uniform ``counts[m]``-subset of ``range(n)`` per content m, as CSR.
 
-    Returns ``(idx, start)``: content m's set is ``idx[start[m]:start[m + 1]]``,
-    sorted ascending.  Every (content, slot) pair gets a uniform node
-    from one ``rng.integers`` call.  The keys ``content·n + node`` are
+    Returns ``(idx, start)``, int32 and int64: content m's set is
+    ``idx[start[m]:start[m + 1]]``, sorted ascending.  Every (content,
+    slot) pair gets a uniform node from one ``rng.integers`` call, drawn as
+    int32, which for n < 2**31 gives the values of an int64 draw and
+    leaves ``rng`` in the same state.  The int64 keys ``content·n + node`` are
     sorted, and each slot whose key equals its predecessor's draws a new
     node, until no key repeats.  The rule never looks at node labels, so
     each set is a uniform subset and the contents are independent.  A
@@ -290,17 +306,21 @@ def _draw_holder_sets(
     """
     dense = 2 * counts > n
     drawn = np.where(dense, n - counts, counts)
-    key = rng.integers(0, n, size=drawn.sum(), dtype=np.int64)
-    key += np.repeat(np.arange(counts.size, dtype=np.int64) * n, drawn)
+    node = rng.integers(0, n, size=drawn.sum(), dtype=np.int32)
+    key = np.repeat(np.arange(counts.size, dtype=np.int64) * n, drawn)
+    key += node
+    del node
     key.sort()
     while True:
         dup = np.flatnonzero(key[1:] == key[:-1]) + 1
         if not dup.size:
             break
         # Swap the node part of each repeated key for a fresh node.
-        key[dup] += rng.integers(0, n, size=dup.size, dtype=np.int64) - key[dup] % n
+        key[dup] += rng.integers(0, n, size=dup.size, dtype=np.int32) - key[dup] % n
         key.sort(kind="stable")
     key %= n
+    idx = key.astype(np.int32)
+    del key
     start = np.zeros(counts.size + 1, dtype=np.int64)
     np.cumsum(counts, out=start[1:])
     ends = np.cumsum(drawn)
@@ -308,12 +328,12 @@ def _draw_holder_sets(
     for m in np.flatnonzero(dense).tolist():
         lo, hi = ends[m] - drawn[m], ends[m]
         keep = np.ones(n, dtype=bool)
-        keep[key[lo:hi]] = False
-        pieces += (key[prev:lo], np.flatnonzero(keep))
+        keep[idx[lo:hi]] = False
+        pieces += (idx[prev:lo], np.flatnonzero(keep))
         prev = hi
     if pieces:
-        key = np.concatenate((*pieces, key[prev:]))
-    return key, start
+        idx = np.concatenate((*pieces, idx[prev:]), dtype=np.int32)
+    return idx, start
 
 
 def build_instance(
@@ -329,8 +349,11 @@ def build_instance(
     instead).  Each holder set is a uniform ``allocation[m]``-subset,
     independent across contents.  A seed replay is bit-identical, and a
     heterogeneous run with zero base stations consumes exactly the same
-    stream as an ad hoc one.  The instance then sorts each content's
-    holders into its buckets (see :class:`NetworkInstance`).
+    stream as an ad hoc one.  The node coordinates are drawn straight into
+    the (2, n) array the instance keeps, ``_ref.BLOCK`` nodes at a time,
+    which repeats the stream of one (n, 2) draw without holding it.  The
+    instance then sorts each content's holders into its buckets (see
+    :class:`NetworkInstance`).
     """
     allocation = np.asarray(allocation, dtype=np.int64)
     if allocation.shape != (cfg.M,):
@@ -340,13 +363,15 @@ def build_instance(
         raise ValueError("holder counts must lie in [0, n]")
 
     rng = np.random.default_rng(seed)
-    nodes = rng.random((n, 2))
+    coords = np.empty((2, n))
+    for lo in range(0, n, _ref.BLOCK):
+        coords[:, lo:lo + _ref.BLOCK] = rng.random((min(_ref.BLOCK, n - lo), 2)).T
     bs = rng.random((cfg.base_station_count, 2))
     h_idx, h_start = _draw_holder_sets(rng, n, allocation)
     grid = CellGrid.from_area(cfg.a)
     schedule = build_schedule(grid, cfg.delta)
     return NetworkInstance(
-        nodes=nodes,
+        nodes=coords.T,
         base_stations=bs,
         holder_idx=h_idx,
         holder_start=h_start,
@@ -360,8 +385,8 @@ def draw_requests(
 ) -> np.ndarray:
     """One popularity-weighted content index per node, deterministic.
 
-    The requests, as int64, are those of ``default_rng(seed).choice(M,
-    size=n, p=pop.p)``, bit for bit: see :func:`_invert_guided`.
+    The requests, as int32, are those of ``default_rng(seed).choice(M,
+    size=n, p=pop.p)`` (int64), value for value: see :func:`_invert_guided`.
     """
     if pop.m_count != inst.m_count:
         raise ValueError(
@@ -406,7 +431,7 @@ def _guide_table(cdf: np.ndarray) -> np.ndarray:
 
 
 def _invert_guided(rng: np.random.Generator, p: np.ndarray, size: int) -> np.ndarray:
-    """``rng.choice(p.size, size=size, p=p)`` as int64, by inversion with a
+    """``rng.choice(p.size, size=size, p=p)`` as int32, by inversion with a
     guide table (Chen & Asau, *AIIE Trans.* 6(2), 1974; Devroye,
     *Non-Uniform Random Variate Generation*, §III.2.4), leaving ``rng`` in
     the same state.
@@ -422,7 +447,8 @@ def _invert_guided(rng: np.random.Generator, p: np.ndarray, size: int) -> np.nda
     at most ``_GUIDE_STEPS`` steps; the binary search finds the few
     requests still short.  Zero weights make the CDF flat, and the walk
     steps over the plateau as the search would.  The draw holds the output
-    and ``cdf`` (n + M int64s), the guide (G + 1 int32s) and a few blocks.
+    (n int32s), ``cdf`` (M float64s), the guide (G + 1 int32s) and a few
+    blocks.
     ``PopularityModel`` checks ``p`` at construction as ``choice`` does
     (1-d, non-empty, no NaN, none negative, sum near 1); the signs and the
     sum are checked again here, as ``choice`` checks them on every call,
@@ -436,25 +462,28 @@ def _invert_guided(rng: np.random.Generator, p: np.ndarray, size: int) -> np.nda
     cdf /= cdf[-1]
     guide = _guide_table(cdf)
     G = guide.size - 1
-    out = np.empty(size, dtype=np.int64)
+    out = np.empty(size, dtype=np.int32)
+    # Each block is found in int64, numpy's index type, which indexes
+    # without a conversion, and then stored as int32.
+    block = np.empty(min(size, _REQUEST_BLOCK), dtype=np.int64)
     for lo in range(0, size, _REQUEST_BLOCK):
-        o = out[lo:lo + _REQUEST_BLOCK]
+        o = block[:min(size - lo, _REQUEST_BLOCK)]
         u = rng.random(o.size)
         np.multiply(u, G, out=o, casting="unsafe")  # floor(u * G)
         o[...] = guide[o]
         act = np.flatnonzero(cdf[o] <= u)
-        if not act.size:
-            continue
-        i, ua = o[act] + 1, u[act]
-        for _ in range(_GUIDE_STEPS):
-            step = cdf[i] <= ua
-            if not step.any():
-                break
-            i += step
-        else:
-            short = np.flatnonzero(cdf[i] <= ua)
-            i[short] = cdf.searchsorted(ua[short], "right")
-        o[act] = i
+        if act.size:
+            i, ua = o[act] + 1, u[act]
+            for _ in range(_GUIDE_STEPS):
+                step = cdf[i] <= ua
+                if not step.any():
+                    break
+                i += step
+            else:
+                short = np.flatnonzero(cdf[i] <= ua)
+                i[short] = cdf.searchsorted(ua[short], "right")
+            o[act] = i
+        out[lo:lo + o.size] = o
     return out
 
 
@@ -512,13 +541,14 @@ def measure(
     ``RuntimeWarning`` gives the number of such requests.  Raises
     ``RuntimeError`` if the kernel's cell loads do not sum to its hops.
     """
-    requests = np.asarray(requests, dtype=np.int64)
+    requests = _ref.index_array(requests)
     if requests.shape != (inst.n,):
         raise ValueError(
             f"need one request per node: shape {requests.shape} != ({inst.n},)"
         )
     if requests.size and (requests.min() < 0 or requests.max() >= inst.m_count):
         raise ValueError("request content indices outside catalog")
+    requests = requests.astype(np.int32, copy=False)
     if not W > 0:
         raise ValueError(f"W must be positive, got {W}")
     if not concentration_factor > 0:

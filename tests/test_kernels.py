@@ -304,8 +304,7 @@ class TestNearestParity:
         args[6] = range(1, 11)  # hc_idx
         got = _fast.trace_batch(*args)
         want = _ref.trace_batch(*sim._trace_args(inst, req))
-        for a, b in zip(got, want):
-            np.testing.assert_array_equal(a, b)
+        _assert_same_outputs(got, want)
         _assert_routes_to_scan_winner(inst, 0, 0)
 
     def test_linear_empty_candidates(self):
@@ -359,12 +358,24 @@ class TestNearestOracle:
 # ---------------------------------------------------------------------------
 
 
+# The dtypes of trace_batch's outputs, hops, loads and status, in both
+# backends.
+_OUTPUT_DTYPES = (np.int32, np.int64, np.int8)
+
+
+def _assert_same_outputs(got, want):
+    """Two ``trace_batch`` results equal in value and in dtype."""
+    assert len(got) == len(want) == len(_OUTPUT_DTYPES)
+    for a, b, dtype in zip(got, want, _OUTPUT_DTYPES):
+        assert a.dtype == b.dtype == dtype
+        np.testing.assert_array_equal(a, b)
+
+
 def _assert_trace_equal(inst, req):
-    hf, lf, sf = _fast.trace_batch(*sim._trace_args(inst, req))
-    hr, lr, sr = _ref.trace_batch(*sim._trace_args(inst, req))
-    np.testing.assert_array_equal(hf, hr)
-    np.testing.assert_array_equal(lf, lr)
-    np.testing.assert_array_equal(sf, sr)
+    _assert_same_outputs(
+        _fast.trace_batch(*sim._trace_args(inst, req)),
+        _ref.trace_batch(*sim._trace_args(inst, req)),
+    )
 
 
 def _assert_trace_one_agrees(req, **args):
@@ -461,12 +472,9 @@ class TestTraceBatchParity:
         bs = np.ascontiguousarray(inst.base_stations)
         assert not bs[:, 0].flags.c_contiguous
         args = (*sim._trace_args(inst, req)[:-2], bs[:, 0], bs[:, 1])
-        hf, lf, sf = _fast.trace_batch(*args)
-        hr, lr, sr = _ref.trace_batch(*args)
-        np.testing.assert_array_equal(hf, hr)
-        np.testing.assert_array_equal(lf, lr)
-        np.testing.assert_array_equal(sf, sr)
-        assert set(np.unique(sf)) <= {0}  # every request reached a station
+        got = _fast.trace_batch(*args)
+        _assert_same_outputs(got, _ref.trace_batch(*args))
+        assert set(np.unique(got[2])) <= {0}  # every request reached a station
 
     def test_nodes_win_distance_ties_against_base_stations(self):
         # Node 0 at the centre of a 8x8 grid has its holder (node 1) two
@@ -515,8 +523,7 @@ class TestTraceBatchParity:
         )
         got = _fast.trace_batch(**args)
         want = _ref.trace_batch(**args)
-        for a, b in zip(got, want):
-            np.testing.assert_array_equal(a, b)
+        _assert_same_outputs(got, want)
         assert list(want[0]) == hops
         _assert_trace_one_agrees(**args)
 
@@ -659,7 +666,7 @@ def test_station_layout_sorts_by_cell_then_index(nbs):
     want = sorted(range(nbs), key=lambda b: (cells[b], b))
     got_side, idx, tab = _ref.station_layout(bs[:, 0], bs[:, 1])
     assert got_side == side
-    assert idx.dtype == tab.dtype == np.int64
+    assert (idx.dtype, tab.dtype) == (np.int32, np.int64)
     assert idx.tolist() == want
     # Bucket c is the slice idx[tab[c]:tab[c + 1]].
     assert len(tab) == side * side + 1
@@ -1103,8 +1110,7 @@ def test_compiled_kernel_visits_requesters_in_cell_order(monkeypatch, nbs):
     else:
         assert order.size == 0
     want = _ref.trace_batch(*sim._trace_args(inst, req))
-    for a, b in zip(got, want):
-        np.testing.assert_array_equal(a, b)
+    _assert_same_outputs(got, want)
 
 
 # ---------------------------------------------------------------------------
@@ -1153,8 +1159,7 @@ def test_split_batch_matches_reference(monkeypatch, case, parts):
     if case == "status-1-and-2":
         assert {0, 1, 2} <= set(want[2].tolist())
     monkeypatch.setattr(_fast, "_parts", lambda n: parts)
-    for a, b in zip(_fast.trace_batch(*args), want):
-        np.testing.assert_array_equal(a, b)
+    _assert_same_outputs(_fast.trace_batch(*args), want)
 
 
 @needs_fast
@@ -1163,8 +1168,7 @@ def test_split_into_more_parts_than_requests(monkeypatch):
     monkeypatch.setattr(_fast, "_parts", lambda n: 3)
     got = _fast.trace_batch(**_tiny_trace_args())
     want = _ref.trace_batch(**_tiny_trace_args())
-    for a, b in zip(got, want):
-        np.testing.assert_array_equal(a, b)
+    _assert_same_outputs(got, want)
 
 
 @needs_fast
@@ -1342,6 +1346,12 @@ _MALFORMED = [
     {"xs": np.array([1.0, 0.6])},  # coordinates lie in [0, 1)
     {"xs": np.array([1.5, 0.6])},
     {"req": np.array([-1, 0])},
+    # int64 indices that wrap into range as int32 (2**32 + 1 to 1, 2**32
+    # to 0): each is checked before it is narrowed.
+    {"req": np.array([0, 2**32])},
+    {"h_idx": np.array([2**32 + 1])},
+    {"hc_idx": np.array([2**32 + 1])},
+    {"hc_cell": np.array([2**32])},
 ]
 
 
@@ -1353,8 +1363,7 @@ class TestCompiledInputChecks:
     def test_tiny_instance_matches_reference(self):
         got = _fast.trace_batch(**_tiny_trace_args())
         want = _ref.trace_batch(**_tiny_trace_args())
-        for a, b in zip(got, want):
-            np.testing.assert_array_equal(a, b)
+        _assert_same_outputs(got, want)
 
     @pytest.mark.parametrize("override", _MALFORMED)
     def test_trace_batch_rejects(self, override):

@@ -249,6 +249,7 @@ class TestBuildInstance:
             ([[0], [1, 1]], 1),
             ([[0], [8]], 1),
             ([[0], [-1]], 1),
+            ([[0], [2**32 + 1]], 1),  # 1 once narrowed to int32
             ([[0, 1], [], [3], [7, 9], [2, 1]], 3),  # first of two bad lists
             ([[0.5]], 0),  # not an integer
             ([[1], [2.0]], 1),
@@ -322,7 +323,7 @@ class TestBuildInstance:
         assert inst._h_start.tolist() == [0] * (len(holders) + 1)
         for name in ("_h_idx", "_hc_idx", "_hc_cell"):
             arr = getattr(inst, name)
-            assert arr.shape == (0,) and arr.dtype == np.int64
+            assert arr.shape == (0,) and arr.dtype == np.int32
 
     @given(data=st.data())
     @settings(max_examples=150, deadline=None)
@@ -374,7 +375,7 @@ def _assert_bucket_order_of_argsort(inst):
     hc_idx, hc_cell = bucket_order_by_argsort(inst._xs, inst._ys, held, inst._h_start)
     for name, want in (("_hc_idx", hc_idx), ("_hc_cell", hc_cell)):
         got = getattr(inst, name)
-        assert got.dtype == np.int64
+        assert got.dtype == np.int32
         np.testing.assert_array_equal(got, want)
 
 
@@ -467,7 +468,7 @@ class TestHolderDraw:
         seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
         rng = np.random.default_rng(seed)
         idx, start = sim._draw_holder_sets(rng, n, np.array(counts, dtype=np.int64))
-        assert idx.dtype == start.dtype == np.int64
+        assert (idx.dtype, start.dtype) == (np.int32, np.int64)
         assert start.tolist() == np.cumsum([0, *counts]).tolist()
         assert idx.size == start[-1]
         for lo, hi in zip(start[:-1], start[1:]):
@@ -597,11 +598,11 @@ class TestMemory:
         inst = _holderless_instance(cfg.n, cfg.M)
         pop = cfg.popularity()
         peak = self._peak(lambda: sim.draw_requests(inst, pop, seed=2))
-        # The requests (n) and the CDF (M), and a few arrays of one block,
-        # the guide table among them; choice and the cast to int64 held
-        # 2n + M.
+        # The requests (n int32) and the CDF (M float64), and a few arrays
+        # of one block, the guide table among them; choice and the cast to
+        # int64 held 2n + M int64s.
         n, m = cfg.n, cfg.M
-        assert peak <= 8 * (n + m) + 8 * 8 * sim._REQUEST_BLOCK + self._SLACK
+        assert peak <= 4 * n + 8 * m + 8 * 8 * sim._REQUEST_BLOCK + self._SLACK
 
     def test_instance_holds_each_array_once(self):
         cfg = NetworkConfig(n=10**6, alpha=0.8, beta=0.9)
@@ -616,11 +617,44 @@ class TestMemory:
             held = tracemalloc.get_traced_memory()[0] - start
         finally:
             tracemalloc.stop()
-        # The coordinates (2n), one holder array with the holders' buckets
-        # (2H), the offsets (M + 1), each 8 bytes, and the node count and
-        # the schedule's slot per cell (2g², 16 bytes per cell).
+        # The coordinates (2n float64), one holder array with the holders'
+        # buckets (2H int32), the offsets (M + 1 int64), and the node count
+        # (int32) and the schedule's slot (int64) per cell.
         n, h, g = cfg.n, int(counts.sum()), inst.grid.side
-        assert held <= 8 * (2 * n + 2 * h + cfg.M + 1) + 16 * g * g + self._SLACK
+        assert held <= 16 * n + 8 * h + 8 * (cfg.M + 1) + 12 * g * g + self._SLACK
+
+    @pytest.mark.parametrize(
+        "point",
+        [dict(alpha=0.8), dict(alpha=1.2, mode=Mode.HETEROGENEOUS, mu=0.4)],
+        ids=["ad-hoc", "heterogeneous"],
+    )
+    def test_trial_peak(self, point):
+        cfg = NetworkConfig(n=10**6, beta=0.9, **point)
+        prob = cfg.problem()
+        counts = round_to_integers(solve(prob), prob)
+        peak = self._peak(lambda: sim.run_trials(cfg, counts, seeds=[5]))
+        # The kernel call holds the most: the instance's coordinates (2n
+        # float64), holders and their bucket ids (2H int32), offsets (M + 1
+        # int64), and node count (int32) and slot (int64) per cell; the
+        # popularity vector (M float64) and the requests (n int32); the
+        # bucket table's sides (M int32), offsets (M + 1 int64) and one
+        # int64 per bucket plus one; the hops (n int32), status (n int8)
+        # and the loads of up to two parts (2g² int64); with stations, the
+        # visit order (n int32).
+        n, h, m = cfg.n, int(counts.sum()), cfg.M
+        g = CellGrid.from_area(cfg.a).side
+        side = _ref.grid_sides(counts)
+        buckets = int((side * side).sum())
+        order = 4 * n if cfg.base_station_count else 0
+        bound = (
+            16 * n + 8 * h + 8 * (m + 1) + 12 * g * g
+            + 8 * m + 4 * n
+            + 4 * m + 8 * (m + 1) + 8 * (buckets + 1)
+            + 5 * n + 16 * g * g + order
+            + self._SLACK
+        )
+        assert bound <= 55 * n
+        assert peak <= bound
 
     def test_trials_hold_one_instance_at_a_time(self):
         # Two trials on one seed, so the second repeats the first: it may
@@ -647,7 +681,7 @@ def _assert_draws_like_choice(p, n, seed):
     rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
     got = sim._invert_guided(rng, p, n)
     want = ref.choice(p.size, size=n, p=p)
-    assert got.dtype == np.int64
+    assert got.dtype == np.int32
     np.testing.assert_array_equal(got, want)
     assert rng.bit_generator.state == ref.bit_generator.state
     return got
@@ -1177,6 +1211,8 @@ class TestMeasure:
             sim.measure(inst, [0, 0, 0])  # wrong length
         with pytest.raises(ValueError):
             sim.measure(inst, [0, 0, 0, 1])  # content out of range
+        with pytest.raises(ValueError, match="outside catalog"):
+            sim.measure(inst, np.array([0, 0, 0, 2**32]))  # 0 once narrowed
         with pytest.raises(ValueError):
             sim.measure(inst, [0, 0, 0, 0], W=0.0)
         with pytest.raises(ValueError):
